@@ -130,7 +130,12 @@ const FlowVocabSize = numFlowCols
 // numeric features: flow count, mean duration, mean log-volume, mean
 // inter-flow gap and distinct destination count — the feature family of
 // flow-based profiling [3], [11]. A flow belongs to every window its start
-// falls into.
+// falls into. The flows must be sorted by start.
+//
+// Like features.Compose, it costs O(flows × D/S) independent of idle time
+// (it jumps across gaps with WindowConfig.FirstWindowEndingAfter), and a
+// flow starting too far past the first one to index fails the call with an
+// error wrapping features.ErrWindowRange.
 func FlowWindows(flows []Flow, cfg features.WindowConfig, entity string) ([]features.Window, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -138,30 +143,40 @@ func FlowWindows(flows []Flow, cfg features.WindowConfig, entity string) ([]feat
 	if len(flows) == 0 {
 		return nil, nil
 	}
-	var windows []features.Window
+	for i := 1; i < len(flows); i++ {
+		if flows[i].Start.Before(flows[i-1].Start) {
+			return nil, fmt.Errorf("baseline: flows not sorted at index %d", i)
+		}
+	}
 	t0 := flows[0].Start
 	last := flows[len(flows)-1].Start
+	if _, err := cfg.FirstWindowEndingAfter(t0, last); err != nil {
+		return nil, err
+	}
+	lastK := int(last.Sub(t0) / cfg.Shift)
+	var windows []features.Window
 	lo := 0
-	for k := 0; ; k++ {
+	for k := 0; k <= lastK; k++ {
 		start := t0.Add(time.Duration(k) * cfg.Shift)
-		if start.After(last) {
-			break
-		}
-		end := start.Add(cfg.Duration)
-		for lo < len(flows) && flows[lo].Start.Before(start) {
+		for flows[lo].Start.Before(start) { // start <= last bounds lo
 			lo++
 		}
-		if lo >= len(flows) {
-			break
+		end := start.Add(cfg.Duration)
+		if !flows[lo].Start.Before(end) {
+			// Jump over the empty windows to the first one still open
+			// at flows[lo].
+			var err error
+			if k, err = cfg.FirstWindowEndingAfter(t0, flows[lo].Start); err != nil {
+				return nil, err
+			}
+			start = t0.Add(time.Duration(k) * cfg.Shift)
+			end = start.Add(cfg.Duration)
 		}
 		var inWin []Flow
 		users := make(map[string]int)
 		for i := lo; i < len(flows) && flows[i].Start.Before(end); i++ {
 			inWin = append(inWin, flows[i])
 			users[flows[i].UserID]++
-		}
-		if len(inWin) == 0 {
-			continue
 		}
 		windows = append(windows, features.Window{
 			Start:      start,

@@ -12,7 +12,8 @@ import (
 // benchNodeFeed measures client→node feed throughput over loopback TCP
 // at the given wire-version cap (transactions/op = 1): encode, frame,
 // decode and FeedBatch into the node's monitor, with the reply awaited
-// per batch.
+// per batch (FeedSync) so the timer covers delivery, not just the enqueue
+// of the asynchronous Feed.
 func benchNodeFeed(b *testing.B, maxWire int) {
 	set, ds := clustertest.TrainedSet(b)
 	base, _ := clustertest.Workload(b, ds, 64, 4096)
@@ -46,7 +47,7 @@ func benchNodeFeed(b *testing.B, maxWire int) {
 			tx.Timestamp = tx.Timestamp.Add(time.Duration(i/len(base)) * span)
 			buf = append(buf, tx)
 		}
-		if err := c.Feed(buf); err != nil {
+		if err := c.FeedSync(buf); err != nil {
 			b.Fatal(err)
 		}
 		fed += len(buf)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"webtxprofile/internal/features"
 	"webtxprofile/internal/weblog"
 )
 
@@ -290,6 +292,54 @@ func TestMonitorFeedBatchErrors(t *testing.T) {
 	if got := mon.Devices(); got != 3 {
 		t.Errorf("devices = %d, want 3 (batch processing aborted?)", got)
 	}
+}
+
+// TestMonitorFeedBatchFarFutureTimestamp feeds a parseable year-9999 log
+// line — a corrupt timestamp too far past its device's window anchor to
+// index — inside a FeedBatch. Only that one transaction fails (with
+// features.ErrWindowRange); its device's window state is untouched, and
+// every device's alert sequence, the corrupt line's device included,
+// matches a run without the line. Later batches still feed, so the shard
+// is not stalled behind it.
+func TestMonitorFeedBatchFarFutureTimestamp(t *testing.T) {
+	set, testDS := sharedSet(t)
+	txs, _ := deviceStream(testDS, 5, 3000)
+	const k, batchSize, badAt = 2, 128, 200
+	want := referenceAlerts(t, set, txs, k)
+	bad, err := weblog.ParseLine(func() weblog.Transaction {
+		tx := txs[badAt]
+		tx.Timestamp = time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC)
+		return tx
+	}().MarshalLine())
+	if err != nil {
+		t.Fatalf("year-9999 line does not parse: %v", err)
+	}
+
+	col := newAlertCollector()
+	mon, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(txs); lo += batchSize {
+		batch := txs[lo:min(lo+batchSize, len(txs))]
+		if lo <= badAt && badAt < lo+batchSize {
+			batch = append(append(append([]weblog.Transaction(nil), batch[:badAt-lo]...), bad), batch[badAt-lo:]...)
+			err := mon.FeedBatch(batch)
+			if !errors.Is(err, features.ErrWindowRange) {
+				t.Fatalf("FeedBatch with a year-9999 line = %v, want ErrWindowRange", err)
+			}
+			if n := len(err.(interface{ Unwrap() []error }).Unwrap()); n != 1 {
+				t.Fatalf("FeedBatch failed %d transactions, want only the corrupt one: %v", n, err)
+			}
+			continue
+		}
+		if err := mon.FeedBatch(batch); err != nil {
+			t.Fatalf("FeedBatch at %d: %v", lo, err)
+		}
+	}
+	mon.Flush()
+	mon.Close()
+	comparePerDevice(t, want, col.got)
 }
 
 // TestMonitorIdleEviction checks IdleTTL-based eviction in stream time:

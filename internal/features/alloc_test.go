@@ -76,3 +76,34 @@ func TestStreamerFeedAllocs(t *testing.T) {
 		t.Errorf("feed path allocates %.2f times per tx, want <= 2", perTx)
 	}
 }
+
+// TestComposeGapAllocs gates Compose's cost model: allocations follow the
+// non-empty windows, not the idle time between them. The same trace run
+// dense and with a 1-day gap in the middle (2,880 empty windows at D=1m,
+// S=30s) must allocate at the same per-window rate; a window-by-window
+// walk allocates a user-count map for each empty window as well.
+func TestComposeGapAllocs(t *testing.T) {
+	cfg := WindowConfig{Duration: time.Minute, Shift: 30 * time.Second}
+	const n = 200
+	dense := make([]weblog.Transaction, n)
+	gapped := make([]weblog.Transaction, n)
+	for i := range dense {
+		dense[i] = traceTx(t0.Add(time.Duration(i)*7*time.Second), i)
+		gapped[i] = dense[i]
+		if i >= n/2 {
+			gapped[i].Timestamp = gapped[i].Timestamp.Add(24 * time.Hour)
+		}
+	}
+	vocab := Build(dense)
+	perWindow := func(txs []weblog.Transaction) float64 {
+		ws, err := Compose(vocab, cfg, txs, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { Compose(vocab, cfg, txs, "x") }) / float64(len(ws))
+	}
+	want, got := perWindow(dense), perWindow(gapped)
+	if got > want*1.1 {
+		t.Errorf("Compose allocates %.2f times per window across a 1-day gap, %.2f without it", got, want)
+	}
+}

@@ -476,6 +476,20 @@ func TestRestoreStreamerRejectsCorruptState(t *testing.T) {
 	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
 		t.Error("last-seen before buffered tail accepted")
 	}
+	if tail := good.Buffered[len(good.Buffered)-1].Timestamp; tail.After(good.Anchor.Timestamp) {
+		atAnchor := *good.Anchor
+		bad.LastSeen = &atAnchor
+		if _, err := RestoreStreamer(v, cfg, bad); err == nil {
+			t.Error("last-seen after the anchor but before buffered tail accepted")
+		}
+	}
+	bad = good
+	beforeAnchor := *good.Anchor
+	beforeAnchor.Timestamp = good.Anchor.Timestamp.Add(-time.Nanosecond)
+	bad.Anchor, bad.LastSeen, bad.Buffered = good.Anchor, &beforeAnchor, nil
+	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
+		t.Error("last-seen before the anchor accepted")
+	}
 
 	// A closed streamer's state restores closed: Add must keep failing.
 	st.Close()

@@ -19,6 +19,12 @@ import (
 // Streamer produces exactly the windows Compose would produce on the full
 // transaction sequence; TestStreamerMatchesCompose asserts that
 // equivalence.
+//
+// Cost is O(transactions × D/S), independent of idle time: once its buffer
+// drains, the streamer jumps straight to the first window that can hold
+// the next arrival (WindowConfig.FirstWindowEndingAfter) instead of
+// stepping through the empty windows of a gap. Window positions, Emitted
+// and every Snapshot are exactly those of a window-by-window walk.
 type Streamer struct {
 	vocab  *Vocabulary
 	cfg    WindowConfig
@@ -50,7 +56,10 @@ func NewStreamer(vocab *Vocabulary, cfg WindowConfig, entity string) (*Streamer,
 }
 
 // Add feeds one transaction and returns any windows completed by its
-// arrival (possibly none).
+// arrival (possibly none). A transaction earlier than the last one, or too
+// far past the first one to index (an error wrapping ErrWindowRange, from a
+// corrupt timestamp centuries ahead), is rejected and leaves the streamer
+// unchanged.
 func (s *Streamer) Add(tx weblog.Transaction) ([]Window, error) {
 	if s.closed {
 		return nil, fmt.Errorf("features: Add after Close")
@@ -62,17 +71,24 @@ func (s *Streamer) Add(tx weblog.Transaction) ([]Window, error) {
 		return nil, fmt.Errorf("features: out-of-order transaction at %v (last %v)",
 			tx.Timestamp, s.lastSeen.Timestamp)
 	}
+	// Every window before target ends at or before the new arrival: no
+	// later transaction can fall inside it. (The anchoring transaction
+	// itself always indexes, so an error leaves the state untouched.)
+	target, err := s.cfg.FirstWindowEndingAfter(s.anchor.Timestamp, tx.Timestamp)
+	if err != nil {
+		return nil, err
+	}
 	s.lastSeen = tx
-	// Emit every window whose end is at or before the new arrival: no
-	// later transaction can fall inside it.
 	var out []Window
-	for {
-		start := s.anchor.Timestamp.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
-		end := start.Add(s.cfg.Duration)
-		if tx.Timestamp.Before(end) {
+	for s.nextIdx < target {
+		if len(s.buf) == 0 {
+			// Everything seen lies before window nextIdx: the rest of
+			// the windows ending by the arrival are empty.
+			s.nextIdx = target
 			break
 		}
-		if w, ok := s.build(start, end); ok {
+		start := s.windowStart(s.nextIdx)
+		if w, ok := s.build(start, start.Add(s.cfg.Duration)); ok {
 			out = append(out, w)
 		}
 		s.nextIdx++
@@ -91,20 +107,25 @@ func (s *Streamer) Close() []Window {
 		return nil
 	}
 	s.closed = true
+	last := int(s.lastSeen.Timestamp.Sub(s.anchor.Timestamp) / s.cfg.Shift)
 	var out []Window
-	for {
-		start := s.anchor.Timestamp.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
-		if start.After(s.lastSeen.Timestamp) {
+	for ; s.nextIdx <= last; s.nextIdx++ {
+		if len(s.buf) == 0 { // the remaining windows are empty
+			s.nextIdx = last + 1
 			break
 		}
-		end := start.Add(s.cfg.Duration)
-		if w, ok := s.build(start, end); ok {
+		start := s.windowStart(s.nextIdx)
+		if w, ok := s.build(start, start.Add(s.cfg.Duration)); ok {
 			out = append(out, w)
 		}
-		s.nextIdx++
 		s.gc(start.Add(s.cfg.Shift))
 	}
 	return out
+}
+
+// windowStart returns the start of window k: anchor + k·S.
+func (s *Streamer) windowStart(k int) time.Time {
+	return s.anchor.Timestamp.Add(time.Duration(k) * s.cfg.Shift)
 }
 
 // Emitted returns the number of windows produced so far.
@@ -174,6 +195,12 @@ func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*St
 	}
 	if st.Anchor == nil || st.LastSeen == nil {
 		return nil, fmt.Errorf("features: anchored streamer state for %q missing anchor or last-seen", st.Entity)
+	}
+	if st.LastSeen.Timestamp.Before(st.Anchor.Timestamp) {
+		return nil, fmt.Errorf("features: streamer state for %q has last-seen before its anchor", st.Entity)
+	}
+	if _, err := cfg.FirstWindowEndingAfter(st.Anchor.Timestamp, st.LastSeen.Timestamp); err != nil {
+		return nil, fmt.Errorf("features: streamer state for %q: %w", st.Entity, err)
 	}
 	for i := range st.Buffered {
 		if i > 0 && st.Buffered[i].Timestamp.Before(st.Buffered[i-1].Timestamp) {

@@ -1,7 +1,9 @@
 package features
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"webtxprofile/internal/sparse"
@@ -27,6 +29,34 @@ func (c WindowConfig) Validate() error {
 		return fmt.Errorf("features: shift %v exceeds duration %v", c.Shift, c.Duration)
 	}
 	return nil
+}
+
+// ErrWindowRange reports a transaction too far past its window anchor to
+// index: window k starts at anchor + k·S, and that offset must fit in a
+// time.Duration (about 292 years). Only a corrupt timestamp gets there.
+var ErrWindowRange = errors.New("features: transaction too far past its window anchor to index")
+
+// FirstWindowEndingAfter returns the smallest window index k with
+// anchor + k·S + D > t: the first window of the sequence anchored at
+// anchor that can still receive a transaction at t. Every window before k
+// ends at or before t. Window composers jump straight to k across idle
+// time instead of stepping through the empty windows in between, so their
+// cost follows traffic rather than the length of the gaps.
+//
+// It returns an error wrapping ErrWindowRange when t lies so far past
+// anchor that the offset t − anchor does not fit in a time.Duration; every
+// window index up to the result is then representable, and so is the
+// start of every window that can hold a transaction at or before t.
+func (c WindowConfig) FirstWindowEndingAfter(anchor, t time.Time) (int, error) {
+	d := t.Sub(anchor) // saturates at math.MaxInt64 on overflow
+	if d == math.MaxInt64 {
+		return 0, fmt.Errorf("%w: %v is more than %v past %v", ErrWindowRange,
+			t.Format(time.RFC3339), time.Duration(math.MaxInt64), anchor.Format(time.RFC3339))
+	}
+	if d < c.Duration {
+		return 0, nil
+	}
+	return int((d-c.Duration)/c.Shift) + 1, nil
 }
 
 // String renders the config as "D=60s S=30s".
@@ -70,6 +100,13 @@ func (w *Window) DominantUser() string {
 // timestamp; a window materializes only if at least one transaction falls
 // inside it (empty windows carry no information and are skipped, see
 // DESIGN.md). The transactions slice must be sorted by timestamp.
+//
+// Cost is O(transactions × D/S), independent of idle time: across a gap
+// Compose jumps straight to the first window that can hold the next
+// transaction (WindowConfig.FirstWindowEndingAfter) instead of visiting the
+// empty windows in between. A transaction too far past the first one to
+// index (a corrupt timestamp centuries ahead) fails the call with an error
+// wrapping ErrWindowRange.
 func Compose(vocab *Vocabulary, cfg WindowConfig, txs []weblog.Transaction, entity string) ([]Window, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -82,23 +119,33 @@ func Compose(vocab *Vocabulary, cfg WindowConfig, txs []weblog.Transaction, enti
 			return nil, fmt.Errorf("features: transactions not sorted at index %d", i)
 		}
 	}
+	t0 := txs[0].Timestamp
+	last := txs[len(txs)-1].Timestamp
+	if _, err := cfg.FirstWindowEndingAfter(t0, last); err != nil {
+		return nil, err
+	}
+	// Windows run while their start is not after the last transaction.
+	lastK := int(last.Sub(t0) / cfg.Shift)
 	var windows []Window
 	acc := sparse.NewAccumulator(vocab.NumericCols())
 	var scratch sparse.Vector
-	t0 := txs[0].Timestamp
-	last := txs[len(txs)-1].Timestamp
 	lo := 0 // first transaction with Timestamp >= start
-	for k := 0; ; k++ {
+	for k := 0; k <= lastK; k++ {
 		start := t0.Add(time.Duration(k) * cfg.Shift)
-		if start.After(last) {
-			break
-		}
-		end := start.Add(cfg.Duration)
-		for lo < len(txs) && txs[lo].Timestamp.Before(start) {
+		for txs[lo].Timestamp.Before(start) { // start <= last bounds lo
 			lo++
 		}
-		if lo >= len(txs) {
-			break
+		end := start.Add(cfg.Duration)
+		if !txs[lo].Timestamp.Before(end) {
+			// Window k is empty, and so is every window up to the first
+			// one still open at txs[lo]; that one starts at or before
+			// txs[lo] (S <= D), so lo stays put.
+			var err error
+			if k, err = cfg.FirstWindowEndingAfter(t0, txs[lo].Timestamp); err != nil {
+				return nil, err
+			}
+			start = t0.Add(time.Duration(k) * cfg.Shift)
+			end = start.Add(cfg.Duration)
 		}
 		acc.Reset()
 		users := make(map[string]int)
@@ -106,9 +153,6 @@ func Compose(vocab *Vocabulary, cfg WindowConfig, txs []weblog.Transaction, enti
 			vocab.ExtractInto(&txs[i], &scratch)
 			acc.Add(scratch)
 			users[txs[i].UserID]++
-		}
-		if acc.Count() == 0 {
-			continue
 		}
 		windows = append(windows, Window{
 			Start:      start,
