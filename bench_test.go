@@ -563,6 +563,27 @@ func populationModels(b testing.TB, u int) ([]*svm.Model, []sparse.Vector) {
 	return models, probes
 }
 
+// permissivePopulation is populationModels with every step-th profile
+// made permissive (ρ shrunk a millionfold, so the pre-accumulate screen
+// can never reject it; step 0: none) — the knob of the survivor sweep —
+// and its own probes: 40-non-zero windows, whose norm keeps the screen
+// rejecting nearly every strict profile, so the permissive ones set the
+// survivor count.
+func permissivePopulation(b testing.TB, u, step int) ([]*svm.Model, []sparse.Vector) {
+	models, _ := populationModels(b, u)
+	for i, m := range models {
+		if step > 0 && i%step == 0 {
+			m.Rho *= 1e-6
+		}
+	}
+	r := rand.New(rand.NewSource(int64(u)*13 + 5))
+	probes := make([]sparse.Vector, 256)
+	for i := range probes {
+		probes[i] = benchRandVec(r, 800, 40)
+	}
+	return models, probes
+}
+
 // BenchmarkPopulationDecisions is the PR 7 headline: one window scored
 // against U user models, comparing the per-model-index baseline
 // (DecisionBatch: each model re-walks the window through its own inverted
@@ -570,7 +591,29 @@ func populationModels(b testing.TB, u int) ([]*svm.Model, []sparse.Vector) {
 // decision screening) in both precision modes. decisions/sec is the
 // reported capacity metric — the paper's identification loop runs exactly
 // this evaluation per completed window.
+//
+// The survivors sub-benchmarks sweep the share of a 2k population that
+// survives the pre-accumulate screen (every step-th profile permissive;
+// step 0: none) and report survivors/op: AcceptMask scores the survivors
+// one by one below a crossover share of the index's support vectors and
+// takes the fused pass above it, and the sweep is where that crossover
+// was read off.
 func BenchmarkPopulationDecisions(b *testing.B) {
+	for _, step := range []int{0, 256, 128, 64, 32, 16, 8, 4} {
+		const u = 2_000
+		b.Run(fmt.Sprintf("survivors/step=%d/models=%d", step, u), func(b *testing.B) {
+			models, probes := permissivePopulation(b, u, step)
+			sc := svm.NewScorer(models)
+			before := svm.ReadKernelStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.AcceptMask(probes[i%len(probes)])
+			}
+			b.ReportMetric(float64(u)*float64(b.N)/b.Elapsed().Seconds(), "decisions/sec")
+			st := svm.ReadKernelStats().Sub(before)
+			b.ReportMetric(float64(u)-float64(st.PreScreened)/float64(b.N), "survivors/op")
+		})
+	}
 	for _, u := range []int{100, 1_000, 10_000} {
 		models, probes := populationModels(b, u)
 		rate := func(b *testing.B) {

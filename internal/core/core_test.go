@@ -311,3 +311,85 @@ func TestIdentifierRejectsWrongHost(t *testing.T) {
 		t.Error("foreign-host transaction accepted")
 	}
 }
+
+// TestIdentifierSparseStreaksMatchDense replays the streak rule with a
+// dense per-user run table from each event's accepted users and checks
+// the identifier's sparse streak list agrees at every window: it holds
+// exactly the window's accepting users, with the dense runs, and the
+// identified user is the dense rule's winner. A mid-stream snapshot and
+// restore must carry the same streaks.
+func TestIdentifierSparseStreaksMatchDense(t *testing.T) {
+	set, test, err := Train(smallDataset, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := set.Users()
+	index := make(map[string]int, len(users))
+	for j, u := range users {
+		index[u] = j
+	}
+	const host, k = "192.0.2.9", 2
+	id, err := NewIdentifier(set, host, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := make([]int, len(users))
+	windows := 0
+	check := func(evs []Event) {
+		t.Helper()
+		for _, ev := range evs {
+			windows++
+			accepted := make([]bool, len(users))
+			for _, u := range ev.Accepted {
+				accepted[index[u]] = true
+			}
+			want, best := "", 0
+			for j := range users {
+				if accepted[j] {
+					dense[j]++
+				} else {
+					dense[j] = 0
+				}
+				if dense[j] >= k && dense[j] > best {
+					best, want = dense[j], users[j]
+				}
+			}
+			if ev.Identified != want {
+				t.Fatalf("window %d: identified %q, dense rule %q", windows, ev.Identified, want)
+			}
+		}
+		if len(evs) == 0 {
+			return
+		}
+		// The streak list reflects the last window of the batch.
+		if last := evs[len(evs)-1]; len(id.streaks) != len(last.Accepted) {
+			t.Fatalf("window %d: %d streaks for %d accepting users", windows, len(id.streaks), len(last.Accepted))
+		}
+		for _, sk := range id.streaks {
+			if sk.run != dense[sk.user] {
+				t.Fatalf("window %d: user %s streak %d, dense %d", windows, users[sk.user], sk.run, dense[sk.user])
+			}
+		}
+	}
+	txs := test.Transactions
+	if len(txs) > 3000 {
+		txs = txs[:3000]
+	}
+	for i, tx := range txs {
+		tx.SourceIP = host
+		evs, err := id.Feed(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(evs)
+		if i == len(txs)/2 {
+			if id, err = RestoreIdentifier(set, id.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check(id.Flush())
+	if windows == 0 {
+		t.Fatal("no windows scored")
+	}
+}

@@ -28,10 +28,18 @@ type Identifier struct {
 	streamer *features.Streamer
 	sc       *scorer
 	k        int
-	// runs tracks each user's current consecutive-accept streak, parallel
-	// to sc.users.
-	runs []int
-	host string
+	// streaks holds the non-zero consecutive-accept streaks, ascending by
+	// user index into sc.users. After any window the only non-zero
+	// streaks belong to the users that accepted it, so this stays a
+	// handful of entries per device at any population size.
+	streaks []streak
+	host    string
+}
+
+// streak is one user's current consecutive-accept run.
+type streak struct {
+	user int // index into the scorer's users
+	run  int
 }
 
 // NewIdentifier creates a streaming identifier for one device.
@@ -62,7 +70,6 @@ func newIdentifierWithScorer(set *ProfileSet, host string, consecutiveK int, sc 
 		streamer: st,
 		sc:       sc,
 		k:        consecutiveK,
-		runs:     make([]int, len(sc.users)),
 		host:     host,
 	}, nil
 }
@@ -90,12 +97,10 @@ type IdentifierState struct {
 // stays valid while it keeps running.
 func (id *Identifier) Snapshot() IdentifierState {
 	st := IdentifierState{Host: id.host, K: id.k, Streamer: id.streamer.Snapshot()}
-	for j, u := range id.sc.users {
-		if id.runs[j] != 0 {
-			if st.Runs == nil {
-				st.Runs = make(map[string]int)
-			}
-			st.Runs[u] = id.runs[j]
+	if len(id.streaks) > 0 {
+		st.Runs = make(map[string]int, len(id.streaks))
+		for _, sk := range id.streaks {
+			st.Runs[id.sc.users[sk.user]] = sk.run
 		}
 	}
 	return st
@@ -131,20 +136,22 @@ func restoreIdentifierWithScorer(set *ProfileSet, st IdentifierState, consecutiv
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring streamer for %s: %w", st.Host, err)
 	}
-	runs := make([]int, len(sc.users))
+	var streaks []streak
 	for j, u := range sc.users {
 		r := st.Runs[u]
 		if r < 0 {
 			return nil, fmt.Errorf("core: negative streak %d for user %s in state for %s", r, u, st.Host)
 		}
-		runs[j] = r
+		if r > 0 {
+			streaks = append(streaks, streak{user: j, run: r})
+		}
 	}
 	return &Identifier{
 		set:      set,
 		streamer: streamer,
 		sc:       sc,
 		k:        consecutiveK,
-		runs:     runs,
+		streaks:  streaks,
 		host:     st.Host,
 	}, nil
 }
@@ -176,21 +183,33 @@ func (id *Identifier) classify(ws []features.Window) []Event {
 	for i := range ws {
 		ev := Event{Window: ws[i]}
 		mask := id.sc.acceptMask(ws[i].Vector)
+		// Merge the ascending streak list against the mask into the
+		// shard's scratch: accepting users extend their run (or start
+		// one), every other streak ends.
+		next, old := id.sc.streaks[:0], id.streaks
 		for j, accepted := range mask {
-			if accepted {
-				ev.Accepted = append(ev.Accepted, users[j])
-				id.runs[j]++
-			} else {
-				id.runs[j] = 0
+			if !accepted {
+				continue
 			}
+			for len(old) > 0 && old[0].user < j {
+				old = old[1:]
+			}
+			run := 1
+			if len(old) > 0 && old[0].user == j {
+				run += old[0].run
+			}
+			next = append(next, streak{user: j, run: run})
+			ev.Accepted = append(ev.Accepted, users[j])
 		}
+		id.sc.streaks = next
+		id.streaks = append(id.streaks[:0], next...)
 		// Deterministic winner: longest current run ≥ k, ties broken by
 		// user id (users are sorted, strict > keeps the first).
 		bestRun := 0
-		for j := range users {
-			if id.runs[j] >= id.k && id.runs[j] > bestRun {
-				bestRun = id.runs[j]
-				ev.Identified = users[j]
+		for _, sk := range id.streaks {
+			if sk.run >= id.k && sk.run > bestRun {
+				bestRun = sk.run
+				ev.Identified = users[sk.user]
 			}
 		}
 		events = append(events, ev)

@@ -22,6 +22,9 @@ import (
 type scorer struct {
 	users []string
 	sc    *svm.Scorer
+	// streaks is Identifier.classify's merge scratch, shared by every
+	// identifier of the scorer (one per shard, serialized like sc).
+	streaks []streak
 
 	// refModels, when non-nil, routes acceptMask through the pre-fused
 	// per-model decision path (svm.Model.Accept, one window walk per

@@ -22,12 +22,29 @@ const (
 // can never flip an accept into a screened reject.
 const screenSlack = 1e-9
 
-// critSlack deflates the precomputed screening thresholds (sCrit, d2Crit)
-// by a hair, so the handful of roundings in the threshold algebra itself —
-// a division, a log — can never over-screen. It is three orders of
-// magnitude above those roundings and three below screenSlack, so the
+// critSlack deflates the precomputed screening thresholds (sCrit, d2Crit,
+// preCrit) by a hair, so the handful of roundings in the threshold algebra
+// itself — a division, a log — can never over-screen. It is three orders
+// of magnitude above those roundings and three below screenSlack, so the
 // screen loses no measurable power.
 const critSlack = 1e-12
+
+// preScreenEps is the per-rounding relative error the pre-accumulate
+// screen's margin charges (twice the float64 unit roundoff, for headroom;
+// see preScreenRBF).
+const preScreenEps = 0x1p-52
+
+// sparseSurvivorShare is the survivor crossover of AcceptMask: when the
+// models left standing by the pre-accumulate screen own fewer support
+// vectors than this share of both the index's support vectors and the
+// window's support-vector postings, scoring each survivor through its own
+// svIndex is cheaper than the population-wide fused pass. The fused pass
+// costs the window's postings; the survivors cost their own support
+// vectors and their share of those postings, walked one model at a time
+// (slower per posting than the blocked pass). Read off the survivor sweep
+// of BenchmarkPopulationDecisions. A variable only so tests can pin
+// either path.
+var sparseSurvivorShare = 0.1
 
 // KernelMode selects which scoring kernels a FusedIndex runs.
 type KernelMode uint8
@@ -250,6 +267,25 @@ func (pb *blockedPostings) bytes() int64 {
 // thresholds sCrit/d2Crit that make the first screening levels entirely
 // transcendental-free.
 //
+// In float64 mode, RBF models with sCrit > 0 are additionally screened
+// before any support-vector posting is accumulated (the MaxScore idea of
+// inverted-index retrieval). Per (column, owning model) the index stores
+// hi = max(0, maxᵢ svᵢ[c]) and lo = min(0, minᵢ svᵢ[c]), so for a window
+// x every support-vector dot satisfies
+//
+//	x·svᵢ ≤ U = Σ_c x_c·(x_c > 0 ? hi : lo)
+//
+// (each term bounds x_c·svᵢ[c] from above, and is itself ≥ 0). Hence
+// ‖svᵢ − x‖² ≥ ‖svᵢ‖² + ‖x‖² − 2U for every i, and the kernel sum is at
+// most exp(−γ(‖x‖² − 2U))·Σαᵢe^{−γ‖svᵢ‖²}. That is below sCrit — the
+// model cannot accept — exactly when ‖x‖² − 2U > preCrit with
+// preCrit = (ln Σαᵢe^{−γ‖svᵢ‖²} − ln sCrit)/γ, precomputed in the log
+// domain (the linear-domain sum underflows to 0 once γ‖sv‖² > ~745). The
+// screen charges a rounding margin on top (preScreenRBF), so the mask
+// stays exact. Float32 indexes skip it and keep the plain fused pass: an
+// exact-arithmetic bound does not bound float32-rounded accumulators (the
+// reason screenSV skips its level-1 norm bound there too).
+//
 // A FusedIndex is immutable after build and safe for concurrent readers:
 // Monitor shards share one index and attach per-shard Scorer scratch.
 type FusedIndex struct {
@@ -265,9 +301,18 @@ type FusedIndex struct {
 	// Column → owning models with at least one SV posting in that column
 	// (deduped, ascending): ownIDs[ownStarts[c]:ownStarts[c+1]]. This is
 	// the touch-marking pass, decoupled from accumulation so the lane
-	// kernels stay pure multiply-add.
+	// kernels stay pure multiply-add. ownHi/ownLo (float64 indexes with
+	// at least one pre-screenable model; nil otherwise) run parallel to
+	// ownIDs: the owner's max(0, max SV value) and min(0, min SV value)
+	// in that column — the pre-accumulate screen's bound table.
 	ownStarts []int32
 	ownIDs    []int32
+	ownHi     []float64
+	ownLo     []float64
+	// colPosts[c] is column c's support-vector posting count (alongside
+	// the bound table only): the pre-screen walk sums it into the fused
+	// pass's cost for the window.
+	colPosts []int32
 
 	// Per-model global SV ordinal ranges: model mi owns [svBase[mi],
 	// svBase[mi+1]) (empty for linear/fallback models).
@@ -298,6 +343,12 @@ type FusedIndex struct {
 	// screening path never dereferences the Model itself (ten thousand
 	// pointer chases per window would out-cost the bounds they gate).
 	gammaH []float64
+	// preCrit[mi] is the pre-accumulate screen threshold on ‖x‖² − 2U
+	// (rbfPreCrit; +Inf for models the screen never rejects) and
+	// svCount[mi] the model's support-vector count (0 for linear and
+	// fallback models). Both are nil when the index has no bound table.
+	preCrit []float64
+	svCount []int32
 
 	footprint IndexFootprint
 }
@@ -309,7 +360,7 @@ type IndexFootprint struct {
 	SVs          int
 	Postings     int   // real postings stored (linear weights + SV entries)
 	LanePadWaste int   // zero-filled pad slots added to fill out lanes
-	IndexBytes   int64 // resident bytes: postings, offsets, per-model caches
+	IndexBytes   int64 // resident bytes: postings, offsets, per-model caches, pre-screen bound table
 }
 
 // String renders the footprint for startup logs.
@@ -504,6 +555,15 @@ func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
 		ix.maxNorm[mi] = math.Sqrt(maxN)
 		if m.Kernel.Kind == KernelRBF {
 			ix.sCrit[mi], ix.d2Crit[mi] = rbfScreenCrit(m, sumA)
+			if ix.sCrit[mi] > 0 && !cfg.Float32 {
+				if ix.preCrit == nil {
+					ix.preCrit = make([]float64, n)
+					for i := range ix.preCrit {
+						ix.preCrit[i] = math.Inf(1)
+					}
+				}
+				ix.preCrit[mi] = rbfPreCrit(m, ix.sCrit[mi])
+			}
 			gh := m.Kernel.Gamma * rbfExpInvH
 			ix.gammaH[mi] = gh
 			for si := range m.SVs {
@@ -515,21 +575,42 @@ func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
 
 	// Column → owning models, deduped: within a column the raw postings
 	// are in ascending global-ordinal order, so owners are non-decreasing
-	// and dedup is a run-length pass.
+	// and dedup is a run-length pass — which also folds each run's values
+	// into the owner's bound-table hi/lo when the index pre-screens.
 	if maxSVCol >= 0 {
+		bound := ix.preCrit != nil
 		ix.ownStarts = make([]int32, maxSVCol+2)
 		var ids []int32
+		var his, los []float64
 		for c := 0; c <= maxSVCol; c++ {
 			last := int32(-1)
 			for p := svStarts[c]; p < svStarts[c+1]; p++ {
-				if w := svOwner[svOrd[p]]; w != last {
+				w, v := svOwner[svOrd[p]], svVal[p]
+				if w != last {
 					ids = append(ids, w)
 					last = w
+					if bound {
+						his = append(his, max(0, v))
+						los = append(los, min(0, v))
+					}
+				} else if bound {
+					his[len(his)-1] = max(his[len(his)-1], v)
+					los[len(los)-1] = min(los[len(los)-1], v)
 				}
 			}
 			ix.ownStarts[c+1] = int32(len(ids))
 		}
-		ix.ownIDs = ids
+		ix.ownIDs, ix.ownHi, ix.ownLo = ids, his, los
+	}
+	if ix.preCrit != nil {
+		ix.svCount = make([]int32, n)
+		for mi := range ix.svCount {
+			ix.svCount[mi] = ix.svBase[mi+1] - ix.svBase[mi]
+		}
+		ix.colPosts = make([]int32, maxSVCol+1)
+		for c := range ix.colPosts {
+			ix.colPosts[c] = svStarts[c+1] - svStarts[c]
+		}
 	}
 
 	// Convert both families to the blocked, lane-padded layout. The
@@ -545,9 +626,10 @@ func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
 		LanePadWaste: ix.lin.pad + ix.sv.pad,
 		IndexBytes: ix.lin.bytes() + ix.sv.bytes() +
 			int64(len(ix.ownStarts))*4 + int64(len(ix.ownIDs))*4 +
-			int64(len(ix.kind)) + int64(len(ix.svBase))*4 +
+			int64(len(ix.ownHi)+len(ix.ownLo))*8 +
+			int64(len(ix.kind)) + int64(len(ix.svBase)+len(ix.svCount)+len(ix.colPosts))*4 +
 			int64(len(ix.coef)+len(ix.svNorms)+len(ix.snGammaH))*8 +
-			int64(len(ix.sumAlpha)+len(ix.minNorm)+len(ix.maxNorm)+len(ix.snMin)+len(ix.sCrit)+len(ix.d2Crit)+len(ix.gammaH))*8,
+			int64(len(ix.sumAlpha)+len(ix.minNorm)+len(ix.maxNorm)+len(ix.snMin)+len(ix.sCrit)+len(ix.d2Crit)+len(ix.gammaH)+len(ix.preCrit))*8,
 	}
 	recordIndexBuild(ix.footprint)
 	return ix
@@ -588,6 +670,43 @@ func rbfScreenCrit(m *Model, sumA float64) (sCrit, d2Crit float64) {
 	return sCrit, d2Crit
 }
 
+// rbfPreCrit precomputes the pre-accumulate screen threshold of an RBF
+// model with sCrit > 0: the kernel sum is below sCrit whenever
+// ‖x‖² − 2U > (ln Σαᵢe^{−γ‖svᵢ‖²} − ln sCrit)/γ (see FusedIndex). The sum
+// is taken in the log domain — a streaming logsumexp over ln αᵢ − γ‖svᵢ‖² —
+// because the linear-domain sum underflows to 0 once γ‖sv‖² exceeds ~745,
+// which would make the threshold −∞ and reject every window.
+//
+// Admissibility under rounding: the log-ratio is inflated by critSlack
+// relative to the magnitudes it was computed from, plus the logsumexp's
+// own O(#SVs) relative rounding, and the quotient by critSlack once more —
+// every inflation loosens the screen. A non-finite result (only reachable
+// with overflowing inputs) disables the screen for the model.
+func rbfPreCrit(m *Model, sCrit float64) float64 {
+	g := m.Kernel.Gamma
+	mx, sum, mag := math.Inf(-1), 0.0, 0.0
+	for i, a := range m.Coef {
+		la := math.Log(a)
+		t := la - g*m.svNorms[i]
+		if t > mx {
+			sum = sum*math.Exp(mx-t) + 1
+			mx = t
+		} else {
+			sum += math.Exp(t - mx)
+		}
+		mag = max(mag, math.Abs(la)+math.Abs(g*m.svNorms[i]))
+	}
+	lc := math.Log(sCrit)
+	ratio := mx + math.Log(sum) - lc
+	ratio += critSlack*(1+mag+math.Abs(lc)) + 4*float64(len(m.Coef)+2)*preScreenEps
+	crit := ratio / g
+	crit += critSlack * (1 + math.Abs(crit))
+	if math.IsNaN(crit) || math.IsInf(crit, 0) {
+		return math.Inf(1)
+	}
+	return crit
+}
+
 // NumModels returns the number of models fused into the index.
 func (ix *FusedIndex) NumModels() int { return len(ix.models) }
 
@@ -599,19 +718,40 @@ func (ix *FusedIndex) numSVs() int { return int(ix.svBase[len(ix.models)]) }
 // the accumulate pass used to establish inline, decoupled so the lane
 // kernels stay pure multiply-add. Columns carry deduped owner lists, so
 // this visits ~postings/nnz-per-(model,column) entries, not every posting.
-func (ix *FusedIndex) markOwners(x sparse.Vector, marks []uint64, epoch uint64) {
+//
+// When ub is non-nil (an index with a bound table) the same walk also
+// accumulates each owner's pre-screen dot bound U into ub[owner] — the
+// window value times the owner's hi in that column, or its lo for a
+// negative value, every term ≥ 0 — and returns the owner entries visited
+// and the support-vector postings in x's columns. The scatter index is
+// data-dependent, so this loop keeps its bounds checks (like the
+// accumulate kernels in fusedlanes.go).
+func (ix *FusedIndex) markOwners(x sparse.Vector, marks []uint64, epoch uint64, ub []float64) (owners, postings int) {
 	lim := int32(len(ix.ownStarts)) - 1
-	if lim <= 0 {
-		return
-	}
-	for _, c := range x.Idx {
+	for k, c := range x.Idx {
 		if c >= lim {
 			break // x.Idx is sorted: everything after is out of range too
 		}
-		for p := ix.ownStarts[c]; p < ix.ownStarts[c+1]; p++ {
-			marks[ix.ownIDs[p]] = epoch
+		s, e := ix.ownStarts[c], ix.ownStarts[c+1]
+		if ub == nil {
+			for p := s; p < e; p++ {
+				marks[ix.ownIDs[p]] = epoch
+			}
+			continue
+		}
+		owners += int(e - s)
+		postings += int(ix.colPosts[c])
+		xv, bound := x.Val[k], ix.ownHi
+		if xv < 0 {
+			bound = ix.ownLo
+		}
+		for p := s; p < e; p++ {
+			w := ix.ownIDs[p]
+			marks[w] = epoch
+			ub[w] += xv * bound[p]
 		}
 	}
+	return owners, postings
 }
 
 // fusedLinearDecision folds an accumulated weight dot product into the
@@ -627,14 +767,15 @@ func fusedLinearDecision(m *Model, wx, nx float64) float64 {
 	}
 }
 
-// fusedSVDecision evaluates model mi's exact decision value from the
-// accumulated per-SV dot products — the same scalar kernel loop as
-// Model.decisionIndexed, reading the model's contiguous ordinal range.
-// For T = float64 the result is bit-identical to the per-model path.
+// fusedSVDecision evaluates model mi's exact decision value from its
+// per-SV dot products (dots: the model's ordinal range of the fused
+// accumulators, or its own svIndex dots) — the same scalar kernel loop as
+// Model.decisionIndexed. For T = float64 the result is bit-identical to
+// the per-model path.
 func fusedSVDecision[T float32 | float64](ix *FusedIndex, mi int, dots []T, nx float64) float64 {
 	m := ix.models[mi]
 	lo, hi := ix.svBase[mi], ix.svBase[mi+1]
-	sum := fusedKernelSum(m.Kernel, ix.coef[lo:hi], ix.svNorms[lo:hi], dots[lo:hi], nx)
+	sum := fusedKernelSum(m.Kernel, ix.coef[lo:hi], ix.svNorms[lo:hi], dots, nx)
 	switch m.Algo {
 	case OCSVM:
 		return sum - m.Rho
@@ -720,8 +861,13 @@ func screenReject(m *Model, sumA, dlo, dhi, d2lo, nx, tol float64) bool {
 // float32-rounded accumulators, so touched models go straight to the
 // dots-reading levels, whose bounds are computed from the very values the
 // exact loop would consume.
-func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64) bool {
+//
+// dots is the model's float64 dot range — its slice of the fused
+// accumulators, or the per-model dots of AcceptMask's survivor path;
+// float32 indexes pass nil and read their own accumulators.
+func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64, dots []float64) bool {
 	ix := s.ix
+	lo, hi := ix.svBase[mi], ix.svBase[mi+1]
 	if gh := ix.gammaH[mi]; gh > 0 { // RBF, without touching the Model
 		d2Crit := ix.d2Crit[mi]
 		if !touched {
@@ -738,7 +884,6 @@ func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64) bool {
 				return true
 			}
 		}
-		lo, hi := ix.svBase[mi], ix.svBase[mi+1]
 		b0, slope := gh*nx, 2*gh
 		var sb float64
 		switch {
@@ -749,11 +894,11 @@ func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64) bool {
 		case ix.cfg.Float32:
 			sb = fusedRBFSumBound32(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots32[lo:hi], b0, slope)
 		case s.portable:
-			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots[lo:hi], b0, slope)
+			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
 		case s.vector:
-			sb = fusedRBFSumBoundVec64(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots[lo:hi], b0, slope)
+			sb = fusedRBFSumBoundVec64(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
 		default:
-			sb = fusedRBFSumBound64(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots[lo:hi], b0, slope)
+			sb = fusedRBFSumBound64(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
 		}
 		return sb < ix.sCrit[mi]
 	}
@@ -770,12 +915,11 @@ func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64) bool {
 			return true
 		}
 	}
-	lo, hi := ix.svBase[mi], ix.svBase[mi+1]
 	var dlo, dhi float64
 	if ix.cfg.Float32 {
 		dlo, dhi = fusedDotRange(s.dots32[lo:hi])
 	} else {
-		dlo, dhi = fusedDotRange(s.dots[lo:hi])
+		dlo, dhi = fusedDotRange(dots)
 	}
 	return screenReject(m, sumA, dlo, dhi, 0, nx, tol)
 }

@@ -372,6 +372,33 @@ func TestFusedScorerAllocs(t *testing.T) {
 			t.Errorf("%s Decisions allocates %.1f per window, want 0", name, avg)
 		}
 	}
+
+	// A population the pre-accumulate screen mostly rejects, scored on
+	// AcceptMask's per-survivor path (pinned, so every window takes it),
+	// must not allocate either. Own support vectors as probes guarantee
+	// a survivor per window.
+	var calibrated []*Model
+	for i := 0; i < 60; i++ {
+		calibrated = append(calibrated, calibratedRBFModel(t, r, 300, 0.3, 1, i%2 == 0))
+	}
+	var svProbes []sparse.Vector
+	for _, m := range calibrated[:8] {
+		svProbes = append(svProbes, m.SVs[0])
+	}
+	withSurvivorShare(math.Inf(1), func() {
+		for name, sc := range engineScorers(calibrated) {
+			i := 0
+			if avg := testing.AllocsPerRun(50, func() {
+				sc.AcceptMask(svProbes[i%len(svProbes)])
+				i++
+			}); avg != 0 {
+				t.Errorf("sparse-path %s AcceptMask allocates %.1f per window, want 0", name, avg)
+			}
+			if len(sc.svDots) == 0 {
+				t.Errorf("sparse-path %s: no survivor was scored on the per-survivor path", name)
+			}
+		}
+	})
 }
 
 // TestFusedIndexSharedAcrossScorers is the shard-sharing property: many

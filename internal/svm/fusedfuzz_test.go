@@ -43,7 +43,9 @@ func fuzzVsScalarSeeds() [][]byte {
 }
 
 // FuzzFusedVsScalar is the differential fuzz target for the scoring
-// engines: for an arbitrary window over a mixed population, every engine
+// engines: for an arbitrary window over a mixed population (every kernel
+// and algorithm, plus calibrated RBF profiles the pre-accumulate screen
+// mostly rejects), every engine
 // (packed AVX-512 where available, Go lanes, portable) must produce
 // float64 decisions bit-identical to scoring each model alone, identical
 // accept masks, and float32 decisions that agree bit-for-bit across
@@ -62,6 +64,11 @@ func FuzzFusedVsScalar(f *testing.F) {
 			}
 			models = append(models, m)
 		}
+	}
+	// Calibrated RBF profiles the pre-accumulate screen mostly rejects,
+	// so both AcceptMask paths (per-survivor and fused) get fuzzed.
+	for i := 0; i < 24; i++ {
+		models = append(models, calibratedRBFModel(f, r, 300, 0.3, 1, i%2 == 0))
 	}
 	auto64 := NewFusedIndex(models, FusedConfig{}).NewScorer()
 	auto32 := NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer()

@@ -10,9 +10,10 @@ import "math"
 // keep the up-front reslices that feed the prover.
 
 // fusedKernelSum computes Σᵢ αᵢ·k(xᵢ,x) from accumulated dot products,
-// kernel-specialized exactly like Model.decisionIndexed (same operations
-// in the same order — one accumulator, ascending i — so float64 sums are
-// bit-identical to that path; do not reorder or unroll this one).
+// kernel-specialized; Model.decisionIndexed runs this very loop on its
+// per-model dots, so fused float64 sums are bit-identical to that path as
+// long as the dots are (one accumulator, ascending i — do not reorder or
+// unroll this one).
 func fusedKernelSum[T float32 | float64](k Kernel, coef, sn []float64, dots []T, nx float64) float64 {
 	coef = coef[:len(dots)]
 	sn = sn[:len(dots)]
@@ -203,4 +204,37 @@ func fusedRBFSumBound32(coef, snGH []float64, dots []float32, b0, slope float64)
 	}
 	s0 += fusedRBFSumBoundPortable(coef, snGH, dots, b0, slope)
 	return (s0 + s1) + (s2 + s3)
+}
+
+// preScreenRBF is the dense pass of the pre-accumulate screen (see
+// FusedIndex): for every model it reads the accumulated dot bound ub[i]
+// (zeroing it for the next window), rejects the model when
+// ‖x‖² − 2U clears preCrit[i] by the rounding margin, and otherwise marks
+// it live and counts its support vectors. Models the screen never rejects
+// carry preCrit = +Inf.
+//
+// The margin makes the rejection exact: the U and ‖x‖² − 2U computed here
+// and the exact loop's own dot products and squared distances each carry
+// at most (nnz+2) roundings, relative to ‖x‖² + 2U (every term of U is
+// ≥ 0, so its sum has no cancellation) and, by Cauchy–Schwarz, to
+// (max‖svᵢ‖ + ‖x‖)². slack is 2·(nnz+4)·preScreenEps — twice that count
+// at twice the unit roundoff.
+func preScreenRBF(ub, preCrit, maxNorm []float64, svCount []int32, live []bool, nx, normX, slack float64) (rejected, liveSVs int) {
+	preCrit = preCrit[:len(ub)]
+	maxNorm = maxNorm[:len(ub)]
+	svCount = svCount[:len(ub)]
+	live = live[:len(ub)]
+	for i := range ub {
+		u := ub[i]
+		ub[i] = 0
+		r := maxNorm[i] + normX
+		if nx-2*u-slack*(nx+2*u+r*r) > preCrit[i] {
+			live[i] = false
+			rejected++
+			continue
+		}
+		live[i] = true
+		liveSVs += int(svCount[i])
+	}
+	return rejected, liveSVs
 }

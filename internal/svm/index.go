@@ -8,7 +8,10 @@ import (
 
 // svIndex is a transposed CSR (inverted index) over a model's support
 // vectors: for each feature column, the postings (support-vector ordinal,
-// stored value). It exploits that every kernel of the paper factors through
+// stored value). Besides Model.Decision, it scores the survivors of the
+// fused scorer's pre-accumulate screen: when few models survive, walking
+// each survivor's own index beats the population-wide fused pass (see
+// Scorer.AcceptMask). It exploits that every kernel of the paper factors through
 // the dot product x·y — linear and sigmoid directly, polynomial via
 // (γ·x·y+c₀)^d, RBF via ‖x−y‖² = ‖x‖²+‖y‖²−2x·y with cached norms — so one
 // pass over a window's ~20 non-zeros yields *all* support-vector dot
@@ -76,6 +79,12 @@ func buildSVIndex(svs []sparse.Vector) *svIndex {
 // non-zeros, writing into buf (grown as needed) and returning it. Columns
 // of x beyond the index range have no postings and are skipped.
 func (ix *svIndex) dotsInto(x sparse.Vector, buf []float64) []float64 {
+	buf, _ = ix.dotsCount(x, buf)
+	return buf
+}
+
+// dotsCount is dotsInto that also returns the postings visited.
+func (ix *svIndex) dotsCount(x sparse.Vector, buf []float64) ([]float64, int) {
 	if cap(buf) < ix.nsv {
 		buf = make([]float64, ix.nsv)
 	} else {
@@ -83,16 +92,19 @@ func (ix *svIndex) dotsInto(x sparse.Vector, buf []float64) []float64 {
 		clear(buf)
 	}
 	lim := int32(len(ix.starts) - 1)
+	visited := 0
 	for k, c := range x.Idx {
 		if c >= lim {
 			break // x.Idx is sorted: everything after is out of range too
 		}
 		xv := x.Val[k]
-		for p := ix.starts[c]; p < ix.starts[c+1]; p++ {
+		s, e := ix.starts[c], ix.starts[c+1]
+		visited += int(e - s)
+		for p := s; p < e; p++ {
 			buf[ix.sv[p]] += xv * ix.val[p]
 		}
 	}
-	return buf
+	return buf, visited
 }
 
 // dotsPool recycles dot-product accumulators across Decision calls, so the

@@ -192,51 +192,17 @@ func (m *Model) decisionScratch(x sparse.Vector, nx float64, dots []float64) (fl
 
 // decisionIndexed evaluates f(x) through the inverted support-vector
 // index: one pass over x's non-zeros accumulates every SV dot product,
-// then a kernel-specialized scalar loop folds in αᵢ·k(xᵢ,x). dots is
-// caller scratch, returned (possibly regrown) for reuse.
+// then the kernel-specialized scalar loop the fused epilogue shares
+// (fusedKernelSum) folds in αᵢ·k(xᵢ,x). dots is caller scratch, returned
+// (possibly regrown) for reuse.
 func (m *Model) decisionIndexed(x sparse.Vector, nx float64, dots []float64) (float64, []float64) {
 	dots = m.idx.dotsInto(x, dots)
-	k := m.Kernel
-	coef := m.Coef
-	var sum float64
-	switch k.Kind {
-	case KernelPoly:
-		g, c0 := k.Gamma, k.Coef0
-		if k.Degree == 3 { // LIBSVM's default degree, worth a closed form
-			for i, d := range dots {
-				b := g*d + c0
-				sum += coef[i] * b * b * b
-			}
-		} else {
-			for i, d := range dots {
-				sum += coef[i] * ipow(g*d+c0, k.Degree)
-			}
-		}
-	case KernelRBF:
-		g := k.Gamma
-		sn := m.svNorms
-		for i, d := range dots {
-			d2 := sn[i] + nx - 2*d
-			if d2 < 0 {
-				d2 = 0
-			}
-			sum += coef[i] * math.Exp(-g*d2)
-		}
-	case KernelSigmoid:
-		g, c0 := k.Gamma, k.Coef0
-		for i, d := range dots {
-			sum += coef[i] * math.Tanh(g*d+c0)
-		}
-	default: // linear models take the weight-vector path; kept for completeness
-		for i, d := range dots {
-			sum += coef[i] * d
-		}
-	}
+	sum := fusedKernelSum(m.Kernel, m.Coef, m.svNorms, dots, nx)
 	switch m.Algo {
 	case OCSVM:
 		return sum - m.Rho, dots
 	case SVDD:
-		return m.R2 - m.SumAA + 2*sum - k.evalSelf(nx), dots
+		return m.R2 - m.SumAA + 2*sum - m.Kernel.evalSelf(nx), dots
 	default:
 		panic("svm: Decision on invalid model")
 	}

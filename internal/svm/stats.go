@@ -14,13 +14,17 @@ import "sync/atomic"
 // Gram derivations amortize.
 //
 // The fused-scorer counters make the population-scale decision path
-// observable: PostingsVisited is the postings touched by fused
-// accumulation passes, ScreenedModels counts models whose scalar kernel
-// loop was skipped because the decision screen proved rejection
-// (Scorer.AcceptMask), and FusedDecisions/FallbackDecisions split
-// per-window model decisions between the fused index and the per-model
-// fallback of unprepared models. PostingsVisited includes the blocked
-// layout's lane-pad slots (they ride in the same lanes as real postings).
+// observable: PostingsVisited is the postings the scorer walked — fused
+// accumulation passes, the pre-accumulate screen's bound-table entries,
+// and the per-model index postings of survivors scored on AcceptMask's
+// sparse path — ScreenedModels counts models whose scalar kernel loop was
+// skipped because a decision screen proved rejection (Scorer.AcceptMask),
+// PreScreened the subset the pre-accumulate screen rejected before any
+// support-vector posting was accumulated, and
+// FusedDecisions/FallbackDecisions split per-window model decisions
+// between the fused index and the per-model fallback of unprepared
+// models. PostingsVisited includes the blocked layout's lane-pad slots
+// (they ride in the same lanes as real postings).
 //
 // LanePadWaste and IndexBytes are gauges, not counters: they reflect the
 // most recently built FusedIndex's memory footprint (pad postings added
@@ -36,6 +40,7 @@ type KernelStats struct {
 
 	PostingsVisited   uint64
 	ScreenedModels    uint64
+	PreScreened       uint64
 	FusedDecisions    uint64
 	FallbackDecisions uint64
 
@@ -52,6 +57,7 @@ var (
 
 	statPostingsVisited   atomic.Uint64
 	statScreenedModels    atomic.Uint64
+	statPreScreened       atomic.Uint64
 	statFusedDecisions    atomic.Uint64
 	statFallbackDecisions atomic.Uint64
 
@@ -66,14 +72,17 @@ func recordIndexBuild(f IndexFootprint) {
 }
 
 // recordFusedWindow batches the fused scorer's counter updates into at
-// most four atomic adds per scored window (not per model or posting),
+// most five atomic adds per scored window (not per model or posting),
 // keeping the accounting invisible next to the scoring work itself.
-func recordFusedWindow(visited, screened, fused, fallback int) {
+func recordFusedWindow(visited, screened, preScreened, fused, fallback int) {
 	if visited > 0 {
 		statPostingsVisited.Add(uint64(visited))
 	}
 	if screened > 0 {
 		statScreenedModels.Add(uint64(screened))
+	}
+	if preScreened > 0 {
+		statPreScreened.Add(uint64(preScreened))
 	}
 	if fused > 0 {
 		statFusedDecisions.Add(uint64(fused))
@@ -96,6 +105,7 @@ func ReadKernelStats() KernelStats {
 
 		PostingsVisited:   statPostingsVisited.Load(),
 		ScreenedModels:    statScreenedModels.Load(),
+		PreScreened:       statPreScreened.Load(),
 		FusedDecisions:    statFusedDecisions.Load(),
 		FallbackDecisions: statFallbackDecisions.Load(),
 
@@ -115,6 +125,7 @@ func ResetKernelStats() {
 
 	statPostingsVisited.Store(0)
 	statScreenedModels.Store(0)
+	statPreScreened.Store(0)
 	statFusedDecisions.Store(0)
 	statFallbackDecisions.Store(0)
 
@@ -135,6 +146,7 @@ func (s KernelStats) Sub(prev KernelStats) KernelStats {
 
 		PostingsVisited:   s.PostingsVisited - prev.PostingsVisited,
 		ScreenedModels:    s.ScreenedModels - prev.ScreenedModels,
+		PreScreened:       s.PreScreened - prev.PreScreened,
 		FusedDecisions:    s.FusedDecisions - prev.FusedDecisions,
 		FallbackDecisions: s.FallbackDecisions - prev.FallbackDecisions,
 
