@@ -68,7 +68,9 @@ func NewClusterRouter(alerts func(NodeAlert), cfg ClusterRouterConfig) *ClusterR
 }
 
 // DialClusterNode connects to a node's wire protocol directly (the
-// router does this internally; exposed for diagnostics and tools).
+// router does this internally; exposed for diagnostics and tools). There
+// is one wire version and no negotiation, so a node from another build
+// fails the handshake.
 func DialClusterNode(addr string, onAlert func(NodeAlert)) (*ClusterNodeClient, error) {
 	return cluster.DialNode(addr, onAlert)
 }

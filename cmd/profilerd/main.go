@@ -89,7 +89,6 @@ func run() error {
 		idleTTL   = flag.Duration("idle-ttl", time.Hour, "evict devices idle this long in stream time (0 disables)")
 		batch     = flag.Int("batch", 256, "max transactions per ingestion batch")
 		ingestQ   = flag.Int("ingest-queue", 0, "bounded ingest queue depth; senders block (TCP backpressure) when full (0 = 4x -batch)")
-		maxWire   = flag.Int("max-wire", 0, "highest cluster wire protocol version to negotiate (0 = highest supported, 1 forces JSON frames)")
 		stateDir  = flag.String("state-dir", "", "durable identifier state: spill evicted devices here, checkpoint on SIGTERM, restore on start; backing store in -state-server mode (empty disables)")
 		stateSrv  = flag.String("state-server", "", "run as the fleet-wide state tier: serve the state protocol on this address (optionally backed by -state-dir)")
 		stateAddr = flag.String("state-addr", "", "spill and checkpoint to the state server at this address through a write-behind client instead of a local -state-dir; on the -join front end, enables warm restore and failover without handoff")
@@ -121,8 +120,8 @@ func run() error {
 		// versioned device blobs, nothing else. Only -state-dir (its
 		// backing store) travels with it.
 		if err := rejectMisplacedFlags("the -state-server tier (only -state-dir configures it)",
-			"bundle", "listen", "k", "shards", "idle-ttl", "batch", "ingest-queue", "max-wire",
-			"node-name", "gossip", "peers", "pprof", "score-float32", "score-portable", "state-addr"); err != nil {
+			"bundle", "listen", "k", "shards", "idle-ttl", "batch", "ingest-queue", "node-name",
+			"gossip", "peers", "pprof", "score-float32", "score-portable", "state-addr"); err != nil {
 			return err
 		}
 	case *join != "":
@@ -146,8 +145,8 @@ func run() error {
 			return err
 		}
 	default:
-		if err := rejectMisplacedFlags("a standalone daemon (-node-name names a -cluster member, -max-wire the cluster protocol, -gossip/-peers replicate the front end)",
-			"node-name", "max-wire", "gossip", "peers"); err != nil {
+		if err := rejectMisplacedFlags("a standalone daemon (-node-name names a -cluster member, -gossip/-peers replicate the front end)",
+			"node-name", "gossip", "peers"); err != nil {
 			return err
 		}
 	}
@@ -157,7 +156,7 @@ func run() error {
 		return runStateServer(logger, *stateSrv, *stateDir)
 	}
 	if *join != "" {
-		return runRouter(logger, *join, *listen, *batch, *ingestQ, *maxWire, *gossipL, *peers, *stateAddr != "")
+		return runRouter(logger, *join, *listen, *batch, *ingestQ, *gossipL, *peers, *stateAddr != "")
 	}
 
 	if *pprofA != "" {
@@ -216,7 +215,7 @@ func run() error {
 	}
 
 	if *clusterL != "" {
-		return runNode(logger, set, *clusterL, *nodeName, *k, *maxWire, monCfg, tier)
+		return runNode(logger, set, *clusterL, *nodeName, *k, monCfg, tier)
 	}
 	return runStandalone(logger, set, *listen, *k, monCfg, *batch, *ingestQ, tier)
 }
@@ -277,7 +276,7 @@ func runStandalone(logger *log.Logger, set *webtxprofile.ProfileSet, listen stri
 }
 
 // runNode serves the cluster wire protocol over this process's monitor.
-func runNode(logger *log.Logger, set *webtxprofile.ProfileSet, addr, name string, k, maxWire int,
+func runNode(logger *log.Logger, set *webtxprofile.ProfileSet, addr, name string, k int,
 	monCfg webtxprofile.MonitorConfig, tier *stateTier) error {
 	if name == "" {
 		host, err := os.Hostname()
@@ -289,7 +288,6 @@ func runNode(logger *log.Logger, set *webtxprofile.ProfileSet, addr, name string
 	node, err := webtxprofile.ListenClusterNode(addr, set, webtxprofile.ClusterNodeConfig{
 		Name:     name,
 		K:        k,
-		MaxWire:  maxWire,
 		Monitor:  monCfg,
 		OnAlert:  func(a webtxprofile.Alert) { logAlert(logger, name, a) },
 		ErrorLog: logger,
@@ -349,7 +347,7 @@ func runStateServer(logger *log.Logger, addr, stateDir string) error {
 // deduplicate downstream on their node sequence numbers). With
 // -state-addr (sharedState) rebalancing warm-restores from the tier and
 // node failure reroutes without handoff.
-func runRouter(logger *log.Logger, join, listen string, batch, ingestQ, maxWire int,
+func runRouter(logger *log.Logger, join, listen string, batch, ingestQ int,
 	gossipAddr, peers string, sharedState bool) error {
 	members, err := parseMembers(join)
 	if err != nil {
@@ -357,7 +355,7 @@ func runRouter(logger *log.Logger, join, listen string, batch, ingestQ, maxWire 
 	}
 	router := webtxprofile.NewClusterRouter(func(a webtxprofile.NodeAlert) {
 		logAlert(logger, a.Node, a.Alert)
-	}, webtxprofile.ClusterRouterConfig{MaxWire: maxWire, SharedState: sharedState})
+	}, webtxprofile.ClusterRouterConfig{SharedState: sharedState})
 	defer router.Close()
 	for _, m := range members {
 		if err := router.AddNode(m); err != nil {

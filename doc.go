@@ -122,11 +122,11 @@
 //
 // Past one process, the engine scales out over the shard-handoff
 // primitives: ClusterNodes each run a sharded Monitor over the same
-// trained bundle and speak a length-prefixed wire protocol (versioned
-// per connection: JSON v1 for compatibility, compact binary v2 — feeds
-// as zero-copy binary transaction records — negotiated in the hello
-// exchange; handoffs travel as the versioned state blobs above in both,
-// plus an alert push stream), and a ClusterRouter fronts them.
+// trained bundle and speak a length-prefixed binary wire protocol (feeds
+// as zero-copy binary transaction records, handoffs as the versioned
+// state blobs above, plus an alert push stream; every peer runs the same
+// build, and a frame of another wire version is refused), and a
+// ClusterRouter fronts them.
 //
 // The router's placement guarantee: every device is owned by the member
 // with the highest rendezvous-hash score for it, so a membership change

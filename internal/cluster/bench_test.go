@@ -9,12 +9,11 @@ import (
 	"webtxprofile/internal/weblog"
 )
 
-// benchNodeFeed measures client→node feed throughput over loopback TCP
-// at the given wire-version cap (transactions/op = 1): encode, frame,
-// decode and FeedBatch into the node's monitor, with the reply awaited
-// per batch (FeedSync) so the timer covers delivery, not just the enqueue
-// of the asynchronous Feed.
-func benchNodeFeed(b *testing.B, maxWire int) {
+// BenchmarkNodeFeed measures client→node feed throughput over loopback
+// TCP (transactions/op = 1): encode, frame, decode and FeedBatch into the
+// node's monitor, with the reply awaited per batch (FeedSync) so the
+// timer covers delivery, not just the enqueue of the asynchronous Feed.
+func BenchmarkNodeFeed(b *testing.B) {
 	set, ds := clustertest.TrainedSet(b)
 	base, _ := clustertest.Workload(b, ds, 64, 4096)
 	span := base[len(base)-1].Timestamp.Sub(base[0].Timestamp) + time.Hour
@@ -24,14 +23,11 @@ func benchNodeFeed(b *testing.B, maxWire int) {
 		b.Fatal(err)
 	}
 	defer n.Close()
-	c, err := cluster.DialNodeWire(n.Addr().String(), nil, maxWire)
+	c, err := cluster.DialNode(n.Addr().String(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	if c.Wire() != maxWire {
-		b.Fatalf("negotiated wire %d, want %d", c.Wire(), maxWire)
-	}
 
 	const batch = 512
 	buf := make([]weblog.Transaction, 0, batch)
@@ -56,12 +52,4 @@ func benchNodeFeed(b *testing.B, maxWire int) {
 	if err := c.Flush(); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkNodeFeed compares cluster feed throughput across the two wire
-// encodings: v1 JSON frames carrying log lines versus v2 binary frames
-// carrying zero-copy transaction records.
-func BenchmarkNodeFeed(b *testing.B) {
-	b.Run("wire1", func(b *testing.B) { benchNodeFeed(b, cluster.WireV1) })
-	b.Run("wire2", func(b *testing.B) { benchNodeFeed(b, cluster.WireV2) })
 }

@@ -26,16 +26,15 @@ func binarySeedTx() weblog.Transaction {
 }
 
 // binaryCorpusSeeds are the checked-in seeds for FuzzBinaryFrame: one
-// well-formed wire-v2 payload per frame shape plus the malformed inputs
+// well-formed payload per frame shape plus the malformed inputs
 // the decoder must reject cleanly. Kept in code so the testdata corpus
 // is reproducible (see TestRegenerateBinaryFuzzCorpus).
 func binaryCorpusSeeds(t testing.TB) [][]byte {
 	tx := binarySeedTx()
 	valid := []Frame{
-		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true, Wire: WireV2},
-		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true, Wire: WireV2, Client: "router-1/ab12", Resume: true, Cursor: 42},
+		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true},
+		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true, Client: "router-1/ab12", Resume: true, Cursor: 42},
 		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{tx, tx}},
-		{Type: FrameFeed, Seq: 3, Lines: []string{tx.MarshalLine()}},
 		{Type: FrameFeed, Seq: 4, Replay: true, Txs: []weblog.Transaction{tx}},
 		{Type: FrameExport, Seq: 5, Devices: []string{"10.0.0.1", "10.0.0.2"}},
 		{Type: FrameExport, Seq: 6, Devices: []string{"10.0.0.1"}, Handoff: "ab12/1"},
@@ -70,22 +69,23 @@ func binaryCorpusSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, payload)
 	}
 	seeds = append(seeds,
-		[]byte{},                                                       // empty payload
-		[]byte{binaryMagic},                                            // bare magic
-		[]byte{binaryMagic, 0x01, 0x01, 0x00},                          // wrong version byte
-		[]byte{binaryMagic, WireV2, 0x00, 0x00},                        // frame type code 0
-		[]byte{binaryMagic, WireV2, 0x63, 0x00},                        // unknown frame type code
-		[]byte{binaryMagic, WireV2, 0x01},                              // missing seq varint
-		[]byte{binaryMagic, WireV2, 0x01, 0x80},                        // truncated seq varint
-		[]byte{binaryMagic, WireV2, 0x01, 0x01, 0xff},                  // unknown field tag
-		[]byte{binaryMagic, WireV2, 0x02, 0x01, tagTxs, 0xff, 0xff, 3}, // tx count exceeds payload
-		[]byte{binaryMagic, WireV2, 0x02, 0x01, tagLines, 0x09, 0x02},  // line count exceeds payload
-		[]byte{binaryMagic, WireV2, 0x04, 0x01, tagBlob, 0x7f, 'x'},    // blob length exceeds payload
+		[]byte{},                                                            // empty payload
+		[]byte{binaryMagic},                                                 // bare magic
+		[]byte{binaryMagic, 0x01, 0x01, 0x00},                               // wrong version byte
+		[]byte{binaryMagic, wireVersion, 0x00, 0x00},                        // frame type code 0
+		[]byte{binaryMagic, wireVersion, 0x63, 0x00},                        // unknown frame type code
+		[]byte{binaryMagic, wireVersion, 0x01},                              // missing seq varint
+		[]byte{binaryMagic, wireVersion, 0x01, 0x80},                        // truncated seq varint
+		[]byte{binaryMagic, wireVersion, 0x01, 0x01, 0xff},                  // unknown field tag
+		[]byte{binaryMagic, wireVersion, 0x02, 0x01, tagTxs, 0xff, 0xff, 3}, // tx count exceeds payload
+		[]byte{binaryMagic, wireVersion, 0x01, 0x01, 3, 0x01},               // retired tag 3 (wire version)
+		[]byte{binaryMagic, wireVersion, 0x02, 0x01, 4, 0x01, 0x00},         // retired tag 4 (log lines)
+		[]byte{binaryMagic, wireVersion, 0x04, 0x01, tagBlob, 0x7f, 'x'},    // blob length exceeds payload
 	)
 	return seeds
 }
 
-// FuzzBinaryFrame: arbitrary bytes fed to the wire-v2 payload decoder
+// FuzzBinaryFrame: arbitrary bytes fed to the frame payload decoder
 // must produce a frame or an error — never a panic, never allocation
 // beyond what the input length justifies — and any frame that decodes
 // must reach an encode/decode fixed point: re-encoding the canonical
@@ -140,7 +140,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	tx.Scheme, tx.Action = taxonomy.SchemeHTTPS, taxonomy.ActionPost
 	tx.Reputation, tx.Private = taxonomy.HighRisk, true
 	frames := []Frame{
-		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true, Wire: WireV2},
+		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true},
 		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{tx}},
 		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}},
 		{Type: FrameImport, Seq: 4, Blob: []byte{1, 2, 3}},

@@ -1,8 +1,14 @@
 package cluster_test
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"webtxprofile/internal/cluster"
 	"webtxprofile/internal/cluster/clustertest"
@@ -155,5 +161,62 @@ func TestClusterDuplicateMembershipIdempotent(t *testing.T) {
 	}
 	if v := h.Router.View(); v.Version != v0.Version+1 {
 		t.Errorf("version = %d after one effective removal, want %d", v.Version, v0.Version+1)
+	}
+}
+
+// TestChaosProxyPartitionSeversFreshDials pins Partition against a
+// connection still being set up: a client that dialed just before the
+// partition must not end up with a live path to the node, whatever step
+// of the proxy's accept the partition lands in. Each round dials, cuts
+// the node off after a delay that sweeps 0–200µs in 10µs steps (so some
+// partitions land while the proxy is still dialing the backend), and
+// requires the round trip through the proxy to fail; the backend echoes
+// every frame, so a surviving connection shows up as an answer.
+func TestChaosProxyPartitionSeversFreshDials(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				io.Copy(conn, conn)
+			}()
+		}
+	}()
+	proxy := clustertest.StartChaosProxy(t, ln.Addr().String(), nil)
+
+	var frame bytes.Buffer
+	if err := cluster.WriteFrame(&frame, cluster.Frame{Type: cluster.FrameStats, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 600
+	for i := 0; i < rounds; i++ {
+		proxy.Heal()
+		conn, err := net.Dial("tcp", proxy.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Spin: time.Sleep overshoots delays this short.
+		for start := time.Now(); time.Since(start) < time.Duration(i%21)*10*time.Microsecond; {
+		}
+		proxy.Partition()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(frame.Bytes()); err == nil {
+			if _, err := cluster.ReadFrame(conn); err == nil {
+				conn.Close()
+				t.Fatalf("round %d: a connection dialed before Partition still reached the node", i)
+			} else if errors.Is(err, os.ErrDeadlineExceeded) {
+				conn.Close()
+				t.Fatalf("round %d: a connection dialed before Partition was left open", i)
+			}
+		}
+		conn.Close()
 	}
 }

@@ -73,9 +73,6 @@ func (r ReconnectConfig) withDefaults() ReconnectConfig {
 
 // ClientConfig configures a NodeClient beyond the address.
 type ClientConfig struct {
-	// MaxWire caps the advertised wire version (0 = MaxWireVersion; 1
-	// forces JSON frames).
-	MaxWire int
 	// ClientID is this client's stable identity for node-side replay
 	// dedup. Defaults to a random id, which is correct for every normal
 	// use: the id must be stable across reconnects of one client, not
@@ -133,7 +130,6 @@ type NodeClient struct {
 	conn      net.Conn
 	w         *frameWriter
 	name      string // remote node's self-reported name, from the hello reply
-	wire      int    // negotiated wire version, from the hello reply
 	state     int
 	gen       int // connection generation; stale goroutines detect themselves
 	deadGen   int // newest generation already reported dead
@@ -154,31 +150,21 @@ type NodeClient struct {
 const rpcRetryAttempts = 4
 
 // DialNode connects to a cluster node with default configuration,
-// performs the hello handshake — negotiating the highest wire version
-// both ends speak — and (when onAlert is non-nil) subscribes this
-// connection to alert pushes. onAlert runs on the client's receive
-// goroutine, strictly in push order — per-device alert order is
-// preserved — and before any reply the node wrote after those alerts is
-// delivered to its waiter. It must not block: a stalled callback stalls
-// every pending RPC on this connection.
+// performs the hello handshake and (when onAlert is non-nil) subscribes
+// this connection to alert pushes. A node running another wire version
+// fails the handshake with an error wrapping ErrWireVersion. onAlert
+// runs on the client's receive goroutine, strictly in push order —
+// per-device alert order is preserved — and before any reply the node
+// wrote after those alerts is delivered to its waiter. It must not
+// block: a stalled callback stalls every pending RPC on this connection.
 func DialNode(addr string, onAlert func(NodeAlert)) (*NodeClient, error) {
 	return DialNodeConfig(addr, onAlert, ClientConfig{})
-}
-
-// DialNodeWire is DialNode with a cap on the wire version this client
-// will advertise (0 or anything above MaxWireVersion means
-// MaxWireVersion; 1 forces JSON frames against any node).
-func DialNodeWire(addr string, onAlert func(NodeAlert), maxWire int) (*NodeClient, error) {
-	return DialNodeConfig(addr, onAlert, ClientConfig{MaxWire: maxWire})
 }
 
 // DialNodeConfig is DialNode with full configuration. The first dial is
 // synchronous — an unreachable node fails construction — and later
 // failures go through the reconnect schedule.
 func DialNodeConfig(addr string, onAlert func(NodeAlert), cfg ClientConfig) (*NodeClient, error) {
-	if cfg.MaxWire <= 0 || cfg.MaxWire > MaxWireVersion {
-		cfg.MaxWire = MaxWireVersion
-	}
 	cfg.Reconnect = cfg.Reconnect.withDefaults()
 	if cfg.ClientID == "" {
 		var b [8]byte
@@ -208,13 +194,6 @@ func (c *NodeClient) Name() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.name
-}
-
-// Wire returns the wire version negotiated in the latest hello exchange.
-func (c *NodeClient) Wire() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wire
 }
 
 // Close tears down the connection; in-flight RPCs fail with
@@ -259,8 +238,7 @@ func (c *NodeClient) connect() error {
 	w := &frameWriter{bw: bufio.NewWriter(conn), conn: conn, timeout: 30 * time.Second}
 	hello := Frame{
 		Type: FrameHello, Seq: 1, Subscribe: c.onAlert != nil,
-		Wire: c.cfg.MaxWire, Client: c.cfg.ClientID,
-		Resume: resume, Cursor: cursor,
+		Client: c.cfg.ClientID, Resume: resume, Cursor: cursor,
 	}
 	if err := w.write(hello); err != nil {
 		conn.Close()
@@ -291,13 +269,6 @@ func (c *NodeClient) connect() error {
 	c.conn = conn
 	c.w = w
 	c.name = reply.Node
-	// An old node omits Wire from its reply: normWire reads that as v1.
-	// A node must not negotiate above what we advertised; if a buggy one
-	// does, cap it rather than speak frames it may not intend.
-	c.wire = negotiateWire(reply.Wire, c.cfg.MaxWire)
-	if c.wire >= WireV2 {
-		w.setWire(c.wire)
-	}
 	if !c.everConn {
 		// The reply's cursor is the node's current alert sequence; alerts
 		// before it predate this subscription.
@@ -449,10 +420,9 @@ func (c *NodeClient) sendLoop() {
 // Feed queues transactions for the node's monitor and returns once the
 // frame is buffered in the replay queue (the send itself is
 // asynchronous; acknowledgement retires the entry, reconnect replays
-// it). On a wire-v2 connection they travel as binary records; on v1 they
-// are marshaled to log lines. A full queue blocks while the node is
-// connected (backpressure) and fails with ErrReplayOverflow while it is
-// down; a terminally dead node fails with ErrNodeDown.
+// it). A full queue blocks while the node is connected (backpressure)
+// and fails with ErrReplayOverflow while it is down; a terminally dead
+// node fails with ErrNodeDown.
 func (c *NodeClient) Feed(txs []weblog.Transaction) error {
 	_, err := c.feed(txs, false)
 	return err
@@ -492,17 +462,7 @@ func (c *NodeClient) feed(txs []weblog.Transaction, sync bool) (chan error, erro
 		c.cond.Wait()
 	}
 	c.seq++
-	f := Frame{Type: FrameFeed, Seq: c.seq}
-	if c.wire >= WireV2 {
-		f.Txs = txs
-	} else {
-		lines := make([]string, len(txs))
-		for i := range txs {
-			lines[i] = txs[i].MarshalLine()
-		}
-		f.Lines = lines
-	}
-	e := &feedEntry{frame: f}
+	e := &feedEntry{frame: Frame{Type: FrameFeed, Seq: c.seq, Txs: txs}}
 	if sync {
 		e.done = make(chan error, 1)
 	}

@@ -213,7 +213,16 @@ func (p *ChaosProxy) acceptLoop() {
 			conn.Close()
 			continue
 		}
+		// Re-check under the lock that registers the pair: a Partition or
+		// Close that landed during the dial found nothing to sever, so
+		// this connection must not survive it.
 		p.mu.Lock()
+		if p.partitioned || p.closed {
+			p.mu.Unlock()
+			conn.Close()
+			backend.Close()
+			continue
+		}
 		p.conns[conn] = backend
 		p.mu.Unlock()
 		p.wg.Add(2)

@@ -65,9 +65,10 @@ func TrainedSet(tb testing.TB) (*core.ProfileSet, *weblog.Dataset) {
 // Workload fans the dataset's chronological transactions out over n
 // synthetic devices round-robin (every device sees a mix of users, each
 // device's subsequence stays time-ordered) and normalizes each
-// transaction through the wire log-line format, so a stream fed directly
-// to a reference monitor is bit-for-bit the stream a cluster node parses
-// off the wire (the line format keeps millisecond timestamps in UTC).
+// transaction through the proxies' log-line format, so a stream fed
+// directly to a reference monitor is bit-for-bit the stream a collector
+// parses in front of the cluster (the line format keeps millisecond
+// timestamps in UTC; the cluster's binary records carry it unchanged).
 func Workload(tb testing.TB, ds *weblog.Dataset, n, limit int) ([]weblog.Transaction, []string) {
 	tb.Helper()
 	txs := append([]weblog.Transaction(nil), ds.Transactions...)
@@ -84,7 +85,7 @@ func Workload(tb testing.TB, ds *weblog.Dataset, n, limit int) ([]weblog.Transac
 		tx.SourceIP = devices[i%n]
 		norm, err := weblog.ParseLine(tx.MarshalLine())
 		if err != nil {
-			tb.Fatalf("transaction does not survive the wire format: %v", err)
+			tb.Fatalf("transaction does not survive the log-line format: %v", err)
 		}
 		out[i] = norm
 	}
@@ -225,7 +226,6 @@ func AssertSameSigs(tb testing.TB, want, got map[string][]string) {
 type Harness struct {
 	Set    *core.ProfileSet
 	K      int
-	Wire   int // wire-version cap for router and nodes; 0 = highest
 	Router *cluster.Router
 	Alerts *Recorder
 
@@ -237,34 +237,20 @@ type Harness struct {
 
 // NewHarness starts one node per name, a router, and joins the nodes in
 // order. The nodes run default monitor configs (no eviction) over the
-// shared trained set, at the protocol's highest wire version; use
-// NewHarnessWire to pin an older one.
+// shared trained set.
 func NewHarness(tb testing.TB, set *core.ProfileSet, k int, names ...string) *Harness {
 	tb.Helper()
-	return NewHarnessWire(tb, set, k, 0, names...)
-}
-
-// NewHarnessWire is NewHarness with the cluster's wire version capped at
-// wire (0 = highest): the cluster-equivalence suites run once per wire
-// version, since the equivalence contract — byte-identical per-device
-// alert sequences against the single-monitor reference — must hold on
-// both encodings.
-func NewHarnessWire(tb testing.TB, set *core.ProfileSet, k int, wire int, names ...string) *Harness {
-	tb.Helper()
-	return NewHarnessConfig(tb, set, k, HarnessConfig{Wire: wire}, names...)
+	return NewHarnessConfig(tb, set, k, HarnessConfig{}, names...)
 }
 
 // HarnessConfig customizes a harness beyond the defaults — the chaos
 // suites use it to shorten the reconnect schedule and enable the staged
 // and idle sweeps.
 type HarnessConfig struct {
-	// Wire caps the cluster's wire version (0 = highest); it overrides
-	// Router.MaxWire and Node.MaxWire.
-	Wire int
 	// Router seeds the router's config.
 	Router cluster.RouterConfig
-	// Node seeds every node's config; Name, K and MaxWire are set per
-	// node by the harness.
+	// Node seeds every node's config; Name and K are set per node by the
+	// harness.
 	Node cluster.NodeConfig
 	// NodePrep, when set, customizes each node's config after the
 	// defaults are applied and before the node starts listening — the
@@ -280,15 +266,12 @@ func NewHarnessConfig(tb testing.TB, set *core.ProfileSet, k int, cfg HarnessCon
 	h := &Harness{
 		Set:      set,
 		K:        k,
-		Wire:     cfg.Wire,
 		Alerts:   NewRecorder(),
 		nodes:    make(map[string]*cluster.Node),
 		nodeCfg:  cfg.Node,
 		nodePrep: cfg.NodePrep,
 	}
-	rcfg := cfg.Router
-	rcfg.MaxWire = cfg.Wire
-	h.Router = cluster.NewRouter(h.Alerts.Record, rcfg)
+	h.Router = cluster.NewRouter(h.Alerts.Record, cfg.Router)
 	for _, name := range names {
 		h.Join(tb, name)
 	}
@@ -301,7 +284,7 @@ func NewHarnessConfig(tb testing.TB, set *core.ProfileSet, k int, cfg HarnessCon
 func (h *Harness) StartNode(tb testing.TB, name string) *cluster.Node {
 	tb.Helper()
 	cfg := h.nodeCfg
-	cfg.Name, cfg.K, cfg.MaxWire = name, h.K, h.Wire
+	cfg.Name, cfg.K = name, h.K
 	if h.nodePrep != nil {
 		h.nodePrep(name, &cfg)
 	}

@@ -120,7 +120,7 @@ func (f *FlakyNode) serve(conn net.Conn) {
 		case cluster.FrameFeed:
 			// Accept and discard: a black hole, but the router only feeds
 			// this node devices it successfully imported — which is never.
-			if !reply(cluster.Frame{Type: cluster.FrameOK, Seq: fr.Seq, Count: len(fr.Lines)}) {
+			if !reply(cluster.Frame{Type: cluster.FrameOK, Seq: fr.Seq, Count: len(fr.Txs)}) {
 				return
 			}
 		case cluster.FrameImport:

@@ -19,36 +19,23 @@
 // between. Routers are replicated (see Replication below); nodes accept
 // any number of them.
 //
-// # Wire versions
+// # Wire format
 //
-// Every frame is a 4-byte big-endian length followed by a payload. Two
-// payload encodings exist, distinguished per frame by the first payload
-// byte:
+// Every frame is a 4-byte big-endian length followed by a binary
+// payload: the magic byte 0xF7, a version byte (2), a frame type code,
+// a uvarint sequence number, then tagged fields until the payload ends —
+// each field a tag byte followed by a length/count-prefixed body,
+// zero-valued fields omitted, unknown tags a decode error. Feeds carry
+// transactions as weblog binary records (Frame.Txs), which the node
+// decodes zero-copy: every string field of every decoded transaction
+// aliases the one frame payload. Handoff blobs pass through untouched.
 //
-//   - Wire v1: JSON (the payload starts with '{'). The original
-//     protocol; feeds carry transactions as proxy log lines.
-//   - Wire v2: a compact binary record (the payload starts with the
-//     magic byte 0xF7). Layout: magic, version byte (2), frame type
-//     code, uvarint sequence number, then tagged fields until the
-//     payload ends — each field a tag byte followed by a
-//     length/count-prefixed body, zero-valued fields omitted, unknown
-//     tags a decode error. Feeds carry transactions as weblog binary
-//     records (Frame.Txs), which the node decodes zero-copy: every
-//     string field of every decoded transaction aliases the one frame
-//     payload. Handoff blobs pass through untouched in both versions.
-//
-// The version is negotiated per connection in the hello exchange. The
-// hello frame and its reply are always JSON: the client advertises the
-// highest version it speaks (Frame.Wire; absent means v1, so an old
-// peer is negotiated down automatically), the node replies with
-// min(client, node), and both sides write the agreed version from the
-// next frame on. A reader accepts both encodings at any time — sniffing
-// is per frame — so negotiation only chooses what each side writes.
-// NodeConfig.MaxWire and RouterConfig.MaxWire cap the advertised
-// version (1 forces JSON interop); a future version advertised by a
-// newer peer is capped, not rejected, so mixed-version clusters always
-// land on a common encoding. Both decoders are fuzzed (FuzzReadFrame,
-// FuzzBinaryFrame) with checked-in corpora.
+// There is one encoding and no negotiation. The version byte is a strict
+// check: a payload without the magic (such as the JSON frames of older
+// builds) or with another version fails with ErrWireVersion, the node
+// logs it and hangs up, and DialNode returns it. Every node, router and
+// client of a cluster must therefore run the same build. The decoder is
+// fuzzed (FuzzReadFrame, FuzzBinaryFrame) with checked-in corpora.
 //
 // # Correctness
 //

@@ -2,24 +2,58 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"webtxprofile/internal/core"
+	"webtxprofile/internal/weblog"
 )
 
+// legacyJSONFrames are the JSON frame payloads older builds wrote (one
+// per frame type, plus junk and an unknown type). ReadFrame must refuse
+// every one of them with ErrWireVersion (TestReadFrameRejectsMalformed).
+var legacyJSONFrames = []string{
+	`{"type":"hello","seq":1,"node":"router-1","subscribe":true}`,
+	`{"type":"hello","seq":1,"node":"router-1","subscribe":true,"client":"router-1/ab12","cursor":42,"resume":true}`,
+	`{"type":"feed","seq":2,"lines":["2015-01-05 09:00:00.000, svc.example.com, http, GET, user_1, 10.0.0.1, Games, text/html, app, minimal-risk, public"]}`,
+	`{"type":"feed","seq":2,"lines":["2015-01-05 09:00:00.000, svc.example.com, http, GET, user_1, 10.0.0.1, Games, text/html, app, minimal-risk, public"],"replay":true}`,
+	`{"type":"export","seq":3,"devices":["10.0.0.1","10.0.0.2"]}`,
+	`{"type":"export","seq":3,"devices":["10.0.0.1"],"handoff":"ab12/1"}`,
+	`{"type":"import","seq":4,"blob":"H4sIAAA="}`,
+	`{"type":"import","seq":4,"blob":"H4sIAAA=","handoff":"ab12/1"}`,
+	`{"type":"commit","seq":5,"handoff":"ab12/1"}`,
+	`{"type":"abort","seq":6,"handoff":"ab12/1"}`,
+	`{"type":"list","seq":7}`,
+	`{"type":"gossip","seq":8,"gossip":{"membership":{"Version":3,"Members":[{"Name":"n1","Addr":"10.1.0.1:7100"}]},"overrides":[{"device":"10.0.0.1","node":"n1","ver":5},{"device":"10.0.0.2","ver":6}]}}`,
+	`{"type":"flush","seq":9}`,
+	`{"type":"stats","seq":10}`,
+	`{"type":"ok","seq":11,"blob":"YmxvYg==","count":3}`,
+	`{"type":"ok","seq":12,"devices":["10.0.0.1"],"cursor":9}`,
+	`{"type":"error","seq":13,"error":"refused"}`,
+	`{"type":"alert","seq":14,"alert":{"node":"n1","alert":{"Device":"10.0.0.1","Kind":2,"User":"user_2","Previous":"user_2","Event":{"Window":{"Start":"0001-01-01T00:00:00Z","End":"0001-01-01T00:00:00Z","Vector":{"Idx":null,"Val":null},"Count":0,"Entity":"","UserCounts":null},"Accepted":null,"Identified":""}},"seq":14}}`,
+	`nope`,
+	`{"type":"warp"}`,
+}
+
+// lengthPrefixed frames payload behind its 4-byte big-endian length.
+func lengthPrefixed(payload string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
 // corpusSeeds are the checked-in seeds for FuzzReadFrame: one well-formed
-// frame of each type plus the malformed shapes the decoder must reject
-// cleanly. Kept in code so the testdata corpus is reproducible (see
-// TestRegenerateFuzzCorpus).
+// frame of each type, the legacy JSON frames the reader must refuse, and
+// the malformed shapes it must reject cleanly. Kept in code so the
+// testdata corpus is reproducible (see TestRegenerateFuzzCorpus).
 func corpusSeeds(t testing.TB) [][]byte {
+	tx := binarySeedTx()
 	valid := []Frame{
 		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true},
 		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true, Client: "router-1/ab12", Resume: true, Cursor: 42},
-		{Type: FrameFeed, Seq: 2, Lines: []string{"2015-01-05 09:00:00.000, svc.example.com, http, GET, user_1, 10.0.0.1, Games, text/html, app, minimal-risk, public"}},
-		{Type: FrameFeed, Seq: 2, Replay: true, Lines: []string{"2015-01-05 09:00:00.000, svc.example.com, http, GET, user_1, 10.0.0.1, Games, text/html, app, minimal-risk, public"}},
+		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{tx}},
+		{Type: FrameFeed, Seq: 2, Replay: true, Txs: []weblog.Transaction{tx}},
 		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}},
 		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1"}, Handoff: "ab12/1"},
 		{Type: FrameImport, Seq: 4, Blob: []byte{0x1f, 0x8b, 0x08, 0x00, 0x00}},
@@ -48,14 +82,16 @@ func corpusSeeds(t testing.TB) [][]byte {
 		}
 		seeds = append(seeds, buf.Bytes())
 	}
+	for _, payload := range legacyJSONFrames {
+		seeds = append(seeds, lengthPrefixed(payload))
+	}
 	seeds = append(seeds,
-		[]byte{},                                      // empty input
-		[]byte{0, 0},                                  // truncated header
-		[]byte{0, 0, 0, 0},                            // zero length
-		[]byte{0xff, 0xff, 0xff, 0xff},                // absurd length
-		[]byte{0, 0, 0, 4, 'n', 'o'},                  // truncated payload
-		[]byte("\x00\x00\x00\x04nope"),                // invalid JSON
-		[]byte("\x00\x00\x00\x0f{\"type\":\"warp\"}"), // unknown type
+		[]byte{},                           // empty input
+		[]byte{0, 0},                       // truncated header
+		[]byte{0, 0, 0, 0},                 // zero length
+		[]byte{0xff, 0xff, 0xff, 0xff},     // absurd length
+		[]byte{0, 0, 0, 4, 'n', 'o'},       // truncated payload
+		lengthPrefixed("\xf7\x01\x01\x01"), // foreign version byte
 	)
 	return seeds
 }

@@ -1,115 +1,118 @@
 package cluster_test
 
 import (
-	"fmt"
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"log"
+	"net"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"webtxprofile/internal/cluster"
 	"webtxprofile/internal/cluster/clustertest"
 	"webtxprofile/internal/weblog"
 )
 
-// TestWireNegotiationMatrix runs one live node/client pair per corner of
-// the version matrix and asserts the hello exchange lands on
-// min(client, node) — then proves the connection actually works at that
-// version by feeding a real workload through it.
-func TestWireNegotiationMatrix(t *testing.T) {
-	set, ds := clustertest.TrainedSet(t)
-	txs, _ := clustertest.Workload(t, ds, 3, 300)
-	cases := []struct {
-		nodeMax, clientMax, want int
-	}{
-		{0, 0, cluster.WireV2}, // both default to the highest version
-		{0, 1, cluster.WireV1}, // v1 client against a v2 node
-		{1, 0, cluster.WireV1}, // v2 client against a v1-capped node
-		{1, 1, cluster.WireV1},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("node%d_client%d", tc.nodeMax, tc.clientMax), func(t *testing.T) {
-			n, err := cluster.ListenNode("127.0.0.1:0", set,
-				cluster.NodeConfig{Name: "n1", K: 2, MaxWire: tc.nodeMax})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer n.Close()
-			c, err := cluster.DialNodeWire(n.Addr().String(), nil, tc.clientMax)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if c.Wire() != tc.want {
-				t.Fatalf("negotiated wire %d, want %d", c.Wire(), tc.want)
-			}
-			if err := c.Feed(txs); err != nil {
-				t.Fatalf("feed at wire %d: %v", c.Wire(), err)
-			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := c.Devices(); err != nil || got != 3 {
-				t.Fatalf("node tracks %d devices (err %v), want 3", got, err)
-			}
-		})
-	}
+// legacyHello is the JSON hello an older build opens a connection with.
+const legacyHello = `{"type":"hello","seq":1,"node":"router-1","subscribe":true,"wire":2}`
+
+// legacyFrame frames a JSON payload the way older builds did: a 4-byte
+// big-endian length, then the JSON.
+func legacyFrame(payload string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// TestWireMixedClientsOneNode pins that the wire version is a
-// per-connection property: a v1 and a v2 client feeding the same node
-// concurrently-held connections must both land their transactions.
-func TestWireMixedClientsOneNode(t *testing.T) {
-	set, ds := clustertest.TrainedSet(t)
-	txs, devices := clustertest.Workload(t, ds, 4, 400)
-	n, err := cluster.ListenNode("127.0.0.1:0", set, cluster.NodeConfig{Name: "n1", K: 2})
+// lockedBuffer is a log sink safe to read while the node writes to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestNodeRefusesLegacyJSONHello: a peer from an older build opens with a
+// JSON hello. The node must refuse it with ErrWireVersion in its log and
+// hang up, not answer or fall back.
+func TestNodeRefusesLegacyJSONHello(t *testing.T) {
+	set, _ := clustertest.TrainedSet(t)
+	var logs lockedBuffer
+	n, err := cluster.ListenNode("127.0.0.1:0", set, cluster.NodeConfig{
+		Name: "n1", K: 2, ErrorLog: log.New(&logs, "", 0),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
 
-	v1, err := cluster.DialNodeWire(n.Addr().String(), nil, 1)
+	conn, err := net.Dial("tcp", n.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v2, err := cluster.DialNodeWire(n.Addr().String(), nil, 0)
-	if err != nil {
+	defer conn.Close()
+	if _, err := conn.Write(legacyFrame(legacyHello)); err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	if v1.Wire() != cluster.WireV1 || v2.Wire() != cluster.WireV2 {
-		t.Fatalf("negotiated wires %d and %d, want 1 and 2", v1.Wire(), v2.Wire())
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if b, err := io.ReadAll(conn); err != nil || len(b) != 0 {
+		t.Fatalf("node answered a JSON hello with %d bytes (err %v), want a hang-up", len(b), err)
 	}
+	if !strings.Contains(logs.String(), cluster.ErrWireVersion.Error()) {
+		t.Errorf("node log %q does not report %v", logs.String(), cluster.ErrWireVersion)
+	}
+}
 
-	// Split the workload by device so each connection keeps the
-	// per-device ordering contract, half the devices per wire version.
-	owner := map[string]*cluster.NodeClient{}
-	for i, d := range devices {
-		if i%2 == 0 {
-			owner[d] = v1
-		} else {
-			owner[d] = v2
-		}
-	}
-	for _, tx := range txs {
-		if err := owner[tx.SourceIP].Feed([]weblog.Transaction{tx}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Flush both connections: each flush is the delivery barrier for the
-	// feeds queued on its own connection.
-	if err := v1.Flush(); err != nil {
+// TestDialNodeRefusesLegacyJSONReply: a node from an older build answers
+// the hello in JSON. DialNode must fail with ErrWireVersion rather than
+// speak to it.
+func TestDialNodeRefusesLegacyJSONReply(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v2.Flush(); err != nil {
-		t.Fatal(err)
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := cluster.ReadFrame(bufio.NewReader(conn)); err != nil {
+			return
+		}
+		conn.Write(legacyFrame(`{"type":"ok","seq":1,"node":"old","wire":1}`))
+		io.Copy(io.Discard, conn) // hold the connection until the client hangs up
+	}()
+
+	c, err := cluster.DialNodeConfig(ln.Addr().String(), nil, cluster.ClientConfig{
+		Reconnect: cluster.ReconnectConfig{MaxAttempts: -1},
+	})
+	if err == nil {
+		c.Close()
+		t.Fatal("DialNode accepted a JSON hello reply")
 	}
-	if got, err := v1.Devices(); err != nil || got != len(devices) {
-		t.Fatalf("node tracks %d devices (err %v), want %d", got, err, len(devices))
+	if !errors.Is(err, cluster.ErrWireVersion) {
+		t.Fatalf("DialNode error = %v, want ErrWireVersion", err)
 	}
 }
 
 // TestWireFeedRejectsInvalidRecord pins server-side validation on the
-// binary feed path: a transaction that fails Validate must be refused as
-// an error reply, not fed or dropped silently.
+// feed path: a transaction that fails Validate must be refused as an
+// error reply, not fed or dropped silently.
 func TestWireFeedRejectsInvalidRecord(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, _ := clustertest.Workload(t, ds, 2, 10)
@@ -118,7 +121,7 @@ func TestWireFeedRejectsInvalidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	c, err := cluster.DialNodeWire(n.Addr().String(), nil, 0)
+	c, err := cluster.DialNode(n.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"webtxprofile/internal/core"
-	"webtxprofile/internal/weblog"
 )
 
 // NodeConfig configures one cluster member.
@@ -30,10 +28,6 @@ type NodeConfig struct {
 	// the wire push — a local tap for logging daemons. Called from the
 	// monitor's delivery goroutine; must not block for long.
 	OnAlert func(core.Alert)
-	// MaxWire caps the wire version this node will negotiate (default
-	// MaxWireVersion). Setting 1 forces JSON frames even with v2-capable
-	// peers — an escape hatch for debugging and mixed-version rollouts.
-	MaxWire int
 	// WriteTimeout bounds every frame write to a connection (default
 	// 30s). It is what keeps a stalled peer from wedging the node: a
 	// full TCP buffer blocks, it does not error, so without a deadline
@@ -73,7 +67,6 @@ type Node struct {
 	mon          *core.Monitor
 	tap          func(core.Alert)
 	writeTimeout time.Duration
-	maxWire      int
 	ringCap      int
 	dedupWindow  int
 	elog         *log.Logger
@@ -116,7 +109,6 @@ func ListenNode(addr string, set *core.ProfileSet, cfg NodeConfig) (*Node, error
 		name:         cfg.Name,
 		tap:          cfg.OnAlert,
 		writeTimeout: cfg.WriteTimeout,
-		maxWire:      cfg.MaxWire,
 		ringCap:      cfg.AlertRing,
 		dedupWindow:  cfg.DedupWindow,
 		elog:         cfg.ErrorLog,
@@ -127,9 +119,6 @@ func ListenNode(addr string, set *core.ProfileSet, cfg NodeConfig) (*Node, error
 	}
 	if n.writeTimeout <= 0 {
 		n.writeTimeout = 30 * time.Second
-	}
-	if n.maxWire <= 0 || n.maxWire > MaxWireVersion {
-		n.maxWire = MaxWireVersion
 	}
 	if n.ringCap <= 0 {
 		n.ringCap = 8192
@@ -496,6 +485,7 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 	defer n.wg.Done()
 	defer func() {
 		n.dropSubscriber(conn)
+		conn.Close() // a refused or broken connection is hung up on
 		n.mu.Lock()
 		delete(n.conns, conn)
 		delete(n.clients, conn)
@@ -519,12 +509,9 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 			return
 		}
 		if f.Type == FrameHello && reply.Type == FrameOK {
-			// The negotiated version takes effect after the hello reply:
-			// the reply itself is always JSON (a v1 peer must be able to
-			// read it), everything later uses what was agreed. Only then
-			// does the outbox start — the subscription backlog must land
-			// on the wire after the reply that carries its cursor.
-			w.setWire(reply.Wire)
+			// Only now does the outbox start: the subscription backlog
+			// must land on the wire after the reply that carries its
+			// cursor.
 			n.amu.Lock()
 			sub := n.subs[conn]
 			n.amu.Unlock()
@@ -544,7 +531,7 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 	switch f.Type {
 	case FrameHello:
-		reply = Frame{Type: FrameOK, Seq: f.Seq, Node: n.name, Wire: negotiateWire(f.Wire, n.maxWire)}
+		reply = Frame{Type: FrameOK, Seq: f.Seq, Node: n.name}
 		if f.Client != "" {
 			n.mu.Lock()
 			n.clients[conn] = f.Client
@@ -591,39 +578,26 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 			sess = n.session(client)
 			if f.Replay && sess.seen(f.Seq) {
 				// Applied before the reconnect; the ack was what got lost.
-				return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs) + len(f.Lines)}, nil
+				return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}, nil
 			}
 		}
-		txs := f.Txs
-		if txs == nil {
-			txs = make([]weblog.Transaction, len(f.Lines))
-			for i, line := range f.Lines {
-				tx, err := weblog.ParseLine(line)
-				if err != nil {
-					// Reject the whole frame before feeding anything: a
-					// feed frame is an RPC from the router, not a raw proxy
-					// log — a bad record means a protocol bug, not dirty
-					// input.
-					return errorFrame(f.Seq, fmt.Errorf("line %d: %w", i, err)), nil
-				}
-				txs[i] = tx
-			}
-		} else {
-			// Binary records decode structurally; apply the semantic
-			// checks ParseLine would have run on the line path.
-			for i := range txs {
-				if err := txs[i].Validate(); err != nil {
-					return errorFrame(f.Seq, fmt.Errorf("record %d: %w", i, err)), nil
-				}
+		// Binary records decode structurally; apply the semantic checks
+		// ParseLine runs on proxy log lines. Reject the whole frame before
+		// feeding anything: a feed frame is an RPC from the router, not a
+		// raw proxy log — a bad record means a protocol bug, not dirty
+		// input.
+		for i := range f.Txs {
+			if err := f.Txs[i].Validate(); err != nil {
+				return errorFrame(f.Seq, fmt.Errorf("record %d: %w", i, err)), nil
 			}
 		}
-		if err := n.mon.FeedBatch(txs); err != nil {
+		if err := n.mon.FeedBatch(f.Txs); err != nil {
 			return errorFrame(f.Seq, err), nil
 		}
 		if sess != nil {
 			sess.admit(f.Seq)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: len(txs)}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}, nil
 	case FrameExport:
 		if f.Handoff != "" {
 			// Staged export: the states are held under the handoff id, so
@@ -713,28 +687,16 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 }
 
 // frameWriter serializes whole-frame writes onto one connection, shared
-// by the reply path and the alert fanout. Every write runs under a
-// deadline (when conn and timeout are set): a peer that stops reading
-// makes the write error out instead of blocking on the kernel buffer.
-// Writes start at wire v1 (JSON); setWire upgrades the connection after
-// the hello exchange negotiates v2, from which point frames are encoded
-// binary into a reused scratch buffer.
+// by the reply path and the alert fanout, encoding each frame into a
+// reused scratch buffer. Every write runs under a deadline (when conn and
+// timeout are set): a peer that stops reading makes the write error out
+// instead of blocking on the kernel buffer.
 type frameWriter struct {
 	mu      sync.Mutex
 	bw      *bufio.Writer
 	conn    net.Conn
 	timeout time.Duration
-	wire    int
 	scratch []byte
-}
-
-// setWire fixes the connection's negotiated wire version. Ordered through
-// the same lock as write: a frame already being written finishes in the
-// old encoding, later frames use the new one.
-func (w *frameWriter) setWire(v int) {
-	w.mu.Lock()
-	w.wire = v
-	w.mu.Unlock()
 }
 
 func (w *frameWriter) write(f Frame) error {
@@ -744,34 +706,9 @@ func (w *frameWriter) write(f Frame) error {
 		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
 		defer w.conn.SetWriteDeadline(time.Time{})
 	}
-	if w.wire >= WireV2 {
-		if err := w.writeBinaryLocked(f); err != nil {
-			return err
-		}
-	} else if err := WriteFrame(w.bw, f); err != nil {
+	var err error
+	if w.scratch, err = writeFrame(w.bw, w.scratch, f); err != nil {
 		return err
 	}
 	return w.bw.Flush()
-}
-
-// writeBinaryLocked encodes f as a wire-v2 frame into the reused scratch
-// buffer and writes it with its length prefix. Runs under w.mu.
-func (w *frameWriter) writeBinaryLocked(f Frame) error {
-	payload, err := AppendBinaryFrame(w.scratch[:0], f)
-	if err != nil {
-		return err
-	}
-	w.scratch = payload[:0]
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("cluster: %s frame of %d bytes exceeds limit %d", f.Type, len(payload), MaxFrameBytes)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: writing frame header: %w", err)
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return fmt.Errorf("cluster: writing frame payload: %w", err)
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"webtxprofile/internal/cluster"
 	"webtxprofile/internal/cluster/clustertest"
+	"webtxprofile/internal/weblog"
 )
 
 // TestNodeProtocolBasics covers the node lifecycle outside the router:
@@ -107,8 +108,9 @@ func TestNodeStopLeavesMonitorUsable(t *testing.T) {
 	}
 }
 
-// TestNodeRejectsBadFeedLine: a feed frame with an unparseable log line
-// is refused whole — nothing before or after the bad line is fed.
+// TestNodeRejectsBadFeedLine: a feed frame carrying a record that fails
+// validation is refused whole — nothing before or after the bad record
+// is fed.
 func TestNodeRejectsBadFeedLine(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, _ := clustertest.Workload(t, ds, 1, 4)
@@ -125,8 +127,10 @@ func TestNodeRejectsBadFeedLine(t *testing.T) {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	lines := []string{txs[0].MarshalLine(), "this is not a log line", txs[1].MarshalLine()}
-	if err := cluster.WriteFrame(bw, cluster.Frame{Type: cluster.FrameFeed, Seq: 1, Lines: lines}); err != nil {
+	bad := txs[1]
+	bad.SourceIP = ""
+	feed := []weblog.Transaction{txs[0], bad, txs[2]}
+	if err := cluster.WriteFrame(bw, cluster.Frame{Type: cluster.FrameFeed, Seq: 1, Txs: feed}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -137,7 +141,7 @@ func TestNodeRejectsBadFeedLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reply.Type != cluster.FrameError {
-		t.Fatalf("bad line fed: reply %+v", reply)
+		t.Fatalf("bad record fed: reply %+v", reply)
 	}
 	if devs, err := c.Devices(); err != nil || devs != 0 {
 		t.Errorf("Devices = %d, %v after rejected feed; want 0", devs, err)

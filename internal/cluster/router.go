@@ -38,11 +38,6 @@ type RouterConfig struct {
 	// DrainBatch caps the transactions replayed per RPC when a drained
 	// device's buffered backlog is flushed to its new owner (default 256).
 	DrainBatch int
-	// MaxWire caps the wire version the router advertises to nodes
-	// (default MaxWireVersion). Each connection still negotiates down to
-	// what its node speaks, so a mixed-version cluster works either way;
-	// setting 1 forces JSON frames everywhere.
-	MaxWire int
 	// RouteIdleTTL bounds the routing table: a device idle for longer (in
 	// stream time, mirroring the monitor's IdleTTL) has its route swept.
 	// Sweeping is safe because a route never disagrees with the device's
@@ -50,8 +45,7 @@ type RouterConfig struct {
 	// memory, are kept separately and survive the sweep. 0 disables.
 	RouteIdleTTL time.Duration
 	// Client configures the per-node connections (reconnect schedule,
-	// replay depth, client identity prefix). Client.MaxWire is overridden
-	// by MaxWire above.
+	// replay depth, client identity prefix).
 	Client ClientConfig
 	// SharedState declares that the member nodes spill through a shared
 	// state tier (an internal/statestore server, with
@@ -69,10 +63,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.DrainBatch <= 0 {
 		c.DrainBatch = 256
 	}
-	if c.MaxWire <= 0 || c.MaxWire > MaxWireVersion {
-		c.MaxWire = MaxWireVersion
-	}
-	c.Client.MaxWire = c.MaxWire
 	return c
 }
 

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -11,16 +11,15 @@ import (
 )
 
 // The cluster wire protocol is length-prefixed: each frame is a 4-byte
-// big-endian payload length followed by one encoded Frame. A payload is
-// either JSON (wire v1, and every hello) or the compact binary encoding of
-// wirecodec.go (wire v2, negotiated in the hello exchange); the reader
-// tells them apart by the first payload byte. Transactions travel inside
-// v1 feed frames as the newline-less log-line format of package weblog
-// (the same lines the collector's proxies stream) and inside v2 feed
-// frames as weblog binary records; shard handoffs travel in both versions
-// as the opaque versioned blobs core.Monitor's ExportDevices/ImportShard
-// produce, so the node protocol reuses the existing serializations rather
-// than inventing new ones.
+// big-endian payload length followed by one frame in the binary encoding
+// of wirecodec.go. Transactions travel inside feed frames as weblog binary
+// records; shard handoffs travel as the opaque versioned blobs
+// core.Monitor's ExportDevices/ImportShard produce, so the node protocol
+// reuses the existing serializations rather than inventing new ones.
+// Every payload starts with a magic byte and a version byte, and the
+// reader refuses any other version with ErrWireVersion: there is one
+// encoding and no negotiation, so every peer of a cluster must run the
+// same build.
 //
 // One TCP connection carries both directions: the client writes request
 // frames with a non-zero Seq and the node answers each with an "ok" or
@@ -29,19 +28,24 @@ import (
 // Frames on a connection are written atomically (under a write lock), so
 // a reader always sees whole frames in write order.
 
-// MaxFrameBytes caps one frame's JSON payload. Shard-export blobs are the
+// MaxFrameBytes caps one frame's payload. Shard-export blobs are the
 // largest frames; 64 MiB is ~100k devices at typical state sizes. The
 // reader rejects larger headers before allocating, so a corrupt or
 // hostile length prefix cannot balloon memory.
 const MaxFrameBytes = 64 << 20
+
+// ErrWireVersion reports a frame this build cannot read: a payload that
+// does not start with the binary frame magic (such as the JSON frames of
+// older builds) or one carrying a different version byte.
+var ErrWireVersion = errors.New("cluster: wire version mismatch (every peer must run the same build)")
 
 // Frame types.
 const (
 	// FrameHello opens a session: the client names itself and may
 	// subscribe to alert pushes. The node replies ok with its own name.
 	FrameHello = "hello"
-	// FrameFeed carries transactions as weblog log lines; the node feeds
-	// them to its monitor and replies ok with the count fed.
+	// FrameFeed carries transactions as weblog binary records; the node
+	// feeds them to its monitor and replies ok with the count fed.
 	FrameFeed = "feed"
 	// FrameExport names devices to drain; the node exports them from its
 	// monitor and replies ok with the state blob and count.
@@ -82,60 +86,52 @@ const (
 
 // Frame is the unit of the cluster wire protocol. Exactly the fields
 // relevant to a frame's Type are populated; the rest stay at their zero
-// values and are omitted from the JSON.
+// values and are omitted from the encoding.
 type Frame struct {
-	Type string `json:"type"`
+	Type string
 	// Seq correlates a reply with its request; alert pushes use 0.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Node names the sender in hello frames and hello replies.
-	Node string `json:"node,omitempty"`
+	Node string
 	// Subscribe asks (in a hello) for alert pushes on this connection.
-	Subscribe bool `json:"subscribe,omitempty"`
-	// Wire negotiates the connection's encoding: in a hello it advertises
-	// the sender's highest supported wire version, in the hello reply it
-	// fixes the negotiated one. Zero means wire v1 (a peer that predates
-	// the field).
-	Wire int `json:"wire,omitempty"`
-	// Lines are weblog log lines (feed, wire v1).
-	Lines []string `json:"lines,omitempty"`
-	// Txs are decoded transactions (feed, wire v2). They never appear in
-	// JSON frames: v2 payloads carry them as weblog binary records, and a
-	// v1 sender uses Lines.
-	Txs []weblog.Transaction `json:"-"`
+	Subscribe bool
+	// Txs are the transactions to feed (feed), carried as weblog binary
+	// records.
+	Txs []weblog.Transaction
 	// Devices names the devices to drain (export).
-	Devices []string `json:"devices,omitempty"`
+	Devices []string
 	// Blob is a shard-state blob (import request, export reply).
-	Blob []byte `json:"blob,omitempty"`
+	Blob []byte
 	// Count reports how many transactions were fed or devices were
 	// exported/imported/tracked (ok replies).
-	Count int `json:"count,omitempty"`
+	Count int
 	// Error is the failure message (error replies).
-	Error string `json:"error,omitempty"`
+	Error string
 	// Alert is the pushed identity transition (alert frames). Alert
 	// frames carry the origin node's alert sequence number in Seq, so a
 	// resubscribing client can resume from its last-seen cursor.
-	Alert *NodeAlert `json:"alert,omitempty"`
+	Alert *NodeAlert
 	// Handoff identifies a two-phase drain. An export or import carrying
 	// a handoff id is staged — held (export) or invisible (import) until
 	// a commit for the same id; commit and abort frames always carry one.
-	Handoff string `json:"handoff,omitempty"`
+	Handoff string
 	// Client is the caller's stable identity (hello). Named clients get
 	// replay dedup: a re-sent feed whose (Client, Seq) was already
 	// applied is acknowledged without feeding the monitor twice.
-	Client string `json:"client,omitempty"`
+	Client string
 	// Cursor is an alert sequence position: in a resuming hello, the last
 	// alert Seq the client saw (the node replays newer ring entries); in
 	// every hello reply, the node's current alert sequence.
-	Cursor uint64 `json:"cursor,omitempty"`
+	Cursor uint64
 	// Resume marks a reconnect hello: the node replays ring alerts after
 	// Cursor instead of starting the subscription fresh.
-	Resume bool `json:"resume,omitempty"`
+	Resume bool
 	// Replay marks a frame re-sent after a reconnect; the node consults
 	// its per-client dedup window before applying it.
-	Replay bool `json:"replay,omitempty"`
+	Replay bool
 	// Gossip carries router-to-router reconciliation state (gossip frames
 	// and their ok replies).
-	Gossip *GossipState `json:"gossip,omitempty"`
+	Gossip *GossipState
 }
 
 // NodeAlert is one identity transition observed somewhere in the cluster,
@@ -154,46 +150,38 @@ type NodeAlert struct {
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// knownFrameTypes rejects frames whose type no handler understands at
-// decode time, so protocol drift surfaces as a clean error on the reader
-// rather than a silent no-op.
-var knownFrameTypes = map[string]bool{
-	FrameHello: true, FrameFeed: true, FrameExport: true, FrameImport: true,
-	FrameFlush: true, FrameStats: true, FrameOK: true, FrameError: true,
-	FrameAlert: true, FrameCommit: true, FrameAbort: true, FrameGossip: true,
-	FrameList: true,
-}
-
 // WriteFrame encodes one frame onto w. Callers sharing a connection must
 // serialize WriteFrame calls (the protocol requires whole frames in write
 // order).
 func WriteFrame(w io.Writer, f Frame) error {
-	payload, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("cluster: encoding %s frame: %w", f.Type, err)
-	}
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("cluster: %s frame of %d bytes exceeds limit %d", f.Type, len(payload), MaxFrameBytes)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: writing frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("cluster: writing frame payload: %w", err)
-	}
-	return nil
+	_, err := writeFrame(w, nil, f)
+	return err
 }
 
-// ReadFrame decodes one frame from r, accepting JSON (wire v1) and binary
-// (wire v2) payloads interchangeably: the binary magic in the first
-// payload byte selects the decoder, so a reader needs no per-connection
-// version state. Malformed input — truncated headers or payloads,
-// oversized lengths, invalid JSON or binary structure, unknown frame
+// writeFrame encodes f behind its length prefix into buf (a reusable
+// scratch buffer, may be nil) and writes it to w in one call, returning
+// the buffer for reuse.
+func writeFrame(w io.Writer, buf []byte, f Frame) ([]byte, error) {
+	buf, err := AppendBinaryFrame(append(buf[:0], 0, 0, 0, 0), f)
+	if err != nil {
+		return buf[:0], err
+	}
+	if n := len(buf) - 4; n > MaxFrameBytes {
+		return buf[:0], fmt.Errorf("cluster: %s frame of %d bytes exceeds limit %d", f.Type, n, MaxFrameBytes)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	if _, err := w.Write(buf); err != nil {
+		return buf[:0], fmt.Errorf("cluster: writing %s frame: %w", f.Type, err)
+	}
+	return buf[:0], nil
+}
+
+// ReadFrame decodes one frame from r. Malformed input — truncated headers
+// or payloads, oversized lengths, invalid binary structure, unknown frame
 // types — returns an error, never panics (FuzzReadFrame,
-// FuzzBinaryFrame). A clean EOF before any header byte returns io.EOF
-// unwrapped so callers can detect an orderly connection end.
+// FuzzBinaryFrame); a payload in another wire version returns an error
+// wrapping ErrWireVersion. A clean EOF before any header byte returns
+// io.EOF unwrapped so callers can detect an orderly connection end.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -213,17 +201,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, fmt.Errorf("cluster: reading %d-byte frame payload: %w", n, err)
 	}
-	if payload[0] == binaryMagic {
-		return decodeBinaryFrame(payload)
-	}
-	var f Frame
-	if err := json.Unmarshal(payload, &f); err != nil {
-		return Frame{}, fmt.Errorf("cluster: decoding frame: %w", err)
-	}
-	if !knownFrameTypes[f.Type] {
-		return Frame{}, fmt.Errorf("cluster: unknown frame type %q", f.Type)
-	}
-	return f, nil
+	return decodeBinaryFrame(payload)
 }
 
 // errorFrame builds the failure reply for a request.

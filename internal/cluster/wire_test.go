@@ -3,18 +3,21 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 
 	"webtxprofile/internal/core"
+	"webtxprofile/internal/weblog"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true},
-		{Type: FrameFeed, Seq: 2, Lines: []string{"a, b", "c, d"}},
+		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{binarySeedTx(), binarySeedTx()}},
 		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}},
 		{Type: FrameImport, Seq: 4, Blob: []byte{0x1f, 0x8b, 0x00, 0xff}},
 		{Type: FrameFlush, Seq: 5},
@@ -51,18 +54,25 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 		binary.BigEndian.PutUint32(h[:], n)
 		return h[:]
 	}
-	cases := []struct {
+	type malformed struct {
 		name string
 		data []byte
-		want string
-	}{
+		want string // substring of the error, or "" for ErrWireVersion
+	}
+	cases := []malformed{
 		{"zero length", header(0), "zero-length"},
 		{"oversize length", header(MaxFrameBytes + 1), "exceeds limit"},
 		{"truncated header", []byte{0, 0}, "frame header"},
-		{"truncated payload", append(header(10), '{', '}'), "payload"},
-		{"invalid json", append(header(4), []byte("nope")...), "decoding frame"},
-		{"unknown type", append(header(15), []byte(`{"type":"warp"}`)...), "unknown frame type"},
-		{"empty type", append(header(2), []byte(`{}`)...), "unknown frame type"},
+		{"truncated payload", append(header(10), binaryMagic, wireVersion), "payload"},
+		{"invalid json", append(header(4), []byte("nope")...), ""},
+		{"foreign version", append(header(4), binaryMagic, wireVersion+1, 0x01, 0x01), ""},
+		{"old version", append(header(4), binaryMagic, wireVersion-1, 0x01, 0x01), ""},
+		{"truncated frame header", append(header(2), binaryMagic, wireVersion), "truncated frame header"},
+		{"unknown type", append(header(4), binaryMagic, wireVersion, 0x63, 0x01), "unknown binary frame type"},
+		{"empty type", append(header(4), binaryMagic, wireVersion, 0x00, 0x01), "unknown binary frame type"},
+	}
+	for i, payload := range legacyJSONFrames {
+		cases = append(cases, malformed{fmt.Sprintf("legacy json %d", i), lengthPrefixed(payload), ""})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,7 +83,11 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 			if err == io.EOF {
 				t.Fatal("malformed frame reported as clean EOF")
 			}
-			if !strings.Contains(err.Error(), tc.want) {
+			if tc.want == "" {
+				if !errors.Is(err, ErrWireVersion) {
+					t.Errorf("error %q is not ErrWireVersion", err)
+				}
+			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})

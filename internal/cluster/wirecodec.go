@@ -8,51 +8,18 @@ import (
 	"webtxprofile/internal/weblog"
 )
 
-// Wire v2: a compact binary frame encoding negotiated per connection in
-// the hello exchange (see doc.go for the layout and negotiation rules).
-// The hello itself — and every frame from a v1 peer — stays JSON; the
-// reader distinguishes the two per frame by the payload's first byte,
-// which is the binary magic for v2 frames and '{' for JSON.
+// The binary frame encoding, the only one the cluster speaks (see doc.go
+// for the layout).
 
-// Wire protocol versions. A peer advertises the highest version it speaks
-// in its hello frame; the node replies with min(peer, own), and both sides
-// write that version from the next frame on.
-const (
-	// WireV1 is length-prefixed JSON — the original protocol, and the
-	// version assumed for peers whose hello carries no wire field.
-	WireV1 = 1
-	// WireV2 is the length-prefixed binary frame encoding; transactions
-	// travel as weblog binary records instead of log lines.
-	WireV2 = 2
-	// MaxWireVersion is the highest version this build speaks.
-	MaxWireVersion = WireV2
-)
+// wireVersion is the version byte every frame carries. A reader refuses
+// any other value with ErrWireVersion.
+const wireVersion = 2
 
-// binaryMagic is the first payload byte of every binary frame. JSON
-// payloads always start with '{', so one byte disambiguates.
+// binaryMagic is the first payload byte of every frame.
 const binaryMagic = 0xF7
 
-// normWire maps a hello's advertised wire version to an effective one:
-// absent (0) means a v1 peer; anything higher than this build is capped by
-// negotiation, not here.
-func normWire(w int) int {
-	if w <= 0 {
-		return WireV1
-	}
-	return w
-}
-
-// negotiateWire picks the version both ends speak.
-func negotiateWire(peer, own int) int {
-	p, o := normWire(peer), normWire(own)
-	if p < o {
-		return p
-	}
-	return o
-}
-
-// Binary frame type codes, fixed on the wire (the JSON type strings are
-// not sent in v2).
+// Binary frame type codes, fixed on the wire (the type strings are not
+// sent).
 var frameTypeCodes = map[string]byte{
 	FrameHello: 1, FrameFeed: 2, FrameExport: 3, FrameImport: 4,
 	FrameFlush: 5, FrameStats: 6, FrameOK: 7, FrameError: 8, FrameAlert: 9,
@@ -69,13 +36,13 @@ var frameTypeNames = func() [14]string {
 }()
 
 // Binary frame field tags. Fields at their zero value are omitted; an
-// unknown tag is a decode error (protocol drift must surface, as with
-// unknown JSON frame types).
+// unknown tag is a decode error, so protocol drift surfaces as a clean
+// error on the reader rather than a silent no-op. Tags 3 and 4 are
+// retired (they carried the negotiated wire version and log-line feeds)
+// and must never be reused.
 const (
 	tagNode      = 1 // uvarint length + bytes
 	tagSubscribe = 2 // no payload; presence means true
-	tagWire      = 3 // uvarint
-	tagLines     = 4 // uvarint count, then per line: uvarint length + bytes
 	tagDevices   = 5 // uvarint count, then per device: uvarint length + bytes
 	tagBlob      = 6 // uvarint length + bytes
 	tagCount     = 7 // zigzag varint
@@ -92,32 +59,22 @@ const (
 	tagGossip  = 16 // uvarint length + JSON-encoded GossipState
 )
 
-// AppendBinaryFrame appends f's wire-v2 encoding to dst. The layout is
+// AppendBinaryFrame appends f's binary encoding to dst. The layout is
 //
 //	magic byte, version byte (2), frame type code, uvarint seq,
 //	tagged fields until the payload ends
-//
-// Feed payloads use Txs when set, Lines otherwise — a frame carrying both
-// would encode both, but no producer does.
 func AppendBinaryFrame(dst []byte, f Frame) ([]byte, error) {
 	code, ok := frameTypeCodes[f.Type]
 	if !ok {
 		return dst, fmt.Errorf("cluster: frame type %q has no binary encoding", f.Type)
 	}
-	dst = append(dst, binaryMagic, WireV2, code)
+	dst = append(dst, binaryMagic, wireVersion, code)
 	dst = binary.AppendUvarint(dst, f.Seq)
 	if f.Node != "" {
 		dst = appendTagString(dst, tagNode, f.Node)
 	}
 	if f.Subscribe {
 		dst = append(dst, tagSubscribe)
-	}
-	if f.Wire != 0 {
-		dst = append(dst, tagWire)
-		dst = binary.AppendUvarint(dst, uint64(f.Wire))
-	}
-	if len(f.Lines) > 0 {
-		dst = appendTagStrings(dst, tagLines, f.Lines)
 	}
 	if len(f.Devices) > 0 {
 		dst = appendTagStrings(dst, tagDevices, f.Devices)
@@ -194,18 +151,21 @@ func appendTagStrings(dst []byte, tag byte, ss []string) []byte {
 	return dst
 }
 
-// decodeBinaryFrame decodes one wire-v2 payload. The payload is converted
+// decodeBinaryFrame decodes one frame payload. The payload is converted
 // to a string once; every decoded string field (including the transactions'
 // fields) aliases that one copy, so a feed frame decodes with no per-field
 // allocation. Malformed input returns an error, never panics
 // (FuzzBinaryFrame).
 func decodeBinaryFrame(payload []byte) (Frame, error) {
 	s := string(payload)
-	if len(s) < 3 || s[0] != binaryMagic {
-		return Frame{}, fmt.Errorf("cluster: not a binary frame")
+	if len(s) == 0 || s[0] != binaryMagic {
+		return Frame{}, fmt.Errorf("%w: payload does not start with the frame magic %#x", ErrWireVersion, binaryMagic)
 	}
-	if s[1] != WireV2 {
-		return Frame{}, fmt.Errorf("cluster: unsupported binary frame version %d", s[1])
+	if len(s) > 1 && s[1] != wireVersion {
+		return Frame{}, fmt.Errorf("%w: frame version %d, this build speaks %d", ErrWireVersion, s[1], wireVersion)
+	}
+	if len(s) < 3 {
+		return Frame{}, fmt.Errorf("cluster: truncated frame header")
 	}
 	code := s[2]
 	if int(code) >= len(frameTypeNames) || frameTypeNames[code] == "" {
@@ -213,7 +173,7 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 	}
 	f := Frame{Type: frameTypeNames[code]}
 	s = s[3:]
-	seq, s, err := readWireUvarint(s)
+	seq, s, err := weblog.ReadBinaryUvarint(s)
 	if err != nil {
 		return Frame{}, fmt.Errorf("cluster: frame seq: %w", err)
 	}
@@ -223,38 +183,26 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 		s = s[1:]
 		switch tag {
 		case tagNode:
-			f.Node, s, err = readWireString(s)
+			f.Node, s, err = weblog.ReadBinaryString(s)
 		case tagSubscribe:
 			f.Subscribe = true
-		case tagWire:
-			var w uint64
-			if w, s, err = readWireUvarint(s); err == nil {
-				if w > MaxWireVersion {
-					// Cap instead of reject: a future peer advertising v9
-					// must still negotiate down to what this build speaks.
-					w = MaxWireVersion
-				}
-				f.Wire = int(w)
-			}
-		case tagLines:
-			f.Lines, s, err = readWireStrings(s)
 		case tagDevices:
 			f.Devices, s, err = readWireStrings(s)
 		case tagBlob:
 			var b string
-			if b, s, err = readWireString(s); err == nil {
+			if b, s, err = weblog.ReadBinaryString(s); err == nil {
 				f.Blob = []byte(b)
 			}
 		case tagCount:
 			var c int64
-			if c, s, err = readWireVarint(s); err == nil {
+			if c, s, err = weblog.ReadBinaryVarint(s); err == nil {
 				f.Count = int(c)
 			}
 		case tagError:
-			f.Error, s, err = readWireString(s)
+			f.Error, s, err = weblog.ReadBinaryString(s)
 		case tagAlert:
 			var b string
-			if b, s, err = readWireString(s); err == nil {
+			if b, s, err = weblog.ReadBinaryString(s); err == nil {
 				var a NodeAlert
 				if err = json.Unmarshal([]byte(b), &a); err == nil {
 					f.Alert = &a
@@ -262,7 +210,7 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 			}
 		case tagTxs:
 			var count uint64
-			if count, s, err = readWireUvarint(s); err != nil {
+			if count, s, err = weblog.ReadBinaryUvarint(s); err != nil {
 				break
 			}
 			// A minimal record is 12 bytes (1-byte timestamp varint, nine
@@ -285,18 +233,18 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 				f.Txs = txs
 			}
 		case tagHandoff:
-			f.Handoff, s, err = readWireString(s)
+			f.Handoff, s, err = weblog.ReadBinaryString(s)
 		case tagClient:
-			f.Client, s, err = readWireString(s)
+			f.Client, s, err = weblog.ReadBinaryString(s)
 		case tagCursor:
-			f.Cursor, s, err = readWireUvarint(s)
+			f.Cursor, s, err = weblog.ReadBinaryUvarint(s)
 		case tagResume:
 			f.Resume = true
 		case tagReplay:
 			f.Replay = true
 		case tagGossip:
 			var b string
-			if b, s, err = readWireString(s); err == nil {
+			if b, s, err = weblog.ReadBinaryString(s); err == nil {
 				var g GossipState
 				if err = json.Unmarshal([]byte(b), &g); err == nil {
 					f.Gossip = &g
@@ -312,54 +260,9 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 	return f, nil
 }
 
-// readWireUvarint is binary.Uvarint over a string, returning the rest.
-func readWireUvarint(s string) (uint64, string, error) {
-	var x uint64
-	var shift uint
-	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
-		b := s[i]
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, "", fmt.Errorf("uvarint overflows 64 bits")
-			}
-			return x | uint64(b)<<shift, s[i+1:], nil
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	if len(s) > binary.MaxVarintLen64 {
-		return 0, "", fmt.Errorf("uvarint overflows 64 bits")
-	}
-	return 0, "", fmt.Errorf("truncated uvarint")
-}
-
-func readWireVarint(s string) (int64, string, error) {
-	ux, rest, err := readWireUvarint(s)
-	if err != nil {
-		return 0, "", err
-	}
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, rest, nil
-}
-
-// readWireString reads one uvarint-length-prefixed string aliasing s.
-func readWireString(s string) (string, string, error) {
-	n, rest, err := readWireUvarint(s)
-	if err != nil {
-		return "", "", err
-	}
-	if n > uint64(len(rest)) {
-		return "", "", fmt.Errorf("field of %d bytes exceeds remaining %d", n, len(rest))
-	}
-	return rest[:n], rest[n:], nil
-}
-
 // readWireStrings reads a counted list of length-prefixed strings.
 func readWireStrings(s string) ([]string, string, error) {
-	count, s, err := readWireUvarint(s)
+	count, s, err := weblog.ReadBinaryUvarint(s)
 	if err != nil {
 		return nil, "", err
 	}
@@ -372,7 +275,7 @@ func readWireStrings(s string) ([]string, string, error) {
 	}
 	out := make([]string, count)
 	for i := range out {
-		if out[i], s, err = readWireString(s); err != nil {
+		if out[i], s, err = weblog.ReadBinaryString(s); err != nil {
 			return nil, "", fmt.Errorf("string %d: %w", i, err)
 		}
 	}

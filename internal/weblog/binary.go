@@ -82,7 +82,7 @@ func DecodeBinary(rec []byte) (Transaction, error) {
 // every record shares it. Structural validity only: run Validate for the
 // log-line format's semantic checks.
 func DecodeBinaryFrom(s string) (Transaction, string, error) {
-	ts, s, err := readBinaryVarint(s)
+	ts, s, err := ReadBinaryVarint(s)
 	if err != nil {
 		return Transaction{}, "", fmt.Errorf("weblog: binary record timestamp: %w", err)
 	}
@@ -93,7 +93,7 @@ func DecodeBinaryFrom(s string) (Transaction, string, error) {
 		&tx.Category, &tx.MediaType.Super, &tx.MediaType.Sub, &tx.AppType,
 	}
 	for i, f := range fields {
-		if *f, s, err = readBinaryString(s); err != nil {
+		if *f, s, err = ReadBinaryString(s); err != nil {
 			return Transaction{}, "", fmt.Errorf("weblog: binary record field %d: %w", i, err)
 		}
 	}
@@ -109,9 +109,11 @@ func DecodeBinaryFrom(s string) (Transaction, string, error) {
 	return tx, s[2:], nil
 }
 
-// readBinaryVarint is binary.Varint over a string, returning the rest.
-func readBinaryVarint(s string) (int64, string, error) {
-	ux, rest, err := readBinaryUvarint(s)
+// ReadBinaryVarint is binary.Varint over a string, returning the rest —
+// the primitive binary records (and the cluster frames that carry them)
+// are read with.
+func ReadBinaryVarint(s string) (int64, string, error) {
+	ux, rest, err := ReadBinaryUvarint(s)
 	if err != nil {
 		return 0, "", err
 	}
@@ -122,8 +124,8 @@ func readBinaryVarint(s string) (int64, string, error) {
 	return x, rest, nil
 }
 
-// readBinaryUvarint is binary.Uvarint over a string, returning the rest.
-func readBinaryUvarint(s string) (uint64, string, error) {
+// ReadBinaryUvarint is binary.Uvarint over a string, returning the rest.
+func ReadBinaryUvarint(s string) (uint64, string, error) {
 	var x uint64
 	var shift uint
 	for i := 0; i < len(s); i++ {
@@ -146,10 +148,10 @@ func readBinaryUvarint(s string) (uint64, string, error) {
 	return 0, "", fmt.Errorf("truncated uvarint")
 }
 
-// readBinaryString reads one uvarint-length-prefixed string, returning the
+// ReadBinaryString reads one uvarint-length-prefixed string, returning the
 // field (aliasing s) and the rest.
-func readBinaryString(s string) (string, string, error) {
-	n, rest, err := readBinaryUvarint(s)
+func ReadBinaryString(s string) (string, string, error) {
+	n, rest, err := ReadBinaryUvarint(s)
 	if err != nil {
 		return "", "", err
 	}

@@ -52,7 +52,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 // TestBinaryMatchesLineFormat: any transaction that survives the log-line
 // format must decode identically from its binary record — the binary
 // codec is a lossless superset of the line format, which is what makes
-// wire v1 and v2 feeds equivalent.
+// line and binary collector feeds equivalent.
 func TestBinaryMatchesLineFormat(t *testing.T) {
 	for _, tx := range binarySampleTxs()[:1] {
 		viaLine, err := ParseLine(tx.MarshalLine())
