@@ -94,41 +94,49 @@ func runWithMembershipChanges(t *testing.T, h *clustertest.Harness, txs []weblog
 	}
 }
 
+// equivWire names the subtest each equivalence suite runs under: the
+// binary frame encoding, wire version 2, the only one a node speaks.
+const equivWire = "wire2"
+
 func TestClusterEquivalenceFeed(t *testing.T) {
-	txs, want := clusterWorkload(t)
-	set, _ := clustertest.TrainedSet(t)
-	h := clustertest.NewHarness(t, set, equivK, "n1", "n2", "n3")
-	runWithMembershipChanges(t, h, txs, func(stream []weblog.Transaction) error {
-		for _, tx := range stream {
-			if err := h.Router.Feed(tx); err != nil {
-				return err
+	t.Run(equivWire, func(t *testing.T) {
+		txs, want := clusterWorkload(t)
+		set, _ := clustertest.TrainedSet(t)
+		h := clustertest.NewHarness(t, set, equivK, "n1", "n2", "n3")
+		runWithMembershipChanges(t, h, txs, func(stream []weblog.Transaction) error {
+			for _, tx := range stream {
+				if err := h.Router.Feed(tx); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+
+		// Fan-in tagging: with devices spread across nodes and two
+		// membership changes, alerts must have arrived from more than
+		// one origin, and only from nodes that were ever members.
+		origins := h.Alerts.Origins()
+		if len(origins) < 2 {
+			t.Errorf("alerts arrived from %d origin(s) %v, want several", len(origins), origins)
+		}
+		valid := map[string]bool{"n1": true, "n2": true, "n3": true, "n4": true}
+		for node := range origins {
+			if !valid[node] {
+				t.Errorf("alert tagged with unknown origin %q", node)
 			}
 		}
-		return nil
 	})
-	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
-
-	// Fan-in tagging: with devices spread across nodes and two
-	// membership changes, alerts must have arrived from more than one
-	// origin, and only from nodes that were ever members.
-	origins := h.Alerts.Origins()
-	if len(origins) < 2 {
-		t.Errorf("alerts arrived from %d origin(s) %v, want several", len(origins), origins)
-	}
-	valid := map[string]bool{"n1": true, "n2": true, "n3": true, "n4": true}
-	for node := range origins {
-		if !valid[node] {
-			t.Errorf("alert tagged with unknown origin %q", node)
-		}
-	}
 }
 
 func TestClusterEquivalenceFeedBatch(t *testing.T) {
-	txs, want := clusterWorkload(t)
-	set, _ := clustertest.TrainedSet(t)
-	h := clustertest.NewHarness(t, set, equivK, "n1", "n2", "n3")
-	runWithMembershipChanges(t, h, txs, h.Router.FeedBatch)
-	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+	t.Run(equivWire, func(t *testing.T) {
+		txs, want := clusterWorkload(t)
+		set, _ := clustertest.TrainedSet(t)
+		h := clustertest.NewHarness(t, set, equivK, "n1", "n2", "n3")
+		runWithMembershipChanges(t, h, txs, h.Router.FeedBatch)
+		clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+	})
 }
 
 // TestClusterSingleNodeEquivalence pins the degenerate topology: one node
