@@ -840,16 +840,18 @@ func BenchmarkMonitorCheckpointRestore(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorShardHandoff measures ExportShard→ImportShard over the
-// whole device population — the serialization cost of moving shards
-// between processes, reporting the handoff payload size.
+// BenchmarkMonitorShardHandoff measures the staged handoff the cluster
+// router runs — ExportStaged, StageImport, CommitHandoff on both sides —
+// over the whole device population in 16 handoffs per op, on a private
+// store: the serialization cost of moving devices between processes,
+// reporting the handoff payload size.
 func BenchmarkMonitorShardHandoff(b *testing.B) {
 	const devices = 1_000
-	const shards = 16
+	const handoffs = 16
 	set := monitorBenchSet(b)
 	env := benchEnv(b)
 	mon, err := webtxprofile.NewMonitorWithConfig(set, 5, func(webtxprofile.Alert) {},
-		webtxprofile.MonitorConfig{Shards: shards})
+		webtxprofile.MonitorConfig{Shards: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -862,13 +864,24 @@ func BenchmarkMonitorShardHandoff(b *testing.B) {
 	b.ResetTimer()
 	var moved int64
 	for i := 0; i < b.N; i++ {
-		for s := 0; s < shards; s++ {
-			blob, err := mon.ExportShard(s)
+		for h := 0; h < handoffs; h++ {
+			// Export and import on one monitor: the export is released
+			// before the import is adopted, so the devices are never
+			// tracked twice.
+			out, in := fmt.Sprintf("out/%d/%d", i, h), fmt.Sprintf("in/%d/%d", i, h)
+			group := names[h*devices/handoffs : (h+1)*devices/handoffs]
+			blob, _, err := mon.ExportStaged(out, group)
 			if err != nil {
 				b.Fatal(err)
 			}
 			moved += int64(len(blob))
-			if _, err := mon.ImportShard(blob); err != nil {
+			if _, err := mon.CommitHandoff(out); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := mon.StageImport(in, blob); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := mon.CommitHandoff(in); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -24,17 +24,17 @@
 // instead of a local directory: spills and checkpoints go to a shared
 // state server (run one with -state-server, optionally backed by its own
 // -state-dir) through a write-behind client, so a device's state
-// survives the node that held it. A cluster front end told the tier
-// exists (-join with -state-addr; it never dials the tier itself)
-// warm-restores moved devices from the store instead of draining live
-// peers, and reroutes a dead node's devices without any handoff — they
-// rehydrate lazily at their new owner.
+// survives the node that held it. The front end needs no flag for it:
+// when a membership change moves a device, the node it leaves parks it in
+// the tier and its new owner rehydrates it on its next transaction, and a
+// dead node's devices reroute without any handoff — they rehydrate lazily
+// at their new owner.
 //
 // Past one process, profilerd clusters (see README.md for the lifecycle):
 //
 //   - profilerd -cluster :7100 -node-name nodeA runs a member node: no
 //     proxy-facing collector, just the cluster wire protocol (feed,
-//     shard export/import, alert push) over its own sharded monitor.
+//     staged handoff, alert push) over its own sharded monitor.
 //   - profilerd -join nodeA=host1:7100,nodeB=host2:7100 runs the
 //     front-end router: the -listen collector ingests proxy log lines,
 //     devices are placed on members by rendezvous hashing, membership
@@ -52,8 +52,7 @@
 //	profilerd -state-server 0.0.0.0:7200 -state-dir /var/lib/profilerd-state
 //	profilerd -bundle profiles.gz -cluster 0.0.0.0:7100 -node-name nodeA \
 //	          -state-addr host0:7200
-//	profilerd -listen 127.0.0.1:7000 -join nodeA=host1:7100,nodeB=host2:7100 \
-//	          -state-addr host0:7200
+//	profilerd -listen 127.0.0.1:7000 -join nodeA=host1:7100,nodeB=host2:7100
 package main
 
 import (
@@ -91,7 +90,7 @@ func run() error {
 		ingestQ   = flag.Int("ingest-queue", 0, "bounded ingest queue depth; senders block (TCP backpressure) when full (0 = 4x -batch)")
 		stateDir  = flag.String("state-dir", "", "durable identifier state: spill evicted devices here, checkpoint on SIGTERM, restore on start; backing store in -state-server mode (empty disables)")
 		stateSrv  = flag.String("state-server", "", "run as the fleet-wide state tier: serve the state protocol on this address (optionally backed by -state-dir)")
-		stateAddr = flag.String("state-addr", "", "spill and checkpoint to the state server at this address through a write-behind client instead of a local -state-dir; on the -join front end, enables warm restore and failover without handoff")
+		stateAddr = flag.String("state-addr", "", "spill and checkpoint to the state server at this address through a write-behind client instead of a local -state-dir")
 		clusterL  = flag.String("cluster", "", "run as a cluster node: serve the node wire protocol on this address instead of a proxy collector")
 		nodeName  = flag.String("node-name", "", "this node's cluster name (default: hostname; -cluster mode)")
 		join      = flag.String("join", "", "run as the cluster front end routing to these members: comma-separated name=addr pairs")
@@ -128,12 +127,11 @@ func run() error {
 		// The front end holds no monitor: identification state, eviction
 		// and the threshold all live on the member nodes — and so do the
 		// scoring hot path (-pprof profiles it live) and its precision
-		// mode (-score-float32) and engine (-score-portable). -state-addr
-		// is the exception: the front end never dials the tier, but
-		// knowing it exists switches rebalancing to warm restore and node
-		// failure to rerouting.
+		// mode (-score-float32) and engine (-score-portable). The nodes
+		// also own the state tier: they park moving devices there, so
+		// the front end never needs to know it exists (-state-addr).
 		if err := rejectMisplacedFlags("the -join front end (set them on the -cluster processes)",
-			"bundle", "k", "shards", "idle-ttl", "state-dir", "node-name", "pprof", "score-float32", "score-portable"); err != nil {
+			"bundle", "k", "shards", "idle-ttl", "state-dir", "state-addr", "node-name", "pprof", "score-float32", "score-portable"); err != nil {
 			return err
 		}
 	case *clusterL != "":
@@ -156,7 +154,7 @@ func run() error {
 		return runStateServer(logger, *stateSrv, *stateDir)
 	}
 	if *join != "" {
-		return runRouter(logger, *join, *listen, *batch, *ingestQ, *gossipL, *peers, *stateAddr != "")
+		return runRouter(logger, *join, *listen, *batch, *ingestQ, *gossipL, *peers)
 	}
 
 	if *pprofA != "" {
@@ -344,18 +342,16 @@ func runStateServer(logger *log.Logger, addr, stateDir string) error {
 // With -gossip/-peers the front end is replicated: replicas reconcile
 // membership and placement overrides by periodic anti-entropy exchanges,
 // and each one routes independently (placement is deterministic, alerts
-// deduplicate downstream on their node sequence numbers). With
-// -state-addr (sharedState) rebalancing warm-restores from the tier and
-// node failure reroutes without handoff.
+// deduplicate downstream on their node sequence numbers).
 func runRouter(logger *log.Logger, join, listen string, batch, ingestQ int,
-	gossipAddr, peers string, sharedState bool) error {
+	gossipAddr, peers string) error {
 	members, err := parseMembers(join)
 	if err != nil {
 		return err
 	}
 	router := webtxprofile.NewClusterRouter(func(a webtxprofile.NodeAlert) {
 		logAlert(logger, a.Node, a.Alert)
-	}, webtxprofile.ClusterRouterConfig{SharedState: sharedState})
+	}, webtxprofile.ClusterRouterConfig{})
 	defer router.Close()
 	for _, m := range members {
 		if err := router.AddNode(m); err != nil {
@@ -429,8 +425,8 @@ func runRouter(logger *log.Logger, join, listen string, batch, ingestQ int,
 
 // shutdownMonitor applies the shared shutdown contract: SIGTERM with a
 // state tier checkpoints (lossless restart), anything else flushes (lossy
-// end-of-stream alerts). A write-behind tier is drained before the
-// checkpoint is reported done — a queued spill is not a durable one.
+// end-of-stream alerts). Checkpoint drains a write-behind tier before it
+// returns — a queued spill is not a durable one.
 func shutdownMonitor(logger *log.Logger, mon *webtxprofile.Monitor, s os.Signal, tier *stateTier) error {
 	devices := mon.Devices()
 	if tier.store() != nil && s == syscall.SIGTERM {
@@ -440,9 +436,6 @@ func shutdownMonitor(logger *log.Logger, mon *webtxprofile.Monitor, s os.Signal,
 		spilled, failed, err := mon.Checkpoint()
 		mon.Close()
 		if tier.remote != nil {
-			if ferr := tier.remote.Flush(); ferr != nil {
-				err = errors.Join(err, fmt.Errorf("draining write-behind queue: %w", ferr))
-			}
 			if cerr := tier.remote.Close(); cerr != nil {
 				err = errors.Join(err, cerr)
 			}

@@ -104,8 +104,8 @@
 // moves through a small lifecycle:
 //
 //	live ──(idle eviction with MonitorConfig.Spill)──► spilled ──(next
-//	transaction)──► rehydrated — or, between processes, exported
-//	(Monitor.ExportShard) ──► imported (Monitor.ImportShard).
+//	transaction)──► rehydrated — or, between processes, handed off
+//	(Monitor.ExportStaged ──► StageImport ──► CommitHandoff).
 //
 // A StateStore holds spilled devices: NewMemStateStore keeps them
 // in-process (eviction bounds live identifier memory without losing
@@ -113,9 +113,11 @@
 // state survives restarts (profilerd's -state-dir; Monitor.Checkpoint
 // spills every live device for a graceful shutdown). Resume is exact:
 // an evicting-and-rehydrating monitor emits the identical alert sequence
-// to a never-evicting one, and ExportShard→ImportShard preserves every
-// device's pending windows and streaks — both properties are asserted by
-// tests. Serialized state carries a format version, checked on decode
+// to a never-evicting one, and a staged handoff preserves every device's
+// pending windows and streaks — both properties are asserted by tests.
+// On a shared state tier (MonitorConfig.SharedSpill) a handoff carries no
+// state at all: the export parks the devices in the tier, and the new
+// owner rehydrates each one on its next transaction. Serialized state carries a format version, checked on decode
 // like the profile bundle's.
 //
 // # Multi-node clustering
@@ -137,7 +139,9 @@
 // the devices on their old owner with their state intact.
 //
 // The router's drain guarantee: a drained device moves whole (window
-// buffer, streaks, confirmed identity), transactions arriving mid-drain
+// buffer, streaks, confirmed identity — in the handoff blob between
+// private stores, through the tier when the nodes share one),
+// transactions arriving mid-drain
 // are buffered and replayed to the new owner in arrival order, and the
 // old owner's alerts are delivered before the new owner's. Net effect,
 // asserted by the internal cluster equivalence suites under -race: the

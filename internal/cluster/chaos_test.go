@@ -1,8 +1,10 @@
 package cluster_test
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -15,7 +17,7 @@ import (
 )
 
 // Fault-injection suite for the drain path: a router facing a node that
-// refuses or dies on ImportShard must keep the affected devices on their
+// refuses or dies on an import must keep the affected devices on their
 // old owner with no identification state lost, and membership events must
 // be idempotent. The failing nodes are protocol-level impostors
 // (clustertest.FlakyNode), so the router is tested against real wire
@@ -89,7 +91,8 @@ func TestClusterImporterDiesMidDrain(t *testing.T) {
 }
 
 // TestNodeRejectsCorruptImport: a corrupt state blob must fail exactly
-// the import RPC — the node survives it and keeps identifying.
+// the import RPC — the node survives it and keeps identifying. Exports
+// and imports outside a two-phase handoff are refused outright.
 func TestNodeRejectsCorruptImport(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, _ := clustertest.Workload(t, ds, 2, 100)
@@ -101,8 +104,8 @@ func TestNodeRejectsCorruptImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, blob := range [][]byte{nil, []byte("not gzip"), {0x1f, 0x8b, 0xff, 0xff}} {
-		if _, err := c.Import(blob); err == nil {
+	for i, blob := range [][]byte{nil, []byte("not gzip"), {0x1f, 0x8b, 0xff, 0xff}} {
+		if _, err := c.ImportHandoff(fmt.Sprintf("corrupt/%d", i), blob); err == nil {
 			t.Errorf("corrupt blob %q imported without error", blob)
 		}
 	}
@@ -115,12 +118,44 @@ func TestNodeRejectsCorruptImport(t *testing.T) {
 	if err != nil || devs != 2 {
 		t.Fatalf("Devices = %d, %v; want 2", devs, err)
 	}
-	blob, exported, err := c.Export([]string{txs[0].SourceIP})
+	blob, exported, err := c.ExportHandoff("move/1", []string{txs[0].SourceIP})
 	if err != nil || exported != 1 {
-		t.Fatalf("Export = %d, %v; want 1", exported, err)
+		t.Fatalf("ExportHandoff = %d, %v; want 1", exported, err)
 	}
-	if imported, err := c.Import(blob); err != nil || imported != 1 {
-		t.Fatalf("re-Import of healthy blob = %d, %v; want 1", imported, err)
+	if imported, err := c.ImportHandoff("move/2", blob); err != nil || imported != 1 {
+		t.Fatalf("ImportHandoff of healthy blob = %d, %v; want 1", imported, err)
+	}
+	if adopted, err := c.Commit("move/2"); err != nil || adopted != 1 {
+		t.Fatalf("Commit of healthy blob = %d, %v; want 1", adopted, err)
+	}
+
+	conn, err := net.Dial("tcp", n.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
+	for i, req := range []cluster.Frame{
+		{Type: cluster.FrameExport, Devices: []string{txs[1].SourceIP}},
+		{Type: cluster.FrameImport, Blob: blob},
+	} {
+		req.Seq = uint64(i + 1)
+		if err := cluster.WriteFrame(bw, req); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := cluster.ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Type != cluster.FrameError {
+			t.Errorf("%s without a handoff id answered %+v, want an error", req.Type, reply)
+		}
+	}
+	if devs, err := c.Devices(); err != nil || devs != 2 {
+		t.Errorf("Devices = %d, %v after refused frames; want 2", devs, err)
 	}
 }
 

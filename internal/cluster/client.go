@@ -500,36 +500,14 @@ func (c *NodeClient) retireFeed(f Frame) {
 	}
 }
 
-// Export drains the named devices from the node, returning their
-// portable state blob and the count actually exported. All alerts the
-// drained devices produced on the node have been delivered through
-// onAlert by the time Export returns. Not idempotent, so not retried: a
-// transport error mid-export is ambiguous and surfaces as one.
-func (c *NodeClient) Export(devices []string) ([]byte, int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameExport, Devices: devices}, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return reply.Blob, reply.Count, nil
-}
-
-// Import hands a state blob to the node, returning the number of devices
-// it adopted. Not idempotent, so not retried.
-func (c *NodeClient) Import(blob []byte) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameImport, Blob: blob}, false)
-	if err != nil {
-		return 0, err
-	}
-	return reply.Count, nil
-}
-
 // ExportHandoff stages an export of the named devices under a handoff id
-// (see core.Monitor.ExportStaged). Idempotent per id, so it is retried
-// across reconnects; the returned blob is identical on every retry. The
-// drained devices' prior alerts have been delivered through onAlert when
-// it returns.
+// (see core.Monitor.ExportStaged), returning the blob and the number of
+// devices the move carries — in the blob, or parked in a shared state
+// tier. Idempotent per id, so it is retried across reconnects; the
+// returned blob is identical on every retry. The drained devices' prior
+// alerts have been delivered through onAlert when it returns.
 func (c *NodeClient) ExportHandoff(id string, devices []string) ([]byte, int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameExport, Handoff: id, Devices: devices}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameExport, Handoff: id, Devices: devices})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -539,7 +517,7 @@ func (c *NodeClient) ExportHandoff(id string, devices []string) ([]byte, int, er
 // ImportHandoff stages a state blob on the node under a handoff id,
 // invisible until Commit. Idempotent per id; retried across reconnects.
 func (c *NodeClient) ImportHandoff(id string, blob []byte) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameImport, Handoff: id, Blob: blob}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameImport, Handoff: id, Blob: blob})
 	if err != nil {
 		return 0, err
 	}
@@ -551,7 +529,7 @@ func (c *NodeClient) ImportHandoff(id string, blob []byte) (int, error) {
 // reconnects. A definitive refusal — including core.ErrUnknownHandoff
 // when the staged state died with a restart — surfaces as ErrNodeRefused.
 func (c *NodeClient) Commit(id string) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameCommit, Handoff: id}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameCommit, Handoff: id})
 	if err != nil {
 		return 0, err
 	}
@@ -561,7 +539,7 @@ func (c *NodeClient) Commit(id string) (int, error) {
 // Abort cancels a staged handoff on the node (drop the staged import, or
 // re-adopt the held export). Idempotent; retried across reconnects.
 func (c *NodeClient) Abort(id string) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameAbort, Handoff: id}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameAbort, Handoff: id})
 	if err != nil {
 		return 0, err
 	}
@@ -570,7 +548,7 @@ func (c *NodeClient) Abort(id string) (int, error) {
 
 // List returns the devices the node holds state for (live or spilled).
 func (c *NodeClient) List() ([]string, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameList}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameList})
 	if err != nil {
 		return nil, err
 	}
@@ -581,13 +559,13 @@ func (c *NodeClient) List() ([]string, error) {
 // outstanding alert; all resulting alerts have passed through onAlert
 // when it returns.
 func (c *NodeClient) Flush() error {
-	_, err := c.roundTrip(Frame{Type: FrameFlush}, true)
+	_, err := c.roundTrip(Frame{Type: FrameFlush})
 	return err
 }
 
 // Devices returns the node's tracked-device count.
 func (c *NodeClient) Devices() (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameStats}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameStats})
 	if err != nil {
 		return 0, err
 	}
@@ -598,13 +576,13 @@ func (c *NodeClient) Devices() (int, error) {
 // a live connection whose replay queue is fully (re)written, so the node
 // processes the request after every feed queued before it — the ordering
 // the drain barrier relies on. A connection death fails the attempt;
-// retryable (idempotent) requests then wait for the next connection and
-// try again, up to rpcRetryAttempts generations. An error reply from the
-// node surfaces as an error carrying the node's message.
-func (c *NodeClient) roundTrip(req Frame, retryable bool) (Frame, error) {
+// every request is idempotent, so it then waits for the next connection
+// and tries again, up to rpcRetryAttempts generations. An error reply
+// from the node surfaces as an error carrying the node's message.
+func (c *NodeClient) roundTrip(req Frame) (Frame, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 && (!retryable || attempt >= rpcRetryAttempts) {
+		if attempt >= rpcRetryAttempts {
 			return Frame{}, lastErr
 		}
 		c.mu.Lock()

@@ -19,7 +19,7 @@ const (
 	// monitor refuses the blob (version drift, corrupt state).
 	FailImport FlakyMode = iota
 	// DieOnImport drops the connection upon receiving an import frame —
-	// a node crashing mid-ImportShard.
+	// a node crashing mid-import.
 	DieOnImport
 )
 

@@ -13,10 +13,11 @@
 // same trained profile set and speaks the length-prefixed frame protocol
 // (see wire.go) — feed, export, import, commit, abort, list, flush —
 // plus an unsolicited alert push stream. All placement intelligence
-// lives in the Router; nodes never talk to each other, and a shard
-// handoff is always router-mediated: a staged export on the old owner, a
-// staged import on the new, commits on both, transactions buffered in
-// between. Routers are replicated (see Replication below); nodes accept
+// lives in the Router; nodes never talk to each other, and every device
+// move is router-mediated: a staged export on the old owner, a staged
+// import on the new, commits on both, transactions buffered in between.
+// When the nodes share a state tier, the state itself travels through
+// the tier and the handoff only orders the move. Routers are replicated (see Replication below); nodes accept
 // any number of them.
 //
 // # Wire format
@@ -47,9 +48,10 @@
 // membership changes mid-stream. Three mechanisms carry that proof
 // through a drain:
 //
-//   - State moves whole. A drained device's core.DeviceState blob carries
-//     its window buffer, consecutive-accept streaks, confirmed identity
-//     and last-seen stamp; the importer resumes mid-streak.
+//   - State moves whole. A drained device's core.DeviceState carries its
+//     window buffer, consecutive-accept streaks, confirmed identity and
+//     last-seen stamp — in the handoff blob, or through the shared state
+//     tier — and the new owner resumes mid-streak.
 //   - No transaction is lost or reordered. The router buffers a draining
 //     device's transactions and replays them to the new owner after the
 //     import, in arrival order, before reopening the route.
@@ -65,8 +67,9 @@
 //
 // # Two-phase handoff
 //
-// A drain moves state through four idempotent steps, each named by a
-// handoff id ("<routerID>/<n>") that is unique across router replicas:
+// Between nodes with private stores, a drain moves state through four
+// idempotent steps, each named by a handoff id ("<routerID>/<n>") that
+// is unique across router replicas:
 //
 //	ExportHandoff(src) → ImportHandoff(dst) → Commit(dst) → Commit(src)
 //
@@ -82,6 +85,24 @@
 // already committed" refusal is proof the commit landed. Stagings whose
 // router died before resolving them are invisible until the node's
 // StagedTTL sweep reclaims them.
+//
+// # Moves through a shared state tier
+//
+// When the nodes spill through one internal/statestore server
+// (core.MonitorConfig.SharedSpill on every node), the same four steps
+// carry no state. The export parks the moving devices on src: it spills
+// every live one and flushes the write-behind queue before replying, and
+// its blob holds no device (idle ones are already in the tier). So a
+// move is spill → flip the route → rehydrate: each device's next
+// transaction reaches dst, which reads it from the tier (Get → restore →
+// Delete). That read teaches dst's tier client the device's version, so
+// dst's later spills rank above the tombstone the read planted and are
+// never dropped as stale. An abort has nothing to re-adopt: a parked
+// device rehydrates on src from its client's queue or from the tier. A
+// node on a shared tier refuses to stage a blob that carries devices —
+// only a peer on a private store sends one — so a mixed cluster falls
+// back to the source instead of adopting state at a version its client
+// never learned.
 //
 // # Reconnection
 //
@@ -140,15 +161,20 @@
 //	gossiped view unreachable    adoption is all-or-nothing; old view
 //	                             stands, error surfaces in-band
 //
-// With a shared state tier (RouterConfig.SharedState — every node spills
-// through one internal/statestore server, write-behind), the suites in
+// With a shared state tier (every node spills through one
+// internal/statestore server, write-behind), the suites in
 // statetier_test.go add:
 //
 //	failure                      outcome
 //	-------                      -------
-//	member SIGTERMs, cold join   checkpointed movers warm-restore: the
-//	                             route flips, state rehydrates from the
-//	                             tier on the next transaction; no drain
+//	live move                    movers park in the tier (spill, then
+//	                             flush), the route flips, each device
+//	                             rehydrates at its new owner on its next
+//	                             transaction; no spill is dropped as
+//	                             stale afterwards
+//	park fails                   the drain aborts: devices stay on, or
+//	                             rehydrate at, the source; nothing is
+//	                             lost
 //	member dies, FailNode        devices reroute to survivors and resume
 //	                             from their checkpoints — failover with
 //	                             no handoff protocol at all

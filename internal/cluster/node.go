@@ -56,11 +56,12 @@ type NodeConfig struct {
 }
 
 // Node is one cluster member: a TCP server exposing its core.Monitor's
-// Feed/FeedBatch, ExportDevices/ImportShard and Flush over the
-// length-prefixed frame protocol, and pushing every alert to subscribed
-// connections tagged with the node's name. A node is passive — it holds
-// no membership view and trusts its router(s) to route transactions and
-// drains correctly; the placement/drain guarantees live in Router.
+// Feed/FeedBatch, staged handoff (ExportStaged, StageImport, commit,
+// abort) and Flush over the length-prefixed frame protocol, and pushing
+// every alert to subscribed connections tagged with the node's name. A
+// node is passive — it holds no membership view and trusts its router(s)
+// to route transactions and drains correctly; the placement/drain
+// guarantees live in Router.
 type Node struct {
 	name         string
 	ln           net.Listener
@@ -500,12 +501,9 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 			}
 			return
 		}
-		reply, undo := n.handle(conn, f)
+		reply := n.handle(conn, f)
 		if err := w.write(reply); err != nil {
 			n.elog.Printf("cluster node %s: %s: write: %v", n.name, conn.RemoteAddr(), err)
-			if undo != nil {
-				undo()
-			}
 			return
 		}
 		if f.Type == FrameHello && reply.Type == FrameOK {
@@ -522,16 +520,17 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 	}
 }
 
+// errNoHandoff refuses an export or import outside a two-phase handoff:
+// a one-shot move cannot resolve a lost reply without losing or forking
+// the devices' state.
+var errNoHandoff = errors.New("cluster: export and import need a handoff id")
+
 // handle dispatches one request frame to the monitor and builds the
-// reply. A non-nil undo must be run if the reply cannot be delivered: it
-// rolls the monitor back so state handed to a vanished peer is not lost
-// (today only exports need this — the exported devices were already
-// removed from the monitor, and an undeliverable blob would otherwise
-// evaporate with the connection).
-func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
+// reply.
+func (n *Node) handle(conn net.Conn, f Frame) Frame {
 	switch f.Type {
 	case FrameHello:
-		reply = Frame{Type: FrameOK, Seq: f.Seq, Node: n.name}
+		reply := Frame{Type: FrameOK, Seq: f.Seq, Node: n.name}
 		if f.Client != "" {
 			n.mu.Lock()
 			n.clients[conn] = f.Client
@@ -568,7 +567,7 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 				})
 			}()
 		}
-		return reply, nil
+		return reply
 	case FrameFeed:
 		n.mu.Lock()
 		client := n.clients[conn]
@@ -578,7 +577,7 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 			sess = n.session(client)
 			if f.Replay && sess.seen(f.Seq) {
 				// Applied before the reconnect; the ack was what got lost.
-				return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}, nil
+				return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}
 			}
 		}
 		// Binary records decode structurally; apply the semantic checks
@@ -588,90 +587,64 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 		// input.
 		for i := range f.Txs {
 			if err := f.Txs[i].Validate(); err != nil {
-				return errorFrame(f.Seq, fmt.Errorf("record %d: %w", i, err)), nil
+				return errorFrame(f.Seq, fmt.Errorf("record %d: %w", i, err))
 			}
 		}
 		if err := n.mon.FeedBatch(f.Txs); err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
 		if sess != nil {
 			sess.admit(f.Seq)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}
 	case FrameExport:
-		if f.Handoff != "" {
-			// Staged export: the states are held under the handoff id, so
-			// no undo is needed — a lost reply is retried (idempotent) and
-			// a failed move is aborted, both by the router.
-			blob, count, err := n.mon.ExportStaged(f.Handoff, f.Devices)
-			if err != nil {
-				return errorFrame(f.Seq, err), nil
-			}
-			n.mon.Sync()
-			n.syncSubscriber(conn)
-			return Frame{Type: FrameOK, Seq: f.Seq, Blob: blob, Count: count}, nil
+		if f.Handoff == "" {
+			return errorFrame(f.Seq, errNoHandoff)
 		}
-		blob, count, err := n.mon.ExportDevices(f.Devices)
+		// Staged export: the states are held under the handoff id, so a
+		// lost reply is retried (idempotent) and a failed move is
+		// aborted, both by the router.
+		blob, count, err := n.mon.ExportStaged(f.Handoff, f.Devices)
 		if err != nil {
-			// Partial export failure: put the exported states straight
-			// back so the node keeps serving them — the router will keep
-			// the devices placed here.
-			if blob != nil {
-				if _, ierr := n.mon.ImportShard(blob); ierr != nil {
-					err = errors.Join(err, fmt.Errorf("restoring after failed export: %w", ierr))
-				}
-			}
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
 		// Ordering barrier: every alert of the exported devices must be
 		// on the wire before the reply, so the importer's alerts are
 		// strictly later at the router.
 		n.mon.Sync()
 		n.syncSubscriber(conn)
-		// If the reply cannot be written (peer gone, or the blob blows
-		// the frame limit), re-adopt the devices: the router will treat
-		// the export as failed and keep them placed here.
-		undo := func() {
-			if _, err := n.mon.ImportShard(blob); err != nil {
-				n.elog.Printf("cluster node %s: restoring %d devices after undeliverable export: %v", n.name, count, err)
-			}
-		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Blob: blob, Count: count}, undo
+		return Frame{Type: FrameOK, Seq: f.Seq, Blob: blob, Count: count}
 	case FrameImport:
-		if f.Handoff != "" {
-			count, err := n.mon.StageImport(f.Handoff, f.Blob)
-			if err != nil {
-				return errorFrame(f.Seq, err), nil
-			}
-			return Frame{Type: FrameOK, Seq: f.Seq, Count: count}, nil
+		if f.Handoff == "" {
+			return errorFrame(f.Seq, errNoHandoff)
 		}
-		count, err := n.mon.ImportShard(f.Blob)
+		count, err := n.mon.StageImport(f.Handoff, f.Blob)
 		if err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
 	case FrameCommit:
 		count, err := n.mon.CommitHandoff(f.Handoff)
 		if err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
 	case FrameAbort:
 		count, err := n.mon.AbortHandoff(f.Handoff)
 		if err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
 	case FrameList:
 		names, err := n.mon.TrackedDevices()
 		if err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Devices: names, Count: len(names)}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Devices: names, Count: len(names)}
 	case FrameFlush:
 		n.mon.Flush()
 		n.syncSubscriber(conn)
-		return Frame{Type: FrameOK, Seq: f.Seq}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq}
 	case FrameStats:
 		// Stats doubles as the router's Sync barrier: the reply must be
 		// ordered after every alert raised by already-processed feeds, so
@@ -680,9 +653,9 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 		// have reached its fan-in callback.
 		n.mon.Sync()
 		n.syncSubscriber(conn)
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: n.mon.Devices()}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: n.mon.Devices()}
 	default:
-		return errorFrame(f.Seq, fmt.Errorf("frame type %q is not a request", f.Type)), nil
+		return errorFrame(f.Seq, fmt.Errorf("frame type %q is not a request", f.Type))
 	}
 }
 

@@ -47,15 +47,11 @@ type RouterConfig struct {
 	// Client configures the per-node connections (reconnect schedule,
 	// replay depth, client identity prefix).
 	Client ClientConfig
-	// SharedState declares that the member nodes spill through a shared
-	// state tier (an internal/statestore server, with
-	// MonitorConfig.SharedSpill set on every node). Rebalances then skip
-	// the drain for devices that are not live on any node — their state
-	// already sits in the shared store, so a joining node warm-restores
-	// them: the route flips and the state rehydrates there on the
-	// device's next transaction. It also makes FailNode lossless for
-	// checkpointed devices: a dead member's devices resume at their new
-	// owners without any handoff.
+	// SharedState has no effect: nodes on a shared state tier
+	// (core.MonitorConfig.SharedSpill) move devices through it on their
+	// own, inside the same two-phase drain.
+	//
+	// Deprecated: leave it unset.
 	SharedState bool
 }
 
@@ -87,7 +83,8 @@ func (c RouterConfig) withDefaults() RouterConfig {
 //
 //   - A drained device's identification state travels whole: window
 //     buffer, consecutive-accept streaks, confirmed identity and
-//     last-seen stamp (the core.DeviceState blob).
+//     last-seen stamp (a core.DeviceState, in the handoff blob or
+//     through the nodes' shared state tier).
 //   - Transactions arriving for a device mid-drain are buffered and
 //     replayed to the new owner after the import, in arrival order, so no
 //     window or streak is lost or reordered. Devices not being drained
@@ -508,19 +505,15 @@ func (r *Router) AddNode(m Member) error {
 	// is what makes a fresh router replica — whose routing table is empty
 	// — drain correctly: placement lives on the nodes, not in this
 	// process.
-	placement, live := r.discoverPlacement()
+	placement := r.discoverPlacement()
 
 	r.mu.Lock()
 	r.nodes[m.Name] = h
 	r.version++
 	// Devices whose effective placement moved to the new node drain from
 	// their current owners. Overridden devices are pinned and stay put;
-	// balMu guarantees none is mid-drain. Under SharedState, a moving
-	// device no node holds live needs no drain at all: its state is in
-	// the shared tier, so it warm-restores — the route flips to the new
-	// node and the state rehydrates there on its next transaction.
+	// balMu guarantees none is mid-drain.
 	moves := make(map[string][]string)
-	warm := make(map[string][]string) // current owner → not-live movers
 	for device, cur := range placement {
 		if rt, ok := r.routes[device]; ok {
 			cur = rt.node // the routing table is authoritative over List
@@ -534,70 +527,17 @@ func (r *Router) AddNode(m Member) error {
 			r.routes[device] = rt
 		}
 		rt.draining = true
-		if r.cfg.SharedState && !live[device] {
-			warm[cur] = append(warm[cur], device)
-			continue
-		}
 		moves[cur] = append(moves[cur], device)
 	}
 	r.mu.Unlock()
 
 	var errs []error
-	// The warm set raced concurrent feeds between the List and the
-	// draining mark above: a transaction could have rehydrated a device
-	// at its old owner in that window. Re-listing the owner now is
-	// authoritative — the mark is in place, so no *new* admission can
-	// happen there — and anything found live drains normally after all.
-	warmed := 0
-	for _, src := range sortedKeys(warm) {
-		stillLive := r.liveSet(src)
-		var restore []string
-		for _, device := range warm[src] {
-			if stillLive[device] {
-				moves[src] = append(moves[src], device)
-			} else {
-				restore = append(restore, device)
-			}
-		}
-		if len(restore) == 0 {
-			continue
-		}
-		warmed += len(restore)
-		if err := r.settle(restore, m.Name); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if warmed > 0 {
-		statWarmRestores.Add(uint64(warmed))
-	}
 	for _, src := range sortedKeys(moves) {
 		if _, err := r.drain(src, m.Name, moves[src], false); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// liveSet reports the devices a member holds live right now. Any error
-// yields the empty set: an unreachable node holds nothing reachable.
-func (r *Router) liveSet(name string) map[string]bool {
-	r.mu.Lock()
-	h := r.nodes[name]
-	r.mu.Unlock()
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	names, err := h.client.List()
-	h.mu.Unlock()
-	if err != nil {
-		return nil
-	}
-	set := make(map[string]bool, len(names))
-	for _, d := range names {
-		set[d] = true
-	}
-	return set
 }
 
 // dialMember opens the router's connection to one member, with the
@@ -617,10 +557,7 @@ func (r *Router) dialMember(m Member) (*NodeClient, error) {
 // a mid-settle device may be listed by two nodes for an instant). A
 // member that cannot answer contributes nothing: its devices stay where
 // they are anyway.
-// The second return maps each device some node reported live — under
-// SharedState the complement (routed but listed nowhere) is exactly the
-// warm-restorable set, since SharedSpill nodes list live devices only.
-func (r *Router) discoverPlacement() (placement map[string]string, live map[string]bool) {
+func (r *Router) discoverPlacement() map[string]string {
 	r.mu.Lock()
 	handles := make([]*nodeHandle, 0, len(r.nodes))
 	for _, h := range r.nodes {
@@ -631,8 +568,7 @@ func (r *Router) discoverPlacement() (placement map[string]string, live map[stri
 	r.mu.Unlock()
 	sort.Slice(handles, func(i, j int) bool { return handles[i].member.Name < handles[j].member.Name })
 
-	placement = make(map[string]string)
-	live = make(map[string]bool)
+	placement := make(map[string]string)
 	for _, h := range handles {
 		h.mu.Lock()
 		names, err := h.client.List()
@@ -641,7 +577,6 @@ func (r *Router) discoverPlacement() (placement map[string]string, live map[stri
 			continue
 		}
 		for _, d := range names {
-			live[d] = true
 			if _, ok := placement[d]; !ok {
 				placement[d] = h.member.Name
 			}
@@ -652,7 +587,7 @@ func (r *Router) discoverPlacement() (placement map[string]string, live map[stri
 		placement[device] = rt.node
 	}
 	r.mu.Unlock()
-	return placement, live
+	return placement
 }
 
 // RemoveNode drains every device off a member (each to its rendezvous
@@ -747,8 +682,8 @@ func (r *Router) RemoveNode(name string) error {
 // FailNode drops a dead member without draining it: RemoveNode for a
 // node that cannot answer. Its devices reroute immediately to their
 // rendezvous owners among the remaining members, and buffered
-// transactions replay there. With a shared state tier
-// (RouterConfig.SharedState + checkpointed or spilled nodes) nothing is
+// transactions replay there. With a shared state tier (nodes with
+// core.MonitorConfig.SharedSpill that checkpointed or spilled) nothing is
 // lost: each rerouted device rehydrates from the tier at its new owner
 // on its next transaction — failover without handoff. Without the tier
 // the devices restart fresh, which is still the best available outcome
@@ -819,9 +754,15 @@ func (r *Router) FailNode(name string) error {
 // abort: a "handoff already committed" refusal is the proof the commit
 // landed.
 //
-// On failure the devices settle back on src (fellBack=true), except on
-// export failure with leavingSrc, where they settle on dst fresh — their
-// state is unreachable on the node being removed either way.
+// When the nodes spill through a shared state tier, the export parks the
+// devices in the tier (spill, then flush) and the blob carries none of
+// them: the same four steps then amount to spill, flip the route,
+// rehydrate on the next transaction at dst. An abort leaves the parked
+// devices to rehydrate on src.
+//
+// On failure the devices settle back on src (fellBack=true), except when
+// a leaving src cannot be reached to export, where they settle on dst
+// fresh — their state is unreachable on the node being removed.
 func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fellBack bool, err error) {
 	sort.Strings(devices)
 	r.handoffN++
@@ -834,10 +775,12 @@ func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fell
 	blob, exported, exportErr := hs.client.ExportHandoff(id, devices)
 	hs.mu.Unlock()
 	if exportErr != nil {
-		if leavingSrc {
-			// The leaving node could not hand its state over; the devices
-			// restart fresh on their new owner rather than pointing at a
-			// node that is going away.
+		if leavingSrc && !errors.Is(exportErr, ErrNodeRefused) {
+			// The leaving node could not be reached to hand its state
+			// over; the devices restart fresh on their new owner rather
+			// than pointing at a node that is going away. A node that
+			// answered with a refusal (a failed park, say) is alive and
+			// keeps the devices instead, aborting the removal.
 			serr := r.settle(devices, dst)
 			return false, errors.Join(fmt.Errorf("cluster: exporting %d devices from leaving %s (state lost): %w", len(devices), src, exportErr), serr)
 		}
@@ -853,7 +796,7 @@ func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fell
 	}
 
 	hd.mu.Lock()
-	_, importErr := hd.client.ImportHandoff(id, blob)
+	staged, importErr := hd.client.ImportHandoff(id, blob)
 	hd.mu.Unlock()
 	if importErr != nil {
 		// The importer refused or died before staging. Nothing on dst is
@@ -903,6 +846,11 @@ func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fell
 			}
 			return true, errors.Join(err, restoreErr, serr)
 		}
+	}
+
+	// Whatever the blob did not carry went through the shared tier.
+	if viaTier := exported - staged; viaTier > 0 {
+		statWarmRestores.Add(uint64(viaTier))
 	}
 
 	// Release the source's held copy. A failure here does not move

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"webtxprofile/internal/cluster"
 	"webtxprofile/internal/cluster/clustertest"
+	"webtxprofile/internal/core"
 	"webtxprofile/internal/statestore"
 	"webtxprofile/internal/weblog"
 )
@@ -18,9 +20,10 @@ import (
 // internal/statestore server instead of per-node local stores. The
 // invariant stays the one every cluster suite asserts — per-device alert
 // sequences byte-identical to a single never-resharded monitor — but the
-// topology changes now lean on the tier: a joining node warm-restores
-// checkpointed devices without draining a peer, and a dead node's
-// devices fail over by lazy rehydration at their new owners.
+// topology changes now lean on the tier: every device a membership
+// change moves is parked there by its old owner and rehydrates at its
+// new one, and a dead node's devices fail over by lazy rehydration at
+// their new owners.
 
 // startStateServer runs an in-memory state server for one test.
 func startStateServer(tb testing.TB) *statestore.Server {
@@ -127,8 +130,8 @@ func feedChunks(tb testing.TB, r *cluster.Router, txs []weblog.Transaction, n in
 // TestWarmRestoreJoinEquivalence is the tentpole's first payoff: a node
 // checkpoints its whole population into the shared tier (a SIGTERM
 // restart), and a cold node then joins — every device that moves to it
-// warm-restores from the tier instead of draining a live peer, and the
-// merged alert stream still matches the never-resharded reference.
+// warm-restores from the tier (the drain has nothing live to park), and
+// the merged alert stream still matches the never-resharded reference.
 func TestWarmRestoreJoinEquivalence(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, _ := clustertest.Workload(t, ds, 12, 4000)
@@ -138,7 +141,6 @@ func TestWarmRestoreJoinEquivalence(t *testing.T) {
 	srv := startStateServer(t)
 	tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{})
 	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
-		Router:   cluster.RouterConfig{SharedState: true},
 		NodePrep: tier.prep(),
 	}, "n1")
 
@@ -161,8 +163,8 @@ func TestWarmRestoreJoinEquivalence(t *testing.T) {
 		t.Fatalf("tier holds %d devices after flush, want >= %d", got, spilled)
 	}
 
-	// A cold node joins. No mover is live anywhere, so the rebalance must
-	// flip routes without a single drain.
+	// A cold node joins. No mover is live anywhere, so every mover goes
+	// through the tier rather than the handoff blob.
 	h.Join(t, "n2")
 	if d := cluster.ReadClusterStats().Sub(prev); d.WarmRestores == 0 {
 		t.Fatalf("join drained instead of warm-restoring: %+v", d)
@@ -183,6 +185,183 @@ func TestWarmRestoreJoinEquivalence(t *testing.T) {
 	}
 }
 
+// TestLiveMoveAfterRehydrateEquivalence moves devices live — no
+// checkpoint first — after each one rehydrated from the tier, which
+// planted a tombstone above every version the devices' old owners had
+// written. A move must not hand the new owner state at a version its
+// tier client never learned: its next spill would fall at or below the
+// tombstone, the server would drop it as stale, and the device would
+// later restart from scratch with divergent alerts.
+func TestLiveMoveAfterRehydrateEquivalence(t *testing.T) {
+	set, ds := clustertest.TrainedSet(t)
+	txs, devices := clustertest.Workload(t, ds, 12, 4000)
+	want := clustertest.ReferenceSigs(t, set, equivK, txs)
+
+	checkpointAll := func(t *testing.T, h *clustertest.Harness, tier *tierClients, names []string) {
+		t.Helper()
+		syncRouter(t, h.Router)
+		for _, name := range names {
+			if _, failed, err := h.Node(name).Monitor().Checkpoint(); err != nil {
+				t.Fatalf("checkpoint %s: %v (%d devices failed)", name, err, failed)
+			}
+			flushTier(t, tier.client(name))
+		}
+	}
+	// The rehydrating stretch runs from a quarter of the stream until
+	// every device has had a transaction.
+	start := len(txs) / 4
+	seen := make(map[string]bool)
+	end := start
+	for ; end < len(txs) && len(seen) < len(devices); end++ {
+		seen[txs[end].SourceIP] = true
+	}
+	if len(seen) < len(devices) {
+		t.Fatal("the workload leaves some device without a transaction to rehydrate on")
+	}
+	split := end + (len(txs)-end)/2
+
+	for _, tc := range []struct {
+		name          string
+		before, after []string
+		move          func(t *testing.T, h *clustertest.Harness)
+	}{
+		{"AddNode", []string{"n1", "n2"}, []string{"n1", "n2", "n3"}, func(t *testing.T, h *clustertest.Harness) {
+			h.Join(t, "n3")
+		}},
+		{"RemoveNode", []string{"n1", "n2", "n3"}, []string{"n1", "n2"}, func(t *testing.T, h *clustertest.Harness) {
+			if err := h.Router.RemoveNode("n3"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := startStateServer(t)
+			tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{})
+			h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{NodePrep: tier.prep()}, tc.before...)
+
+			feedChunks(t, h.Router, txs[:start], 200)
+			checkpointAll(t, h, tier, tc.before)
+			feedChunks(t, h.Router, txs[start:end], 200)
+			syncRouter(t, h.Router)
+			if n := srv.Len(); n != 0 {
+				t.Fatalf("%d devices still in the tier; every device should have rehydrated", n)
+			}
+
+			owners := make(map[string]string)
+			for _, d := range devices {
+				owners[d], _ = h.Router.Owner(d)
+			}
+			tc.move(t, h)
+			moved := 0
+			for _, d := range devices {
+				if owner, _ := h.Router.Owner(d); owner != owners[d] {
+					moved++
+				}
+			}
+			if moved == 0 {
+				t.Fatal("the membership change moved no device")
+			}
+
+			feedChunks(t, h.Router, txs[end:split], 200)
+			checkpointAll(t, h, tier, tc.after)
+			feedChunks(t, h.Router, txs[split:], 200)
+			if err := h.Router.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+			if d := srv.Stats().StaleDrops; d != 0 {
+				t.Errorf("the server dropped %d spills as stale after %d devices moved live", d, moved)
+			}
+		})
+	}
+}
+
+// gatedStore wraps a node's tier client and, while refuse is set,
+// refuses Puts for the devices deny names — a park that cannot spill.
+type gatedStore struct {
+	core.StateStore
+	refuse *atomic.Bool
+	deny   func(device string) bool
+}
+
+func (g gatedStore) Put(device string, blob []byte) error {
+	if g.refuse.Load() && g.deny(device) {
+		return fmt.Errorf("injected spill failure for %s", device)
+	}
+	return g.StateStore.Put(device, blob)
+}
+
+// TestStateTierParkFailureKeepsSource: when a park cannot spill some
+// movers, the move aborts. The refused devices stay live on the source,
+// the parked ones rehydrate there from the tier, a removal is called off
+// — and no state is lost: the alerts still match the reference.
+func TestStateTierParkFailureKeepsSource(t *testing.T) {
+	set, ds := clustertest.TrainedSet(t)
+	txs, devices := clustertest.Workload(t, ds, 12, 3000)
+	want := clustertest.ReferenceSigs(t, set, equivK, txs)
+	deny := make(map[string]bool)
+	for i, d := range devices {
+		deny[d] = i%2 == 0
+	}
+
+	for _, tc := range []struct {
+		name   string
+		before []string
+		move   func(t *testing.T, h *clustertest.Harness) error
+		keeps  string // a node the failed move must leave a member
+	}{
+		{"AddNode", []string{"n1", "n2"}, func(t *testing.T, h *clustertest.Harness) error {
+			n3 := h.StartNode(t, "n3")
+			return h.Router.AddNode(cluster.Member{Name: "n3", Addr: n3.Addr().String()})
+		}, "n1"},
+		{"RemoveNode", []string{"n1", "n2", "n3"}, func(t *testing.T, h *clustertest.Harness) error {
+			return h.Router.RemoveNode("n3")
+		}, "n3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := startStateServer(t)
+			tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{})
+			var refuse atomic.Bool
+			prep := tier.prep()
+			h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
+				NodePrep: func(name string, cfg *cluster.NodeConfig) {
+					prep(name, cfg)
+					cfg.Monitor.Spill = gatedStore{cfg.Monitor.Spill, &refuse, func(d string) bool { return deny[d] }}
+				},
+			}, tc.before...)
+
+			half := len(txs) / 2
+			feedChunks(t, h.Router, txs[:half], 200)
+			syncRouter(t, h.Router)
+			prev := cluster.ReadClusterStats()
+			refuse.Store(true)
+			if err := tc.move(t, h); err == nil {
+				t.Fatal("the membership change succeeded though parks were refused")
+			}
+			refuse.Store(false)
+			if d := cluster.ReadClusterStats().Sub(prev); d.HandoffAborts == 0 {
+				t.Fatal("no handoff aborted")
+			}
+			member := false
+			for _, m := range h.Router.View().Members {
+				member = member || m.Name == tc.keeps
+			}
+			if !member {
+				t.Fatalf("%s is no longer a member after the failed move", tc.keeps)
+			}
+
+			feedChunks(t, h.Router, txs[half:], 200)
+			if err := h.Router.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+			if srv.Stats().GetHits == 0 {
+				t.Fatal("no parked device rehydrated from the tier")
+			}
+		})
+	}
+}
+
 // TestFailoverWithoutHandoffEquivalence is the tentpole's second payoff:
 // a member checkpoints, dies, and is declared failed — its devices
 // reroute to the survivors and resume from the tier with no handoff
@@ -196,7 +375,6 @@ func TestFailoverWithoutHandoffEquivalence(t *testing.T) {
 	srv := startStateServer(t)
 	tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{})
 	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
-		Router:   cluster.RouterConfig{SharedState: true},
 		NodePrep: tier.prep(),
 	}, "n1", "n2", "n3")
 
@@ -287,7 +465,7 @@ func TestChaosStateTierMidStreamKills(t *testing.T) {
 		RetryMaxDelay:  20 * time.Millisecond,
 	})
 	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
-		Router:   cluster.RouterConfig{SharedState: true, Client: cluster.ClientConfig{Reconnect: fastReconnect()}},
+		Router:   cluster.RouterConfig{Client: cluster.ClientConfig{Reconnect: fastReconnect()}},
 		NodePrep: tier.prep(),
 	}, "n1")
 	n2 := h.StartNode(t, "n2")
@@ -302,7 +480,8 @@ func TestChaosStateTierMidStreamKills(t *testing.T) {
 
 	// Mid-stream, under fire: checkpoint n1 (its spills retry through
 	// the dying state connections), then join a cold node — n1's
-	// checkpointed movers warm-restore, n2's live movers drain.
+	// checkpointed movers warm-restore, n2's live movers park in the
+	// tier.
 	if _, failed, err := h.Node("n1").Monitor().Checkpoint(); err != nil {
 		t.Fatalf("checkpoint under chaos: %v (%d devices failed)", err, failed)
 	}
@@ -390,29 +569,30 @@ func TestChaosStateTierPartitionDegradesLossy(t *testing.T) {
 
 // BenchmarkWarmRestoreVsDrain times AddNode for a cold node joining a
 // one-node cluster whose whole population moves: "drain" pays the
-// two-phase handoff (export, replay, import) per mover, "warmrestore"
-// flips routes against a checkpointed shared tier and pays nothing up
-// front. The untimed setup (training is shared, but feeding is not)
-// dominates wall clock, so CI runs this with a small -benchtime count.
+// two-phase handoff (export, replay, import) per mover on private
+// stores, "warmrestore" flips routes against a checkpointed shared tier
+// and pays nothing up front, and "tierlive" moves the live population
+// through the tier — the export parks every mover (spill, then flush).
+// The untimed setup (training is shared, but feeding is not) dominates
+// wall clock, so CI runs this with a small -benchtime count.
 func BenchmarkWarmRestoreVsDrain(b *testing.B) {
 	set, ds := clustertest.TrainedSet(b)
 	txs, _ := clustertest.Workload(b, ds, 24, 1500)
 
-	run := func(b *testing.B, warm bool) {
+	run := func(b *testing.B, tiered, checkpoint bool) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			var tier *tierClients
 			cfg := clustertest.HarnessConfig{}
-			if warm {
+			if tiered {
 				srv := startStateServer(b)
 				tier = newTierClients(b, srv.Addr().String(), statestore.ClientConfig{})
-				cfg.Router = cluster.RouterConfig{SharedState: true}
 				cfg.NodePrep = tier.prep()
 			}
 			h := clustertest.NewHarnessConfig(b, set, equivK, cfg, "n1")
 			feedChunks(b, h.Router, txs, 500)
 			syncRouter(b, h.Router)
-			if warm {
+			if checkpoint {
 				if _, failed, err := h.Node("n1").Monitor().Checkpoint(); err != nil {
 					b.Fatalf("checkpoint: %v (%d devices failed)", err, failed)
 				}
@@ -429,6 +609,7 @@ func BenchmarkWarmRestoreVsDrain(b *testing.B) {
 		}
 	}
 
-	b.Run("drain", func(b *testing.B) { run(b, false) })
-	b.Run("warmrestore", func(b *testing.B) { run(b, true) })
+	b.Run("drain", func(b *testing.B) { run(b, false, false) })
+	b.Run("warmrestore", func(b *testing.B) { run(b, true, true) })
+	b.Run("tierlive", func(b *testing.B) { run(b, true, false) })
 }

@@ -41,9 +41,10 @@ type ClusterStats struct {
 	// HandoffAborts counts two-phase handoffs that unwound — export,
 	// import or commit failed and the source re-adopted its held copy.
 	HandoffAborts uint64
-	// WarmRestores counts devices a joining node adopted from the
-	// shared state tier instead of draining a live peer
-	// (RouterConfig.SharedState).
+	// WarmRestores counts devices a membership change moved through the
+	// shared state tier — parked by the export, or already spilled there
+	// — rather than in the handoff blob. Each rehydrates from the tier
+	// at its new owner on its next transaction.
 	WarmRestores uint64
 	// FailoverReroutes counts devices rerouted off a dead member by
 	// FailNode — no handoff; with a shared state tier their state

@@ -13,8 +13,8 @@ import (
 // The cluster wire protocol is length-prefixed: each frame is a 4-byte
 // big-endian payload length followed by one frame in the binary encoding
 // of wirecodec.go. Transactions travel inside feed frames as weblog binary
-// records; shard handoffs travel as the opaque versioned blobs
-// core.Monitor's ExportDevices/ImportShard produce, so the node protocol
+// records; handoffs travel as the opaque versioned blobs core.Monitor's
+// ExportStaged/StageImport produce and consume, so the node protocol
 // reuses the existing serializations rather than inventing new ones.
 // Every payload starts with a magic byte and a version byte, and the
 // reader refuses any other version with ErrWireVersion: there is one
@@ -47,11 +47,13 @@ const (
 	// FrameFeed carries transactions as weblog binary records; the node
 	// feeds them to its monitor and replies ok with the count fed.
 	FrameFeed = "feed"
-	// FrameExport names devices to drain; the node exports them from its
-	// monitor and replies ok with the state blob and count.
+	// FrameExport names devices to drain; the node holds them under the
+	// frame's Handoff and replies ok with the state blob and the count of
+	// devices the move carries (parked in a shared state tier or in the
+	// blob).
 	FrameExport = "export"
-	// FrameImport carries a state blob to adopt; the node imports it and
-	// replies ok with the count of devices adopted.
+	// FrameImport carries a state blob to stage under the frame's
+	// Handoff; the node replies ok with the count of devices staged.
 	FrameImport = "import"
 	// FrameFlush asks the node to complete pending windows and deliver
 	// every outstanding alert before replying ok.
@@ -111,9 +113,10 @@ type Frame struct {
 	// frames carry the origin node's alert sequence number in Seq, so a
 	// resubscribing client can resume from its last-seen cursor.
 	Alert *NodeAlert
-	// Handoff identifies a two-phase drain. An export or import carrying
-	// a handoff id is staged — held (export) or invisible (import) until
-	// a commit for the same id; commit and abort frames always carry one.
+	// Handoff identifies a two-phase drain. Every export, import, commit
+	// and abort frame carries one (the node refuses an export or import
+	// without it): the exported devices are held, the imported ones
+	// invisible, until a commit or abort for the same id.
 	Handoff string
 	// Client is the caller's stable identity (hello). Named clients get
 	// replay dedup: a re-sent feed whose (Client, Seq) was already

@@ -36,7 +36,7 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	export, _, err := mon.ExportDevices([]string{device})
+	export, _, err := mon.ExportStaged("fuzz", []string{device})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func sharedSetForFuzz(tb testing.TB) (*ProfileSet, *weblog.Dataset) {
 
 // FuzzDeviceStateBlob: the two state decoders — the per-device StateStore
 // blob (decodeDeviceState, the admit/rehydrate path) and the shard-export
-// envelope (decodeShardState, the ImportShard path) — must error on
+// envelope (decodeShardState, the StageImport path) — must error on
 // malformed input, never panic; and any blob that decodes must also
 // survive RestoreIdentifier's structural validation (error or identifier,
 // never a panic) against a real trained profile set.

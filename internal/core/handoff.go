@@ -6,18 +6,18 @@ import (
 	"sort"
 )
 
-// Two-phase shard handoff. The device-granular ExportDevices/ImportShard
-// pair moves state at most once: if the importer applied the blob but its
-// acknowledgement was lost, the mover cannot distinguish that from a
-// never-applied import, and re-adopting at the source strands a stale
-// copy on the destination. The staged API closes that window by making
-// both sides hold the state revocably under a caller-chosen handoff id:
+// Two-phase shard handoff. Moving a device between monitors must never
+// leave two live copies of it, even when an acknowledgement is lost: if
+// an importer applied a blob but its reply never arrived, a mover that
+// re-adopts at the source strands a stale copy on the destination. The
+// staged API closes that window by making both sides hold the state
+// revocably under a caller-chosen handoff id:
 //
-//   - ExportStaged serializes and stops tracking the devices like
-//     ExportDevices, but keeps the decoded states in a holding area. The
-//     source can re-adopt them (AbortHandoff) or release them
-//     (CommitHandoff) later; until then the devices are gone from the
-//     live shards but not from this process.
+//   - ExportStaged serializes and stops tracking the devices, but keeps
+//     the decoded states in a holding area. The source can re-adopt them
+//     (AbortHandoff) or release them (CommitHandoff) later; until then
+//     the devices are gone from the live shards but not from this
+//     process.
 //   - StageImport decodes and validates a blob but keeps the devices
 //     invisible — they are not tracked, not fed, not exported — until
 //     CommitHandoff adopts them atomically or AbortHandoff drops them.
@@ -31,6 +31,17 @@ import (
 // that was lost with a process restart — the latter reports
 // ErrUnknownHandoff, the definitive signal that the staged copy is gone
 // and the mover must fall back to the source copy.
+//
+// On a SharedSpill monitor the state travels through the shared tier
+// instead of the blob. ExportStaged parks the moving devices — spills
+// them and flushes the store — and returns a blob holding none, so
+// commit and abort have nothing to adopt. The new owner rehydrates each
+// device on its next transaction (Get, restore, Delete); that Get
+// teaches its tier client the device's version, so no version has to
+// travel with the move. After an abort, a parked device rehydrates on
+// the source just the same. This is what keeps the staged protocol for
+// private stores only: without a versioned store nothing else resolves a
+// lost import acknowledgement safely.
 
 // ErrUnknownHandoff reports a commit or stage lookup for an id this
 // monitor holds no state for — typically because the process restarted
@@ -56,6 +67,9 @@ const recentCommitCap = 512
 type handoffEntry struct {
 	states []DeviceState
 	blob   []byte
+	// parked counts the devices an export left to the shared tier rather
+	// than putting them in the blob.
+	parked int
 	// stagedImport distinguishes an importer-side staging (droppable: the
 	// authoritative copy is still at the source) from an exporter-side
 	// holding (never swept: it is the authoritative copy).
@@ -65,13 +79,25 @@ type handoffEntry struct {
 	stagedAt int64
 }
 
-// ExportStaged serializes and stops tracking the named devices like
-// ExportDevices, but holds their states under id so the caller can
-// AbortHandoff (re-adopt them here) or CommitHandoff (release them) once
-// the fate of the move is known. Calling it again with the same id
-// returns the identical held blob without touching the live shards, so a
-// mover whose reply was lost retries safely. Exporting under a recently
-// committed id is an error.
+// ExportStaged serializes and stops tracking the named devices but holds
+// their states under id, so the caller can AbortHandoff (re-adopt them
+// here) or CommitHandoff (release them) once the fate of the move is
+// known. Devices not currently tracked are looked up in the spill store
+// (they may have been idle-evicted there) and exported from it; devices
+// unknown to both, duplicates and empty names are skipped. On a
+// SharedSpill monitor the live devices are parked in the tier instead
+// and the blob holds no devices; idle ones are already there. The
+// returned count is the number of devices the move carries, in the blob
+// or through the tier. Alerts already enqueued for the exported devices
+// still deliver here; call Sync to wait for them before handing the blob
+// on.
+//
+// A failed spill or flush fails the export; the devices it could park
+// stay parked and rehydrate wherever their next transaction goes, and a
+// device whose spill failed stays tracked here. Calling ExportStaged
+// again with the same id returns the identical held blob without
+// touching the live shards, so a mover whose reply was lost retries
+// safely. Exporting under a recently committed id is an error.
 func (m *Monitor) ExportStaged(id string, devices []string) ([]byte, int, error) {
 	if id == "" {
 		return nil, 0, fmt.Errorf("core: empty handoff id")
@@ -85,16 +111,26 @@ func (m *Monitor) ExportStaged(id string, devices []string) ([]byte, int, error)
 		if e.stagedImport {
 			return nil, 0, fmt.Errorf("core: handoff %q is a staged import here", id)
 		}
-		return e.blob, len(e.states), nil
+		return e.blob, len(e.states) + e.parked, nil
 	}
-	states, errs := m.collectDeviceStates(devices)
-	sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
+	devices = uniqueDevices(devices)
+	var states []DeviceState
+	var errs []error
+	parked := 0
+	if m.cfg.SharedSpill {
+		_, failed, err := m.spillDevices(devices)
+		parked = len(devices) - failed
+		errs = append(errs, err)
+	} else {
+		states, errs = m.collectDeviceStates(devices)
+		sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
+	}
 	blob, err := encodeShardState(states)
 	if err != nil {
 		return nil, 0, errors.Join(append(errs, err)...)
 	}
-	m.putHandoffLocked(id, &handoffEntry{states: states, blob: blob, stagedAt: m.streamNow.Load()})
-	return blob, len(states), errors.Join(errs...)
+	m.putHandoffLocked(id, &handoffEntry{states: states, blob: blob, parked: parked, stagedAt: m.streamNow.Load()})
+	return blob, len(states) + parked, errors.Join(errs...)
 }
 
 // StageImport decodes and validates a shard-state blob and holds its
@@ -123,6 +159,12 @@ func (m *Monitor) StageImport(id string, data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if m.cfg.SharedSpill && len(states) > 0 {
+		// Only a peer on a private store sends devices in the blob;
+		// adopting them would spill them later at versions this monitor's
+		// tier client never learned.
+		return 0, fmt.Errorf("core: handoff %q carries %d devices, but a monitor on a shared state tier takes devices only through the tier", id, len(states))
+	}
 	m.putHandoffLocked(id, &handoffEntry{states: states, stagedImport: true, stagedAt: m.streamNow.Load()})
 	return len(states), nil
 }
@@ -145,7 +187,7 @@ func (m *Monitor) CommitHandoff(id string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: committing handoff %q: %w", id, ErrUnknownHandoff)
 	}
-	n := len(e.states)
+	n := len(e.states) + e.parked
 	if e.stagedImport {
 		if err := m.adoptStatesAtomic(e.states); err != nil {
 			return 0, fmt.Errorf("core: committing handoff %q: %w", id, err)
@@ -305,21 +347,30 @@ func (m *Monitor) adoptStatesAtomic(states []DeviceState) error {
 	return nil
 }
 
-// collectDeviceStates serializes and stops tracking the named devices —
-// the shared harvesting pass behind ExportDevices and ExportStaged.
-// Untracked devices are looked up in the spill store; devices unknown to
-// both (and duplicates, and empty names) are skipped. Per-device spill
-// failures are reported in the returned slice without stopping the
-// harvest.
-func (m *Monitor) collectDeviceStates(devices []string) ([]DeviceState, []error) {
-	states := make([]DeviceState, 0, len(devices))
+// uniqueDevices returns devices without empty names and duplicates,
+// keeping first occurrences in order.
+func uniqueDevices(devices []string) []string {
+	out := make([]string, 0, len(devices))
 	seen := make(map[string]struct{}, len(devices))
-	var errs []error
 	for _, device := range devices {
 		if _, dup := seen[device]; dup || device == "" {
 			continue
 		}
 		seen[device] = struct{}{}
+		out = append(out, device)
+	}
+	return out
+}
+
+// collectDeviceStates serializes and stops tracking the named (unique,
+// non-empty) devices — ExportStaged's harvesting pass on a private store.
+// Untracked devices are looked up in the spill store; devices unknown to
+// both are skipped. Per-device spill failures are reported in the
+// returned slice without stopping the harvest.
+func (m *Monitor) collectDeviceStates(devices []string) ([]DeviceState, []error) {
+	states := make([]DeviceState, 0, len(devices))
+	var errs []error
+	for _, device := range devices {
 		sh := m.shardFor(device)
 		sh.mu.Lock()
 		if tr, ok := sh.devices[device]; ok {
@@ -329,9 +380,7 @@ func (m *Monitor) collectDeviceStates(devices []string) ([]DeviceState, []error)
 			continue
 		}
 		sh.mu.Unlock()
-		// A shared spill tier is not harvested: the state is already
-		// where the device's next owner will read it from.
-		if m.cfg.Spill == nil || m.cfg.SharedSpill {
+		if m.cfg.Spill == nil {
 			continue
 		}
 		blob, ok, err := m.cfg.Spill.Get(device)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,15 +111,16 @@ type MonitorConfig struct {
 	Spill StateStore
 	// SharedSpill declares that Spill is a store shared by several
 	// monitors — the fleet-wide state tier of internal/statestore —
-	// rather than this process's private directory. It changes who
-	// claims spilled state: TrackedDevices reports only live devices (a
-	// node must not claim every device in the fleet-wide store as its
-	// own holdings), and device-granular exports do not harvest the
-	// store (the importing monitor reads the shared tier directly when
-	// the device's next transaction arrives). Rehydration on admit is
-	// unchanged — Get, restore, Delete — and the tier's per-device
-	// versioning fences a stale write-behind flush from resurrecting
-	// overwritten state.
+	// rather than this process's private directory. It changes how
+	// devices leave and arrive: TrackedDevices reports only live devices
+	// (a node must not claim every device in the fleet-wide store as its
+	// own holdings), ExportStaged parks the moving devices in the tier
+	// instead of putting them in its blob, and StageImport refuses a
+	// blob that carries devices. The new owner then rehydrates each
+	// device on its next transaction — Get, restore, Delete — which
+	// teaches its tier client the device's version, and the tier's
+	// per-device versioning fences a stale write-behind flush from
+	// resurrecting overwritten state.
 	SharedSpill bool
 	// Float32Scoring stores the shared fused scoring index's postings —
 	// and runs the per-shard accumulators — in float32, roughly halving
@@ -833,125 +833,66 @@ func (m *Monitor) spillLocked(device string, tr *deviceTrack) error {
 }
 
 // Checkpoint spills every tracked device into the configured spill store
-// and stops tracking it, returning the number of devices persisted — the
-// graceful-shutdown path of a daemon with durable state (profilerd's
-// SIGTERM handler): after a restart over the same store, each device
-// rehydrates on its next transaction with its window buffer and streaks
-// intact. No windows are flushed and no alerts fire. The sweep never
-// aborts early: devices whose spill fails stay tracked (and live), the
-// per-device errors come back joined, and the counts say exactly what
-// the store holds versus what stayed in memory — so a restart, or the
-// operator reading the shutdown log, knows what it has. Call Flush
-// instead for lossy end-of-stream semantics. Feeding concurrently with
-// Checkpoint is safe but the interleaving decides which side a racing
-// device lands on.
+// and stops tracking it, then flushes the store, returning the number of
+// devices persisted — the graceful-shutdown path of a daemon with
+// durable state (profilerd's SIGTERM handler): after a restart over the
+// same store, each device rehydrates on its next transaction with its
+// window buffer and streaks intact. No windows are flushed and no alerts
+// fire. The sweep never aborts early: devices whose spill fails stay
+// tracked (and live), the per-device errors come back joined, and the
+// counts say exactly what the store holds versus what stayed in memory —
+// so a restart, or the operator reading the shutdown log, knows what it
+// has. Call Flush instead for lossy end-of-stream semantics. Feeding
+// concurrently with Checkpoint is safe but the interleaving decides which
+// side a racing device lands on.
 func (m *Monitor) Checkpoint() (spilled, failed int, err error) {
 	if m.cfg.Spill == nil {
 		return 0, 0, fmt.Errorf("core: Checkpoint needs MonitorConfig.Spill")
 	}
-	var errs []error
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for device, tr := range sh.devices {
-			if err := m.spillLocked(device, tr); err != nil {
-				errs = append(errs, err)
-				failed++
-				continue
-			}
-			delete(sh.devices, device)
-			spilled++
-		}
-		sh.mu.Unlock()
-	}
-	if len(errs) > 0 {
-		err = fmt.Errorf("core: checkpoint spilled %d devices, %d failed and stay tracked: %w",
-			spilled, failed, errors.Join(errs...))
+	spilled, failed, err = m.spillDevices(nil)
+	if err != nil {
+		err = fmt.Errorf("core: checkpoint spilled %d devices, %d failed and stay tracked: %w", spilled, failed, err)
 	}
 	return spilled, failed, err
 }
 
-// ExportShard serializes and stops tracking every device of shard i — one
-// side of a shard handoff between processes: the bytes carry each device's
-// window buffer, streaks, confirmed identity and last-seen stamp, and
-// ImportShard on another Monitor resumes them exactly. Alerts already
-// enqueued for the exported devices still deliver here. The empty shard
-// exports successfully (zero devices).
-func (m *Monitor) ExportShard(i int) ([]byte, error) {
-	if i < 0 || i >= len(m.shards) {
-		return nil, fmt.Errorf("core: shard %d out of range [0,%d)", i, len(m.shards))
-	}
-	sh := m.shards[i]
-	sh.mu.Lock()
-	states := make([]DeviceState, 0, len(sh.devices))
-	for device, tr := range sh.devices {
-		states = append(states, deviceStateLocked(device, tr))
-		delete(sh.devices, device)
-	}
-	sh.mu.Unlock()
-	// Deterministic bytes for a given shard population.
-	sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
-	return encodeShardState(states)
-}
-
-// ExportDevices serializes and stops tracking the named devices — the
-// device-granular side of a shard handoff, used by the cluster router to
-// drain exactly the devices whose placement changed on a membership
-// change. The blob is the same format ExportShard produces, so ImportShard
-// on another Monitor resumes the devices exactly. Devices not currently
-// tracked are looked up in the spill store (they may have been idle-evicted
-// there) and exported from it; devices unknown to both are skipped — the
-// caller may be draining a device this monitor never saw. Duplicate names
-// are exported once. It returns the number of devices exported. Alerts
-// already enqueued for the exported devices still deliver here; call Sync
-// to wait for them before handing the blob to the importer.
-//
-// Feeding an exported device again starts it fresh (or rehydrates a stale
-// spill copy), forking its state from the exported blob — callers moving
-// live devices must stop routing transactions here first.
-func (m *Monitor) ExportDevices(devices []string) ([]byte, int, error) {
-	states, errs := m.collectDeviceStates(devices)
-	// Deterministic bytes for a given device population, like ExportShard.
-	sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
-	blob, err := encodeShardState(states)
-	if err != nil {
-		return nil, 0, errors.Join(append(errs, err)...)
-	}
-	return blob, len(states), errors.Join(errs...)
-}
-
-// ImportShard adopts the devices of an ExportShard blob, routing each to
-// this monitor's own shard for it (the exporting monitor's shard layout —
-// count and hash seed — does not travel; only the devices do) and resuming
-// identification with this monitor's consecutive-window threshold. It
-// returns the number of devices adopted. A device already tracked here is
-// left untouched and reported in the joined error — two live states for
-// one device means the handoff routed transactions wrong.
-func (m *Monitor) ImportShard(data []byte) (int, error) {
-	states, err := decodeShardState(data)
-	if err != nil {
-		return 0, err
-	}
-	imported := 0
+// spillDevices spills the named tracked devices (every tracked device
+// for a nil list) into the spill store and stops tracking them, then
+// flushes the store — the body Checkpoint and a parking ExportStaged
+// share. Untracked names are skipped; a device whose spill fails stays
+// tracked, and its error comes back joined with the rest.
+func (m *Monitor) spillDevices(devices []string) (spilled, failed int, err error) {
 	var errs []error
-	for _, st := range states {
-		sh := m.shardFor(st.Device)
-		sh.mu.Lock()
-		if _, exists := sh.devices[st.Device]; exists {
-			sh.mu.Unlock()
-			errs = append(errs, fmt.Errorf("core: device %s already tracked, import skipped", st.Device))
-			continue
-		}
-		tr, err := m.restoreTrackLocked(sh, st)
-		if err != nil {
-			sh.mu.Unlock()
+	spill := func(sh *monitorShard, device string, tr *deviceTrack) {
+		if err := m.spillLocked(device, tr); err != nil {
 			errs = append(errs, err)
-			continue
+			failed++
+			return
 		}
-		sh.devices[st.Device] = tr
-		sh.mu.Unlock()
-		imported++
+		delete(sh.devices, device)
+		spilled++
 	}
-	return imported, errors.Join(errs...)
+	if devices == nil {
+		for _, sh := range m.shards {
+			sh.mu.Lock()
+			for device, tr := range sh.devices {
+				spill(sh, device, tr)
+			}
+			sh.mu.Unlock()
+		}
+	}
+	for _, device := range devices {
+		sh := m.shardFor(device)
+		sh.mu.Lock()
+		if tr, ok := sh.devices[device]; ok {
+			spill(sh, device, tr)
+		}
+		sh.mu.Unlock()
+	}
+	if ferr := m.cfg.Spill.Flush(); ferr != nil {
+		errs = append(errs, fmt.Errorf("core: flushing spill store: %w", ferr))
+	}
+	return spilled, failed, errors.Join(errs...)
 }
 
 // Flush completes all devices' pending windows (end of stream), emits any
@@ -973,7 +914,7 @@ func (m *Monitor) Flush() {
 
 // Sync blocks until every alert enqueued so far has been delivered to the
 // callback, without flushing any windows — the ordering barrier a shard
-// handoff needs: after ExportDevices+Sync, all of the exported devices'
+// handoff needs: after ExportStaged+Sync, all of the exported devices'
 // alerts have left this monitor, so the importer's alerts are strictly
 // later. Syncing concurrently with feeding is safe; alerts enqueued after
 // Sync begins may or may not be waited for.

@@ -16,7 +16,7 @@ import (
 )
 
 // stateVersion guards the serialized identifier-state format: the
-// per-device blobs a StateStore holds and the shard exports ExportShard
+// per-device blobs a StateStore holds and the shard blobs ExportStaged
 // produces. Bump it when DeviceState (or anything it embeds) changes
 // incompatibly — decode rejects mismatched versions, like persist.go's
 // bundle loader.
@@ -85,6 +85,10 @@ type StateStore interface {
 	Delete(device string) error
 	// Devices lists the devices with stored state, sorted.
 	Devices() ([]string, error)
+	// Flush makes every Put that has returned durable where the store's
+	// other readers see it: a no-op for stores that write through, the
+	// write-behind drain for a shared tier's client.
+	Flush() error
 }
 
 // MemStateStore is an in-process StateStore: spilled devices survive
@@ -135,6 +139,9 @@ func (s *MemStateStore) Devices() ([]string, error) {
 	sort.Strings(out)
 	return out, nil
 }
+
+// Flush is a no-op: Put is already visible to every reader.
+func (s *MemStateStore) Flush() error { return nil }
 
 // Len returns the number of stored device blobs.
 func (s *MemStateStore) Len() int {
@@ -323,6 +330,9 @@ func (s *DiskStateStore) Devices() ([]string, error) {
 	sort.Strings(out)
 	return out, nil
 }
+
+// Flush is a no-op: Put has already synced the blob to disk.
+func (s *DiskStateStore) Flush() error { return nil }
 
 // shardStateJSON is the serialized form of one exported monitor shard —
 // the handoff unit for moving a shard's devices between processes.

@@ -390,6 +390,7 @@ func (failingStore) Put(string, []byte) error         { return fmt.Errorf("store
 func (failingStore) Get(string) ([]byte, bool, error) { return nil, false, nil }
 func (failingStore) Delete(string) error              { return nil }
 func (failingStore) Devices() ([]string, error)       { return nil, nil }
+func (failingStore) Flush() error                     { return nil }
 
 // TestMonitorRehydrateRejectsCorruptBlob: a corrupt spilled blob fails the
 // admitting transaction once, is dropped, and the device starts fresh on
@@ -561,13 +562,13 @@ func TestMonitorCheckpointRestoreMatchesReference(t *testing.T) {
 }
 
 // TestMonitorExportImportShards is the shard-handoff acceptance criterion:
-// ExportShard→ImportShard into a fresh Monitor (different seed, different
-// shard count) must preserve every device's pending windows and streaks —
-// proven by the combined alert sequences matching the uninterrupted
-// reference.
+// moving every device, one source shard per staged handoff, into a fresh
+// Monitor (different seed, different shard count) must preserve every
+// device's pending windows and streaks — proven by the combined alert
+// sequences matching the uninterrupted reference.
 func TestMonitorExportImportShards(t *testing.T) {
 	set, testDS := sharedSet(t)
-	txs, _ := deviceStream(testDS, 9, 6000)
+	txs, devices := deviceStream(testDS, 9, 6000)
 	const k, batchSize = 2, 128
 	want := referenceAlerts(t, set, txs, k)
 	split := len(txs) / 2
@@ -594,16 +595,13 @@ func TestMonitorExportImportShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	byShard := make([][]string, 8)
+	for _, d := range devices {
+		byShard[mon1.shardIndex(d)] = append(byShard[mon1.shardIndex(d)], d)
+	}
 	imported := 0
-	for i := 0; i < 8; i++ {
-		blob, err := mon1.ExportShard(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := mon2.ImportShard(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, shard := range byShard {
+		_, n := stagedMove(t, mon1, mon2, fmt.Sprintf("r/%d", i), shard)
 		imported += n
 	}
 	if imported != moved {
@@ -630,9 +628,8 @@ func TestMonitorExportImportShards(t *testing.T) {
 	comparePerDevice(t, want, col.got)
 }
 
-// TestMonitorExportImportErrors covers the handoff error paths: bad shard
-// index, garbage bytes, version drift, and importing a device that is
-// already tracked.
+// TestMonitorExportImportErrors covers the handoff error paths: garbage
+// bytes, version drift, and adopting a device that is already tracked.
 func TestMonitorExportImportErrors(t *testing.T) {
 	set, testDS := sharedSet(t)
 	mon, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2})
@@ -640,13 +637,7 @@ func TestMonitorExportImportErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	if _, err := mon.ExportShard(-1); err == nil {
-		t.Error("negative shard index accepted")
-	}
-	if _, err := mon.ExportShard(2); err == nil {
-		t.Error("out-of-range shard index accepted")
-	}
-	if _, err := mon.ImportShard([]byte("junk")); err == nil {
+	if _, err := mon.StageImport("r/junk", []byte("junk")); err == nil {
 		t.Error("garbage import accepted")
 	}
 	future, err := encodeShardState(nil)
@@ -666,27 +657,35 @@ func TestMonitorExportImportErrors(t *testing.T) {
 	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.ImportShard(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := mon.StageImport("r/future", buf.Bytes()); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future-version import error = %v", err)
 	}
 
-	// Conflict: export from one monitor, import twice into another that
-	// then already tracks the devices.
+	// Conflict: export a device, then commit two imports of it — the
+	// second finds it already tracked and must adopt nothing.
 	txs := hostStream(t, testDS, set.Users()[0], "10.0.0.5", 20)
 	for _, tx := range txs {
 		if err := mon.Feed(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blob, err := mon.ExportShard(mon.shardIndex("10.0.0.5"))
+	blob, _, err := mon.ExportStaged("r/1", []string{"10.0.0.5"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := mon.ImportShard(blob); err != nil || n != 1 {
-		t.Fatalf("first import = %d, %v", n, err)
+	for _, id := range []string{"r/2", "r/3"} {
+		if n, err := mon.StageImport(id, blob); err != nil || n != 1 {
+			t.Fatalf("StageImport(%s) = %d, %v", id, n, err)
+		}
 	}
-	if n, err := mon.ImportShard(blob); err == nil || n != 0 {
-		t.Errorf("duplicate import = %d, %v — conflict not reported", n, err)
+	if n, err := mon.CommitHandoff("r/2"); err != nil || n != 1 {
+		t.Fatalf("first commit = %d, %v", n, err)
+	}
+	if n, err := mon.CommitHandoff("r/3"); err == nil || n != 0 {
+		t.Errorf("duplicate commit = %d, %v — conflict not reported", n, err)
+	}
+	if mon.Devices() != 1 {
+		t.Errorf("monitor tracks %d devices after the conflict, want 1", mon.Devices())
 	}
 }
 
@@ -782,6 +781,7 @@ func (s selectiveStore) Put(d string, b []byte) error {
 func (s selectiveStore) Get(d string) ([]byte, bool, error) { return s.mem.Get(d) }
 func (s selectiveStore) Delete(d string) error              { return s.mem.Delete(d) }
 func (s selectiveStore) Devices() ([]string, error)         { return s.mem.Devices() }
+func (s selectiveStore) Flush() error                       { return s.mem.Flush() }
 
 // TestMonitorCheckpointContinuesPastFailures: one device's failed spill
 // must not abandon the rest of the checkpoint. The healthy devices spill

@@ -24,11 +24,11 @@
 //	  │                                   ▼                                    │ persists it
 //	  └◄──────────────────────────────────┴────────────────────────────────────┘
 //	    next transaction rehydrates (Get → restore → Delete), on the same
-//	    node or any other: a cold node joining the cluster warm-restores
-//	    its placement's devices from here instead of draining a live peer,
-//	    and a dead node's devices rehydrate lazily at their new owner —
-//	    failover without handoff (see internal/cluster: RouterConfig.
-//	    SharedState and Router.FailNode).
+//	    node or any other: a device that a membership change moves is
+//	    parked here by its old owner (spill, then Flush) and rehydrates at
+//	    its new owner, whose Get learns its version, and a dead node's
+//	    devices rehydrate lazily at their new owner — failover without
+//	    handoff (see internal/cluster: Router.drain and Router.FailNode).
 //
 // # Versioning: why a stale flush cannot clobber a newer spill
 //

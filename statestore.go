@@ -7,7 +7,7 @@ import "webtxprofile/internal/statestore"
 // identification state survives the node that held it. See
 // internal/statestore for the protocol, the write-behind batching and
 // the versioning fence, and internal/cluster for the two payoffs built
-// on top (warm restore on join, failover without handoff).
+// on top (device moves through the tier, failover without handoff).
 type (
 	// StateServer is the authoritative side of the tier: per-device
 	// versioned blobs in memory, optionally persisted through any
