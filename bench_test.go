@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"webtxprofile"
+	"webtxprofile/internal/core"
 	"webtxprofile/internal/experiments"
 	"webtxprofile/internal/features"
 	"webtxprofile/internal/grid"
@@ -838,6 +839,49 @@ func BenchmarkMonitorCheckpointRestore(b *testing.B) {
 			mon.Flush()
 		})
 	}
+}
+
+// benchDeviceState is a sink keeping decoded state alive past the loop.
+var benchDeviceState webtxprofile.DeviceState
+
+// BenchmarkDeviceStateCodec times the per-device state codec behind every
+// spill and rehydrate (StateStore blobs) on one device mid-stream on the
+// trained set: its window buffer, streaks and anchor, as Snapshot leaves
+// them. blobBytes/op is the encoded size a store holds per device.
+func BenchmarkDeviceStateCodec(b *testing.B) {
+	set := monitorBenchSet(b)
+	env := benchEnv(b)
+	const host = "10.0.0.1"
+	id, err := webtxprofile.NewIdentifier(set, host, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	txs := env.Test.UserTransactions(set.Users()[0])
+	txs = txs[:min(len(txs), 500)]
+	for _, tx := range txs {
+		tx.SourceIP = host
+		if _, err := id.Feed(tx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := webtxprofile.DeviceState{Device: host, LastSeen: txs[len(txs)-1].Timestamp, Identifier: id.Snapshot()}
+	blob := core.EncodeDeviceState(st)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			blob = core.EncodeDeviceState(st)
+		}
+		b.ReportMetric(float64(len(blob)), "blobBytes/op")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if benchDeviceState, err = core.DecodeDeviceState(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(blob)), "blobBytes/op")
+	})
 }
 
 // BenchmarkMonitorShardHandoff measures the staged handoff the cluster

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"webtxprofile/internal/core"
+	"webtxprofile/internal/features"
+	"webtxprofile/internal/sparse"
 	"webtxprofile/internal/taxonomy"
 	"webtxprofile/internal/weblog"
 )
@@ -23,6 +25,25 @@ func binarySeedTx() weblog.Transaction {
 		MediaType: taxonomy.MediaType{Super: "text", Sub: "html"},
 		AppType:   "browser", Reputation: taxonomy.MinimalRisk,
 	}
+}
+
+// binarySeedAlert is an alert carrying a full window event: vector, user
+// counts, accepted users.
+func binarySeedAlert() *NodeAlert {
+	start := time.Date(2015, 5, 29, 5, 0, 0, 0, time.UTC)
+	return &NodeAlert{Node: "n2", Seq: 7, Alert: core.Alert{
+		Device: "10.0.0.9", Kind: core.AlertIdentified, User: "user_9", Previous: "user_2",
+		Event: core.Event{
+			Window: features.Window{
+				Start: start, End: start.Add(10 * time.Minute),
+				Vector: sparse.Vector{Idx: []int32{0, 7, 4095}, Val: []float64{1, 0.25, -3.5e-7}},
+				Count:  12, Entity: "10.0.0.9",
+				UserCounts: map[string]int{"user_9": 11, "user_2": 1},
+			},
+			Accepted:   []string{"user_9", "user_4"},
+			Identified: "user_9",
+		},
+	}}
 }
 
 // binaryCorpusSeeds are the checked-in seeds for FuzzBinaryFrame: one
@@ -59,6 +80,7 @@ func binaryCorpusSeeds(t testing.TB) [][]byte {
 		{Type: FrameAlert, Alert: &NodeAlert{Node: "n1", Alert: core.Alert{
 			Device: "10.0.0.1", Kind: core.AlertLost, User: "user_2", Previous: "user_2",
 		}}},
+		{Type: FrameAlert, Seq: 20, Alert: binarySeedAlert()},
 	}
 	var seeds [][]byte
 	for _, f := range valid {
@@ -146,6 +168,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 		{Type: FrameImport, Seq: 4, Blob: []byte{1, 2, 3}},
 		{Type: FrameOK, Seq: 5, Count: -7},
 		{Type: FrameError, Seq: 6, Error: "refused"},
+		{Type: FrameAlert, Seq: 7, Alert: binarySeedAlert()},
 	}
 	for _, want := range frames {
 		payload, err := AppendBinaryFrame(nil, want)

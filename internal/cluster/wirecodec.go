@@ -4,7 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"sort"
+	"time"
 
+	"webtxprofile/internal/core"
 	"webtxprofile/internal/weblog"
 )
 
@@ -47,7 +51,7 @@ const (
 	tagBlob      = 6 // uvarint length + bytes
 	tagCount     = 7 // zigzag varint
 	tagError     = 8 // uvarint length + bytes
-	tagAlert     = 9 // uvarint length + JSON-encoded NodeAlert
+	tagAlert     = 9 // uvarint length + binary NodeAlert (appendNodeAlert)
 	tagTxs       = 10
 	// tagTxs: uvarint count, then count weblog binary records back to back
 	// (the records are self-delimiting).
@@ -92,9 +96,9 @@ func AppendBinaryFrame(dst []byte, f Frame) ([]byte, error) {
 		dst = appendTagString(dst, tagError, f.Error)
 	}
 	if f.Alert != nil {
-		payload, err := json.Marshal(f.Alert)
+		payload, err := appendNodeAlert(nil, f.Alert)
 		if err != nil {
-			return dst, fmt.Errorf("cluster: encoding alert: %w", err)
+			return dst, err
 		}
 		dst = append(dst, tagAlert)
 		dst = binary.AppendUvarint(dst, uint64(len(payload)))
@@ -136,17 +140,14 @@ func AppendBinaryFrame(dst []byte, f Frame) ([]byte, error) {
 }
 
 func appendTagString(dst []byte, tag byte, s string) []byte {
-	dst = append(dst, tag)
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+	return weblog.AppendBinaryString(append(dst, tag), s)
 }
 
 func appendTagStrings(dst []byte, tag byte, ss []string) []byte {
 	dst = append(dst, tag)
 	dst = binary.AppendUvarint(dst, uint64(len(ss)))
 	for _, s := range ss {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+		dst = weblog.AppendBinaryString(dst, s)
 	}
 	return dst
 }
@@ -203,10 +204,7 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 		case tagAlert:
 			var b string
 			if b, s, err = weblog.ReadBinaryString(s); err == nil {
-				var a NodeAlert
-				if err = json.Unmarshal([]byte(b), &a); err == nil {
-					f.Alert = &a
-				}
+				f.Alert, err = decodeNodeAlert(b)
 			}
 		case tagTxs:
 			var count uint64
@@ -280,4 +278,121 @@ func readWireStrings(s string) ([]string, string, error) {
 		}
 	}
 	return out, s, nil
+}
+
+// appendNodeAlert appends na's binary encoding: node, seq, the alert's
+// device, kind, user and previous user, then its event — window start and
+// end, vector, count, entity, user counts sorted by user, accepted users
+// and identified user. Strings are a uvarint length plus bytes, times
+// are zigzag Unix seconds plus uvarint nanoseconds, vector values are
+// little-endian IEEE doubles. Like the JSON it replaces, it refuses
+// non-finite vector values.
+func appendNodeAlert(dst []byte, na *NodeAlert) ([]byte, error) {
+	a := &na.Alert
+	w := &a.Event.Window
+	if len(w.Vector.Idx) != len(w.Vector.Val) {
+		return dst, fmt.Errorf("cluster: encoding alert: vector has %d indices and %d values", len(w.Vector.Idx), len(w.Vector.Val))
+	}
+	dst = weblog.AppendBinaryString(dst, na.Node)
+	dst = binary.AppendUvarint(dst, na.Seq)
+	dst = weblog.AppendBinaryString(dst, a.Device)
+	dst = binary.AppendVarint(dst, int64(a.Kind))
+	dst = weblog.AppendBinaryString(dst, a.User)
+	dst = weblog.AppendBinaryString(dst, a.Previous)
+	dst = appendWireTime(dst, w.Start)
+	dst = appendWireTime(dst, w.End)
+	dst = binary.AppendUvarint(dst, uint64(len(w.Vector.Idx)))
+	for i, col := range w.Vector.Idx {
+		v := w.Vector.Val[i]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return dst, fmt.Errorf("cluster: encoding alert: non-finite vector value %v", v)
+		}
+		dst = binary.AppendVarint(dst, int64(col))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	dst = binary.AppendVarint(dst, int64(w.Count))
+	dst = weblog.AppendBinaryString(dst, w.Entity)
+	users := make([]string, 0, len(w.UserCounts))
+	for u := range w.UserCounts {
+		users = append(users, u)
+	}
+	sort.Strings(users)
+	dst = binary.AppendUvarint(dst, uint64(len(users)))
+	for _, u := range users {
+		dst = weblog.AppendBinaryString(dst, u)
+		dst = binary.AppendVarint(dst, int64(w.UserCounts[u]))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(a.Event.Accepted)))
+	for _, u := range a.Event.Accepted {
+		dst = weblog.AppendBinaryString(dst, u)
+	}
+	return weblog.AppendBinaryString(dst, a.Event.Identified), nil
+}
+
+func appendWireTime(dst []byte, t time.Time) []byte {
+	dst = binary.AppendVarint(dst, t.Unix())
+	return binary.AppendUvarint(dst, uint64(t.Nanosecond()))
+}
+
+// decodeNodeAlert decodes appendNodeAlert's encoding, which must fill s
+// exactly. Empty lists decode as nil and times in UTC.
+func decodeNodeAlert(s string) (*NodeAlert, error) {
+	r := weblog.NewBinaryReader(s)
+	na := &NodeAlert{Node: r.Field(), Seq: r.Uvarint()}
+	a := &na.Alert
+	a.Device = r.Field()
+	a.Kind = core.AlertKind(r.Int())
+	a.User = r.Field()
+	a.Previous = r.Field()
+	w := &a.Event.Window
+	w.Start = readWireTime(r)
+	w.End = readWireTime(r)
+	// An entry is at least a 1-byte column varint and an 8-byte value.
+	if n := r.Count("vector entries", 9); n > 0 {
+		w.Vector.Idx, w.Vector.Val = make([]int32, n), make([]float64, n)
+		for i := range w.Vector.Idx {
+			col, v := r.Varint(), r.Float64()
+			if col != int64(int32(col)) || math.IsNaN(v) || math.IsInf(v, 0) {
+				r.Fail(fmt.Errorf("vector entry %d out of range", i))
+			}
+			w.Vector.Idx[i], w.Vector.Val[i] = int32(col), v
+		}
+	}
+	w.Count = r.Int()
+	w.Entity = r.Field()
+	// A user count is at least a 1-byte name length and a 1-byte count.
+	if n := r.Count("user counts", 2); n > 0 {
+		w.UserCounts = make(map[string]int, n)
+		prev := ""
+		for i := 0; i < n; i++ {
+			u := r.Field()
+			if i > 0 && u <= prev {
+				r.Fail(fmt.Errorf("user counts not sorted by user at %q", u))
+			}
+			w.UserCounts[u] = r.Int()
+			prev = u
+		}
+	}
+	// Each accepted user is at least its 1-byte length.
+	if n := r.Count("accepted users", 1); n > 0 {
+		a.Event.Accepted = make([]string, n)
+		for i := range a.Event.Accepted {
+			a.Event.Accepted[i] = r.Field()
+		}
+	}
+	a.Event.Identified = r.Field()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("alert: %w", err)
+	}
+	return na, nil
+}
+
+// readWireTime reads appendWireTime's encoding as a UTC time.
+func readWireTime(r *weblog.BinaryReader) time.Time {
+	sec, nsec := r.Varint(), r.Uvarint()
+	if nsec >= 1e9 {
+		r.Fail(fmt.Errorf("time has %d nanoseconds", nsec))
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec)).UTC()
 }

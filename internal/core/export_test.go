@@ -349,11 +349,7 @@ func TestSharedSpillRefusesStagedImportDevices(t *testing.T) {
 	if shared.PendingHandoffs() != 0 {
 		t.Error("the refused import left a staging behind")
 	}
-	empty, err := encodeShardState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := shared.StageImport("r/2", empty); err != nil || got != 0 {
+	if got, err := shared.StageImport("r/2", encodeShardState(nil)); err != nil || got != 0 {
 		t.Errorf("StageImport of an empty blob = %d, %v", got, err)
 	}
 	// The refusal leaves the exporter's holding intact for the abort.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,10 +13,10 @@ import (
 )
 
 // stateBlobSeeds are the checked-in seeds for FuzzDeviceStateBlob: real
-// encoded state (a device mid-stream on the shared trained set, both the
-// per-device blob and a whole shard export), hand-damaged variants, and
-// plain garbage. Kept in code so the testdata corpus is reproducible
-// (see TestRegenerateStateFuzzCorpus).
+// encoded state (a device mid-stream on the shared trained set — its
+// binary blob, the same state as a legacy JSON blob, and a whole shard
+// export), hand-damaged variants, and plain garbage. Kept in code so the
+// testdata corpus is reproducible (see TestRegenerateStateFuzzCorpus).
 func stateBlobSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	set, testDS := sharedSetForFuzz(tb)
@@ -31,8 +34,11 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	device := txs[0].SourceIP
 	sh := mon.shardFor(device)
 	sh.mu.Lock()
-	blob, err := encodeDeviceState(deviceStateLocked(device, sh.devices[device]))
+	st := deviceStateLocked(device, sh.devices[device])
 	sh.mu.Unlock()
+	blob := EncodeDeviceState(st)
+	st.Version = legacyStateVersion
+	legacy, err := json.Marshal(st)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,11 +49,23 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	truncated := append([]byte(nil), blob[:len(blob)/2]...)
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/3] ^= 0xff
+	future := append([]byte(nil), blob...)
+	future[0] = stateVersion + 1
+	// An anchored state whose buffered count claims far more records
+	// than follow it.
+	overcount := append([]byte{stateVersion}, 1, 'x', 0, stateFlagAnchored, 1, 'x', 2, 1, 'x', 0, 0)
+	overcount = txs[0].AppendBinary(overcount)
+	overcount = txs[0].AppendBinary(overcount)
+	overcount = binary.AppendUvarint(overcount, 1<<20)
 	return [][]byte{
 		blob,
+		legacy,
 		export,
 		truncated,
 		flipped,
+		future,
+		overcount,
+		{stateVersion, 0xff, 0xff, 0x03}, // shard export claiming 65535 devices
 		[]byte(`{}`),
 		[]byte(`{"version":99,"device":"x"}`),
 		[]byte(`{"version":1,"device":"x","identifier":{"host":"y"}}`),
@@ -72,17 +90,26 @@ func sharedSetForFuzz(tb testing.TB) (*ProfileSet, *weblog.Dataset) {
 }
 
 // FuzzDeviceStateBlob: the two state decoders — the per-device StateStore
-// blob (decodeDeviceState, the admit/rehydrate path) and the shard-export
+// blob (DecodeDeviceState, the admit/rehydrate path) and the shard-export
 // envelope (decodeShardState, the StageImport path) — must error on
-// malformed input, never panic; and any blob that decodes must also
-// survive RestoreIdentifier's structural validation (error or identifier,
-// never a panic) against a real trained profile set.
+// malformed input, never panic; any blob that decodes must also survive
+// RestoreIdentifier's structural validation (error or identifier, never a
+// panic) against a real trained profile set. The binary format is
+// canonical: whatever decodes from it re-encodes to the same bytes, and a
+// legacy JSON state re-encodes to a binary blob that decodes.
 func FuzzDeviceStateBlob(f *testing.F) {
 	for _, seed := range stateBlobSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if st, err := decodeDeviceState(data); err == nil {
+		if st, err := DecodeDeviceState(data); err == nil {
+			enc := EncodeDeviceState(st)
+			if st.Version == stateVersion && !bytes.Equal(enc, data) {
+				t.Fatalf("decoded blob re-encodes differently:\n got %x\nwant %x", enc, data)
+			}
+			if _, err := DecodeDeviceState(enc); err != nil {
+				t.Fatalf("re-encoded state does not decode: %v", err)
+			}
 			set, _ := sharedSetForFuzz(t)
 			id, rerr := RestoreIdentifier(set, st.Identifier)
 			if rerr == nil {
@@ -91,6 +118,9 @@ func FuzzDeviceStateBlob(f *testing.F) {
 			}
 		}
 		if states, err := decodeShardState(data); err == nil {
+			if enc := encodeShardState(states); !bytes.Equal(enc, data) {
+				t.Fatalf("decoded shard export re-encodes differently:\n got %x\nwant %x", enc, data)
+			}
 			set, _ := sharedSetForFuzz(t)
 			for _, st := range states {
 				if id, rerr := RestoreIdentifier(set, st.Identifier); rerr == nil {
@@ -103,11 +133,8 @@ func FuzzDeviceStateBlob(f *testing.F) {
 
 // TestRegenerateStateFuzzCorpus rewrites testdata/fuzz/FuzzDeviceStateBlob
 // from stateBlobSeeds when WTP_REGEN_CORPUS=1; otherwise it verifies the
-// checked-in corpus exists.
-//
-// Note the regenerated real-state seeds are not byte-stable across runs
-// (timestamps and training are deterministic, but JSON map order is not);
-// regeneration refreshes coverage, it does not produce a canonical file.
+// checked-in corpus exists. The seeds are byte-stable, so CI regenerates
+// them and fails when the checked-in corpus drifts.
 func TestRegenerateStateFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDeviceStateBlob")
 	seeds := stateBlobSeeds(t)

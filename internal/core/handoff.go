@@ -125,10 +125,7 @@ func (m *Monitor) ExportStaged(id string, devices []string) ([]byte, int, error)
 		states, errs = m.collectDeviceStates(devices)
 		sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
 	}
-	blob, err := encodeShardState(states)
-	if err != nil {
-		return nil, 0, errors.Join(append(errs, err)...)
-	}
+	blob := encodeShardState(states)
 	m.putHandoffLocked(id, &handoffEntry{states: states, blob: blob, parked: parked, stagedAt: m.streamNow.Load()})
 	return blob, len(states) + parked, errors.Join(errs...)
 }
@@ -391,7 +388,7 @@ func (m *Monitor) collectDeviceStates(devices []string) ([]DeviceState, []error)
 		if !ok {
 			continue
 		}
-		st, err := decodeDeviceState(blob)
+		st, err := DecodeDeviceState(blob)
 		if err == nil && st.Device != device {
 			err = fmt.Errorf("core: spilled state for device %s names device %s", device, st.Device)
 		}

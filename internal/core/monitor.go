@@ -611,7 +611,7 @@ func (m *Monitor) admitLocked(sh *monitorShard, device string) (*deviceTrack, er
 			return nil, fmt.Errorf("core: reading spilled state for device %s: %w", device, err)
 		}
 		if ok {
-			st, err := decodeDeviceState(blob)
+			st, err := DecodeDeviceState(blob)
 			if err == nil && st.Device != device {
 				err = fmt.Errorf("core: spilled state for device %s names device %s", device, st.Device)
 			}
@@ -825,11 +825,7 @@ func (m *Monitor) evictLocked(sh *monitorShard, device string, tr *deviceTrack) 
 // device's shard lock; the caller removes the device from the shard on
 // success.
 func (m *Monitor) spillLocked(device string, tr *deviceTrack) error {
-	blob, err := encodeDeviceState(deviceStateLocked(device, tr))
-	if err != nil {
-		return err
-	}
-	return m.cfg.Spill.Put(device, blob)
+	return m.cfg.Spill.Put(device, EncodeDeviceState(deviceStateLocked(device, tr)))
 }
 
 // Checkpoint spills every tracked device into the configured spill store

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,22 +13,33 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"webtxprofile/internal/weblog"
 )
 
-// stateVersion guards the serialized identifier-state format: the
-// per-device blobs a StateStore holds and the shard blobs ExportStaged
-// produces. Bump it when DeviceState (or anything it embeds) changes
-// incompatibly — decode rejects mismatched versions, like persist.go's
-// bundle loader.
-const stateVersion = 1
+// stateVersion is the identifier-state format: the first byte of every
+// per-device blob a StateStore holds and of every shard blob ExportStaged
+// produces. Bump it when the binary layout (or anything it encodes)
+// changes incompatibly — decode rejects any other version, like
+// persist.go's bundle loader.
+const stateVersion = 2
+
+// legacyStateVersion is the JSON device-blob format of earlier releases.
+// Such blobs at rest (DiskStateStore files, a state server during a
+// rolling upgrade) are still read, and the device's next spill rewrites
+// them in the binary format; nothing writes JSON any more.
+const legacyStateVersion = 1
 
 // DeviceState is the portable identification state of one monitored
 // device: the streaming identifier's snapshot plus the monitor-level
 // identity tracking (the currently confirmed user and the stream-time
 // last-seen stamp driving idle eviction). It is everything a Monitor needs
 // to resume the device exactly where another Monitor — or a previous
-// process — left off.
+// process — left off. EncodeDeviceState writes it in the binary format;
+// the JSON tags serve only the legacy (version 1) reader.
 type DeviceState struct {
+	// Version is the format the state was decoded from; the encoder
+	// always writes stateVersion.
 	Version int    `json:"version"`
 	Device  string `json:"device"`
 	// Current is the confirmed user at snapshot time ("" if none).
@@ -39,28 +50,173 @@ type DeviceState struct {
 	Identifier IdentifierState `json:"identifier"`
 }
 
-// encodeDeviceState serializes one device blob (plain JSON; the disk store
-// adds gzip).
-func encodeDeviceState(st DeviceState) ([]byte, error) {
-	st.Version = stateVersion
-	b, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding state for device %s: %w", st.Device, err)
-	}
-	return b, nil
+// Flag bits of a device blob's flags byte.
+const (
+	stateFlagAnchored = 1 << iota
+	stateFlagClosed
+	stateFlagLastSeen
+	stateFlagsKnown = stateFlagAnchored | stateFlagClosed | stateFlagLastSeen
+)
+
+// EncodeDeviceState serializes one device blob (the disk store adds
+// gzip). The layout, with strings as a uvarint length plus bytes and
+// transactions as weblog binary records, is
+//
+//	byte     version (stateVersion)
+//	string   device, current user
+//	byte     flags: anchored, closed, last-seen present
+//	varint   last-seen as UnixNano, zigzag (only if present)
+//	string   identifier host; varint K
+//	string   streamer entity; varint NextIdx, EmitCount
+//	record   anchor, last-seen transaction (only if anchored)
+//	uvarint  buffered count, then the records (only if anchored)
+//	uvarint  runs count, then per run: string user, varint streak
+//
+// Runs are sorted by user, so equal states encode to equal bytes.
+func EncodeDeviceState(st DeviceState) []byte {
+	// Sized for typical records (~100 bytes), so most encodes allocate
+	// the blob once.
+	return appendDeviceState(make([]byte, 0, 256+128*len(st.Identifier.Streamer.Buffered)), &st)
 }
 
-// decodeDeviceState parses and version-checks one device blob.
-func decodeDeviceState(blob []byte) (DeviceState, error) {
+func appendDeviceState(dst []byte, st *DeviceState) []byte {
+	id, ss := &st.Identifier, &st.Identifier.Streamer
+	var flags byte
+	if ss.Anchored {
+		flags |= stateFlagAnchored
+	}
+	if ss.Closed {
+		flags |= stateFlagClosed
+	}
+	if !st.LastSeen.IsZero() {
+		flags |= stateFlagLastSeen
+	}
+	dst = append(dst, stateVersion)
+	dst = weblog.AppendBinaryString(dst, st.Device)
+	dst = weblog.AppendBinaryString(dst, st.Current)
+	dst = append(dst, flags)
+	if flags&stateFlagLastSeen != 0 {
+		dst = binary.AppendVarint(dst, st.LastSeen.UnixNano())
+	}
+	dst = weblog.AppendBinaryString(dst, id.Host)
+	dst = binary.AppendVarint(dst, int64(id.K))
+	dst = weblog.AppendBinaryString(dst, ss.Entity)
+	dst = binary.AppendVarint(dst, int64(ss.NextIdx))
+	dst = binary.AppendVarint(dst, int64(ss.EmitCount))
+	if ss.Anchored {
+		dst = ss.Anchor.AppendBinary(dst)
+		dst = ss.LastSeen.AppendBinary(dst)
+		dst = binary.AppendUvarint(dst, uint64(len(ss.Buffered)))
+		for i := range ss.Buffered {
+			dst = ss.Buffered[i].AppendBinary(dst)
+		}
+	}
+	users := make([]string, 0, len(id.Runs))
+	for u := range id.Runs {
+		users = append(users, u)
+	}
+	sort.Strings(users)
+	dst = binary.AppendUvarint(dst, uint64(len(users)))
+	for _, u := range users {
+		dst = weblog.AppendBinaryString(dst, u)
+		dst = binary.AppendVarint(dst, int64(id.Runs[u]))
+	}
+	return dst
+}
+
+// DecodeDeviceState parses and version-checks one device blob: the
+// binary format, or a legacy JSON blob (its first byte is '{').
+func DecodeDeviceState(blob []byte) (DeviceState, error) {
+	if len(blob) > 0 && blob[0] == '{' {
+		return decodeLegacyDeviceState(blob)
+	}
+	// One copy that every decoded string aliases: a blob holds a single
+	// device, so the copy pins no other device's memory.
+	return decodeDeviceRecord(string(blob))
+}
+
+// decodeDeviceRecord decodes exactly one binary device state from s; the
+// decoded strings alias s.
+func decodeDeviceRecord(s string) (DeviceState, error) {
+	r := weblog.NewBinaryReader(s)
+	st := readDeviceState(r)
+	if err := r.Done(); err != nil {
+		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
+	}
+	return st, nil
+}
+
+// readDeviceState reads one binary device state (see EncodeDeviceState).
+func readDeviceState(r *weblog.BinaryReader) DeviceState {
+	if v := r.Byte(); r.Err() == nil && v != stateVersion {
+		r.Fail(fmt.Errorf("unsupported device state version %d (want %d)", v, stateVersion))
+	}
+	st := DeviceState{Version: stateVersion, Device: r.Field(), Current: r.Field()}
+	if r.Err() == nil && st.Device == "" {
+		r.Fail(fmt.Errorf("missing device id"))
+	}
+	flags := r.Byte()
+	if flags&^stateFlagsKnown != 0 {
+		r.Fail(fmt.Errorf("unknown flag bits %#x", flags))
+	}
+	if flags&stateFlagLastSeen != 0 {
+		st.LastSeen = time.Unix(0, r.Varint()).UTC()
+	}
+	id := &st.Identifier
+	id.Host = r.Field()
+	id.K = r.Int()
+	ss := &id.Streamer
+	ss.Entity = r.Field()
+	ss.NextIdx = r.Int()
+	ss.EmitCount = r.Int()
+	ss.Closed = flags&stateFlagClosed != 0
+	if flags&stateFlagAnchored != 0 {
+		ss.Anchored = true
+		pair := new([2]weblog.Transaction)
+		r.Transaction(&pair[0])
+		r.Transaction(&pair[1])
+		ss.Anchor, ss.LastSeen = &pair[0], &pair[1]
+		if n := r.Count("buffered transactions", weblog.MinBinaryRecord); n > 0 {
+			ss.Buffered = make([]weblog.Transaction, n)
+			for i := range ss.Buffered {
+				r.Transaction(&ss.Buffered[i])
+			}
+		}
+	}
+	// A run is at least a 1-byte user length and a 1-byte streak.
+	if n := r.Count("runs", 2); n > 0 {
+		id.Runs = make(map[string]int, n)
+		prev := ""
+		for i := 0; i < n; i++ {
+			u := r.Field()
+			if i > 0 && u <= prev {
+				r.Fail(fmt.Errorf("runs not sorted by user at %q", u))
+			}
+			id.Runs[u] = r.Int()
+			prev = u
+		}
+	}
+	return st
+}
+
+// decodeLegacyDeviceState reads a version-1 JSON device blob. It rejects
+// the anchor shapes the binary format cannot carry — RestoreStreamer
+// would refuse them anyway — so the state re-encodes faithfully (an
+// export of a spilled device re-encodes it without restoring it first).
+func decodeLegacyDeviceState(blob []byte) (DeviceState, error) {
 	var st DeviceState
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
 	}
-	if st.Version != stateVersion {
-		return DeviceState{}, fmt.Errorf("core: unsupported device state version %d (want %d)", st.Version, stateVersion)
+	if st.Version != legacyStateVersion {
+		return DeviceState{}, fmt.Errorf("core: unsupported JSON device state version %d (want %d)", st.Version, legacyStateVersion)
 	}
 	if st.Device == "" {
 		return DeviceState{}, fmt.Errorf("core: device state missing device id")
+	}
+	ss := &st.Identifier.Streamer
+	if ss.Anchored != (ss.Anchor != nil) || ss.Anchored != (ss.LastSeen != nil) || (!ss.Anchored && len(ss.Buffered) > 0) {
+		return DeviceState{}, fmt.Errorf("core: device state for %s has inconsistent streamer anchor", st.Device)
 	}
 	return st, nil
 }
@@ -334,45 +490,47 @@ func (s *DiskStateStore) Devices() ([]string, error) {
 // Flush is a no-op: Put has already synced the blob to disk.
 func (s *DiskStateStore) Flush() error { return nil }
 
-// shardStateJSON is the serialized form of one exported monitor shard —
-// the handoff unit for moving a shard's devices between processes.
-type shardStateJSON struct {
-	Version int           `json:"version"`
-	Devices []DeviceState `json:"devices"`
+// encodeShardState renders a shard export — the handoff unit for moving
+// devices between processes: the version byte, a uvarint device count,
+// then each device's binary state as a uvarint length plus bytes. It only
+// crosses the cluster wire between peers of one build, so unlike the
+// per-device blob it has no legacy reader.
+func encodeShardState(devices []DeviceState) []byte {
+	dst := append([]byte(nil), stateVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(devices)))
+	var rec []byte
+	for i := range devices {
+		rec = appendDeviceState(rec[:0], &devices[i])
+		dst = binary.AppendUvarint(dst, uint64(len(rec)))
+		dst = append(dst, rec...)
+	}
+	return dst
 }
 
-// encodeShardState renders a shard export as gzip-compressed JSON.
-func encodeShardState(devices []DeviceState) ([]byte, error) {
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(gz).Encode(shardStateJSON{Version: stateVersion, Devices: devices}); err != nil {
-		gz.Close()
-		return nil, fmt.Errorf("core: encoding shard export: %w", err)
-	}
-	if err := gz.Close(); err != nil {
-		return nil, fmt.Errorf("core: encoding shard export: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeShardState parses and version-checks a shard export.
+// decodeShardState parses and version-checks a shard export. Each device
+// decodes from its own copy of its record, so no device's state pins the
+// others'.
 func decodeShardState(data []byte) ([]DeviceState, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("core: shard export not gzip: %w", err)
+	r := weblog.NewBinaryReader(string(data))
+	if v := r.Byte(); r.Err() == nil && v != stateVersion {
+		return nil, fmt.Errorf("core: unsupported shard export version %d (want %d)", v, stateVersion)
 	}
-	defer gz.Close()
-	var s shardStateJSON
-	if err := json.NewDecoder(gz).Decode(&s); err != nil {
+	// Each entry is at least its 1-byte length prefix.
+	n := r.Count("devices", 1)
+	var states []DeviceState
+	for i := 0; i < n; i++ {
+		rec := r.Field()
+		if r.Err() != nil {
+			break
+		}
+		st, err := decodeDeviceRecord(strings.Clone(rec))
+		if err != nil {
+			return nil, fmt.Errorf("core: shard export entry %d: %w", i, err)
+		}
+		states = append(states, st)
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("core: decoding shard export: %w", err)
 	}
-	if s.Version != stateVersion {
-		return nil, fmt.Errorf("core: unsupported shard export version %d (want %d)", s.Version, stateVersion)
-	}
-	for i := range s.Devices {
-		if s.Devices[i].Device == "" {
-			return nil, fmt.Errorf("core: shard export entry %d missing device id", i)
-		}
-	}
-	return s.Devices, nil
+	return states, nil
 }

@@ -2,18 +2,19 @@ package core
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"webtxprofile/internal/features"
+	"webtxprofile/internal/taxonomy"
 	"webtxprofile/internal/weblog"
 )
 
@@ -54,7 +55,7 @@ func hostStream(t *testing.T, ds *weblog.Dataset, user, host string, limit int) 
 
 // TestIdentifierSnapshotResume is the identifier-level resume property:
 // checkpointing at random midpoints of a stream — with the state pushed
-// through the same JSON round trip the stores use — must reproduce the
+// through the same binary round trip the stores use — must reproduce the
 // uninterrupted event sequence byte-for-byte.
 func TestIdentifierSnapshotResume(t *testing.T) {
 	set, testDS := sharedSet(t)
@@ -97,15 +98,11 @@ func TestIdentifierSnapshotResume(t *testing.T) {
 			}
 			got = append(got, evs...)
 		}
-		blob, err := json.Marshal(id.Snapshot())
+		ds, err := DecodeDeviceState(EncodeDeviceState(DeviceState{Device: host, Identifier: id.Snapshot()}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st IdentifierState
-		if err := json.Unmarshal(blob, &st); err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := RestoreIdentifier(set, st)
+		resumed, err := RestoreIdentifier(set, ds.Identifier)
 		if err != nil {
 			t.Fatalf("RestoreIdentifier at split %d: %v", split, err)
 		}
@@ -334,7 +331,7 @@ func TestMonitorSpillRehydrateMatchesNeverEvicting(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("spilled blob missing: %v", err)
 			}
-			st, err := decodeDeviceState(blob)
+			st, err := DecodeDeviceState(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,25 +412,21 @@ func TestMonitorRehydrateRejectsCorruptBlob(t *testing.T) {
 		t.Errorf("device did not start fresh after corrupt blob: %v", err)
 	}
 
-	// Version drift is rejected the same way.
-	good, err := encodeDeviceState(DeviceState{Device: "10.0.1.9", Identifier: IdentifierState{Host: "10.0.1.9", Streamer: features.StreamerState{Entity: "10.0.1.9"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(good, &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["version"] = stateVersion + 1
-	future, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Put("10.0.1.9", future)
-	tx := txs[1]
-	tx.SourceIP = "10.0.1.9"
-	if err := mon.Feed(tx); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("future-version blob error = %v", err)
+	// Version drift is rejected the same way: a binary blob from a future
+	// format, and a JSON blob claiming a version other than the legacy one.
+	good := EncodeDeviceState(DeviceState{Device: "10.0.1.9", Identifier: IdentifierState{Host: "10.0.1.9", Streamer: features.StreamerState{Entity: "10.0.1.9"}}})
+	future := append([]byte(nil), good...)
+	future[0] = stateVersion + 1
+	for i, blob := range [][]byte{future, []byte(`{"version":99,"device":"10.0.1.9"}`)} {
+		store.Put("10.0.1.9", blob)
+		tx := txs[1]
+		tx.SourceIP = "10.0.1.9"
+		if err := mon.Feed(tx); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Errorf("blob %d: version-drifted blob error = %v", i, err)
+		}
+		if store.Len() != 0 {
+			t.Errorf("blob %d: version-drifted blob not dropped", i)
+		}
 	}
 }
 
@@ -476,11 +469,7 @@ func TestMonitorRehydrateKeepsBlobOnTransientError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blob, err := encodeDeviceState(DeviceState{Device: dev, Identifier: id.Snapshot()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner.Put(dev, blob)
+	inner.Put(dev, EncodeDeviceState(DeviceState{Device: dev, Identifier: id.Snapshot()}))
 
 	if err := mon.Feed(txs[20]); err == nil {
 		t.Fatal("transient store error did not surface")
@@ -640,24 +629,13 @@ func TestMonitorExportImportErrors(t *testing.T) {
 	if _, err := mon.StageImport("r/junk", []byte("junk")); err == nil {
 		t.Error("garbage import accepted")
 	}
-	future, err := encodeShardState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the version inside the gzip envelope.
-	devs, err := decodeShardState(future)
+	devs, err := decodeShardState(encodeShardState(nil))
 	if err != nil || len(devs) != 0 {
 		t.Fatalf("empty export round trip: %v", err)
 	}
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(gz).Encode(shardStateJSON{Version: stateVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mon.StageImport("r/future", buf.Bytes()); err == nil || !strings.Contains(err.Error(), "version") {
+	future := encodeShardState(nil)
+	future[0] = stateVersion + 1
+	if _, err := mon.StageImport("r/future", future); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future-version import error = %v", err)
 	}
 
@@ -831,5 +809,173 @@ func TestMonitorCheckpointContinuesPastFailures(t *testing.T) {
 		if store.deny[d] {
 			t.Errorf("denied device %s reached the store", d)
 		}
+	}
+}
+
+// codecTx is a fully populated transaction for codec tests; i varies its
+// timestamp and strings.
+func codecTx(i int) weblog.Transaction {
+	return weblog.Transaction{
+		Timestamp: time.Date(2015, 5, 29, 5, 5, i, 123456789, time.UTC),
+		Host:      fmt.Sprintf("www.example%d.com", i), Scheme: "https", Action: "POST",
+		UserID: "user_4", SourceIP: "10.0.0.4", Category: "News",
+		MediaType: taxonomy.MediaType{Super: "text", Sub: "html"}, AppType: "browser",
+		Reputation: 3, Private: i%2 == 0,
+	}
+}
+
+// TestDeviceStateCodecRoundTrip: the binary codec reproduces every shape
+// of device state exactly, including a real mid-stream snapshot.
+func TestDeviceStateCodecRoundTrip(t *testing.T) {
+	set, testDS := sharedSet(t)
+	const host = "10.0.0.4"
+	id, err := NewIdentifier(set, host, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range hostStream(t, testDS, set.Users()[0], host, 300) {
+		if _, err := id.Feed(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	anchor, last := codecTx(0), codecTx(9)
+	seen := time.Date(2015, 5, 29, 6, 0, 0, 7, time.UTC)
+	streamer := func(anchored, closed bool, buffered ...weblog.Transaction) features.StreamerState {
+		ss := features.StreamerState{Entity: host, Anchored: anchored, Closed: closed, NextIdx: 4, EmitCount: 3}
+		if anchored {
+			a, l := anchor, last
+			ss.Anchor, ss.LastSeen, ss.Buffered = &a, &l, buffered
+		}
+		return ss
+	}
+	cases := []struct {
+		name string
+		st   DeviceState
+	}{
+		{"unanchored", DeviceState{Device: host, LastSeen: seen,
+			Identifier: IdentifierState{Host: host, K: 3, Streamer: streamer(false, false)}}},
+		{"anchored with buffer", DeviceState{Device: host, Current: "user_4", LastSeen: seen,
+			Identifier: IdentifierState{Host: host, K: 3, Streamer: streamer(true, false, codecTx(3), codecTx(5), codecTx(8)),
+				Runs: map[string]int{"user_4": 2}}}},
+		{"closed", DeviceState{Device: host, LastSeen: seen,
+			Identifier: IdentifierState{Host: host, K: 1, Streamer: streamer(true, true)}}},
+		{"zero last-seen", DeviceState{Device: host,
+			Identifier: IdentifierState{Host: host, K: 3, Streamer: streamer(true, false, codecTx(4))}}},
+		{"several runs", DeviceState{Device: host, Current: "user_1", LastSeen: seen,
+			Identifier: IdentifierState{Host: host, K: 5, Streamer: streamer(false, false),
+				Runs: map[string]int{"user_1": 4, "user_0": 1, "user_12": 3, "": 7}}}},
+		{"mid-stream snapshot", DeviceState{Device: host, Current: "user_0", LastSeen: seen, Identifier: id.Snapshot()}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.st
+			want.Version = stateVersion
+			blob := EncodeDeviceState(want)
+			got, err := DecodeDeviceState(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("round trip changed the state:\n got %+v\nwant %+v", got, want)
+			}
+			if again := EncodeDeviceState(got); !bytes.Equal(again, blob) {
+				t.Error("re-encoding the decoded state changed the bytes")
+			}
+		})
+	}
+}
+
+// TestMonitorRehydratesLegacyJSONBlob: a device spilled by an earlier
+// release, as a version-1 JSON blob, rehydrates mid-stream with exactly
+// the alerts of a device that never spilled, and its next spill rewrites
+// the blob in the binary format.
+func TestMonitorRehydratesLegacyJSONBlob(t *testing.T) {
+	set, testDS := sharedSet(t)
+	const dev = "10.0.3.9"
+	txs := hostStream(t, testDS, set.Users()[0], dev, 600)
+	mid := len(txs) / 2
+	feed := func(mon *Monitor, txs []weblog.Transaction) {
+		for _, tx := range txs {
+			if err := mon.Feed(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	refCol := newAlertCollector()
+	ref, err := NewMonitor(set, 2, refCol.callback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(ref, txs)
+	ref.Close()
+	if len(refCol.got[dev]) == 0 {
+		t.Fatal("reference run raised no alerts")
+	}
+
+	col := newAlertCollector()
+	old, err := NewMonitor(set, 2, col.callback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(old, txs[:mid])
+	sh := old.shardFor(dev)
+	sh.mu.Lock()
+	st := deviceStateLocked(dev, sh.devices[dev])
+	sh.mu.Unlock()
+	old.Close()
+	if !st.Identifier.Streamer.Anchored || len(st.Identifier.Streamer.Buffered) == 0 {
+		t.Fatal("split point carries no buffered transactions")
+	}
+	st.Version = legacyStateVersion
+	legacy, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := NewMemStateStore()
+	store.Put(dev, legacy)
+	mon, err := NewMonitorWithConfig(set, 2, col.callback, MonitorConfig{Spill: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(mon, txs[mid:])
+	if n, _, err := mon.Checkpoint(); err != nil || n != 1 {
+		t.Fatalf("Checkpoint = %d, %v", n, err)
+	}
+	mon.Close()
+	comparePerDevice(t, refCol.got, col.got)
+
+	blob, ok, _ := store.Get(dev)
+	if !ok || len(blob) == 0 || blob[0] != stateVersion {
+		t.Fatalf("spill after a legacy rehydrate did not write a version-%d blob: %q", stateVersion, blob)
+	}
+	if _, err := DecodeDeviceState(blob); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeDeviceStateAllocs: decoding costs a fixed number of
+// allocations whatever the number of buffered transactions — the strings
+// of every record alias one copy of the blob.
+func TestDecodeDeviceStateAllocs(t *testing.T) {
+	allocs := func(buffered int) float64 {
+		anchor, last := codecTx(0), codecTx(59)
+		st := DeviceState{Device: "10.0.0.4", Current: "user_4", LastSeen: last.Timestamp,
+			Identifier: IdentifierState{Host: "10.0.0.4", K: 3, Runs: map[string]int{"user_4": 2, "user_1": 1},
+				Streamer: features.StreamerState{Entity: "10.0.0.4", Anchored: true, Anchor: &anchor, LastSeen: &last}}}
+		for i := 0; i < buffered; i++ {
+			st.Identifier.Streamer.Buffered = append(st.Identifier.Streamer.Buffered, codecTx(i%60))
+		}
+		blob := EncodeDeviceState(st)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := DecodeDeviceState(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1), allocs(500)
+	if large > small {
+		t.Errorf("decode allocations grow with the buffer: %.0f for 1 buffered transaction, %.0f for 500", small, large)
 	}
 }

@@ -138,7 +138,8 @@ func (s *Streamer) Emitted() int { return s.emitCount }
 // the checkpoint/resume property the durable identifier state in core
 // builds on (TestStreamerSnapshotResume proves it against Compose).
 //
-// The state is plain data with JSON tags; it carries no vocabulary or
+// The state is plain data (core's device-state codec serializes it; the
+// JSON tags serve its legacy reader); it carries no vocabulary or
 // window configuration — RestoreStreamer re-binds it to those, so the
 // snapshot stays valid as long as the profile bundle it belongs to does.
 type StreamerState struct {

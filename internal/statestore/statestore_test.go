@@ -514,4 +514,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if _, _, ok := decodeEnvelope([]byte(`{"json":"plain state"}`)); ok {
 		t.Fatal("plain JSON decoded as an envelope")
 	}
+	if _, _, ok := decodeEnvelope(core.EncodeDeviceState(core.DeviceState{Device: "10.0.0.1"})); ok {
+		t.Fatal("plain binary device state decoded as an envelope")
+	}
 }

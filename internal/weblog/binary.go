@@ -3,6 +3,7 @@ package weblog
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"webtxprofile/internal/taxonomy"
@@ -30,6 +31,12 @@ import (
 // line cap; a corrupt length prefix cannot balloon memory.
 const MaxBinaryRecord = 1 << 20
 
+// MinBinaryRecord is the smallest encoded record: a 1-byte timestamp
+// varint, nine empty fields, reputation and flags. Decoders bound record
+// counts with it, so a corrupt count cannot size an allocation beyond
+// what the input could hold.
+const MinBinaryRecord = 12
+
 // binaryFlagPrivate is the Private field's bit in the record's flags byte.
 const binaryFlagPrivate = 0x01
 
@@ -39,15 +46,15 @@ const binaryFlagPrivate = 0x01
 func (t *Transaction) AppendBinary(dst []byte) []byte {
 	ts := t.Timestamp.UnixNano()
 	dst = binary.AppendVarint(dst, ts)
-	dst = appendBinaryString(dst, t.Host)
-	dst = appendBinaryString(dst, t.Scheme)
-	dst = appendBinaryString(dst, t.Action)
-	dst = appendBinaryString(dst, t.UserID)
-	dst = appendBinaryString(dst, t.SourceIP)
-	dst = appendBinaryString(dst, t.Category)
-	dst = appendBinaryString(dst, t.MediaType.Super)
-	dst = appendBinaryString(dst, t.MediaType.Sub)
-	dst = appendBinaryString(dst, t.AppType)
+	dst = AppendBinaryString(dst, t.Host)
+	dst = AppendBinaryString(dst, t.Scheme)
+	dst = AppendBinaryString(dst, t.Action)
+	dst = AppendBinaryString(dst, t.UserID)
+	dst = AppendBinaryString(dst, t.SourceIP)
+	dst = AppendBinaryString(dst, t.Category)
+	dst = AppendBinaryString(dst, t.MediaType.Super)
+	dst = AppendBinaryString(dst, t.MediaType.Sub)
+	dst = AppendBinaryString(dst, t.AppType)
 	dst = append(dst, byte(t.Reputation))
 	var flags byte
 	if t.Private {
@@ -56,7 +63,9 @@ func (t *Transaction) AppendBinary(dst []byte) []byte {
 	return append(dst, flags)
 }
 
-func appendBinaryString(dst []byte, s string) []byte {
+// AppendBinaryString appends s as a uvarint length plus its bytes — the
+// string encoding of binary records, read back by ReadBinaryString.
+func AppendBinaryString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -82,11 +91,21 @@ func DecodeBinary(rec []byte) (Transaction, error) {
 // every record shares it. Structural validity only: run Validate for the
 // log-line format's semantic checks.
 func DecodeBinaryFrom(s string) (Transaction, string, error) {
+	var tx Transaction
+	rest, err := decodeBinaryInto(&tx, s)
+	if err != nil {
+		return Transaction{}, "", err
+	}
+	return tx, rest, nil
+}
+
+// decodeBinaryInto is DecodeBinaryFrom writing into *tx, which holds
+// garbage on error.
+func decodeBinaryInto(tx *Transaction, s string) (string, error) {
 	ts, s, err := ReadBinaryVarint(s)
 	if err != nil {
-		return Transaction{}, "", fmt.Errorf("weblog: binary record timestamp: %w", err)
+		return "", fmt.Errorf("weblog: binary record timestamp: %w", err)
 	}
-	var tx Transaction
 	tx.Timestamp = time.Unix(0, ts).UTC()
 	fields := [9]*string{
 		&tx.Host, &tx.Scheme, &tx.Action, &tx.UserID, &tx.SourceIP,
@@ -94,19 +113,19 @@ func DecodeBinaryFrom(s string) (Transaction, string, error) {
 	}
 	for i, f := range fields {
 		if *f, s, err = ReadBinaryString(s); err != nil {
-			return Transaction{}, "", fmt.Errorf("weblog: binary record field %d: %w", i, err)
+			return "", fmt.Errorf("weblog: binary record field %d: %w", i, err)
 		}
 	}
 	if len(s) < 2 {
-		return Transaction{}, "", fmt.Errorf("weblog: binary record truncated before reputation")
+		return "", fmt.Errorf("weblog: binary record truncated before reputation")
 	}
 	tx.Reputation = taxonomy.Reputation(s[0])
 	flags := s[1]
 	if flags&^binaryFlagPrivate != 0 {
-		return Transaction{}, "", fmt.Errorf("weblog: binary record has unknown flag bits %#x", flags)
+		return "", fmt.Errorf("weblog: binary record has unknown flag bits %#x", flags)
 	}
 	tx.Private = flags&binaryFlagPrivate != 0
-	return tx, s[2:], nil
+	return s[2:], nil
 }
 
 // ReadBinaryVarint is binary.Varint over a string, returning the rest —
@@ -125,6 +144,8 @@ func ReadBinaryVarint(s string) (int64, string, error) {
 }
 
 // ReadBinaryUvarint is binary.Uvarint over a string, returning the rest.
+// It accepts only the minimal encoding binary.AppendUvarint writes, so
+// every value a decoder accepts re-encodes to the bytes it was read from.
 func ReadBinaryUvarint(s string) (uint64, string, error) {
 	var x uint64
 	var shift uint
@@ -136,6 +157,9 @@ func ReadBinaryUvarint(s string) (uint64, string, error) {
 		if b < 0x80 {
 			if i == binary.MaxVarintLen64-1 && b > 1 {
 				return 0, "", fmt.Errorf("uvarint overflows 64 bits")
+			}
+			if b == 0 && i > 0 {
+				return 0, "", fmt.Errorf("uvarint not minimally encoded")
 			}
 			return x | uint64(b)<<shift, s[i+1:], nil
 		}
@@ -159,4 +183,116 @@ func ReadBinaryString(s string) (string, string, error) {
 		return "", "", fmt.Errorf("field of %d bytes exceeds remaining %d", n, len(rest))
 	}
 	return rest[:n], rest[n:], nil
+}
+
+// BinaryReader walks a payload built from this file's primitives —
+// varints, length-prefixed strings, binary records — as the state and
+// cluster codecs lay them out. The first error sticks: every later read
+// returns a zero value, so a decoder checks Err once at the end. Decoded
+// strings alias the payload.
+type BinaryReader struct {
+	s   string
+	err error
+}
+
+// NewBinaryReader returns a reader over s.
+func NewBinaryReader(s string) *BinaryReader { return &BinaryReader{s: s} }
+
+// Err returns the first error, if any.
+func (r *BinaryReader) Err() error { return r.err }
+
+// Done returns the first error, or an error if bytes remain unread.
+func (r *BinaryReader) Done() error {
+	if r.err == nil && r.s != "" {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.s))
+	}
+	return r.err
+}
+
+// Fail records err (unless an earlier error stuck) and stops the reader.
+func (r *BinaryReader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.s = ""
+}
+
+// Byte reads one byte.
+func (r *BinaryReader) Byte() byte {
+	if r.s == "" {
+		r.Fail(fmt.Errorf("truncated"))
+		return 0
+	}
+	b := r.s[0]
+	r.s = r.s[1:]
+	return b
+}
+
+// Uvarint reads one uvarint.
+func (r *BinaryReader) Uvarint() uint64 {
+	x, rest, err := ReadBinaryUvarint(r.s)
+	if err != nil {
+		r.Fail(err)
+		return 0
+	}
+	r.s = rest
+	return x
+}
+
+// Varint reads one zigzag varint.
+func (r *BinaryReader) Varint() int64 {
+	x, rest, err := ReadBinaryVarint(r.s)
+	if err != nil {
+		r.Fail(err)
+		return 0
+	}
+	r.s = rest
+	return x
+}
+
+// Int reads one zigzag varint as an int.
+func (r *BinaryReader) Int() int { return int(r.Varint()) }
+
+// Field reads one uvarint-length-prefixed string.
+func (r *BinaryReader) Field() string {
+	v, rest, err := ReadBinaryString(r.s)
+	if err != nil {
+		r.Fail(err)
+		return ""
+	}
+	r.s = rest
+	return v
+}
+
+// Float64 reads 8 little-endian bytes as an IEEE 754 double.
+func (r *BinaryReader) Float64() float64 {
+	if len(r.s) < 8 {
+		r.Fail(fmt.Errorf("truncated float"))
+		return 0
+	}
+	bits := binary.LittleEndian.Uint64([]byte(r.s[:8]))
+	r.s = r.s[8:]
+	return math.Float64frombits(bits)
+}
+
+// Transaction decodes one binary record into dst.
+func (r *BinaryReader) Transaction(dst *Transaction) {
+	rest, err := decodeBinaryInto(dst, r.s)
+	if err != nil {
+		r.Fail(err)
+		return
+	}
+	r.s = rest
+}
+
+// Count reads an element count, rejecting one that elements of at least
+// minSize bytes could not fit in the remaining bytes, so a corrupt count
+// cannot size an allocation beyond what the input justifies.
+func (r *BinaryReader) Count(what string, minSize int) int {
+	n := r.Uvarint()
+	if n > uint64(len(r.s)/minSize) {
+		r.Fail(fmt.Errorf("%d %s cannot fit in %d bytes", n, what, len(r.s)))
+		return 0
+	}
+	return int(n)
 }
