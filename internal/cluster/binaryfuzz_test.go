@@ -103,6 +103,7 @@ func binaryCorpusSeeds(t testing.TB) [][]byte {
 		[]byte{binaryMagic, wireVersion, 0x01, 0x01, 3, 0x01},               // retired tag 3 (wire version)
 		[]byte{binaryMagic, wireVersion, 0x02, 0x01, 4, 0x01, 0x00},         // retired tag 4 (log lines)
 		[]byte{binaryMagic, wireVersion, 0x04, 0x01, tagBlob, 0x7f, 'x'},    // blob length exceeds payload
+		[]byte{binaryMagic, wireVersion, 0x09, 0x00, 9, 0x02, '{', '}'},     // retired tag 9 (JSON alert)
 	)
 	return seeds
 }

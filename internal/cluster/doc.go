@@ -86,6 +86,11 @@
 // router died before resolving them are invisible until the node's
 // StagedTTL sweep reclaims them.
 //
+// The blob must fit in one frame. An export that would not is refused by
+// src, which re-adopts the devices at once; the drain then moves them in
+// two handoffs, halving again as often as needed, so a move of any size
+// goes through and only a single device too large for a frame stays put.
+//
 // # Moves through a shared state tier
 //
 // When the nodes spill through one internal/statestore server

@@ -525,6 +525,16 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 // the devices' state.
 var errNoHandoff = errors.New("cluster: export and import need a handoff id")
 
+// errExportTooLarge refuses an export whose blob would not fit in one
+// frame. The node has already re-adopted the devices, so the router can
+// retry them in smaller handoffs.
+var errExportTooLarge = errors.New("cluster: export exceeds the frame limit")
+
+// maxExportBlob caps the state blob one handoff carries: the export
+// reply and the import request each hold the blob plus a few short
+// fields, which the slack leaves room for under MaxFrameBytes.
+var maxExportBlob = MaxFrameBytes - 64<<10
+
 // handle dispatches one request frame to the monitor and builds the
 // reply.
 func (n *Node) handle(conn net.Conn, f Frame) Frame {
@@ -607,6 +617,12 @@ func (n *Node) handle(conn net.Conn, f Frame) Frame {
 		blob, count, err := n.mon.ExportStaged(f.Handoff, f.Devices)
 		if err != nil {
 			return errorFrame(f.Seq, err)
+		}
+		if len(blob) > maxExportBlob {
+			if _, err := n.mon.AbortHandoff(f.Handoff); err != nil {
+				return errorFrame(f.Seq, err)
+			}
+			return errorFrame(f.Seq, fmt.Errorf("%w: %d devices in %d bytes", errExportTooLarge, count, len(blob)))
 		}
 		// Ordering barrier: every alert of the exported devices must be
 		// on the wire before the reply, so the importer's alerts are

@@ -760,6 +760,10 @@ func (r *Router) FailNode(name string) error {
 // rehydrate on the next transaction at dst. An abort leaves the parked
 // devices to rehydrate on src.
 //
+// A blob too large for one frame is refused by src, which keeps the
+// devices; drain then splits them into two handoffs, recursively, so a
+// move of any size goes through.
+//
 // On failure the devices settle back on src (fellBack=true), except when
 // a leaving src cannot be reached to export, where they settle on dst
 // fresh — their state is unreachable on the node being removed.
@@ -774,6 +778,14 @@ func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fell
 	hs.mu.Lock()
 	blob, exported, exportErr := hs.client.ExportHandoff(id, devices)
 	hs.mu.Unlock()
+	if len(devices) > 1 && errors.Is(exportErr, ErrNodeRefused) && strings.Contains(exportErr.Error(), errExportTooLarge.Error()) {
+		// Too much state for one frame: src kept the devices, so move
+		// them in two handoffs, halving again as often as needed.
+		half := len(devices) / 2
+		fb1, err1 := r.drain(src, dst, devices[:half], leavingSrc)
+		fb2, err2 := r.drain(src, dst, devices[half:], leavingSrc)
+		return fb1 || fb2, errors.Join(err1, err2)
+	}
 	if exportErr != nil {
 		if leavingSrc && !errors.Is(exportErr, ErrNodeRefused) {
 			// The leaving node could not be reached to hand its state

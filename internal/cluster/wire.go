@@ -29,7 +29,8 @@ import (
 // a reader always sees whole frames in write order.
 
 // MaxFrameBytes caps one frame's payload. Shard-export blobs are the
-// largest frames; 64 MiB is ~100k devices at typical state sizes. The
+// largest frames; 64 MiB holds about 13k devices at typical state sizes
+// (~5 KB each), and a drain with more splits into several handoffs. The
 // reader rejects larger headers before allocating, so a corrupt or
 // hostile length prefix cannot balloon memory.
 const MaxFrameBytes = 64 << 20

@@ -70,6 +70,8 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 		{"truncated frame header", append(header(2), binaryMagic, wireVersion), "truncated frame header"},
 		{"unknown type", append(header(4), binaryMagic, wireVersion, 0x63, 0x01), "unknown binary frame type"},
 		{"empty type", append(header(4), binaryMagic, wireVersion, 0x00, 0x01), "unknown binary frame type"},
+		// An older build's alert: tag 9 carried a JSON NodeAlert and is retired.
+		{"json alert tag", append(header(8), binaryMagic, wireVersion, frameTypeCodes[FrameAlert], 0x00, 9, 2, '{', '}'), "unknown field tag 9"},
 	}
 	for i, payload := range legacyJSONFrames {
 		cases = append(cases, malformed{fmt.Sprintf("legacy json %d", i), lengthPrefixed(payload), ""})

@@ -41,9 +41,9 @@ var frameTypeNames = func() [14]string {
 
 // Binary frame field tags. Fields at their zero value are omitted; an
 // unknown tag is a decode error, so protocol drift surfaces as a clean
-// error on the reader rather than a silent no-op. Tags 3 and 4 are
-// retired (they carried the negotiated wire version and log-line feeds)
-// and must never be reused.
+// error on the reader rather than a silent no-op. Tags 3, 4 and 9 are
+// retired (they carried the negotiated wire version, log-line feeds and
+// JSON-encoded alerts) and must never be reused.
 const (
 	tagNode      = 1 // uvarint length + bytes
 	tagSubscribe = 2 // no payload; presence means true
@@ -51,7 +51,6 @@ const (
 	tagBlob      = 6 // uvarint length + bytes
 	tagCount     = 7 // zigzag varint
 	tagError     = 8 // uvarint length + bytes
-	tagAlert     = 9 // uvarint length + binary NodeAlert (appendNodeAlert)
 	tagTxs       = 10
 	// tagTxs: uvarint count, then count weblog binary records back to back
 	// (the records are self-delimiting).
@@ -61,6 +60,7 @@ const (
 	tagResume  = 14 // no payload; presence means true
 	tagReplay  = 15 // no payload; presence means true
 	tagGossip  = 16 // uvarint length + JSON-encoded GossipState
+	tagAlert   = 17 // uvarint length + binary NodeAlert (appendNodeAlert)
 )
 
 // AppendBinaryFrame appends f's binary encoding to dst. The layout is

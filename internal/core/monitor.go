@@ -667,7 +667,6 @@ func (m *Monitor) restoreTrackLocked(sh *monitorShard, st DeviceState) (*deviceT
 // Runs under the device's shard lock.
 func deviceStateLocked(device string, tr *deviceTrack) DeviceState {
 	return DeviceState{
-		Version:    stateVersion,
 		Device:     device,
 		Current:    tr.current,
 		LastSeen:   tr.lastSeen,

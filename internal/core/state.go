@@ -38,8 +38,8 @@ const legacyStateVersion = 1
 // process — left off. EncodeDeviceState writes it in the binary format;
 // the JSON tags serve only the legacy (version 1) reader.
 type DeviceState struct {
-	// Version is the format the state was decoded from; the encoder
-	// always writes stateVersion.
+	// Version is the legacy JSON format's version field. The binary
+	// codec ignores it: a binary blob's version is its first byte.
 	Version int    `json:"version"`
 	Device  string `json:"device"`
 	// Current is the confirmed user at snapshot time ("" if none).
@@ -136,9 +136,10 @@ func DecodeDeviceState(blob []byte) (DeviceState, error) {
 }
 
 // decodeDeviceRecord decodes exactly one binary device state from s; the
-// decoded strings alias s.
+// decoded strings alias s. It accepts only the canonical encoding, so a
+// state it returns re-encodes to s.
 func decodeDeviceRecord(s string) (DeviceState, error) {
-	r := weblog.NewBinaryReader(s)
+	r := weblog.NewCanonicalBinaryReader(s)
 	st := readDeviceState(r)
 	if err := r.Done(); err != nil {
 		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
@@ -151,7 +152,7 @@ func readDeviceState(r *weblog.BinaryReader) DeviceState {
 	if v := r.Byte(); r.Err() == nil && v != stateVersion {
 		r.Fail(fmt.Errorf("unsupported device state version %d (want %d)", v, stateVersion))
 	}
-	st := DeviceState{Version: stateVersion, Device: r.Field(), Current: r.Field()}
+	st := DeviceState{Device: r.Field(), Current: r.Field()}
 	if r.Err() == nil && st.Device == "" {
 		r.Fail(fmt.Errorf("missing device id"))
 	}
@@ -511,7 +512,7 @@ func encodeShardState(devices []DeviceState) []byte {
 // decodes from its own copy of its record, so no device's state pins the
 // others'.
 func decodeShardState(data []byte) ([]DeviceState, error) {
-	r := weblog.NewBinaryReader(string(data))
+	r := weblog.NewCanonicalBinaryReader(string(data))
 	if v := r.Byte(); r.Err() == nil && v != stateVersion {
 		return nil, fmt.Errorf("core: unsupported shard export version %d (want %d)", v, stateVersion)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -869,7 +870,6 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.st
-			want.Version = stateVersion
 			blob := EncodeDeviceState(want)
 			got, err := DecodeDeviceState(blob)
 			if err != nil {
@@ -882,6 +882,22 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 				t.Error("re-encoding the decoded state changed the bytes")
 			}
 		})
+	}
+
+	// The decoder accepts only the canonical bytes: the same state with
+	// its device-length varint padded by a continuation byte is refused,
+	// alone and inside a shard export.
+	blob := EncodeDeviceState(cases[1].st)
+	padded := append([]byte{blob[0], blob[1] | 0x80, 0x00}, blob[2:]...)
+	if _, err := DecodeDeviceState(padded); err == nil {
+		t.Error("blob with a padded varint decoded")
+	}
+	if _, err := decodeShardState(encodeShardState([]DeviceState{cases[1].st})); err != nil {
+		t.Fatal(err)
+	}
+	shard := binary.AppendUvarint(append([]byte{stateVersion}, 1), uint64(len(padded)))
+	if _, err := decodeShardState(append(shard, padded...)); err == nil {
+		t.Error("shard export with a padded varint decoded")
 	}
 }
 

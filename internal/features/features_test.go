@@ -490,6 +490,23 @@ func TestRestoreStreamerRejectsCorruptState(t *testing.T) {
 	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
 		t.Error("last-seen before the anchor accepted")
 	}
+	// A window position behind the last-seen transaction (Add never
+	// leaves one) is refused: resuming it would walk every window in
+	// between, centuries of them for a corrupt last-seen stamp.
+	for _, next := range []int{good.NextIdx - 1, good.NextIdx + 1} {
+		bad = good
+		bad.NextIdx = next
+		if _, err := RestoreStreamer(v, cfg, bad); err == nil {
+			t.Errorf("next window %d accepted for a state at %d", next, good.NextIdx)
+		}
+	}
+	bad = good
+	farLast := *good.LastSeen
+	farLast.Timestamp = farLast.Timestamp.Add(200 * 365 * 24 * time.Hour)
+	bad.LastSeen = &farLast
+	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
+		t.Error("last-seen centuries past the state's window accepted")
+	}
 
 	// A closed streamer's state restores closed: Add must keep failing.
 	st.Close()

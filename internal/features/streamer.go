@@ -200,8 +200,16 @@ func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*St
 	if st.LastSeen.Timestamp.Before(st.Anchor.Timestamp) {
 		return nil, fmt.Errorf("features: streamer state for %q has last-seen before its anchor", st.Entity)
 	}
-	if _, err := cfg.FirstWindowEndingAfter(st.Anchor.Timestamp, st.LastSeen.Timestamp); err != nil {
+	target, err := cfg.FirstWindowEndingAfter(st.Anchor.Timestamp, st.LastSeen.Timestamp)
+	if err != nil {
 		return nil, fmt.Errorf("features: streamer state for %q: %w", st.Entity, err)
+	}
+	if !st.Closed && st.NextIdx != target {
+		// Add leaves the next window at the first one ending after the
+		// last transaction. A state behind it would walk every window in
+		// between on the next Add or Close — centuries of them, for a
+		// corrupt blob.
+		return nil, fmt.Errorf("features: streamer state for %q is at window %d, want %d for its last-seen transaction", st.Entity, st.NextIdx, target)
 	}
 	for i := range st.Buffered {
 		if i > 0 && st.Buffered[i].Timestamp.Before(st.Buffered[i-1].Timestamp) {

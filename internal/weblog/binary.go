@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"webtxprofile/internal/taxonomy"
@@ -144,8 +145,6 @@ func ReadBinaryVarint(s string) (int64, string, error) {
 }
 
 // ReadBinaryUvarint is binary.Uvarint over a string, returning the rest.
-// It accepts only the minimal encoding binary.AppendUvarint writes, so
-// every value a decoder accepts re-encodes to the bytes it was read from.
 func ReadBinaryUvarint(s string) (uint64, string, error) {
 	var x uint64
 	var shift uint
@@ -157,9 +156,6 @@ func ReadBinaryUvarint(s string) (uint64, string, error) {
 		if b < 0x80 {
 			if i == binary.MaxVarintLen64-1 && b > 1 {
 				return 0, "", fmt.Errorf("uvarint overflows 64 bits")
-			}
-			if b == 0 && i > 0 {
-				return 0, "", fmt.Errorf("uvarint not minimally encoded")
 			}
 			return x | uint64(b)<<shift, s[i+1:], nil
 		}
@@ -191,12 +187,21 @@ func ReadBinaryString(s string) (string, string, error) {
 // returns a zero value, so a decoder checks Err once at the end. Decoded
 // strings alias the payload.
 type BinaryReader struct {
-	s   string
-	err error
+	s         string
+	err       error
+	canonical bool
 }
 
 // NewBinaryReader returns a reader over s.
 func NewBinaryReader(s string) *BinaryReader { return &BinaryReader{s: s} }
+
+// NewCanonicalBinaryReader returns a reader over s that also rejects any
+// encoding the Append functions would not have written (a varint padded
+// with continuation bytes), so every value it reads re-encodes to the
+// bytes it was read from.
+func NewCanonicalBinaryReader(s string) *BinaryReader {
+	return &BinaryReader{s: s, canonical: true}
+}
 
 // Err returns the first error, if any.
 func (r *BinaryReader) Err() error { return r.err }
@@ -217,6 +222,32 @@ func (r *BinaryReader) Fail(err error) {
 	r.s = ""
 }
 
+// advance moves the reader to rest after a read whose canonical encoding
+// is want bytes long.
+func (r *BinaryReader) advance(rest string, want int) {
+	if r.canonical && len(r.s)-len(rest) != want {
+		r.Fail(fmt.Errorf("non-canonical encoding"))
+		return
+	}
+	r.s = rest
+}
+
+// uvarintLen is the length of x's minimal uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of x's zigzag varint encoding.
+func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
+
+// binaryLen is the length of t's AppendBinary encoding.
+func (t *Transaction) binaryLen() int {
+	n := varintLen(t.Timestamp.UnixNano()) + 2 // + reputation, flags
+	for _, f := range [...]string{t.Host, t.Scheme, t.Action, t.UserID, t.SourceIP,
+		t.Category, t.MediaType.Super, t.MediaType.Sub, t.AppType} {
+		n += uvarintLen(uint64(len(f))) + len(f)
+	}
+	return n
+}
+
 // Byte reads one byte.
 func (r *BinaryReader) Byte() byte {
 	if r.s == "" {
@@ -235,7 +266,7 @@ func (r *BinaryReader) Uvarint() uint64 {
 		r.Fail(err)
 		return 0
 	}
-	r.s = rest
+	r.advance(rest, uvarintLen(x))
 	return x
 }
 
@@ -246,7 +277,7 @@ func (r *BinaryReader) Varint() int64 {
 		r.Fail(err)
 		return 0
 	}
-	r.s = rest
+	r.advance(rest, varintLen(x))
 	return x
 }
 
@@ -260,7 +291,7 @@ func (r *BinaryReader) Field() string {
 		r.Fail(err)
 		return ""
 	}
-	r.s = rest
+	r.advance(rest, uvarintLen(uint64(len(v)))+len(v))
 	return v
 }
 
@@ -270,9 +301,9 @@ func (r *BinaryReader) Float64() float64 {
 		r.Fail(fmt.Errorf("truncated float"))
 		return 0
 	}
-	bits := binary.LittleEndian.Uint64([]byte(r.s[:8]))
+	u := binary.LittleEndian.Uint64([]byte(r.s[:8]))
 	r.s = r.s[8:]
-	return math.Float64frombits(bits)
+	return math.Float64frombits(u)
 }
 
 // Transaction decodes one binary record into dst.
@@ -280,6 +311,10 @@ func (r *BinaryReader) Transaction(dst *Transaction) {
 	rest, err := decodeBinaryInto(dst, r.s)
 	if err != nil {
 		r.Fail(err)
+		return
+	}
+	if r.canonical {
+		r.advance(rest, dst.binaryLen())
 		return
 	}
 	r.s = rest

@@ -135,3 +135,49 @@ func TestBinaryFieldsAliasInput(t *testing.T) {
 		t.Fatal("decoded host not present in input")
 	}
 }
+
+// TestCanonicalBinaryReader: a padded varint (a redundant continuation
+// byte) decodes to the same value everywhere except the canonical reader,
+// which rejects it; minimal encodings read identically in both modes.
+func TestCanonicalBinaryReader(t *testing.T) {
+	tx := binarySampleTxs()[1]
+	rec := tx.AppendBinary(nil)
+	// Host length (after the timestamp varint) padded with a 0x80 0x00 tail.
+	tsLen := varintLen(tx.Timestamp.UnixNano())
+	padded := append(append(append([]byte(nil), rec[:tsLen]...), rec[tsLen]|0x80, 0x00), rec[tsLen+1:]...)
+	if got, err := DecodeBinary(padded); err != nil || !reflect.DeepEqual(got, tx) {
+		t.Fatalf("DecodeBinary of a padded record: %+v, %v", got, err)
+	}
+
+	read := func(r *BinaryReader) (Transaction, uint64, int64, string, error) {
+		var got Transaction
+		r.Transaction(&got)
+		u, v, f := r.Uvarint(), r.Varint(), r.Field()
+		return got, u, v, f, r.Done()
+	}
+	minimal := append(append(rec, 0x05, 0x03), 1, 'x')
+	for _, canonical := range []bool{false, true} {
+		r := NewBinaryReader(string(minimal))
+		if canonical {
+			r = NewCanonicalBinaryReader(string(minimal))
+		}
+		if got, u, v, f, err := read(r); err != nil || !reflect.DeepEqual(got, tx) || u != 5 || v != -2 || f != "x" {
+			t.Errorf("canonical=%v: minimal payload read %+v %d %d %q, %v", canonical, got, u, v, f, err)
+		}
+	}
+
+	cases := map[string][]byte{
+		"padded record":  append(append([]byte(nil), padded...), 0x05, 0x03, 1, 'x'),
+		"padded uvarint": append(append([]byte(nil), rec...), 0x85, 0x00, 0x03, 1, 'x'),
+		"padded varint":  append(append([]byte(nil), rec...), 0x05, 0x83, 0x00, 1, 'x'),
+		"padded length":  append(append([]byte(nil), rec...), 0x05, 0x03, 0x81, 0x00, 'x'),
+	}
+	for name, payload := range cases {
+		if _, _, _, _, err := read(NewBinaryReader(string(payload))); err != nil {
+			t.Errorf("%s: plain reader refused it: %v", name, err)
+		}
+		if _, _, _, _, err := read(NewCanonicalBinaryReader(string(payload))); err == nil {
+			t.Errorf("%s: canonical reader accepted it", name)
+		}
+	}
+}
