@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -933,4 +935,72 @@ func BenchmarkMonitorShardHandoff(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(moved)/float64(b.N), "exportBytes/op")
 	mon.Flush()
+}
+
+// BenchmarkMonitorResidentBytes reports the live heap a Monitor holds per
+// tracked device (B/device) on a fleet-lines-shaped stream: the test
+// epoch's hosts cloned onto ~4k devices, each clone starting at a random
+// point of its host's traffic, merged in time order, and sent as log
+// lines parsed the way the collector parses them (one string per line,
+// every field aliasing it) in collector-sized batches. The heap is read
+// after a full collection, minus the heap of the empty monitor; by then
+// the lines are garbage unless the monitor keeps them alive.
+func BenchmarkMonitorResidentBytes(b *testing.B) {
+	const devices = 4096
+	const perDevice = 96
+	set := monitorBenchSet(b)
+	env := benchEnv(b)
+	hosts := env.Test.Hosts()
+	r := rand.New(rand.NewSource(1))
+	start := env.Test.Transactions[len(env.Test.Transactions)-1].Timestamp.Add(time.Hour)
+	stream := make([]webtxprofile.Transaction, 0, devices*perDevice)
+	for i, name := range benchDeviceNames(devices) {
+		txs := env.Test.HostTransactions(hosts[i%len(hosts)])
+		span := txs[len(txs)-1].Timestamp.Sub(txs[0].Timestamp) + time.Hour
+		first := r.Intn(len(txs))
+		for j := 0; j < perDevice; j++ {
+			k := first + j
+			tx := txs[k%len(txs)]
+			tx.SourceIP = name
+			tx.Timestamp = start.Add(tx.Timestamp.Sub(txs[first].Timestamp) + time.Duration(k/len(txs))*span)
+			stream = append(stream, tx)
+		}
+	}
+	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Timestamp.Before(stream[j].Timestamp) })
+
+	var perDev float64
+	batch := make([]webtxprofile.Transaction, 0, 512)
+	for i := 0; i < b.N; i++ {
+		mon, err := webtxprofile.NewMonitorWithConfig(set, 3, func(webtxprofile.Alert) {},
+			webtxprofile.MonitorConfig{Shards: 64})
+		if err != nil {
+			b.Fatal(err)
+		}
+		heap0 := benchLiveHeap()
+		for lo := 0; lo < len(stream); lo += cap(batch) {
+			batch = batch[:0]
+			for _, tx := range stream[lo:min(lo+cap(batch), len(stream))] {
+				tx, err := weblog.ParseLine(tx.MarshalLine())
+				if err != nil {
+					b.Fatal(err)
+				}
+				batch = append(batch, tx)
+			}
+			if err := mon.FeedBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		clear(batch) // the last batch's lines are the caller's, not the monitor's
+		perDev = float64(int64(benchLiveHeap())-int64(heap0)) / float64(mon.Devices())
+		mon.Close()
+	}
+	b.ReportMetric(perDev, "B/device")
+}
+
+// benchLiveHeap is the live heap after a full collection, in bytes.
+func benchLiveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

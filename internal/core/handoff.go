@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Two-phase shard handoff. Moving a device between monitors must never
@@ -329,12 +330,14 @@ func (m *Monitor) adoptStatesAtomic(states []DeviceState) error {
 				unlock()
 				return fmt.Errorf("core: device %s already tracked, adoption refused", st.Device)
 			}
-			tr, err := m.restoreTrackLocked(sh, st)
+			// The map key outlives the blob st was decoded from.
+			device := strings.Clone(st.Device)
+			tr, err := m.restoreTrackLocked(sh, device, st)
 			if err != nil {
 				unlock()
 				return err
 			}
-			adopts = append(adopts, pending{sh, st.Device, tr})
+			adopts = append(adopts, pending{sh, device, tr})
 		}
 	}
 	for _, p := range adopts {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"webtxprofile/internal/features"
 	"webtxprofile/internal/weblog"
@@ -116,18 +117,23 @@ func RestoreIdentifier(set *ProfileSet, st IdentifierState) (*Identifier, error)
 	if err != nil {
 		return nil, err
 	}
-	return restoreIdentifierWithScorer(set, st, st.K, sc)
+	return restoreIdentifierWithScorer(set, strings.Clone(st.Host), st, st.K, sc)
 }
 
 // restoreIdentifierWithScorer is RestoreIdentifier sharing an existing
 // scorer and overriding the consecutive-window threshold — the shape the
-// Monitor's rehydration and shard-import paths need.
-func restoreIdentifierWithScorer(set *ProfileSet, st IdentifierState, consecutiveK int, sc *scorer) (*Identifier, error) {
+// Monitor's rehydration and shard-import paths need. host is the caller's
+// own copy of st.Host, which the identifier keeps in place of the state's
+// string.
+func restoreIdentifierWithScorer(set *ProfileSet, host string, st IdentifierState, consecutiveK int, sc *scorer) (*Identifier, error) {
 	if consecutiveK <= 0 {
 		consecutiveK = 1
 	}
 	if st.Host == "" {
 		return nil, fmt.Errorf("core: identifier state missing host")
+	}
+	if st.Host != host {
+		return nil, fmt.Errorf("core: identifier state for %s restored as %s", st.Host, host)
 	}
 	if st.Streamer.Entity != st.Host {
 		return nil, fmt.Errorf("core: identifier state for %s carries streamer state for %q", st.Host, st.Streamer.Entity)
@@ -152,7 +158,7 @@ func restoreIdentifierWithScorer(set *ProfileSet, st IdentifierState, consecutiv
 		sc:       sc,
 		k:        consecutiveK,
 		streaks:  streaks,
-		host:     st.Host,
+		host:     host,
 	}, nil
 }
 

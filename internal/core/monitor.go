@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,14 @@ import (
 // Alert is one identity-state change on a monitored device, the event
 // stream of the paper's continuous-authentication and intrusion-monitoring
 // applications (Sect. I).
+//
+// An alert's strings belong to the monitor, never to the transaction or
+// state blob that caused it: the device id is the monitor's own copy, the
+// users are the profile set's, and the window's user counts are keyed by
+// the device streamer's own copies of the user ids (see
+// features.Streamer). Retaining an alert (an alert ring, a log, a
+// benchmark recorder) therefore retains no ingest batch, wire frame or
+// decoded blob — at most the small string blocks those copies sit in.
 type Alert struct {
 	Device string
 	// Kind distinguishes the transitions.
@@ -582,7 +591,9 @@ func (m *Monitor) feedLocked(sh *monitorShard, tx weblog.Transaction) error {
 	if err != nil {
 		return err
 	}
-	m.process(tx.SourceIP, tr, events)
+	// The alerts name the device by the track's own copy of the id, never
+	// by tx.SourceIP, which aliases ingest memory.
+	m.process(tr.id.host, tr, events)
 	return nil
 }
 
@@ -617,7 +628,7 @@ func (m *Monitor) admitLocked(sh *monitorShard, device string) (*deviceTrack, er
 			}
 			var tr *deviceTrack
 			if err == nil {
-				tr, err = m.restoreTrackLocked(sh, st)
+				tr, err = m.restoreTrackLocked(sh, device, st)
 			}
 			if err != nil {
 				// Corrupt state: drop the blob so only this one transaction
@@ -644,14 +655,23 @@ func (m *Monitor) admitLocked(sh *monitorShard, device string) (*deviceTrack, er
 // restoreTrackLocked rebuilds a device track from portable state, clamping
 // the restored last-seen stamp into the importing monitor's stream-clock
 // range (a zero or far-future stamp from another process must not make the
-// device instantly evictable or unevictable). Runs under the target
+// device instantly evictable or unevictable). device is the monitor's own
+// copy of st.Device: the state's strings alias the blob it was decoded
+// from, so the track takes its id from device and its confirmed user from
+// the profile set, and keeps no string of the blob. Runs under the target
 // shard's lock.
-func (m *Monitor) restoreTrackLocked(sh *monitorShard, st DeviceState) (*deviceTrack, error) {
-	id, err := restoreIdentifierWithScorer(m.set, st.Identifier, m.k, sh.sc)
+func (m *Monitor) restoreTrackLocked(sh *monitorShard, device string, st DeviceState) (*deviceTrack, error) {
+	id, err := restoreIdentifierWithScorer(m.set, device, st.Identifier, m.k, sh.sc)
 	if err != nil {
 		return nil, err
 	}
-	tr := &deviceTrack{id: id, current: st.Current, lastSeen: st.LastSeen}
+	current := st.Current
+	if i, ok := slices.BinarySearch(sh.sc.users, current); ok {
+		current = sh.sc.users[i]
+	} else {
+		current = strings.Clone(current)
+	}
+	tr := &deviceTrack{id: id, current: current, lastSeen: st.LastSeen}
 	if m.cfg.IdleTTL > 0 {
 		if now := m.streamNow.Load(); now != 0 {
 			clock := time.Unix(0, now)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -351,6 +352,49 @@ func TestStreamerMatchesCompose(t *testing.T) {
 			t.Errorf("Emitted = %d, want %d", st.Emitted(), len(want))
 		}
 	}
+}
+
+// TestStreamersShareScratchConcurrently feeds streamers on one vocabulary
+// from several goroutines at once. They share the vocabulary's
+// window-build scratch, and each must still emit exactly Compose's
+// windows, user counts included.
+func TestStreamersShareScratchConcurrently(t *testing.T) {
+	cfg := WindowConfig{Duration: time.Minute, Shift: 10 * time.Second}
+	txs := make([]weblog.Transaction, 400)
+	for i := range txs {
+		txs[i] = traceTx(t0.Add(time.Duration(i)*3*time.Second), i)
+	}
+	v := Build(txs)
+	want, err := Compose(v, cfg, txs, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := NewStreamer(v, cfg, "x")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var got []Window
+			for _, x := range txs {
+				ws, err := st.Add(x)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = append(got, ws...)
+			}
+			got = append(got, st.Close()...)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("goroutine %d: streamer windows differ from Compose's", g)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestStreamerSnapshotResume is the durable-state property: snapshotting a

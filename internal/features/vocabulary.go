@@ -64,6 +64,10 @@ type Vocabulary struct {
 	apps     map[string]int
 	size     int
 	numeric  map[int32]bool
+
+	// scratch pools the window-build scratch of every Streamer on this
+	// vocabulary, so a live streamer holds none.
+	scratch *scratchPool
 }
 
 // Build constructs a vocabulary from a corpus of transactions. Column
@@ -111,6 +115,7 @@ func assemble(cats, supers, subs, apps []string) *Vocabulary {
 		subs:    make(map[string]int, len(subs)),
 		apps:    make(map[string]int, len(apps)),
 		numeric: make(map[int32]bool, 3),
+		scratch: new(scratchPool),
 	}
 	col := 0
 	for _, a := range taxonomy.Actions {
@@ -350,6 +355,7 @@ func (v *Vocabulary) Extend(txs []weblog.Transaction) *Vocabulary {
 		apps:     cloneCols(v.apps),
 		size:     v.size,
 		numeric:  v.numeric,
+		scratch:  new(scratchPool),
 	}
 	// Collect new values in first-seen order, then append columns in
 	// sorted order per group for determinism.

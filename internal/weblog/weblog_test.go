@@ -2,6 +2,7 @@ package weblog
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -115,13 +116,39 @@ func TestValidate(t *testing.T) {
 		"empty user":     func(x *Transaction) { x.UserID = "" },
 		"empty source":   func(x *Transaction) { x.SourceIP = "" },
 		"bad reputation": func(x *Transaction) { x.Reputation = taxonomy.Reputation(42) },
-		"comma in field": func(x *Transaction) { x.Category = "a,b" },
+	}
+	// A log delimiter in any free-text field, at its start, middle or end.
+	fields := map[string]func(*Transaction) *string{
+		"host":     func(x *Transaction) *string { return &x.Host },
+		"user":     func(x *Transaction) *string { return &x.UserID },
+		"source":   func(x *Transaction) *string { return &x.SourceIP },
+		"category": func(x *Transaction) *string { return &x.Category },
+		"app type": func(x *Transaction) *string { return &x.AppType },
+	}
+	for field, at := range fields {
+		for _, d := range []string{",", "\n"} {
+			for i, pos := range []string{"start", "middle", "end"} {
+				mutations[fmt.Sprintf("%q at %s of %s", d, pos, field)] = func(x *Transaction) {
+					f := at(x)
+					*f = (*f)[:i*len(*f)/2] + d + (*f)[i*len(*f)/2:]
+				}
+			}
+		}
 	}
 	for name, mutate := range mutations {
 		x := sampleTx(1)
 		mutate(&x)
 		if err := x.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid transaction", name)
+		}
+	}
+	// Multi-byte and invalid UTF-8 around the delimiters: Validate rejects
+	// exactly what strings.ContainsAny(field, ",\n") finds.
+	for _, v := range []string{"é", "日本", "\xff\xfe", "a\xc3", "\xe2\x80,", "\r", "\t;", "user\u2028", "\x2c", "\xc0\x8a"} {
+		x := sampleTx(1)
+		x.AppType = v
+		if rejected, want := x.Validate() != nil, strings.ContainsAny(v, ",\n"); rejected != want {
+			t.Errorf("AppType %q: rejected %v, want %v", v, rejected, want)
 		}
 	}
 }
