@@ -878,7 +878,7 @@ func BenchmarkDeviceStateCodec(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if benchDeviceState, err = core.DecodeDeviceState(blob); err != nil {
+			if benchDeviceState, err = core.DecodeDeviceState(blob, set.Vocabulary); err != nil {
 				b.Fatal(err)
 			}
 		}

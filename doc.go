@@ -97,8 +97,9 @@
 // # Durable identifier state
 //
 // The full streaming-identification state is serializable at every layer:
-// a features.Streamer snapshots its window anchor, buffered transactions
-// and emit position; an Identifier adds its per-user consecutive-accept
+// a features.Streamer snapshots its window anchor, buffered records
+// (each transaction's extracted columns, offset and user) and emit
+// position; an Identifier adds its per-user consecutive-accept
 // streaks (keyed by user id, so snapshots survive profile retrains); a
 // Monitor wraps that with the confirmed identity per device. The state
 // moves through a small lifecycle:
@@ -118,7 +119,9 @@
 // On a shared state tier (MonitorConfig.SharedSpill) a handoff carries no
 // state at all: the export parks the devices in the tier, and the new
 // owner rehydrates each one on its next transaction. Serialized state carries a format version, checked on decode
-// like the profile bundle's.
+// like the profile bundle's, and the fingerprint of the vocabulary its
+// records were extracted under: state from another vocabulary is dropped
+// like a version mismatch.
 //
 // # Multi-node clustering
 //

@@ -60,9 +60,10 @@ func feedAll(t *testing.T, r *cluster.Router, txs []weblog.Transaction) {
 // state they carry. The per-handoff cap stands in for the frame limit at
 // a size a small workload crosses.
 //
-//   - split: the cap is a little above the largest one-device export, so
-//     every drain of several devices is refused whole and split. AddNode
-//     and RemoveNode complete, and the alerts match a single monitor's.
+//   - split: the cap is a little above the largest one-device export
+//     (16 bytes; a device exports in about 120 here), so every drain of
+//     several devices is refused whole and split. AddNode and RemoveNode
+//     complete, and the alerts match a single monitor's.
 //   - single device too large: no device fits, so every move is refused.
 //     The devices stay on their source with their state, the removal is
 //     called off, and the alerts still match.
@@ -74,7 +75,7 @@ func TestDrainSplitsOversizeExport(t *testing.T) {
 
 	t.Run("split", func(t *testing.T) {
 		largest := largestDeviceExport(t, set, txs, devices, addAt, removeAt)
-		cluster.SetMaxExportBlob(t, largest+256)
+		cluster.SetMaxExportBlob(t, largest+16)
 		h := clustertest.NewHarness(t, set, equivK, "n1", "n2")
 		feedAll(t, h.Router, txs[:addAt])
 
@@ -85,7 +86,7 @@ func TestDrainSplitsOversizeExport(t *testing.T) {
 		}
 		// One handoff per source (n1, n2) unless an export was split.
 		if n := h.Router.Handoffs() - before; n <= 2 {
-			t.Errorf("AddNode ran %d handoffs under a %d-byte cap, want more than 2 (split)", n, largest+256)
+			t.Errorf("AddNode ran %d handoffs under a %d-byte cap, want more than 2 (split)", n, largest+16)
 		}
 		feedAll(t, h.Router, txs[addAt:removeAt])
 

@@ -234,7 +234,7 @@ func TestMonitorExportParksOnSharedTier(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("ExportStaged = %d, %v", n, err)
 	}
-	if states, err := decodeShardState(blob); err != nil || len(states) != 0 {
+	if states, err := decodeShardState(blob, set.Vocabulary); err != nil || len(states) != 0 {
 		t.Fatalf("parking blob holds %d devices (%v), want none", len(states), err)
 	}
 	if store.flushes != 1 {

@@ -54,6 +54,7 @@ func TestFeedBatchSteadyStateAllocs(t *testing.T) {
 
 	avg := testing.AllocsPerRun(20, feed)
 	perTx := avg / float64(batch)
+	t.Logf("FeedBatch steady state: %.3f allocs/tx", perTx)
 	if perTx > 2 {
 		t.Errorf("FeedBatch steady state allocates %.2f allocs/tx (%.0f per %d-tx batch), want <= 2",
 			perTx, avg, batch)

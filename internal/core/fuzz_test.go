@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"webtxprofile/internal/weblog"
@@ -15,8 +15,9 @@ import (
 // stateBlobSeeds are the checked-in seeds for FuzzDeviceStateBlob: real
 // encoded state (a device mid-stream on the shared trained set — its
 // binary blob, the same state as a legacy JSON blob, and a whole shard
-// export), hand-damaged variants, and plain garbage. Kept in code so the
-// testdata corpus is reproducible (see TestRegenerateStateFuzzCorpus).
+// export), hand-damaged variants, plain garbage, and the version-2
+// fixture with damaged variants of it. Kept in code so the testdata
+// corpus is reproducible (see TestRegenerateStateFuzzCorpus).
 func stateBlobSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	set, testDS := sharedSetForFuzz(tb)
@@ -37,11 +38,7 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	st := deviceStateLocked(device, sh.devices[device])
 	sh.mu.Unlock()
 	blob := EncodeDeviceState(st)
-	st.Version = legacyStateVersion
-	legacy, err := json.Marshal(st)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	legacy := legacyJSONState(tb, st, txs)
 	export, _, err := mon.ExportStaged("fuzz", []string{device})
 	if err != nil {
 		tb.Fatal(err)
@@ -51,12 +48,21 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	flipped[len(flipped)/3] ^= 0xff
 	future := append([]byte(nil), blob...)
 	future[0] = stateVersion + 1
-	// An anchored state whose buffered count claims far more records
-	// than follow it.
+	// An anchored state whose record count claims far more records than
+	// follow it.
 	overcount := append([]byte{stateVersion}, 1, 'x', 0, stateFlagAnchored, 1, 'x', 2, 1, 'x', 0, 0)
-	overcount = txs[0].AppendBinary(overcount)
-	overcount = txs[0].AppendBinary(overcount)
-	overcount = binary.AppendUvarint(overcount, 1<<20)
+	overcount = binary.AppendVarint(overcount, txs[0].Timestamp.UnixNano())
+	overcount = binary.AppendVarint(overcount, txs[0].Timestamp.UnixNano())
+	fp := set.Vocabulary.Fingerprint()
+	overcount = binary.LittleEndian.AppendUint64(binary.AppendUvarint(overcount, uint64(fp.Size)), fp.Hash)
+	overcount = binary.AppendUvarint(append(overcount, 1, 1, 'u'), 1<<20)
+	v2, err := os.ReadFile(v2Fixture)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v2Truncated := append([]byte(nil), v2[:len(v2)/2]...)
+	v2Flipped := append([]byte(nil), v2...)
+	v2Flipped[len(v2Flipped)/3] ^= 0xff
 	return [][]byte{
 		blob,
 		legacy,
@@ -73,6 +79,9 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 		[]byte("not json at all"),
 		{0x1f, 0x8b, 0x08, 0x00}, // gzip magic, truncated body
 		{},
+		v2,
+		v2Truncated,
+		v2Flipped,
 	}
 }
 
@@ -94,34 +103,39 @@ func sharedSetForFuzz(tb testing.TB) (*ProfileSet, *weblog.Dataset) {
 // envelope (decodeShardState, the StageImport path) — must error on
 // malformed input, never panic; any blob that decodes must also survive
 // RestoreIdentifier's structural validation (error or identifier, never a
-// panic) against a real trained profile set. The binary format is
-// canonical: whatever decodes from it re-encodes to the same bytes, and a
-// legacy JSON state re-encodes to a binary blob that decodes.
+// panic) against a real trained profile set. The current format is
+// canonical: whatever decodes from it re-encodes to the same bytes. A
+// blob in an earlier format (version 2, or JSON) re-encodes to a
+// current-format blob that decodes to an equal state.
 func FuzzDeviceStateBlob(f *testing.F) {
 	for _, seed := range stateBlobSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if st, err := DecodeDeviceState(data); err == nil {
+		set, _ := sharedSetForFuzz(t)
+		vocab := set.Vocabulary
+		if st, err := DecodeDeviceState(data, vocab); err == nil {
 			enc := EncodeDeviceState(st)
 			if data[0] == stateVersion && !bytes.Equal(enc, data) {
 				t.Fatalf("decoded blob re-encodes differently:\n got %x\nwant %x", enc, data)
 			}
-			if _, err := DecodeDeviceState(enc); err != nil {
+			again, err := DecodeDeviceState(enc, vocab)
+			if err != nil {
 				t.Fatalf("re-encoded state does not decode: %v", err)
 			}
-			set, _ := sharedSetForFuzz(t)
+			if data[0] == txStateVersion && !reflect.DeepEqual(again, st) {
+				t.Fatalf("version-%d state changed through a re-encode:\n got %+v\nwant %+v", txStateVersion, again, st)
+			}
 			id, rerr := RestoreIdentifier(set, st.Identifier)
 			if rerr == nil {
 				// A restored identifier must be immediately usable.
 				id.Flush()
 			}
 		}
-		if states, err := decodeShardState(data); err == nil {
+		if states, err := decodeShardState(data, vocab); err == nil {
 			if enc := encodeShardState(states); !bytes.Equal(enc, data) {
 				t.Fatalf("decoded shard export re-encodes differently:\n got %x\nwant %x", enc, data)
 			}
-			set, _ := sharedSetForFuzz(t)
 			for _, st := range states {
 				if id, rerr := RestoreIdentifier(set, st.Identifier); rerr == nil {
 					id.Flush()

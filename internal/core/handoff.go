@@ -153,7 +153,7 @@ func (m *Monitor) StageImport(id string, data []byte) (int, error) {
 		}
 		return len(e.states), nil
 	}
-	states, err := decodeShardState(data)
+	states, err := decodeShardState(data, m.set.Vocabulary)
 	if err != nil {
 		return 0, err
 	}
@@ -391,7 +391,7 @@ func (m *Monitor) collectDeviceStates(devices []string) ([]DeviceState, []error)
 		if !ok {
 			continue
 		}
-		st, err := DecodeDeviceState(blob)
+		st, err := DecodeDeviceState(blob, m.set.Vocabulary)
 		if err == nil && st.Device != device {
 			err = fmt.Errorf("core: spilled state for device %s names device %s", device, st.Device)
 		}

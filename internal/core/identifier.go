@@ -76,25 +76,25 @@ func newIdentifierWithScorer(set *ProfileSet, host string, consecutiveK int, sc 
 }
 
 // IdentifierState is a serializable snapshot of a streaming Identifier:
-// the streamer state (anchor, buffered transactions, window position) plus
+// the streamer state (anchor, buffered records, window position) plus
 // the per-user consecutive-accept streaks. Streaks are keyed by user id —
 // not by profile index — so a snapshot survives profile-set reloads as
 // long as the vocabulary and window configuration are unchanged; streaks
 // of users absent from the restoring set are dropped, and users new to it
 // start at zero.
 type IdentifierState struct {
-	Host string `json:"host"`
+	Host string
 	// K is the consecutive-window threshold the identifier ran with.
 	// RestoreIdentifier resumes with it; the Monitor's import paths use
 	// the monitor's own threshold instead (every device of a monitor
 	// shares one rule).
-	K        int                    `json:"k"`
-	Streamer features.StreamerState `json:"streamer"`
-	Runs     map[string]int         `json:"runs,omitempty"`
+	K        int
+	Streamer features.StreamerState
+	Runs     map[string]int
 }
 
 // Snapshot captures the identifier's full resumable state. The snapshot is
-// independent of the identifier (buffered transactions are copied) and
+// independent of the identifier (buffered records are copied) and
 // stays valid while it keeps running.
 func (id *Identifier) Snapshot() IdentifierState {
 	st := IdentifierState{Host: id.host, K: id.k, Streamer: id.streamer.Snapshot()}

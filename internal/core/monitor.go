@@ -25,7 +25,7 @@ import (
 // the device streamer's own copies of the user ids (see
 // features.Streamer). Retaining an alert (an alert ring, a log, a
 // benchmark recorder) therefore retains no ingest batch, wire frame or
-// decoded blob — at most the small string blocks those copies sit in.
+// decoded blob.
 type Alert struct {
 	Device string
 	// Kind distinguishes the transitions.
@@ -622,7 +622,7 @@ func (m *Monitor) admitLocked(sh *monitorShard, device string) (*deviceTrack, er
 			return nil, fmt.Errorf("core: reading spilled state for device %s: %w", device, err)
 		}
 		if ok {
-			st, err := DecodeDeviceState(blob)
+			st, err := DecodeDeviceState(blob, m.set.Vocabulary)
 			if err == nil && st.Device != device {
 				err = fmt.Errorf("core: spilled state for device %s names device %s", device, st.Device)
 			}

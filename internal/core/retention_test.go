@@ -122,7 +122,7 @@ func TestMonitorAlertsRetainNoIngestMemory(t *testing.T) {
 	inBuf := pointsInto(buf)
 	states := make([]DeviceState, len(blobs))
 	for i, off := 0, 0; i < len(blobs); i++ {
-		if states[i], err = decodeDeviceRecord(buf[off : off+len(blobs[i])]); err != nil {
+		if states[i], err = decodeDeviceRecord(buf[off:off+len(blobs[i])], set.Vocabulary); err != nil {
 			t.Fatal(err)
 		}
 		off += len(blobs[i])

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -14,40 +15,44 @@ import (
 	"sync"
 	"time"
 
+	"webtxprofile/internal/features"
 	"webtxprofile/internal/weblog"
 )
 
 // stateVersion is the identifier-state format: the first byte of every
 // per-device blob a StateStore holds and of every shard blob ExportStaged
 // produces. Bump it when the binary layout (or anything it encodes)
-// changes incompatibly — decode rejects any other version, like
-// persist.go's bundle loader.
-const stateVersion = 2
+// changes incompatibly — decode rejects any version it does not know,
+// like persist.go's bundle loader.
+const stateVersion = 3
 
-// legacyStateVersion is the JSON device-blob format of earlier releases.
-// Such blobs at rest (DiskStateStore files, a state server during a
-// rolling upgrade) are still read, and the device's next spill rewrites
-// them in the binary format; nothing writes JSON any more.
-const legacyStateVersion = 1
+// Earlier device-blob formats. Such blobs at rest (DiskStateStore files,
+// a state server during a rolling upgrade) are still read, and the
+// device's next spill rewrites them in the current format; nothing writes
+// them any more. Both stored whole transactions where the current format
+// stores extracted records: their readers extract the transactions
+// against the monitor's vocabulary.
+const (
+	// legacyStateVersion is the JSON format.
+	legacyStateVersion = 1
+	// txStateVersion is the binary format with whole transactions.
+	txStateVersion = 2
+)
 
 // DeviceState is the portable identification state of one monitored
 // device: the streaming identifier's snapshot plus the monitor-level
 // identity tracking (the currently confirmed user and the stream-time
 // last-seen stamp driving idle eviction). It is everything a Monitor needs
 // to resume the device exactly where another Monitor — or a previous
-// process — left off. EncodeDeviceState writes it in the binary format;
-// the JSON tags serve only the legacy (version 1) reader.
+// process — left off. EncodeDeviceState writes it in the binary format.
 type DeviceState struct {
-	// Version is the legacy JSON format's version field. The binary
-	// codec ignores it: a binary blob's version is its first byte.
-	Version int    `json:"version"`
-	Device  string `json:"device"`
+	Device string
 	// Current is the confirmed user at snapshot time ("" if none).
-	Current string `json:"current,omitempty"`
+	Current string
 	// LastSeen is the device's stream-clock last-activity stamp; the
 	// importing monitor clamps it into its own clock's sane range.
-	LastSeen   time.Time       `json:"last_seen"`
-	Identifier IdentifierState `json:"identifier"`
+	LastSeen   time.Time
+	Identifier IdentifierState
 }
 
 // Flag bits of a device blob's flags byte.
@@ -58,25 +63,41 @@ const (
 	stateFlagsKnown = stateFlagAnchored | stateFlagClosed | stateFlagLastSeen
 )
 
+// groupMaskKnown covers a record's group-mask bits: one per Table I group.
+const groupMaskKnown = 1<<len(features.Record{}.Cols) - 1
+
 // EncodeDeviceState serializes one device blob (the disk store adds
 // gzip). The layout, with strings as a uvarint length plus bytes and
-// transactions as weblog binary records, is
+// stamps as zigzag varint UnixNano, is
 //
 //	byte     version (stateVersion)
 //	string   device, current user
 //	byte     flags: anchored, closed, last-seen present
-//	varint   last-seen as UnixNano, zigzag (only if present)
+//	varint   last-seen stamp (only if present)
 //	string   identifier host; varint K
 //	string   streamer entity; varint NextIdx, EmitCount
-//	record   anchor, last-seen transaction (only if anchored)
-//	uvarint  buffered count, then the records (only if anchored)
+//	varint   anchor stamp, streamer last-seen stamp     ┐
+//	uvarint  vocabulary size; 8-byte LE vocabulary hash │ only if
+//	uvarint  user count, then the user strings          │ anchored
+//	uvarint  record count, then the records             ┘
 //	uvarint  runs count, then per run: string user, varint streak
 //
-// Runs are sorted by user, so equal states encode to equal bytes.
+// and one buffered record is
+//
+//	uvarint  offset minus the previous record's (the first's: its offset)
+//	uvarint  user index
+//	uvarint  group mask: bit g set when the record hits a column of group g
+//	uvarint  each such column, in group order
+//	8 bytes  risk, a little-endian float64 (only with the risk group)
+//
+// The vocabulary fingerprint (features.Fingerprint) binds the records'
+// column ids to the vocabulary they were extracted under: a blob decoded
+// under another vocabulary is rejected. Runs are sorted by user, so equal
+// states encode to equal bytes.
 func EncodeDeviceState(st DeviceState) []byte {
-	// Sized for typical records (~100 bytes), so most encodes allocate
-	// the blob once.
-	return appendDeviceState(make([]byte, 0, 256+128*len(st.Identifier.Streamer.Buffered)), &st)
+	// Sized for typical records (~10 bytes), so most encodes allocate the
+	// blob once.
+	return appendDeviceState(make([]byte, 0, 256+16*len(st.Identifier.Streamer.Records)), &st)
 }
 
 func appendDeviceState(dst []byte, st *DeviceState) []byte {
@@ -104,11 +125,19 @@ func appendDeviceState(dst []byte, st *DeviceState) []byte {
 	dst = binary.AppendVarint(dst, int64(ss.NextIdx))
 	dst = binary.AppendVarint(dst, int64(ss.EmitCount))
 	if ss.Anchored {
-		dst = ss.Anchor.AppendBinary(dst)
-		dst = ss.LastSeen.AppendBinary(dst)
-		dst = binary.AppendUvarint(dst, uint64(len(ss.Buffered)))
-		for i := range ss.Buffered {
-			dst = ss.Buffered[i].AppendBinary(dst)
+		dst = binary.AppendVarint(dst, ss.Anchor.UnixNano())
+		dst = binary.AppendVarint(dst, ss.LastSeen.UnixNano())
+		dst = binary.AppendUvarint(dst, uint64(ss.Vocabulary.Size))
+		dst = binary.LittleEndian.AppendUint64(dst, ss.Vocabulary.Hash)
+		dst = binary.AppendUvarint(dst, uint64(len(ss.Users)))
+		for _, u := range ss.Users {
+			dst = weblog.AppendBinaryString(dst, u)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(ss.Records)))
+		prev := time.Duration(0)
+		for i := range ss.Records {
+			dst = appendRecord(dst, &ss.Records[i], prev)
+			prev = ss.Records[i].Offset
 		}
 	}
 	users := make([]string, 0, len(id.Runs))
@@ -124,25 +153,57 @@ func appendDeviceState(dst []byte, st *DeviceState) []byte {
 	return dst
 }
 
-// DecodeDeviceState parses and version-checks one device blob: the
-// binary format, or a legacy JSON blob (its first byte is '{').
-func DecodeDeviceState(blob []byte) (DeviceState, error) {
-	if len(blob) > 0 && blob[0] == '{' {
-		return decodeLegacyDeviceState(blob)
+// appendRecord appends one buffered record, its offset relative to prev.
+func appendRecord(dst []byte, r *features.Record, prev time.Duration) []byte {
+	dst = binary.AppendUvarint(dst, uint64(r.Offset-prev))
+	dst = binary.AppendUvarint(dst, uint64(r.User))
+	var mask uint64
+	for g, c := range r.Cols {
+		if c >= 0 {
+			mask |= 1 << g
+		}
+	}
+	dst = binary.AppendUvarint(dst, mask)
+	for _, c := range r.Cols {
+		if c >= 0 {
+			dst = binary.AppendUvarint(dst, uint64(c))
+		}
+	}
+	if r.Cols[features.GroupReputationRisk] >= 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Risk))
+	}
+	return dst
+}
+
+// DecodeDeviceState parses and version-checks one device blob against the
+// vocabulary of the monitor that will restore it: the current binary
+// format, whose records must have been extracted under vocab (same
+// fingerprint), or an earlier format — binary version 2, or JSON (first
+// byte '{') — whose buffered transactions it extracts against vocab.
+func DecodeDeviceState(blob []byte, vocab *features.Vocabulary) (DeviceState, error) {
+	switch {
+	case len(blob) > 0 && blob[0] == '{':
+		return decodeLegacyDeviceState(blob, vocab)
+	case len(blob) > 0 && blob[0] == txStateVersion:
+		return decodeTxDeviceState(string(blob), vocab)
 	}
 	// One copy that every decoded string aliases: a blob holds a single
 	// device, so the copy pins no other device's memory.
-	return decodeDeviceRecord(string(blob))
+	return decodeDeviceRecord(string(blob), vocab)
 }
 
 // decodeDeviceRecord decodes exactly one binary device state from s; the
 // decoded strings alias s. It accepts only the canonical encoding, so a
 // state it returns re-encodes to s.
-func decodeDeviceRecord(s string) (DeviceState, error) {
+func decodeDeviceRecord(s string, vocab *features.Vocabulary) (DeviceState, error) {
 	r := weblog.NewCanonicalBinaryReader(s)
 	st := readDeviceState(r)
 	if err := r.Done(); err != nil {
 		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
+	}
+	if ss := &st.Identifier.Streamer; ss.Anchored && ss.Vocabulary != vocab.Fingerprint() {
+		return DeviceState{}, fmt.Errorf("core: device state for %s was taken under another vocabulary (%d columns, hash %#x; want %d, %#x)",
+			st.Device, ss.Vocabulary.Size, ss.Vocabulary.Hash, vocab.Size(), vocab.Fingerprint().Hash)
 	}
 	return st, nil
 }
@@ -152,6 +213,38 @@ func readDeviceState(r *weblog.BinaryReader) DeviceState {
 	if v := r.Byte(); r.Err() == nil && v != stateVersion {
 		r.Fail(fmt.Errorf("unsupported device state version %d (want %d)", v, stateVersion))
 	}
+	st, anchored := readDeviceHeader(r)
+	ss := &st.Identifier.Streamer
+	if anchored {
+		ss.Anchored = true
+		ss.Anchor = time.Unix(0, r.Varint()).UTC()
+		ss.LastSeen = time.Unix(0, r.Varint()).UTC()
+		ss.Vocabulary.Size = int(r.Uvarint())
+		ss.Vocabulary.Hash = r.Uint64()
+		if n := r.Count("users", 1); n > 0 {
+			ss.Users = make([]string, n)
+			for i := range ss.Users {
+				ss.Users[i] = r.Field()
+			}
+		}
+		// A record is at least its offset, user and mask bytes.
+		if n := r.Count("buffered records", 3); n > 0 {
+			ss.Records = make([]features.Record, n)
+			prev := time.Duration(0)
+			for i := range ss.Records {
+				readRecord(r, &ss.Records[i], prev)
+				prev = ss.Records[i].Offset
+			}
+		}
+	}
+	readRuns(r, &st.Identifier)
+	return st
+}
+
+// readDeviceHeader reads the fields every binary format version starts
+// with after its version byte, up to the streamer's counters, and reports
+// whether the streamer is anchored.
+func readDeviceHeader(r *weblog.BinaryReader) (DeviceState, bool) {
 	st := DeviceState{Device: r.Field(), Current: r.Field()}
 	if r.Err() == nil && st.Device == "" {
 		r.Fail(fmt.Errorf("missing device id"))
@@ -171,19 +264,48 @@ func readDeviceState(r *weblog.BinaryReader) DeviceState {
 	ss.NextIdx = r.Int()
 	ss.EmitCount = r.Int()
 	ss.Closed = flags&stateFlagClosed != 0
-	if flags&stateFlagAnchored != 0 {
-		ss.Anchored = true
-		pair := new([2]weblog.Transaction)
-		r.Transaction(&pair[0])
-		r.Transaction(&pair[1])
-		ss.Anchor, ss.LastSeen = &pair[0], &pair[1]
-		if n := r.Count("buffered transactions", weblog.MinBinaryRecord); n > 0 {
-			ss.Buffered = make([]weblog.Transaction, n)
-			for i := range ss.Buffered {
-				r.Transaction(&ss.Buffered[i])
-			}
-		}
+	return st, flags&stateFlagAnchored != 0
+}
+
+// readRecord reads one buffered record (see appendRecord) whose
+// predecessor lies at offset prev.
+func readRecord(r *weblog.BinaryReader, rec *features.Record, prev time.Duration) {
+	delta := r.Uvarint()
+	if delta > uint64(math.MaxInt64-prev) {
+		r.Fail(fmt.Errorf("record offset overflows"))
+		return
 	}
+	rec.Offset = prev + time.Duration(delta)
+	user := r.Uvarint()
+	if user > math.MaxUint32 {
+		r.Fail(fmt.Errorf("record user index %d out of range", user))
+		return
+	}
+	rec.User = uint32(user)
+	mask := r.Uvarint()
+	if mask&^groupMaskKnown != 0 {
+		r.Fail(fmt.Errorf("unknown group bits %#x", mask))
+		return
+	}
+	for g := range rec.Cols {
+		rec.Cols[g] = -1
+		if mask&(1<<g) == 0 {
+			continue
+		}
+		c := r.Uvarint()
+		if c > math.MaxInt32 {
+			r.Fail(fmt.Errorf("record column %d out of range", c))
+			return
+		}
+		rec.Cols[g] = int32(c)
+	}
+	if rec.Cols[features.GroupReputationRisk] >= 0 {
+		rec.Risk = r.Float64()
+	}
+}
+
+// readRuns reads the runs every binary format version ends with.
+func readRuns(r *weblog.BinaryReader, id *IdentifierState) {
 	// A run is at least a 1-byte user length and a 1-byte streak.
 	if n := r.Count("runs", 2); n > 0 {
 		id.Runs = make(map[string]int, n)
@@ -197,29 +319,86 @@ func readDeviceState(r *weblog.BinaryReader) DeviceState {
 			prev = u
 		}
 	}
-	return st
 }
 
-// decodeLegacyDeviceState reads a version-1 JSON device blob. It rejects
-// the anchor shapes the binary format cannot carry — RestoreStreamer
-// would refuse them anyway — so the state re-encodes faithfully (an
-// export of a spilled device re-encodes it without restoring it first).
-func decodeLegacyDeviceState(blob []byte) (DeviceState, error) {
-	var st DeviceState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
+// decodeTxDeviceState reads a version-2 device blob, whose streamer
+// buffered whole transactions as weblog binary records, and extracts
+// them against vocab. Its strings alias s.
+func decodeTxDeviceState(s string, vocab *features.Vocabulary) (DeviceState, error) {
+	r := weblog.NewBinaryReader(s[1:])
+	st, anchored := readDeviceHeader(r)
+	ts := features.TransactionState{Entity: st.Identifier.Streamer.Entity, Anchored: anchored,
+		Closed: st.Identifier.Streamer.Closed, NextIdx: st.Identifier.Streamer.NextIdx, EmitCount: st.Identifier.Streamer.EmitCount}
+	if anchored {
+		pair := new([2]weblog.Transaction)
+		r.Transaction(&pair[0])
+		r.Transaction(&pair[1])
+		ts.Anchor, ts.LastSeen = &pair[0], &pair[1]
+		if n := r.Count("buffered transactions", weblog.MinBinaryRecord); n > 0 {
+			ts.Buffered = make([]weblog.Transaction, n)
+			for i := range ts.Buffered {
+				r.Transaction(&ts.Buffered[i])
+			}
+		}
 	}
-	if st.Version != legacyStateVersion {
-		return DeviceState{}, fmt.Errorf("core: unsupported JSON device state version %d (want %d)", st.Version, legacyStateVersion)
+	readRuns(r, &st.Identifier)
+	if err := r.Done(); err != nil {
+		return DeviceState{}, fmt.Errorf("core: decoding version-%d device state: %w", txStateVersion, err)
 	}
-	if st.Device == "" {
-		return DeviceState{}, fmt.Errorf("core: device state missing device id")
-	}
-	ss := &st.Identifier.Streamer
-	if ss.Anchored != (ss.Anchor != nil) || ss.Anchored != (ss.LastSeen != nil) || (!ss.Anchored && len(ss.Buffered) > 0) {
-		return DeviceState{}, fmt.Errorf("core: device state for %s has inconsistent streamer anchor", st.Device)
+	var err error
+	if st.Identifier.Streamer, err = ts.Records(vocab); err != nil {
+		return DeviceState{}, fmt.Errorf("core: decoding version-%d device state: %w", txStateVersion, err)
 	}
 	return st, nil
+}
+
+// legacyDeviceState is the version-1 JSON device blob.
+type legacyDeviceState struct {
+	Version    int       `json:"version"`
+	Device     string    `json:"device"`
+	Current    string    `json:"current,omitempty"`
+	LastSeen   time.Time `json:"last_seen"`
+	Identifier struct {
+		Host     string                    `json:"host"`
+		K        int                       `json:"k"`
+		Streamer features.TransactionState `json:"streamer"`
+		Runs     map[string]int            `json:"runs,omitempty"`
+	} `json:"identifier"`
+}
+
+// decodeLegacyDeviceState reads a version-1 JSON device blob and extracts
+// its buffered transactions against vocab. It rejects the anchor shapes
+// RestoreStreamer would refuse anyway.
+func decodeLegacyDeviceState(blob []byte, vocab *features.Vocabulary) (DeviceState, error) {
+	var j legacyDeviceState
+	if err := json.Unmarshal(blob, &j); err != nil {
+		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
+	}
+	if j.Version != legacyStateVersion {
+		return DeviceState{}, fmt.Errorf("core: unsupported JSON device state version %d (want %d)", j.Version, legacyStateVersion)
+	}
+	if j.Device == "" {
+		return DeviceState{}, fmt.Errorf("core: device state missing device id")
+	}
+	ts := &j.Identifier.Streamer
+	if ts.Anchored != (ts.Anchor != nil) || ts.Anchored != (ts.LastSeen != nil) || (!ts.Anchored && len(ts.Buffered) > 0) {
+		return DeviceState{}, fmt.Errorf("core: device state for %s has inconsistent streamer anchor", j.Device)
+	}
+	ss, err := ts.Records(vocab)
+	if err != nil {
+		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
+	}
+	return DeviceState{
+		Device:   j.Device,
+		Current:  j.Current,
+		LastSeen: j.LastSeen,
+		Identifier: IdentifierState{
+			Host:     j.Identifier.Host,
+			K:        j.Identifier.K,
+			Streamer: ss,
+			Runs:     j.Identifier.Runs,
+		},
+	}, nil
 }
 
 // StateStore persists evicted devices' identification state so an idle
@@ -508,10 +687,10 @@ func encodeShardState(devices []DeviceState) []byte {
 	return dst
 }
 
-// decodeShardState parses and version-checks a shard export. Each device
-// decodes from its own copy of its record, so no device's state pins the
-// others'.
-func decodeShardState(data []byte) ([]DeviceState, error) {
+// decodeShardState parses and version-checks a shard export, whose
+// records must have been extracted under vocab. Each device decodes from
+// its own copy of its record, so no device's state pins the others'.
+func decodeShardState(data []byte, vocab *features.Vocabulary) ([]DeviceState, error) {
 	r := weblog.NewCanonicalBinaryReader(string(data))
 	if v := r.Byte(); r.Err() == nil && v != stateVersion {
 		return nil, fmt.Errorf("core: unsupported shard export version %d (want %d)", v, stateVersion)
@@ -524,7 +703,7 @@ func decodeShardState(data []byte) ([]DeviceState, error) {
 		if r.Err() != nil {
 			break
 		}
-		st, err := decodeDeviceRecord(strings.Clone(rec))
+		st, err := decodeDeviceRecord(strings.Clone(rec), vocab)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard export entry %d: %w", i, err)
 		}

@@ -99,7 +99,7 @@ func TestIdentifierSnapshotResume(t *testing.T) {
 			}
 			got = append(got, evs...)
 		}
-		ds, err := DecodeDeviceState(EncodeDeviceState(DeviceState{Device: host, Identifier: id.Snapshot()}))
+		ds, err := DecodeDeviceState(EncodeDeviceState(DeviceState{Device: host, Identifier: id.Snapshot()}), set.Vocabulary)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,11 +332,11 @@ func TestMonitorSpillRehydrateMatchesNeverEvicting(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("spilled blob missing: %v", err)
 			}
-			st, err := DecodeDeviceState(blob)
+			st, err := DecodeDeviceState(blob, set.Vocabulary)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(st.Identifier.Streamer.Buffered) == 0 && len(st.Identifier.Runs) == 0 {
+			if len(st.Identifier.Streamer.Records) == 0 && len(st.Identifier.Runs) == 0 {
 				t.Fatal("spilled state carries neither buffered windows nor streaks — eviction not mid-streak")
 			}
 			feed(mon, a2)
@@ -428,6 +428,31 @@ func TestMonitorRehydrateRejectsCorruptBlob(t *testing.T) {
 		if store.Len() != 0 {
 			t.Errorf("blob %d: version-drifted blob not dropped", i)
 		}
+	}
+
+	// So is state whose records were extracted under another vocabulary:
+	// their column ids mean nothing under this one.
+	drifted, err := features.NewStreamer(features.Build(txs[:1]), set.Window, "10.0.1.9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := txs[0]
+	tx.SourceIP = "10.0.1.9"
+	if _, err := drifted.Add(tx); err != nil {
+		t.Fatal(err)
+	}
+	store.Put("10.0.1.9", EncodeDeviceState(DeviceState{Device: "10.0.1.9",
+		Identifier: IdentifierState{Host: "10.0.1.9", K: 2, Streamer: drifted.Snapshot()}}))
+	tx = txs[1]
+	tx.SourceIP = "10.0.1.9"
+	if err := mon.Feed(tx); err == nil || !strings.Contains(err.Error(), "vocabulary") {
+		t.Errorf("blob from another vocabulary: error = %v", err)
+	}
+	if store.Len() != 0 {
+		t.Error("blob from another vocabulary not dropped")
+	}
+	if err := mon.Feed(tx); err != nil {
+		t.Errorf("device did not start fresh after a blob from another vocabulary: %v", err)
 	}
 }
 
@@ -630,7 +655,7 @@ func TestMonitorExportImportErrors(t *testing.T) {
 	if _, err := mon.StageImport("r/junk", []byte("junk")); err == nil {
 		t.Error("garbage import accepted")
 	}
-	devs, err := decodeShardState(encodeShardState(nil))
+	devs, err := decodeShardState(encodeShardState(nil), set.Vocabulary)
 	if err != nil || len(devs) != 0 {
 		t.Fatalf("empty export round trip: %v", err)
 	}
@@ -819,7 +844,7 @@ func codecTx(i int) weblog.Transaction {
 	return weblog.Transaction{
 		Timestamp: time.Date(2015, 5, 29, 5, 5, i, 123456789, time.UTC),
 		Host:      fmt.Sprintf("www.example%d.com", i), Scheme: "https", Action: "POST",
-		UserID: "user_4", SourceIP: "10.0.0.4", Category: "News",
+		UserID: fmt.Sprintf("user_%d", 4+i%2), SourceIP: "10.0.0.4", Category: "News",
 		MediaType: taxonomy.MediaType{Super: "text", Sub: "html"}, AppType: "browser",
 		Reputation: 3, Private: i%2 == 0,
 	}
@@ -842,10 +867,14 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 	anchor, last := codecTx(0), codecTx(9)
 	seen := time.Date(2015, 5, 29, 6, 0, 0, 7, time.UTC)
 	streamer := func(anchored, closed bool, buffered ...weblog.Transaction) features.StreamerState {
-		ss := features.StreamerState{Entity: host, Anchored: anchored, Closed: closed, NextIdx: 4, EmitCount: 3}
+		ts := features.TransactionState{Entity: host, Anchored: anchored, Closed: closed, NextIdx: 4, EmitCount: 3}
 		if anchored {
 			a, l := anchor, last
-			ss.Anchor, ss.LastSeen, ss.Buffered = &a, &l, buffered
+			ts.Anchor, ts.LastSeen, ts.Buffered = &a, &l, buffered
+		}
+		ss, err := ts.Records(set.Vocabulary)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return ss
 	}
@@ -856,7 +885,7 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 		{"unanchored", DeviceState{Device: host, LastSeen: seen,
 			Identifier: IdentifierState{Host: host, K: 3, Streamer: streamer(false, false)}}},
 		{"anchored with buffer", DeviceState{Device: host, Current: "user_4", LastSeen: seen,
-			Identifier: IdentifierState{Host: host, K: 3, Streamer: streamer(true, false, codecTx(3), codecTx(5), codecTx(8)),
+			Identifier: IdentifierState{Host: host, K: 3, Streamer: streamer(true, false, codecTx(3), codecTx(5), codecTx(5), codecTx(8)),
 				Runs: map[string]int{"user_4": 2}}}},
 		{"closed", DeviceState{Device: host, LastSeen: seen,
 			Identifier: IdentifierState{Host: host, K: 1, Streamer: streamer(true, true)}}},
@@ -871,7 +900,7 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.st
 			blob := EncodeDeviceState(want)
-			got, err := DecodeDeviceState(blob)
+			got, err := DecodeDeviceState(blob, set.Vocabulary)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -884,19 +913,51 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 		})
 	}
 
+	// A record the encoder could not have written is refused: a group
+	// mask bit past the last Table I group, a column past int32.
+	oneRecord := func(record ...byte) []byte {
+		b := append([]byte{stateVersion}, 1, 'x', 0, stateFlagAnchored, 1, 'x', 2, 1, 'x', 0, 0)
+		b = binary.AppendVarint(binary.AppendVarint(b, seen.UnixNano()), seen.UnixNano())
+		fp := set.Vocabulary.Fingerprint()
+		b = binary.LittleEndian.AppendUint64(binary.AppendUvarint(b, uint64(fp.Size)), fp.Hash)
+		b = append(b, 1, 1, 'u', 1) // one user, one record
+		return append(append(b, record...), 0)
+	}
+	if _, err := DecodeDeviceState(oneRecord(0, 0, 1, 0), set.Vocabulary); err != nil {
+		t.Fatalf("hand-built record with an action column: %v", err)
+	}
+	for name, record := range map[string][]byte{
+		"mask bit past the groups": binary.AppendUvarint([]byte{0, 0}, 1<<len(features.Record{}.Cols)),
+		"column past int32":        binary.AppendUvarint([]byte{0, 0, 1}, 1<<31),
+	} {
+		if _, err := DecodeDeviceState(oneRecord(record...), set.Vocabulary); err == nil {
+			t.Errorf("record with a %s decoded", name)
+		}
+	}
+
+	// Records mean nothing under another vocabulary: an anchored state is
+	// refused there, alone and inside a shard export.
+	blob := EncodeDeviceState(cases[1].st)
+	other := features.Build([]weblog.Transaction{codecTx(0)})
+	if _, err := DecodeDeviceState(blob, other); err == nil || !strings.Contains(err.Error(), "vocabulary") {
+		t.Errorf("decoding under another vocabulary: %v", err)
+	}
+	if _, err := decodeShardState(encodeShardState([]DeviceState{cases[1].st}), other); err == nil {
+		t.Error("shard export decoded under another vocabulary")
+	}
+
 	// The decoder accepts only the canonical bytes: the same state with
 	// its device-length varint padded by a continuation byte is refused,
 	// alone and inside a shard export.
-	blob := EncodeDeviceState(cases[1].st)
 	padded := append([]byte{blob[0], blob[1] | 0x80, 0x00}, blob[2:]...)
-	if _, err := DecodeDeviceState(padded); err == nil {
+	if _, err := DecodeDeviceState(padded, set.Vocabulary); err == nil {
 		t.Error("blob with a padded varint decoded")
 	}
-	if _, err := decodeShardState(encodeShardState([]DeviceState{cases[1].st})); err != nil {
+	if _, err := decodeShardState(encodeShardState([]DeviceState{cases[1].st}), set.Vocabulary); err != nil {
 		t.Fatal(err)
 	}
 	shard := binary.AppendUvarint(append([]byte{stateVersion}, 1), uint64(len(padded)))
-	if _, err := decodeShardState(append(shard, padded...)); err == nil {
+	if _, err := decodeShardState(append(shard, padded...), set.Vocabulary); err == nil {
 		t.Error("shard export with a padded varint decoded")
 	}
 }
@@ -940,13 +1001,14 @@ func TestMonitorRehydratesLegacyJSONBlob(t *testing.T) {
 	st := deviceStateLocked(dev, sh.devices[dev])
 	sh.mu.Unlock()
 	old.Close()
-	if !st.Identifier.Streamer.Anchored || len(st.Identifier.Streamer.Buffered) == 0 {
+	if !st.Identifier.Streamer.Anchored || len(st.Identifier.Streamer.Records) == 0 {
 		t.Fatal("split point carries no buffered transactions")
 	}
-	st.Version = legacyStateVersion
-	legacy, err := json.Marshal(st)
-	if err != nil {
+	legacy := legacyJSONState(t, st, txs[:mid])
+	if decoded, err := DecodeDeviceState(legacy, set.Vocabulary); err != nil {
 		t.Fatal(err)
+	} else if !reflect.DeepEqual(decoded.Identifier.Streamer.Records, st.Identifier.Streamer.Records) {
+		t.Fatal("records extracted from the legacy blob differ from the live streamer's")
 	}
 
 	store := NewMemStateStore()
@@ -966,32 +1028,184 @@ func TestMonitorRehydratesLegacyJSONBlob(t *testing.T) {
 	if !ok || len(blob) == 0 || blob[0] != stateVersion {
 		t.Fatalf("spill after a legacy rehydrate did not write a version-%d blob: %q", stateVersion, blob)
 	}
-	if _, err := DecodeDeviceState(blob); err != nil {
+	if _, err := DecodeDeviceState(blob, set.Vocabulary); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// legacyTxState renders ss — the streamer state of a device fed txs —
+// as the earlier formats stored it: whole transactions, the buffered ones
+// being the last len(ss.Records) of txs.
+func legacyTxState(ss features.StreamerState, txs []weblog.Transaction) features.TransactionState {
+	ts := features.TransactionState{Entity: ss.Entity, Anchored: ss.Anchored, Closed: ss.Closed,
+		NextIdx: ss.NextIdx, EmitCount: ss.EmitCount}
+	if ss.Anchored {
+		ts.Anchor, ts.LastSeen = &txs[0], &txs[len(txs)-1]
+		ts.Buffered = txs[len(txs)-len(ss.Records):]
+	}
+	return ts
+}
+
+// legacyJSONState renders st, the state of a device fed txs, as the
+// version-1 JSON blob an earlier release spilled.
+func legacyJSONState(tb testing.TB, st DeviceState, txs []weblog.Transaction) []byte {
+	tb.Helper()
+	j := legacyDeviceState{Version: legacyStateVersion, Device: st.Device, Current: st.Current, LastSeen: st.LastSeen}
+	j.Identifier.Host, j.Identifier.K, j.Identifier.Runs = st.Identifier.Host, st.Identifier.K, st.Identifier.Runs
+	j.Identifier.Streamer = legacyTxState(st.Identifier.Streamer, txs)
+	blob, err := json.Marshal(j)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// v2Fixture is a device blob in format version 2 (whole buffered
+// transactions), written by that format's encoder: device 10.0.3.9 after
+// the first 369 transactions of hostStream(testDS, set.Users()[0],
+// "10.0.3.9", 600) through a monitor with K=2 and a 24h IdleTTL — a
+// split where a user stands confirmed, two streaks run and 54
+// transactions are buffered.
+const (
+	v2Fixture      = "testdata/device_state_v2.bin"
+	v2FixtureSplit = 369
+)
+
+// TestMonitorRehydratesV2StateFixture pins format version 2: a device
+// rehydrated from a blob an earlier release spilled emits the same
+// windows and alerts as a device that never spilled, and its next spill
+// rewrites the blob in the current format.
+func TestMonitorRehydratesV2StateFixture(t *testing.T) {
+	set, testDS := sharedSet(t)
+	const dev = "10.0.3.9"
+	txs := hostStream(t, testDS, set.Users()[0], dev, 600)
+	blob, err := os.ReadFile(v2Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[0] != txStateVersion {
+		t.Fatalf("fixture is version %d, want %d", blob[0], txStateVersion)
+	}
+	st, err := DecodeDeviceState(blob, set.Vocabulary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Current == "" || len(st.Identifier.Runs) < 2 || len(st.Identifier.Streamer.Records) == 0 {
+		t.Fatalf("fixture decodes to current %q, %d runs, %d records; want a confirmed user, streaks and a buffer",
+			st.Current, len(st.Identifier.Runs), len(st.Identifier.Streamer.Records))
+	}
+
+	// Windows: an identifier restored from the fixture against one fed
+	// the whole stream.
+	ref, err := NewIdentifier(set, dev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range txs[:v2FixtureSplit] {
+		if _, err := ref.Feed(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(st.Identifier.Streamer.Records, ref.Snapshot().Streamer.Records) {
+		t.Fatal("records extracted from the fixture differ from the live streamer's")
+	}
+	id, err := RestoreIdentifier(set, st.Identifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := 0
+	for i, tx := range txs[v2FixtureSplit:] {
+		want, err := ref.Feed(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := id.Feed(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tx %d after the split: rehydrated identifier emitted %+v, want %+v", i, got, want)
+		}
+		windows += len(got)
+	}
+	if got, want := id.Flush(), ref.Flush(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Flush: rehydrated identifier emitted %d events, want %d", len(got), len(want))
+	}
+	if windows == 0 {
+		t.Fatal("no window completed after the split; the test needs some")
+	}
+
+	// Alerts: a monitor rehydrating the fixture against one that never
+	// spilled.
+	feed := func(mon *Monitor, txs []weblog.Transaction) {
+		for _, tx := range txs {
+			if err := mon.Feed(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cfg := MonitorConfig{IdleTTL: 24 * time.Hour}
+	refCol := newAlertCollector()
+	refMon, err := NewMonitorWithConfig(set, 2, refCol.callback, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(refMon, txs)
+	refMon.Close()
+	col := newAlertCollector()
+	before, err := NewMonitorWithConfig(set, 2, col.callback, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(before, txs[:v2FixtureSplit])
+	before.Close()
+	store := NewMemStateStore()
+	store.Put(dev, blob)
+	cfg.Spill = store
+	mon, err := NewMonitorWithConfig(set, 2, col.callback, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(mon, txs[v2FixtureSplit:])
+	if n, _, err := mon.Checkpoint(); err != nil || n != 1 {
+		t.Fatalf("Checkpoint = %d, %v", n, err)
+	}
+	mon.Close()
+	if len(refCol.got[dev]) == 0 {
+		t.Fatal("reference run raised no alerts")
+	}
+	comparePerDevice(t, refCol.got, col.got)
+	if again, ok, _ := store.Get(dev); !ok || len(again) == 0 || again[0] != stateVersion {
+		t.Fatalf("spill after a version-%d rehydrate did not write a version-%d blob", txStateVersion, stateVersion)
+	}
+}
+
 // TestDecodeDeviceStateAllocs: decoding costs a fixed number of
-// allocations whatever the number of buffered transactions — the strings
-// of every record alias one copy of the blob.
+// allocations whatever the number of buffered records — the strings of
+// the state alias one copy of the blob.
 func TestDecodeDeviceStateAllocs(t *testing.T) {
+	vocab := features.Build([]weblog.Transaction{codecTx(0), codecTx(1)})
 	allocs := func(buffered int) float64 {
 		anchor, last := codecTx(0), codecTx(59)
-		st := DeviceState{Device: "10.0.0.4", Current: "user_4", LastSeen: last.Timestamp,
-			Identifier: IdentifierState{Host: "10.0.0.4", K: 3, Runs: map[string]int{"user_4": 2, "user_1": 1},
-				Streamer: features.StreamerState{Entity: "10.0.0.4", Anchored: true, Anchor: &anchor, LastSeen: &last}}}
+		ts := features.TransactionState{Entity: "10.0.0.4", Anchored: true, Anchor: &anchor, LastSeen: &last}
 		for i := 0; i < buffered; i++ {
-			st.Identifier.Streamer.Buffered = append(st.Identifier.Streamer.Buffered, codecTx(i%60))
+			ts.Buffered = append(ts.Buffered, codecTx(i*60/buffered))
 		}
+		ss, err := ts.Records(vocab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := DeviceState{Device: "10.0.0.4", Current: "user_4", LastSeen: last.Timestamp,
+			Identifier: IdentifierState{Host: "10.0.0.4", K: 3, Runs: map[string]int{"user_4": 2, "user_1": 1}, Streamer: ss}}
 		blob := EncodeDeviceState(st)
 		return testing.AllocsPerRun(50, func() {
-			if _, err := DecodeDeviceState(blob); err != nil {
+			if _, err := DecodeDeviceState(blob, vocab); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := allocs(1), allocs(500)
 	if large > small {
-		t.Errorf("decode allocations grow with the buffer: %.0f for 1 buffered transaction, %.0f for 500", small, large)
+		t.Errorf("decode allocations grow with the buffer: %.0f for 1 buffered record, %.0f for 500", small, large)
 	}
 }

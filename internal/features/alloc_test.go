@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"webtxprofile/internal/sparse"
 	"webtxprofile/internal/weblog"
@@ -105,5 +106,38 @@ func TestComposeGapAllocs(t *testing.T) {
 	want, got := perWindow(dense), perWindow(gapped)
 	if got > want*1.1 {
 		t.Errorf("Compose allocates %.2f times per window across a 1-day gap, %.2f without it", got, want)
+	}
+}
+
+// TestRecordSize gates the buffered record's footprint: every live
+// device holds a window's worth of records, so a record must stay within
+// 56 bytes and hold no pointer (a pointer-free buffer is never scanned by
+// the garbage collector, and keeps no ingest memory alive).
+func TestRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(Record{}); size > 56 {
+		t.Errorf("Record is %d bytes, want <= 56", size)
+	}
+	var walk func(reflect.Type) bool
+	walk = func(typ reflect.Type) bool { // reports whether typ holds a pointer
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if walk(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return walk(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		default:
+			return true
+		}
+	}
+	if walk(reflect.TypeOf(Record{})) {
+		t.Error("Record holds a pointer")
 	}
 }

@@ -2,6 +2,7 @@ package features
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -142,6 +143,89 @@ func TestVocabularyJSONRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("transaction %d extracts differently after round trip", i)
 		}
+	}
+}
+
+// TestVocabularyFingerprint: the fingerprint follows the column
+// assignment — equal for the same assignment however it was built or
+// stored, different for another assignment of the same size or a larger
+// vocabulary — and a streamer state binds to it.
+func TestVocabularyFingerprint(t *testing.T) {
+	v := Build(corpus())
+	if Build(corpus()).Fingerprint() != v.Fingerprint() {
+		t.Error("equal vocabularies have different fingerprints")
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Vocabulary
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Fingerprint() != v.Fingerprint() {
+		t.Error("JSON round trip changed the fingerprint")
+	}
+	renamed := corpus()
+	renamed[1].Category = "Travel" // same size, another category column
+	if fp := Build(renamed).Fingerprint(); fp.Size != v.Size() || fp == v.Fingerprint() {
+		t.Errorf("another column assignment of size %d: fingerprint %+v, original %+v", v.Size(), fp, v.Fingerprint())
+	}
+	extra := tx(30*time.Second, "user_3", "Shopping", "", taxonomy.MediaType{}, taxonomy.Unverified)
+	if fp := v.Extend([]weblog.Transaction{extra}).Fingerprint(); fp == v.Fingerprint() || fp.Size != v.Size()+1 {
+		t.Errorf("extended vocabulary: fingerprint %+v, original %+v", fp, v.Fingerprint())
+	}
+	if v.Extend(nil).Fingerprint() != v.Fingerprint() {
+		t.Error("extending by nothing changed the fingerprint")
+	}
+
+	cfg := WindowConfig{Duration: time.Minute, Shift: 30 * time.Second}
+	s, _ := NewStreamer(v, cfg, "x")
+	for _, x := range corpus() {
+		if _, err := s.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := RestoreStreamer(Build(renamed), cfg, s.Snapshot()); err == nil {
+		t.Error("state restored under another vocabulary")
+	}
+	if _, err := RestoreStreamer(&back, cfg, s.Snapshot()); err != nil {
+		t.Errorf("state does not restore under its vocabulary's JSON round trip: %v", err)
+	}
+}
+
+// TestTransactionStateRecords: a state in the earlier whole-transaction
+// form converts to exactly the state the streamer itself snapshots, and
+// a buffer no record can express is refused.
+func TestTransactionStateRecords(t *testing.T) {
+	txs := windowCorpus()
+	v := Build(txs)
+	cfg := WindowConfig{Duration: time.Minute, Shift: 30 * time.Second}
+	for split := 1; split <= len(txs); split++ {
+		s, _ := NewStreamer(v, cfg, "x")
+		for _, x := range txs[:split] {
+			if _, err := s.Add(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := s.Snapshot()
+		ts := TransactionState{Entity: "x", Anchored: true, NextIdx: want.NextIdx, EmitCount: want.EmitCount,
+			Anchor: &txs[0], LastSeen: &txs[split-1], Buffered: txs[split-len(want.Records) : split]}
+		got, err := ts.Records(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("split %d: converted state\n got %+v\nwant %+v", split, got, want)
+		}
+	}
+	ts := TransactionState{Entity: "x", Anchored: true, Anchor: &txs[1], LastSeen: &txs[2], Buffered: txs[:3]}
+	if _, err := ts.Records(v); err == nil {
+		t.Error("buffered transaction before the anchor converted")
+	}
+	ts = TransactionState{Entity: "x", Anchored: true, Anchor: &txs[0], LastSeen: &txs[2], Buffered: []weblog.Transaction{txs[2], txs[1]}}
+	if _, err := ts.Records(v); err == nil {
+		t.Error("out-of-order buffer converted")
 	}
 }
 
@@ -493,7 +577,7 @@ func TestRestoreStreamerRejectsCorruptState(t *testing.T) {
 		t.Error("negative next index accepted")
 	}
 	bad = good
-	bad.Anchor = nil
+	bad.Anchor = time.Time{}
 	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
 		t.Error("anchored state without anchor accepted")
 	}
@@ -502,35 +586,56 @@ func TestRestoreStreamerRejectsCorruptState(t *testing.T) {
 	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
 		t.Error("unanchored state with buffered transactions accepted")
 	}
-	if len(good.Buffered) >= 2 {
-		bad = good
-		bad.Buffered = append([]weblog.Transaction(nil), good.Buffered...)
-		bad.Buffered[0], bad.Buffered[1] = bad.Buffered[1], bad.Buffered[0]
-		if bad.Buffered[0].Timestamp.Equal(bad.Buffered[1].Timestamp) {
-			t.Skip("corpus buffer lacks distinct timestamps for the order check")
-		}
-		if _, err := RestoreStreamer(v, cfg, bad); err == nil {
-			t.Error("out-of-order buffer accepted")
+	if len(good.Records) == 0 {
+		t.Fatal("corpus leaves no buffered record")
+	}
+	// withRecord is good with buffered record i replaced by edit's result.
+	withRecord := func(i int, edit func(Record) Record) StreamerState {
+		st := good
+		st.Records = append([]Record(nil), good.Records...)
+		st.Records[i] = edit(st.Records[i])
+		return st
+	}
+	corrupt := map[string]StreamerState{
+		"negative offset": withRecord(0, func(r Record) Record { r.Offset = -time.Second; return r }),
+		"record past last-seen": withRecord(len(good.Records)-1, func(r Record) Record {
+			r.Offset = good.LastSeen.Sub(good.Anchor) + 1
+			return r
+		}),
+		"user outside the table": withRecord(0, func(r Record) Record { r.User = uint32(len(good.Users)); return r }),
+		"column past the vocabulary": withRecord(0, func(r Record) Record {
+			r.Cols[GroupCategory] = int32(v.Size())
+			return r
+		}),
+		"negative column":         withRecord(0, func(r Record) Record { r.Cols[GroupAction] = -2; return r }),
+		"risk without its column": withRecord(0, func(r Record) Record { r.Cols[GroupReputationRisk], r.Risk = -1, 0.5; return r }),
+		"risk column without risk": withRecord(0, func(r Record) Record {
+			r.Cols[GroupReputationRisk], r.Risk = 7, 0
+			return r
+		}),
+		"NaN risk": withRecord(0, func(r Record) Record { r.Cols[GroupReputationRisk], r.Risk = 7, math.NaN(); return r }),
+	}
+	if len(good.Records) >= 2 {
+		corrupt["out-of-order buffer"] = withRecord(0, func(r Record) Record { r.Offset = good.Records[1].Offset + 1; return r })
+	}
+	for name, st := range corrupt {
+		if _, err := RestoreStreamer(v, cfg, st); err == nil {
+			t.Errorf("%s accepted", name)
 		}
 	}
 	bad = good
-	earlier := *good.Anchor
-	earlier.Timestamp = good.Buffered[len(good.Buffered)-1].Timestamp.Add(-time.Hour)
-	bad.LastSeen = &earlier
+	bad.LastSeen = good.Anchor.Add(good.Records[len(good.Records)-1].Offset - time.Hour)
 	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
 		t.Error("last-seen before buffered tail accepted")
 	}
-	if tail := good.Buffered[len(good.Buffered)-1].Timestamp; tail.After(good.Anchor.Timestamp) {
-		atAnchor := *good.Anchor
-		bad.LastSeen = &atAnchor
+	if tail := good.Records[len(good.Records)-1].Offset; tail > 0 {
+		bad.LastSeen = good.Anchor
 		if _, err := RestoreStreamer(v, cfg, bad); err == nil {
 			t.Error("last-seen after the anchor but before buffered tail accepted")
 		}
 	}
 	bad = good
-	beforeAnchor := *good.Anchor
-	beforeAnchor.Timestamp = good.Anchor.Timestamp.Add(-time.Nanosecond)
-	bad.Anchor, bad.LastSeen, bad.Buffered = good.Anchor, &beforeAnchor, nil
+	bad.LastSeen, bad.Records, bad.Users = good.Anchor.Add(-time.Nanosecond), nil, nil
 	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
 		t.Error("last-seen before the anchor accepted")
 	}
@@ -545,9 +650,7 @@ func TestRestoreStreamerRejectsCorruptState(t *testing.T) {
 		}
 	}
 	bad = good
-	farLast := *good.LastSeen
-	farLast.Timestamp = farLast.Timestamp.Add(200 * 365 * 24 * time.Hour)
-	bad.LastSeen = &farLast
+	bad.LastSeen = good.LastSeen.Add(200 * 365 * 24 * time.Hour)
 	if _, err := RestoreStreamer(v, cfg, bad); err == nil {
 		t.Error("last-seen centuries past the state's window accepted")
 	}
@@ -575,6 +678,46 @@ func TestStreamerRejectsOutOfOrder(t *testing.T) {
 	}
 	if _, err := st.Add(txs[0]); err == nil {
 		t.Error("accepted out-of-order transaction")
+	}
+}
+
+// TestStreamerUserTableStaysBounded feeds a device whose every
+// transaction comes from another user (a NAT gateway, say). The user
+// table must stay within twice the buffer plus minUserTable, compacting
+// as it goes, and the windows — user counts included — must stay
+// exactly Compose's, also across a snapshot and restore.
+func TestStreamerUserTableStaysBounded(t *testing.T) {
+	cfg := WindowConfig{Duration: time.Minute, Shift: 20 * time.Second}
+	txs := make([]weblog.Transaction, 600)
+	for i := range txs {
+		txs[i] = traceTx(t0.Add(time.Duration(i)*2*time.Second), i)
+		txs[i].UserID = fmt.Sprintf("user_%d", i%250)
+	}
+	v := Build(txs)
+	want, err := Compose(v, cfg, txs, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := NewStreamer(v, cfg, "x")
+	var got []Window
+	for i, x := range txs {
+		ws, err := s.Add(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ws...)
+		if bound := 2*len(s.buf) + minUserTable + 1; len(s.users) > bound {
+			t.Fatalf("tx %d: user table holds %d users for %d buffered records, want <= %d", i, len(s.users), len(s.buf), bound)
+		}
+		if i == len(txs)/2 {
+			if s, err = RestoreStreamer(v, cfg, s.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got = append(got, s.Close()...)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamer emitted %d windows, Compose %d (or contents differ)", len(got), len(want))
 	}
 }
 

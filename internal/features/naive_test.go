@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,37 +21,72 @@ import (
 
 // naiveAdd is Streamer.Add with the step-by-step walk the window jump
 // replaced: it visits every window ending at or before the arrival, one
-// Shift at a time, empty or not. It drives the same Streamer internals
-// (build, gc), so the differential tests below isolate the walk itself.
-// It never terminates on a transaction past the Duration range — callers
-// keep traces well inside it.
+// Shift at a time, empty or not, and extracts the arrival's record with
+// the public Extract rather than the streamer's own record path. It drives
+// the same Streamer internals (build, gc, the user table), so the
+// differential tests below isolate the walk itself. It never terminates on
+// a transaction past the Duration range — callers keep traces well inside
+// it.
 func naiveAdd(s *Streamer, tx weblog.Transaction) ([]Window, error) {
 	if s.closed {
 		return nil, fmt.Errorf("features: Add after Close")
 	}
 	if !s.anchored {
 		s.anchored = true
-		s.anchor = tx
-	} else if tx.Timestamp.Before(s.lastSeen.Timestamp) {
+		s.anchor = tx.Timestamp
+	} else if tx.Timestamp.Before(s.lastSeen) {
 		return nil, fmt.Errorf("features: out-of-order transaction at %v (last %v)",
-			tx.Timestamp, s.lastSeen.Timestamp)
+			tx.Timestamp, s.lastSeen)
 	}
-	s.lastSeen = tx
+	s.lastSeen = tx.Timestamp
 	var out []Window
 	for {
-		start := s.anchor.Timestamp.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
+		start := s.anchor.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
 		end := start.Add(s.cfg.Duration)
 		if tx.Timestamp.Before(end) {
 			break
 		}
-		if w, ok := s.build(start, end); ok {
+		if w, ok := s.build(s.nextIdx); ok {
 			out = append(out, w)
 		}
 		s.nextIdx++
-		s.gc(start.Add(s.cfg.Shift))
+		s.gc(s.nextIdx)
 	}
-	s.buf = append(s.buf, tx)
+	s.buf = append(s.buf, naiveRecord(s, &tx))
 	return out, nil
+}
+
+// naiveRecord builds tx's buffered record from Extract's vector: each
+// column goes to the group owning it, found by scanning the vocabulary's
+// column names.
+func naiveRecord(s *Streamer, tx *weblog.Transaction) Record {
+	r := Record{Cols: noCols, Offset: tx.Timestamp.Sub(s.anchor)}
+	x := s.vocab.Extract(tx)
+	for k, c := range x.Idx {
+		g := naiveGroup(s.vocab, int(c))
+		r.Cols[g] = c
+		if g == GroupReputationRisk {
+			r.Risk = x.Val[k]
+		}
+	}
+	r.User = s.userIndex(tx.UserID)
+	return r
+}
+
+// naiveGroup returns the Table I group of column c, from its name.
+func naiveGroup(v *Vocabulary, c int) Group {
+	name := v.ColumnName(c)
+	for prefix, g := range map[string]Group{
+		"action:": GroupAction, "scheme:": GroupScheme, "category:": GroupCategory,
+		"supertype:": GroupSuperType, "subtype:": GroupSubType, "application:": GroupAppType,
+		"public-address-flag": GroupPublicFlag, "reputation-risk": GroupReputationRisk,
+		"reputation-verified": GroupReputationVerified,
+	} {
+		if strings.HasPrefix(name, prefix) {
+			return g
+		}
+	}
+	panic("column " + name + " has no group")
 }
 
 // naiveClose is Streamer.Close with the step-by-step walk.
@@ -62,16 +98,15 @@ func naiveClose(s *Streamer) []Window {
 	s.closed = true
 	var out []Window
 	for {
-		start := s.anchor.Timestamp.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
-		if start.After(s.lastSeen.Timestamp) {
+		start := s.anchor.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
+		if start.After(s.lastSeen) {
 			break
 		}
-		end := start.Add(s.cfg.Duration)
-		if w, ok := s.build(start, end); ok {
+		if w, ok := s.build(s.nextIdx); ok {
 			out = append(out, w)
 		}
 		s.nextIdx++
-		s.gc(start.Add(s.cfg.Shift))
+		s.gc(s.nextIdx)
 	}
 	return out
 }
@@ -419,7 +454,7 @@ func TestFarFutureTimestampRejected(t *testing.T) {
 	}
 
 	st := ref.Snapshot()
-	st.LastSeen = &bad
+	st.LastSeen = bad.Timestamp
 	if _, err := RestoreStreamer(vocab, cfg, st); !errors.Is(err, ErrWindowRange) {
 		t.Fatalf("RestoreStreamer with a year-9999 last-seen = %v, want ErrWindowRange", err)
 	}

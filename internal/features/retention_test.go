@@ -22,12 +22,6 @@ func pointsInto(buf string) func(string) bool {
 	}
 }
 
-// txStrings lists every string field of tx.
-func txStrings(tx *weblog.Transaction) []string {
-	return []string{tx.Host, tx.Scheme, tx.Action, tx.UserID, tx.SourceIP,
-		tx.Category, tx.MediaType.Super, tx.MediaType.Sub, tx.AppType}
-}
-
 // parseBatch renders txs as one newline-joined batch of log lines and
 // parses each line in place, the way an ingest path does: every string
 // of the returned transactions aliases the batch.
@@ -51,8 +45,10 @@ func parseBatch(t *testing.T, txs []weblog.Transaction) ([]weblog.Transaction, s
 	return out, batch
 }
 
-// checkStreamerOwns fails t for every string of the streamer's snapshot
-// and of the windows it emitted that points into the batch.
+// checkStreamerOwns fails t for every string the streamer keeps (its
+// entity and user table) and every string of the windows it emitted that
+// points into the batch. Records hold no strings at all
+// (TestRecordSize).
 func checkStreamerOwns(t *testing.T, stage string, s *Streamer, windows []Window, pinned func(string) bool) {
 	t.Helper()
 	st := s.Snapshot()
@@ -67,11 +63,7 @@ func checkStreamerOwns(t *testing.T, stage string, s *Streamer, windows []Window
 		}
 	}
 	check("entity", st.Entity)
-	check("anchor", txStrings(st.Anchor)...)
-	check("last-seen", txStrings(st.LastSeen)...)
-	for i := range st.Buffered {
-		check("buffered", txStrings(&st.Buffered[i])...)
-	}
+	check("user table", s.users...)
 	for _, w := range windows {
 		check("window entity", w.Entity)
 		for u := range w.UserCounts {
@@ -82,9 +74,9 @@ func checkStreamerOwns(t *testing.T, stage string, s *Streamer, windows []Window
 
 // TestStreamerRetainsNoIngestMemory feeds a streamer transactions whose
 // strings alias one ingest batch and checks that nothing the streamer
-// keeps — anchor, last-seen, buffered transactions, emitted windows —
-// points into it, also after a restore from a state whose strings alias
-// the blob it was decoded from.
+// keeps — entity, user table, emitted windows — points into it, also
+// after a restore from a state whose strings alias the blob it was
+// decoded from.
 func TestStreamerRetainsNoIngestMemory(t *testing.T) {
 	cfg := WindowConfig{Duration: time.Minute, Shift: 30 * time.Second}
 	const n = 240
@@ -112,11 +104,13 @@ func TestStreamerRetainsNoIngestMemory(t *testing.T) {
 
 	// A decoded state blob: every string of the state aliases the blob.
 	st := s.Snapshot()
-	kept := append([]weblog.Transaction{*st.Anchor, *st.LastSeen}, st.Buffered...)
-	decoded, blob := parseBatch(t, kept)
+	blob := strings.Join(append([]string{st.Entity}, st.Users...), "")
 	inBlob := pointsInto(blob)
-	st.Anchor, st.LastSeen, st.Buffered = &decoded[0], &decoded[1], decoded[2:]
-	st.Entity = decoded[0].SourceIP
+	st.Entity = blob[:len(st.Entity)]
+	for i, off := 0, len(st.Entity); i < len(st.Users); i++ {
+		st.Users[i] = blob[off : off+len(st.Users[i])]
+		off += len(st.Users[i])
+	}
 	restored, err := RestoreStreamer(vocab, cfg, st)
 	if err != nil {
 		t.Fatal(err)

@@ -2,14 +2,13 @@ package features
 
 import (
 	"fmt"
-	"maps"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
-	"unsafe"
 
 	"webtxprofile/internal/sparse"
-	"webtxprofile/internal/taxonomy"
 	"webtxprofile/internal/weblog"
 )
 
@@ -30,116 +29,74 @@ import (
 // stepping through the empty windows of a gap. Window positions, Emitted
 // and every Snapshot are exactly those of a window-by-window walk.
 //
-// A streamer owns the memory its open windows need and nothing else. The
-// transactions it keeps (anchor, last-seen, buffer) own their strings:
-// Add and RestoreStreamer copy them out of the caller's memory (a log
-// line, a wire frame, a decoded state blob), so a long-lived streamer
-// never pins an ingest buffer. The buffer's capacity follows the window:
-// above a small floor it shrinks once it drains to a quarter of its
-// capacity, so one burst does not fix the streamer's footprint for life.
-// Window-build scratch is borrowed per window from a pool shared by every
-// streamer on the same vocabulary.
+// Add extracts each transaction once, into a Record: its columns, its
+// offset from the anchor and its index in a small per-streamer user
+// table. A window is the records inside it accumulated in buffer order,
+// so nothing is extracted again for the other windows covering the
+// transaction. Records hold no pointer and keep nothing of the caller's
+// memory (a log line, a wire frame, a decoded state blob): the only
+// strings a streamer keeps are its entity and the user table, which are
+// its own copies. Anchor and last-seen are bare timestamps. The buffer's
+// capacity follows the window: above a small floor it shrinks once it
+// drains to a quarter of its capacity, so one burst does not fix the
+// streamer's footprint for life. Window-build scratch is borrowed per
+// window from a pool shared by every streamer on the same vocabulary.
+//
+// Records carry column ids, so a streamer's state is only valid under the
+// vocabulary it was built with (see Vocabulary.Fingerprint).
 type Streamer struct {
 	vocab  *Vocabulary
 	cfg    WindowConfig
 	entity string
 
-	buf       []weblog.Transaction // pending transactions, oldest first
-	nextIdx   int                  // index k of the next window to emit
+	buf       []Record // pending transactions, oldest first
+	users     []string // the user table buf's records index
+	nextIdx   int      // index k of the next window to emit
 	anchored  bool
-	anchor    weblog.Transaction // first transaction; defines t0
-	lastSeen  weblog.Transaction
+	anchor    time.Time // first transaction's timestamp; defines t0
+	lastSeen  time.Time
 	closed    bool
 	emitCount int
-
-	// strs holds the strings of the buffered and last-seen transactions.
-	// Deliberately absent from StreamerState.
-	strs stringArena
 }
 
-// arenaBlock is the size of a stringArena block: room for the strings of
-// a dozen or so typical transactions.
-const arenaBlock = 1 << 10
-
-// stringArena copies strings into shared byte blocks, so keeping a
-// transaction costs no allocation of its own. A block stays alive while
-// any string in it does; as a streamer's buffer drains, the blocks its
-// old transactions filled become garbage.
-type stringArena struct {
-	block []byte // the block being filled; bytes below len are handed out
+// Record is one buffered transaction as window builds need it: the
+// per-transaction feature vector of Sect. III-B, which hits at most one
+// column per Table I group, plus its timestamp and its user. It holds no
+// pointer, so a buffer of records is never scanned by the garbage
+// collector.
+type Record struct {
+	// Offset is the transaction's timestamp minus the streamer's anchor.
+	Offset time.Duration
+	// Risk is the value of the reputation-risk column; 0 when
+	// Cols[GroupReputationRisk] is absent.
+	Risk float64
+	// Cols holds, in Group order, the column the transaction hit in each
+	// Table I group, or -1 for none.
+	Cols [numGroups]int32
+	// User indexes the user table of the streamer or state holding the
+	// record.
+	User uint32
 }
 
-// reserve makes room for n more bytes, starting a fresh block when the
-// current one cannot hold them.
-func (a *stringArena) reserve(n int) {
-	if n > cap(a.block)-len(a.block) {
-		a.block = make([]byte, 0, max(arenaBlock, n))
+// noCols is a Record's column set before extraction: no group hit.
+var noCols = [numGroups]int32{-1, -1, -1, -1, -1, -1, -1, -1, -1}
+
+// vectorInto writes r's feature vector into dst's backing arrays. Columns
+// come out in group order, as a Build vocabulary assigns them, so the
+// vector is sorted unless the vocabulary was Extend-ed.
+func (r *Record) vectorInto(dst *sparse.Vector) {
+	idx, val := dst.Idx[:0], dst.Val[:0]
+	for g, c := range r.Cols {
+		if c < 0 {
+			continue
+		}
+		v := 1.0
+		if g == int(GroupReputationRisk) {
+			v = r.Risk
+		}
+		idx, val = append(idx, c), append(val, v)
 	}
-}
-
-// str returns a copy of s in the room reserve made. Bytes handed out are
-// never written again: later strings are appended past them, or into a
-// fresh block.
-func (a *stringArena) str(s string) string {
-	if len(s) == 0 {
-		return ""
-	}
-	n := len(a.block)
-	a.block = append(a.block, s...)
-	return unsafe.String(&a.block[n], len(s))
-}
-
-// stringBytes is the total length of tx's strings.
-func stringBytes(tx *weblog.Transaction) int {
-	return len(tx.Host) + len(tx.Scheme) + len(tx.Action) + len(tx.UserID) + len(tx.SourceIP) +
-		len(tx.Category) + len(tx.MediaType.Super) + len(tx.MediaType.Sub) + len(tx.AppType)
-}
-
-// own copies tx's strings into a, in place, except those it can share
-// with memory the streamer already owns: SourceIP equal to the entity,
-// and the taxonomy's scheme and action constants.
-func (s *Streamer) own(a *stringArena, tx *weblog.Transaction) {
-	a.reserve(stringBytes(tx))
-	tx.Host = a.str(tx.Host)
-	switch tx.Scheme {
-	case taxonomy.SchemeHTTP:
-		tx.Scheme = taxonomy.SchemeHTTP
-	case taxonomy.SchemeHTTPS:
-		tx.Scheme = taxonomy.SchemeHTTPS
-	default:
-		tx.Scheme = a.str(tx.Scheme)
-	}
-	switch tx.Action {
-	case taxonomy.ActionGet:
-		tx.Action = taxonomy.ActionGet
-	case taxonomy.ActionPost:
-		tx.Action = taxonomy.ActionPost
-	case taxonomy.ActionConnect:
-		tx.Action = taxonomy.ActionConnect
-	case taxonomy.ActionHead:
-		tx.Action = taxonomy.ActionHead
-	default:
-		tx.Action = a.str(tx.Action)
-	}
-	tx.UserID = a.str(tx.UserID)
-	if tx.SourceIP == s.entity {
-		tx.SourceIP = s.entity
-	} else {
-		tx.SourceIP = a.str(tx.SourceIP)
-	}
-	tx.Category = a.str(tx.Category)
-	tx.MediaType.Super = a.str(tx.MediaType.Super)
-	tx.MediaType.Sub = a.str(tx.MediaType.Sub)
-	tx.AppType = a.str(tx.AppType)
-}
-
-// ownAnchor copies the anchor's strings into one block of their exact
-// size: the anchor lives as long as the streamer, and must not keep a
-// whole arena block of long-gone transactions alive with it.
-func (s *Streamer) ownAnchor(tx weblog.Transaction) weblog.Transaction {
-	a := stringArena{block: make([]byte, 0, stringBytes(&tx))}
-	s.own(&a, &tx)
-	return tx
+	dst.Idx, dst.Val = idx, val
 }
 
 // NewStreamer returns a streaming window composer for one entity.
@@ -159,29 +116,21 @@ func (s *Streamer) Add(tx weblog.Transaction) ([]Window, error) {
 	if s.closed {
 		return nil, fmt.Errorf("features: Add after Close")
 	}
-	t0 := tx.Timestamp // the anchoring transaction defines t0
+	anchor := tx.Timestamp // the anchoring transaction defines t0
 	if s.anchored {
-		if tx.Timestamp.Before(s.lastSeen.Timestamp) {
+		if tx.Timestamp.Before(s.lastSeen) {
 			return nil, fmt.Errorf("features: out-of-order transaction at %v (last %v)",
-				tx.Timestamp, s.lastSeen.Timestamp)
+				tx.Timestamp, s.lastSeen)
 		}
-		t0 = s.anchor.Timestamp
+		anchor = s.anchor
 	}
 	// Every window before target ends at or before the new arrival: no
 	// later transaction can fall inside it.
-	target, err := s.cfg.FirstWindowEndingAfter(t0, tx.Timestamp)
+	target, err := s.cfg.FirstWindowEndingAfter(anchor, tx.Timestamp)
 	if err != nil {
 		return nil, err
 	}
-	if s.anchored {
-		s.own(&s.strs, &tx)
-	} else {
-		// The anchor's copy doubles as the buffered and last-seen one.
-		s.anchored = true
-		s.anchor = s.ownAnchor(tx)
-		tx = s.anchor
-	}
-	s.lastSeen = tx
+	s.anchored, s.anchor, s.lastSeen = true, anchor, tx.Timestamp
 	var out []Window
 	for s.nextIdx < target {
 		if len(s.buf) == 0 {
@@ -190,15 +139,55 @@ func (s *Streamer) Add(tx weblog.Transaction) ([]Window, error) {
 			s.nextIdx = target
 			break
 		}
-		start := s.windowStart(s.nextIdx)
-		if w, ok := s.build(start, start.Add(s.cfg.Duration)); ok {
+		if w, ok := s.build(s.nextIdx); ok {
 			out = append(out, w)
 		}
 		s.nextIdx++
-		s.gc(start.Add(s.cfg.Shift))
+		s.gc(s.nextIdx)
 	}
-	s.buf = append(s.buf, tx)
+	r := s.vocab.record(&tx)
+	r.Offset = tx.Timestamp.Sub(anchor)
+	r.User = s.userIndex(tx.UserID)
+	s.buf = append(s.buf, r)
 	return out, nil
+}
+
+// minUserTable is the user-table size below which userIndex never
+// compacts: a device shared by a handful of users keeps them all.
+const minUserTable = 8
+
+// userIndex returns u's index in the user table, adding a copy of u when
+// it is new. A table grown past twice the buffer (plus minUserTable) first
+// drops the users no buffered record refers to, so a device seeing a
+// stream of distinct users keeps only those of its open windows, at
+// amortized O(1) per transaction.
+func (s *Streamer) userIndex(u string) uint32 {
+	for i := len(s.users) - 1; i >= 0; i-- {
+		if s.users[i] == u {
+			return uint32(i)
+		}
+	}
+	if len(s.users) >= 2*len(s.buf)+minUserTable {
+		s.users = referencedUsers(s.buf, s.users)
+	}
+	s.users = append(s.users, strings.Clone(u))
+	return uint32(len(s.users) - 1)
+}
+
+// referencedUsers returns the users recs refer to, in order of first
+// reference, in a fresh table, and renumbers recs to index it.
+func referencedUsers(recs []Record, users []string) []string {
+	remap := make([]uint32, len(users)) // new index + 1; 0 = not yet seen
+	var out []string
+	for i := range recs {
+		u := recs[i].User
+		if remap[u] == 0 {
+			out = append(out, users[u])
+			remap[u] = uint32(len(out))
+		}
+		recs[i].User = remap[u] - 1
+	}
+	return out
 }
 
 // Close flushes the windows still covering buffered transactions and marks
@@ -210,42 +199,91 @@ func (s *Streamer) Close() []Window {
 		return nil
 	}
 	s.closed = true
-	last := int(s.lastSeen.Timestamp.Sub(s.anchor.Timestamp) / s.cfg.Shift)
+	last := int(s.lastSeen.Sub(s.anchor) / s.cfg.Shift)
 	var out []Window
 	for ; s.nextIdx <= last; s.nextIdx++ {
 		if len(s.buf) == 0 { // the remaining windows are empty
 			s.nextIdx = last + 1
 			break
 		}
-		start := s.windowStart(s.nextIdx)
-		if w, ok := s.build(start, start.Add(s.cfg.Duration)); ok {
+		if w, ok := s.build(s.nextIdx); ok {
 			out = append(out, w)
 		}
-		s.gc(start.Add(s.cfg.Shift))
+		s.gc(s.nextIdx + 1)
 	}
 	return out
 }
 
-// windowStart returns the start of window k: anchor + k·S.
-func (s *Streamer) windowStart(k int) time.Time {
-	return s.anchor.Timestamp.Add(time.Duration(k) * s.cfg.Shift)
+// startOffset returns window k's start offset from the anchor, k·S,
+// saturating at the largest Duration, past every record's offset.
+func (s *Streamer) startOffset(k int) time.Duration {
+	if k > int(math.MaxInt64/s.cfg.Shift) {
+		return math.MaxInt64
+	}
+	return time.Duration(k) * s.cfg.Shift
 }
 
 // Emitted returns the number of windows produced so far.
 func (s *Streamer) Emitted() int { return s.emitCount }
 
 // StreamerState is a serializable snapshot of a Streamer: the window
-// anchor, the transactions still buffered for open windows, and the
-// position of the next window to emit. A streamer restored from a snapshot
-// produces exactly the window sequence the original would have produced —
-// the checkpoint/resume property the durable identifier state in core
-// builds on (TestStreamerSnapshotResume proves it against Compose).
+// anchor, the records still buffered for open windows with the user table
+// they index, and the position of the next window to emit. A streamer
+// restored from a snapshot produces exactly the window sequence the
+// original would have produced — the checkpoint/resume property the
+// durable identifier state in core builds on (TestStreamerSnapshotResume
+// proves it against Compose).
 //
-// The state is plain data (core's device-state codec serializes it; the
-// JSON tags serve its legacy reader); it carries no vocabulary or
-// window configuration — RestoreStreamer re-binds it to those, so the
-// snapshot stays valid as long as the profile bundle it belongs to does.
+// The state is plain data (core's device-state codec serializes it); it
+// carries no vocabulary or window configuration — RestoreStreamer
+// re-binds it to those. Its records hold column ids, so it is only valid
+// under the vocabulary it was taken with: core's codec stores that
+// vocabulary's Fingerprint beside it.
 type StreamerState struct {
+	Entity    string
+	Anchored  bool
+	Closed    bool
+	NextIdx   int
+	EmitCount int
+	// Anchor and LastSeen are the timestamps of the first and the latest
+	// transaction; zero unless Anchored.
+	Anchor, LastSeen time.Time
+	// Vocabulary is the fingerprint of the vocabulary whose columns
+	// Records hold; zero unless Anchored.
+	Vocabulary Fingerprint
+	// Users is the user table Records index, in order of first reference.
+	Users []string
+	// Records are the buffered transactions, oldest first.
+	Records []Record
+}
+
+// Snapshot captures the streamer's full resumable state. The records are
+// copied, so the snapshot stays valid while the streamer keeps running;
+// the user table holds only the users they refer to.
+func (s *Streamer) Snapshot() StreamerState {
+	st := StreamerState{
+		Entity:    s.entity,
+		Anchored:  s.anchored,
+		Closed:    s.closed,
+		NextIdx:   s.nextIdx,
+		EmitCount: s.emitCount,
+		Anchor:    s.anchor,
+		LastSeen:  s.lastSeen,
+	}
+	if s.anchored {
+		st.Vocabulary = s.vocab.Fingerprint()
+	}
+	if len(s.buf) > 0 {
+		st.Records = slices.Clone(s.buf)
+		st.Users = referencedUsers(st.Records, s.users)
+	}
+	return st
+}
+
+// TransactionState is a streamer's state as device-state formats 1 and 2
+// stored it: whole transactions instead of records. The legacy readers in
+// core decode it, and Records turns it into a StreamerState.
+type TransactionState struct {
 	Entity    string               `json:"entity"`
 	Anchored  bool                 `json:"anchored,omitempty"`
 	Closed    bool                 `json:"closed,omitempty"`
@@ -256,30 +294,57 @@ type StreamerState struct {
 	Buffered  []weblog.Transaction `json:"buffered,omitempty"`
 }
 
-// Snapshot captures the streamer's full resumable state. The buffered
-// transactions are copied, so the snapshot stays valid while the streamer
-// keeps running.
-func (s *Streamer) Snapshot() StreamerState {
+// Records extracts ts's buffered transactions against vocab, returning
+// the equivalent StreamerState. Its strings alias ts's. Only the
+// anchor's and last-seen transaction's timestamps survive; an anchored
+// state missing either converts to one RestoreStreamer rejects. Buffered
+// transactions before the anchor or out of order, which no record can
+// express, are an error.
+func (ts *TransactionState) Records(vocab *Vocabulary) (StreamerState, error) {
 	st := StreamerState{
-		Entity:    s.entity,
-		Anchored:  s.anchored,
-		Closed:    s.closed,
-		NextIdx:   s.nextIdx,
-		EmitCount: s.emitCount,
+		Entity:    ts.Entity,
+		Anchored:  ts.Anchored,
+		Closed:    ts.Closed,
+		NextIdx:   ts.NextIdx,
+		EmitCount: ts.EmitCount,
 	}
-	if s.anchored {
-		anchor, last := s.anchor, s.lastSeen
-		st.Anchor, st.LastSeen = &anchor, &last
-		st.Buffered = append([]weblog.Transaction(nil), s.buf...)
+	if ts.Anchored {
+		st.Vocabulary = vocab.Fingerprint()
 	}
-	return st
+	if ts.Anchor != nil {
+		st.Anchor = ts.Anchor.Timestamp
+	}
+	if ts.LastSeen != nil {
+		st.LastSeen = ts.LastSeen.Timestamp
+	}
+	if len(ts.Buffered) > 0 {
+		st.Records = make([]Record, len(ts.Buffered))
+	}
+	prev := time.Duration(0)
+	for i := range ts.Buffered {
+		tx := &ts.Buffered[i]
+		r := vocab.record(tx)
+		if r.Offset = tx.Timestamp.Sub(st.Anchor); r.Offset < prev {
+			return StreamerState{}, fmt.Errorf("features: buffered transaction %d of %q lies before its predecessor or the anchor", i, ts.Entity)
+		}
+		prev = r.Offset
+		r.User = uint32(len(st.Users))
+		if j := slices.Index(st.Users, tx.UserID); j >= 0 {
+			r.User = uint32(j)
+		} else {
+			st.Users = append(st.Users, tx.UserID)
+		}
+		st.Records[i] = r
+	}
+	return st, nil
 }
 
 // RestoreStreamer rebuilds a streamer from a snapshot taken with Snapshot,
 // re-bound to the given vocabulary and window configuration (which must be
 // the ones the original streamer ran with — they are not part of the
 // state). The restored streamer resumes at the exact window sequence the
-// snapshotted one would have emitted next.
+// snapshotted one would have emitted next. It keeps its own copies of the
+// state's strings and records.
 func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*Streamer, error) {
 	s, err := NewStreamer(vocab, cfg, strings.Clone(st.Entity))
 	if err != nil {
@@ -289,7 +354,7 @@ func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*St
 		return nil, fmt.Errorf("features: negative window counters in streamer state for %q", st.Entity)
 	}
 	if !st.Anchored {
-		if st.Anchor != nil || st.LastSeen != nil || len(st.Buffered) > 0 {
+		if !st.Anchor.IsZero() || !st.LastSeen.IsZero() || st.Vocabulary != (Fingerprint{}) || len(st.Records) > 0 || len(st.Users) > 0 {
 			return nil, fmt.Errorf("features: unanchored streamer state for %q carries transactions", st.Entity)
 		}
 		s.closed = st.Closed
@@ -297,13 +362,17 @@ func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*St
 		s.emitCount = st.EmitCount
 		return s, nil
 	}
-	if st.Anchor == nil || st.LastSeen == nil {
+	if st.Anchor.IsZero() || st.LastSeen.IsZero() {
 		return nil, fmt.Errorf("features: anchored streamer state for %q missing anchor or last-seen", st.Entity)
 	}
-	if st.LastSeen.Timestamp.Before(st.Anchor.Timestamp) {
+	if st.LastSeen.Before(st.Anchor) {
 		return nil, fmt.Errorf("features: streamer state for %q has last-seen before its anchor", st.Entity)
 	}
-	target, err := cfg.FirstWindowEndingAfter(st.Anchor.Timestamp, st.LastSeen.Timestamp)
+	if st.Vocabulary != vocab.Fingerprint() {
+		return nil, fmt.Errorf("features: streamer state for %q was taken under another vocabulary (%d columns, hash %#x; want %d, %#x)",
+			st.Entity, st.Vocabulary.Size, st.Vocabulary.Hash, vocab.Size(), vocab.Fingerprint().Hash)
+	}
+	target, err := cfg.FirstWindowEndingAfter(st.Anchor, st.LastSeen)
 	if err != nil {
 		return nil, fmt.Errorf("features: streamer state for %q: %w", st.Entity, err)
 	}
@@ -314,52 +383,59 @@ func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*St
 		// corrupt blob.
 		return nil, fmt.Errorf("features: streamer state for %q is at window %d, want %d for its last-seen transaction", st.Entity, st.NextIdx, target)
 	}
-	for i := range st.Buffered {
-		if i > 0 && st.Buffered[i].Timestamp.Before(st.Buffered[i-1].Timestamp) {
-			return nil, fmt.Errorf("features: buffered transactions out of order in streamer state for %q", st.Entity)
-		}
-	}
-	if n := len(st.Buffered); n > 0 && st.LastSeen.Timestamp.Before(st.Buffered[n-1].Timestamp) {
-		return nil, fmt.Errorf("features: streamer state for %q has last-seen before buffered tail", st.Entity)
+	if err := checkRecords(vocab, st.Records, len(st.Users), st.LastSeen.Sub(st.Anchor)); err != nil {
+		return nil, fmt.Errorf("features: streamer state for %q: %w", st.Entity, err)
 	}
 	s.anchored = true
 	s.closed = st.Closed
 	s.nextIdx = st.NextIdx
 	s.emitCount = st.EmitCount
-	// The state's strings alias whatever it was decoded from; the restored
-	// streamer keeps its own copies, sharing one wherever Add would have.
-	s.anchor = s.ownAnchor(*st.Anchor)
-	if len(st.Buffered) > 0 {
-		s.buf = make([]weblog.Transaction, len(st.Buffered))
-		for i, tx := range st.Buffered {
-			if tx == s.anchor {
-				s.buf[i] = s.anchor
-			} else {
-				s.buf[i] = tx
-				s.own(&s.strs, &s.buf[i])
-			}
-		}
+	s.anchor, s.lastSeen = st.Anchor, st.LastSeen
+	if len(st.Records) > 0 {
+		s.buf = slices.Clone(st.Records)
 	}
-	switch n := len(s.buf); {
-	case *st.LastSeen == s.anchor:
-		s.lastSeen = s.anchor
-	case n > 0 && *st.LastSeen == s.buf[n-1]:
-		s.lastSeen = s.buf[n-1]
-	default:
-		s.lastSeen = *st.LastSeen
-		s.own(&s.strs, &s.lastSeen)
+	for _, u := range st.Users {
+		s.users = append(s.users, strings.Clone(u))
 	}
 	return s, nil
 }
 
+// checkRecords validates recs against vocab: offsets in order between the
+// anchor and last (the last-seen offset), users inside a table of nUsers,
+// columns inside the vocabulary, and a risk present exactly with its
+// column. A record passing it cannot make a window build misbehave.
+func checkRecords(vocab *Vocabulary, recs []Record, nUsers int, last time.Duration) error {
+	prev := time.Duration(0)
+	for i := range recs {
+		r := &recs[i]
+		if r.Offset < prev || r.Offset > last {
+			return fmt.Errorf("buffered record %d at offset %v out of order (previous %v, last-seen %v)", i, r.Offset, prev, last)
+		}
+		prev = r.Offset
+		if int(r.User) >= nUsers {
+			return fmt.Errorf("buffered record %d names user %d of %d", i, r.User, nUsers)
+		}
+		for g, c := range r.Cols {
+			if c < -1 || int(c) >= vocab.Size() {
+				return fmt.Errorf("buffered record %d has %s column %d outside the vocabulary", i, Group(g), c)
+			}
+		}
+		if hasRisk := r.Cols[GroupReputationRisk] >= 0; hasRisk != (r.Risk != 0) || math.IsNaN(r.Risk) || math.IsInf(r.Risk, 0) {
+			return fmt.Errorf("buffered record %d has risk %v with risk column %d", i, r.Risk, r.Cols[GroupReputationRisk])
+		}
+	}
+	return nil
+}
+
 // windowScratch is the window-build scratch a streamer borrows for one
-// build: the accumulator, the per-transaction extract destination and the
-// user tally. Only an emitted Window's own slices and map are allocated
-// per build.
+// build: the accumulator, the per-record vector and the user tally
+// (counts by user-table index, and the indexes counted). Only an emitted
+// Window's own slices and map are allocated per build.
 type windowScratch struct {
-	acc   *sparse.Accumulator
-	vec   sparse.Vector
-	users map[string]int
+	acc    *sparse.Accumulator
+	vec    sparse.Vector
+	counts []int32
+	seen   []uint32
 }
 
 // scratchPool is the free list of window-build scratch shared by every
@@ -381,45 +457,62 @@ func (p *scratchPool) get(vocab *Vocabulary) *windowScratch {
 		return ws
 	}
 	p.mu.Unlock()
-	return &windowScratch{acc: sparse.NewAccumulator(vocab.NumericCols()), users: make(map[string]int)}
+	return &windowScratch{acc: sparse.NewAccumulator(vocab.NumericCols())}
 }
 
-// put returns ws to the list, its user tally cleared so the list keeps no
-// streamer's strings alive.
+// put returns ws to the list. Its user tally is already zero: build
+// clears the counts it raised.
 func (p *scratchPool) put(ws *windowScratch) {
-	clear(ws.users)
 	p.mu.Lock()
 	p.free = append(p.free, ws)
 	p.mu.Unlock()
 }
 
-// build aggregates buffered transactions inside [start, end) using the
+// build aggregates the buffered records inside window k using the
 // vocabulary's pooled scratch; only an emitted Window materializes fresh
 // slices and a fresh user-count map.
-func (s *Streamer) build(start, end time.Time) (Window, bool) {
+func (s *Streamer) build(k int) (Window, bool) {
+	lo := s.startOffset(k)
+	hi := lo + min(s.cfg.Duration, math.MaxInt64-lo) // saturating lo + D
 	ws := s.vocab.scratch.get(s.vocab)
 	defer s.vocab.scratch.put(ws)
 	ws.acc.Reset()
+	if n := len(s.users); len(ws.counts) < n {
+		ws.counts = append(ws.counts, make([]int32, n-len(ws.counts))...)
+	}
 	for i := range s.buf {
-		ts := s.buf[i].Timestamp
-		if ts.Before(start) || !ts.Before(end) {
+		r := &s.buf[i]
+		if r.Offset < lo {
 			continue
 		}
-		s.vocab.ExtractInto(&s.buf[i], &ws.vec)
+		if r.Offset >= hi {
+			break
+		}
+		r.vectorInto(&ws.vec)
 		ws.acc.Add(ws.vec)
-		ws.users[s.buf[i].UserID]++
+		if ws.counts[r.User] == 0 {
+			ws.seen = append(ws.seen, r.User)
+		}
+		ws.counts[r.User]++
 	}
 	if ws.acc.Count() == 0 {
 		return Window{}, false
 	}
+	users := make(map[string]int, len(ws.seen))
+	for _, u := range ws.seen {
+		users[s.users[u]] = int(ws.counts[u])
+		ws.counts[u] = 0
+	}
+	ws.seen = ws.seen[:0]
 	s.emitCount++
+	start := s.anchor.Add(time.Duration(k) * s.cfg.Shift)
 	return Window{
 		Start:      start,
-		End:        end,
+		End:        start.Add(s.cfg.Duration),
 		Vector:     ws.acc.Vector(),
 		Count:      ws.acc.Count(),
 		Entity:     s.entity,
-		UserCounts: maps.Clone(ws.users),
+		UserCounts: users,
 	}, true
 }
 
@@ -428,15 +521,14 @@ func (s *Streamer) build(start, end time.Time) (Window, bool) {
 // moving them each time would cost more allocations than the slots save.
 const minBufCap = 16
 
-// gc drops buffered transactions older than the next window's start. A
-// buffer drained to a quarter of its capacity moves into an array of twice
-// its length (at least minBufCap), so capacity follows the window rather
-// than the largest burst; otherwise the survivors shift down in place and
-// the vacated tail is cleared, so no dropped transaction keeps its strings
-// alive.
-func (s *Streamer) gc(nextStart time.Time) {
+// gc drops buffered records older than window k's start. A buffer drained
+// to a quarter of its capacity moves into an array of twice its length
+// (at least minBufCap), so capacity follows the window rather than the
+// largest burst; otherwise the survivors shift down in place.
+func (s *Streamer) gc(k int) {
+	from := s.startOffset(k)
 	drop := 0
-	for drop < len(s.buf) && s.buf[drop].Timestamp.Before(nextStart) {
+	for drop < len(s.buf) && s.buf[drop].Offset < from {
 		drop++
 	}
 	if drop == 0 {
@@ -444,10 +536,8 @@ func (s *Streamer) gc(nextStart time.Time) {
 	}
 	rest := s.buf[drop:]
 	if len(rest) <= cap(s.buf)/4 && cap(s.buf) > minBufCap {
-		s.buf = append(make([]weblog.Transaction, 0, max(2*len(rest), minBufCap)), rest...)
+		s.buf = append(make([]Record, 0, max(2*len(rest), minBufCap)), rest...)
 		return
 	}
-	n := copy(s.buf, rest)
-	clear(s.buf[n:])
-	s.buf = s.buf[:n]
+	s.buf = s.buf[:copy(s.buf, rest)]
 }

@@ -6,8 +6,10 @@
 package features
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"webtxprofile/internal/sparse"
@@ -64,6 +66,7 @@ type Vocabulary struct {
 	apps     map[string]int
 	size     int
 	numeric  map[int32]bool
+	fp       Fingerprint
 
 	// scratch pools the window-build scratch of every Streamer on this
 	// vocabulary, so a live streamer holds none.
@@ -152,6 +155,7 @@ func assemble(cats, supers, subs, apps []string) *Vocabulary {
 		col++
 	}
 	v.size = col
+	v.fp = v.fingerprint()
 	return v
 }
 
@@ -195,46 +199,94 @@ func (v *Vocabulary) Extract(tx *weblog.Transaction) sparse.Vector {
 
 // ExtractInto is Extract writing into dst's backing arrays (length reset to
 // zero, grown only when the transaction has more columns than any before).
-// It is the streaming hot path's extractor: once dst has warmed up, a call
-// allocates nothing. dst is only valid until the next ExtractInto with the
-// same destination.
+// Once dst has warmed up, a call allocates nothing. dst is only valid until
+// the next ExtractInto with the same destination.
 func (v *Vocabulary) ExtractInto(tx *weblog.Transaction, dst *sparse.Vector) {
-	// Columns are assigned in strictly increasing group order, and within
-	// a group lookups may hit at most one column, so indexes collected in
-	// group order arrive sorted — no sort needed. A transaction never emits
-	// a zero value: presence columns are 1 by construction and a zero
-	// reputation risk is skipped like an absent column.
-	idx, val := dst.Idx[:0], dst.Val[:0]
-	if c, ok := v.actions[tx.Action]; ok {
-		idx, val = append(idx, int32(c)), append(val, 1)
+	r := v.record(tx)
+	r.vectorInto(dst)
+}
+
+// record extracts tx into a Record, leaving its Offset and User zero. A
+// transaction never yields a zero value: presence columns are 1 by
+// construction and a zero reputation risk is skipped like an absent
+// column.
+func (v *Vocabulary) record(tx *weblog.Transaction) Record {
+	r := Record{Cols: noCols}
+	// assemble lays the fixed groups out in taxonomy order from column 0
+	// in every vocabulary; a scan of these few constants beats a map
+	// lookup on the feed path.
+	for i, a := range taxonomy.Actions {
+		if tx.Action == a {
+			r.Cols[GroupAction] = int32(i)
+			break
+		}
 	}
-	if c, ok := v.schemes[tx.Scheme]; ok {
-		idx, val = append(idx, int32(c)), append(val, 1)
+	for i, sc := range taxonomy.Schemes {
+		if tx.Scheme == sc {
+			r.Cols[GroupScheme] = int32(len(taxonomy.Actions) + i)
+			break
+		}
 	}
 	if tx.Private {
-		idx, val = append(idx, int32(v.colPub)), append(val, 1)
+		r.Cols[GroupPublicFlag] = int32(v.colPub)
 	}
 	if risk := tx.Reputation.Risk(); risk != 0 {
-		idx, val = append(idx, int32(v.colRisk)), append(val, risk)
+		r.Cols[GroupReputationRisk] = int32(v.colRisk)
+		r.Risk = risk
 	}
 	if tx.Reputation.Verified() {
-		idx, val = append(idx, int32(v.colVerif)), append(val, 1)
+		r.Cols[GroupReputationVerified] = int32(v.colVerif)
 	}
 	if c, ok := v.cats[tx.Category]; ok {
-		idx, val = append(idx, int32(c)), append(val, 1)
+		r.Cols[GroupCategory] = int32(c)
 	}
 	if !tx.MediaType.IsZero() {
 		if c, ok := v.supers[tx.MediaType.Super]; ok {
-			idx, val = append(idx, int32(c)), append(val, 1)
+			r.Cols[GroupSuperType] = int32(c)
 		}
 		if c, ok := v.subs[tx.MediaType.Sub]; ok {
-			idx, val = append(idx, int32(c)), append(val, 1)
+			r.Cols[GroupSubType] = int32(c)
 		}
 	}
 	if c, ok := v.apps[tx.AppType]; ok {
-		idx, val = append(idx, int32(c)), append(val, 1)
+		r.Cols[GroupAppType] = int32(c)
 	}
-	dst.Idx, dst.Val = idx, val
+	return r
+}
+
+// Fingerprint identifies a vocabulary's column assignment: its size and a
+// 64-bit FNV-1a hash over every (group, value, column) triple. Buffered
+// Records hold column ids, so state carrying them is only meaningful
+// under a vocabulary with the same fingerprint.
+type Fingerprint struct {
+	Size int
+	Hash uint64
+}
+
+// Fingerprint returns v's fingerprint.
+func (v *Vocabulary) Fingerprint() Fingerprint { return v.fp }
+
+// fingerprint computes v's fingerprint from its column maps.
+func (v *Vocabulary) fingerprint() Fingerprint {
+	h := fnv.New64a()
+	var buf []byte
+	for g, m := range []map[string]int{v.actions, v.schemes, v.cats, v.supers, v.subs, v.apps} {
+		vals := make([]string, 0, len(m))
+		for val := range m {
+			vals = append(vals, val)
+		}
+		sort.Strings(vals)
+		for _, val := range vals {
+			buf = binary.AppendUvarint(append(buf[:0], byte(g)), uint64(len(val)))
+			buf = binary.AppendUvarint(append(buf, val...), uint64(m[val]))
+			h.Write(buf)
+		}
+	}
+	buf = binary.AppendUvarint(buf[:0], uint64(v.colPub))
+	buf = binary.AppendUvarint(buf, uint64(v.colRisk))
+	buf = binary.AppendUvarint(buf, uint64(v.colVerif))
+	h.Write(buf)
+	return Fingerprint{Size: v.size, Hash: h.Sum64()}
 }
 
 // vocabularyJSON is the serialized form of a Vocabulary. Explicit
@@ -276,6 +328,7 @@ func (v *Vocabulary) UnmarshalJSON(data []byte) error {
 	if err := base.validateColumns(); err != nil {
 		return err
 	}
+	base.fp = base.fingerprint()
 	*v = *base
 	return nil
 }
@@ -396,6 +449,7 @@ func (v *Vocabulary) Extend(txs []weblog.Transaction) *Vocabulary {
 			out.size++
 		}
 	}
+	out.fp = out.fingerprint()
 	return out
 }
 

@@ -286,7 +286,7 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 // monotonic fence survives a server restart over the same directory. A
 // backing blob without the envelope (a plain -state-dir promoted to the
 // shared tier) is adopted as version 1: device state never starts with
-// byte 0x01 (a binary blob starts with its format version, 2; a legacy
+// byte 0x01 (a binary blob starts with its format version, 2 or 3; a legacy
 // JSON one with '{'), so the two are unambiguous.
 const envelopeVersion = 0x01
 

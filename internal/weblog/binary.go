@@ -295,16 +295,19 @@ func (r *BinaryReader) Field() string {
 	return v
 }
 
-// Float64 reads 8 little-endian bytes as an IEEE 754 double.
-func (r *BinaryReader) Float64() float64 {
+// Uint64 reads 8 bytes as a little-endian uint64.
+func (r *BinaryReader) Uint64() uint64 {
 	if len(r.s) < 8 {
-		r.Fail(fmt.Errorf("truncated float"))
+		r.Fail(fmt.Errorf("truncated 8-byte field"))
 		return 0
 	}
 	u := binary.LittleEndian.Uint64([]byte(r.s[:8]))
 	r.s = r.s[8:]
-	return math.Float64frombits(u)
+	return u
 }
+
+// Float64 reads 8 little-endian bytes as an IEEE 754 double.
+func (r *BinaryReader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
 // Transaction decodes one binary record into dst.
 func (r *BinaryReader) Transaction(dst *Transaction) {

@@ -105,8 +105,55 @@ func parseLineSeeds() []string {
 		"2015-05-29 05:05:04.000, h, http, YEET, u, s, c, /, , minimal-risk, public",  // bad action
 		"2015-05-29 05:05:04.000, , http, GET, u, s, c, /, , minimal-risk, public",    // empty host
 		"2015-05-29 05:05:04.000, h,x, http, GET, u, s, c, /, , minimal-risk, public", // embedded comma
+		"2015-02-29 05:05:04.000, h, http, GET, u, s, c, /, , minimal-risk, public",   // Feb 29, common year
+		"2015-05-29 24:00:00.000, h, http, GET, u, s, c, /, , minimal-risk, public",   // hour 24
+		"2015-13-29 05:05:04.000, h, http, GET, u, s, c, /, , minimal-risk, public",   // month 13
 	)
 	return seeds
+}
+
+// TestParseTimestampMatchesTimeParse pins the canonical-layout fast path
+// to time.Parse on the shapes it decides itself (in range or not) and on
+// the near misses it must hand over: equal times, or equal error text.
+func TestParseTimestampMatchesTimeParse(t *testing.T) {
+	for _, s := range []string{
+		"2015-05-29 05:05:04.000",
+		"2015-05-29 05:05:04.999", // .999
+		"2016-01-02 23:59:59.999",
+		"0000-01-01 00:00:00.000",
+		"9999-12-31 23:59:59.999",
+		"2016-02-29 12:00:00.000", // leap year
+		"2000-02-29 12:00:00.000", // leap century
+		"2015-02-29 12:00:00.000", // Feb 29, common year
+		"1900-02-29 12:00:00.000", // Feb 29, common century
+		"2015-04-31 12:00:00.000", // April 31
+		"2015-05-00 12:00:00.000", // day 00
+		"2015-05-32 12:00:00.000", // day 32
+		"2015-00-10 12:00:00.000", // month 00
+		"2015-13-10 12:00:00.000", // month 13
+		"2015-05-29 24:00:00.000", // hour 24
+		"2015-05-29 23:60:00.000", // minute 60
+		"2015-05-29 23:59:60.000", // second 60
+		"2015-05-29 05:05:04.00",  // short fraction
+		"2015-05-29 05:05:04.0000",
+		"2015-05-29 05:05:04",
+		"2015-05-29T05:05:04.000",
+		"2015-0a-29 05:05:04.000",
+		"+015-05-29 05:05:04.000",
+		"2015-05-29 5:05:04.0000",
+		"2015-05-29 05:05:04,000",
+		"",
+	} {
+		got, gotErr := parseTimestamp(s)
+		want, wantErr := time.Parse(timeLayout, s)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Errorf("%q: error %v, time.Parse %v", s, gotErr, wantErr)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: %v, time.Parse %v", s, got, want)
+		}
+	}
 }
 
 // FuzzParseLine pins parse parity between the in-place field scanner and

@@ -169,7 +169,7 @@ func ParseLine(line string) (Transaction, error) {
 	if n != numLineFields {
 		return Transaction{}, fmt.Errorf("weblog: expected 11 fields, got %d in %q", n, line)
 	}
-	ts, err := time.Parse(timeLayout, fields[0])
+	ts, err := parseTimestamp(fields[0])
 	if err != nil {
 		return Transaction{}, fmt.Errorf("weblog: bad timestamp: %w", err)
 	}
@@ -206,6 +206,48 @@ func ParseLine(line string) (Transaction, error) {
 		return Transaction{}, err
 	}
 	return tx, nil
+}
+
+// parseTimestamp is time.Parse(timeLayout, s) with a fast path for the
+// canonical rendering MarshalLine writes: exactly 23 bytes, every digit
+// in place, every field in range. Anything else — including a canonical
+// shape with an out-of-range field, such as Feb 29 in a common year or
+// hour 24 — goes to time.Parse, so results and error text are unchanged.
+func parseTimestamp(s string) (time.Time, error) {
+	if len(s) != len(timeLayout) || s[4] != '-' || s[7] != '-' || s[10] != ' ' ||
+		s[13] != ':' || s[16] != ':' || s[19] != '.' {
+		return time.Parse(timeLayout, s)
+	}
+	// num reads the digits s[i:j] as a number, or -1 if one is not a digit.
+	num := func(i, j int) int {
+		n := 0
+		for ; i < j; i++ {
+			d := s[i] - '0'
+			if d > 9 {
+				return -1
+			}
+			n = 10*n + int(d)
+		}
+		return n
+	}
+	year, month, day := num(0, 4), num(5, 7), num(8, 10)
+	hour, minute, sec, ms := num(11, 13), num(14, 16), num(17, 19), num(20, 23)
+	if year < 0 || month < 1 || month > 12 || day < 1 || day > daysIn(time.Month(month), year) ||
+		hour < 0 || hour > 23 || minute < 0 || minute > 59 || sec < 0 || sec > 59 || ms < 0 {
+		return time.Parse(timeLayout, s)
+	}
+	return time.Date(year, time.Month(month), day, hour, minute, sec, ms*int(time.Millisecond), time.UTC), nil
+}
+
+// monthDays is the length of each month of a common year.
+var monthDays = [12]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+
+// daysIn returns the number of days in month m of year.
+func daysIn(m time.Month, year int) int {
+	if m == time.February && year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+		return 29
+	}
+	return monthDays[m-1]
 }
 
 // parseMediaTypeField tolerates the "super/" empty rendering of the zero
