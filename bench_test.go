@@ -886,57 +886,6 @@ func BenchmarkDeviceStateCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkMonitorShardHandoff measures the staged handoff the cluster
-// router runs — ExportStaged, StageImport, CommitHandoff on both sides —
-// over the whole device population in 16 handoffs per op, on a private
-// store: the serialization cost of moving devices between processes,
-// reporting the handoff payload size.
-func BenchmarkMonitorShardHandoff(b *testing.B) {
-	const devices = 1_000
-	const handoffs = 16
-	set := monitorBenchSet(b)
-	env := benchEnv(b)
-	mon, err := webtxprofile.NewMonitorWithConfig(set, 5, func(webtxprofile.Alert) {},
-		webtxprofile.MonitorConfig{Shards: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mon.Close()
-	names := benchDeviceNames(devices)
-	base := env.Train.Transactions
-	start := base[len(base)-1].Timestamp.Add(time.Hour)
-	benchStateRound(b, mon, names, base, start, 0)
-	benchStateRound(b, mon, names, base, start, 1)
-	b.ResetTimer()
-	var moved int64
-	for i := 0; i < b.N; i++ {
-		for h := 0; h < handoffs; h++ {
-			// Export and import on one monitor: the export is released
-			// before the import is adopted, so the devices are never
-			// tracked twice.
-			out, in := fmt.Sprintf("out/%d/%d", i, h), fmt.Sprintf("in/%d/%d", i, h)
-			group := names[h*devices/handoffs : (h+1)*devices/handoffs]
-			blob, _, err := mon.ExportStaged(out, group)
-			if err != nil {
-				b.Fatal(err)
-			}
-			moved += int64(len(blob))
-			if _, err := mon.CommitHandoff(out); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := mon.StageImport(in, blob); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := mon.CommitHandoff(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(moved)/float64(b.N), "exportBytes/op")
-	mon.Flush()
-}
-
 // BenchmarkMonitorResidentBytes reports the live heap a Monitor holds per
 // tracked device (B/device) on a fleet-lines-shaped stream: the test
 // epoch's hosts cloned onto ~4k devices, each clone starting at a random

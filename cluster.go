@@ -11,8 +11,8 @@ import (
 // (see internal/cluster's equivalence suites).
 type (
 	// ClusterNode is one cluster member: a TCP server exposing its
-	// Monitor's feed, shard-handoff and flush operations plus an alert
-	// push stream.
+	// Monitor's feed, park and flush operations plus an alert push
+	// stream. Members spill through the shared state tier.
 	ClusterNode = cluster.Node
 	// ClusterNodeConfig configures a cluster member (name, threshold,
 	// monitor tuning, local alert tap).
@@ -41,8 +41,8 @@ type (
 	ClusterGossipState = cluster.GossipState
 	// ClusterStats snapshots the process-wide replication and
 	// rebalancing counters: gossip rounds, view adoptions, override
-	// entries/tombstones, handoff aborts, warm restores and failover
-	// reroutes.
+	// entries/tombstones, drains settled back on the source, warm
+	// restores and failover reroutes.
 	ClusterStats = cluster.ClusterStats
 )
 
@@ -55,7 +55,9 @@ func ReadClusterStats() ClusterStats { return cluster.ReadClusterStats() }
 func ResetClusterStats() { cluster.ResetClusterStats() }
 
 // ListenClusterNode starts a cluster node on addr over a trained profile
-// set; the node owns a sharded Monitor configured by cfg.
+// set; the node owns a sharded Monitor configured by cfg. A node that
+// joins a router needs cfg.Monitor.Spill on the state tier
+// (DialStateStore): devices move between nodes only through it.
 func ListenClusterNode(addr string, set *ProfileSet, cfg ClusterNodeConfig) (*ClusterNode, error) {
 	return cluster.ListenNode(addr, set, cfg)
 }

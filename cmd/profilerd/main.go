@@ -24,24 +24,25 @@
 // instead of a local directory: spills and checkpoints go to a shared
 // state server (run one with -state-server, optionally backed by its own
 // -state-dir) through a write-behind client, so a device's state
-// survives the node that held it. The front end needs no flag for it:
-// when a membership change moves a device, the node it leaves parks it in
-// the tier and its new owner rehydrates it on its next transaction, and a
-// dead node's devices reroute without any handoff — they rehydrate lazily
-// at their new owner.
+// survives the node that held it. Every -cluster member runs on the
+// tier. The front end needs no flag for it: when a membership change
+// moves a device, the node it leaves parks it in the tier and its new
+// owner rehydrates it on its next transaction, and a dead node's devices
+// reroute without a park — they rehydrate lazily at their new owner.
 //
 // Past one process, profilerd clusters (see README.md for the lifecycle):
 //
-//   - profilerd -cluster :7100 -node-name nodeA runs a member node: no
-//     proxy-facing collector, just the cluster wire protocol (feed,
-//     staged handoff, alert push) over its own sharded monitor.
+//   - profilerd -cluster :7100 -node-name nodeA -state-addr host0:7200
+//     runs a member node: no proxy-facing collector, just the cluster wire
+//     protocol (feed, park, alert push) over its own sharded monitor,
+//     spilling through the shared state tier — a member needs one.
 //   - profilerd -join nodeA=host1:7100,nodeB=host2:7100 runs the
 //     front-end router: the -listen collector ingests proxy log lines,
 //     devices are placed on members by rendezvous hashing, membership
 //     changes drain only the devices whose placement moved, and every
 //     alert is logged with the node it originated on. The front end
 //     holds no monitor, so it needs no bundle, and the identification
-//     flags (-k, -shards, -idle-ttl, -state-dir) belong on the nodes.
+//     flags (-k, -shards, -idle-ttl, -state-addr) belong on the nodes.
 //   - profilerd -state-server :7200 -state-dir /var/lib/profilerd-state
 //     runs the shared state tier the nodes point -state-addr at.
 //
@@ -109,6 +110,12 @@ func run() error {
 	}
 	if *stateAddr != "" && *stateDir != "" {
 		return fmt.Errorf("-state-addr and -state-dir are mutually exclusive: state spills to the shared tier or to a local directory, not both")
+	}
+	if *clusterL != "" && *stateAddr == "" {
+		// Devices move between members only through the shared state
+		// tier: a member parks a moving device there and its new owner
+		// rehydrates it. A local -state-dir is not shared.
+		return fmt.Errorf("-cluster needs the state tier: set -state-addr to a -state-server (a local -state-dir cannot move devices between members)")
 	}
 	// Refuse explicitly-set flags the selected role would silently
 	// ignore — a dead flag on a daemon is a misconfiguration, not a
@@ -207,7 +214,7 @@ func run() error {
 		}
 	}
 	monCfg := webtxprofile.MonitorConfig{Shards: *shards, IdleTTL: *idleTTL, Spill: tier.store(),
-		SharedSpill: tier.shared(), Float32Scoring: *score32}
+		Float32Scoring: *score32}
 	if *scoreP {
 		monCfg.ScoringKernels = webtxprofile.KernelsPortable
 	}
@@ -240,10 +247,6 @@ func (t *stateTier) store() webtxprofile.StateStore {
 	}
 	return nil
 }
-
-// shared reports whether the tier is the fleet-wide store (the monitor
-// must not treat its contents as exclusively this process's devices).
-func (t *stateTier) shared() bool { return t != nil && t.remote != nil }
 
 // runStandalone is the classic single-process daemon: collector → monitor.
 func runStandalone(logger *log.Logger, set *webtxprofile.ProfileSet, listen string, k int,
@@ -416,7 +419,7 @@ func runRouter(logger *log.Logger, join, listen string, batch, ingestQ int,
 		logger.Printf("flush: %v", err)
 	}
 	cs := webtxprofile.ReadClusterStats()
-	logger.Printf("cluster stats: %d gossip rounds, %d view adoptions, %d override entries, %d tombstones, %d handoff aborts, %d warm restores, %d failover reroutes",
+	logger.Printf("cluster stats: %d gossip rounds, %d view adoptions, %d override entries, %d tombstones, %d drains settled back on the source, %d warm restores, %d failover reroutes",
 		cs.GossipRounds, cs.ViewAdoptions, cs.OverrideEntries, cs.OverrideTombstones,
 		cs.HandoffAborts, cs.WarmRestores, cs.FailoverReroutes)
 	logger.Printf("shutting down after routing %d devices", router.Devices())
@@ -451,7 +454,7 @@ func shutdownMonitor(logger *log.Logger, mon *webtxprofile.Monitor, s os.Signal,
 	}
 	mon.Flush()
 	mon.Close()
-	if tier.shared() {
+	if tier != nil && tier.remote != nil {
 		// Lossy shutdown over the shared tier: drop the queue (the devices
 		// just emitted their final alerts) but close the connection cleanly.
 		if err := tier.remote.Close(); err != nil {

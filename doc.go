@@ -104,9 +104,9 @@
 // Monitor wraps that with the confirmed identity per device. The state
 // moves through a small lifecycle:
 //
-//	live ──(idle eviction with MonitorConfig.Spill)──► spilled ──(next
-//	transaction)──► rehydrated — or, between processes, handed off
-//	(Monitor.ExportStaged ──► StageImport ──► CommitHandoff).
+//	live ──(idle eviction with MonitorConfig.Spill, or Monitor.Park)──►
+//	spilled ──(next transaction, in this process or another on the same
+//	state tier)──► rehydrated
 //
 // A StateStore holds spilled devices: NewMemStateStore keeps them
 // in-process (eviction bounds live identifier memory without losing
@@ -114,24 +114,23 @@
 // state survives restarts (profilerd's -state-dir; Monitor.Checkpoint
 // spills every live device for a graceful shutdown). Resume is exact:
 // an evicting-and-rehydrating monitor emits the identical alert sequence
-// to a never-evicting one, and a staged handoff preserves every device's
-// pending windows and streaks — both properties are asserted by tests.
-// On a shared state tier (MonitorConfig.SharedSpill) a handoff carries no
-// state at all: the export parks the devices in the tier, and the new
-// owner rehydrates each one on its next transaction. Serialized state carries a format version, checked on decode
-// like the profile bundle's, and the fingerprint of the vocabulary its
-// records were extracted under: state from another vocabulary is dropped
-// like a version mismatch.
+// to a never-evicting one, and a device parked by one monitor and
+// rehydrated by another on the same store keeps every pending window and
+// streak — both properties are asserted by tests. Serialized state
+// carries a format version, checked on decode like the profile bundle's,
+// and the fingerprint of the vocabulary its records were extracted
+// under: state from another vocabulary is dropped like a version
+// mismatch.
 //
 // # Multi-node clustering
 //
-// Past one process, the engine scales out over the shard-handoff
-// primitives: ClusterNodes each run a sharded Monitor over the same
-// trained bundle and speak a length-prefixed binary wire protocol (feeds
-// as zero-copy binary transaction records, handoffs as the versioned
-// state blobs above, plus an alert push stream; every peer runs the same
-// build, and a frame of another wire version is refused), and a
-// ClusterRouter fronts them.
+// Past one process, the engine scales out over the state tier:
+// ClusterNodes each run a sharded Monitor over the same trained bundle,
+// spill through one shared StateServer, and speak a length-prefixed
+// binary wire protocol (feeds as zero-copy binary transaction records,
+// parks, plus an alert push stream; every peer runs the same build, and
+// a frame of another wire version is refused), and a ClusterRouter
+// fronts them.
 //
 // The router's placement guarantee: every device is owned by the member
 // with the highest rendezvous-hash score for it, so a membership change
@@ -142,9 +141,8 @@
 // the devices on their old owner with their state intact.
 //
 // The router's drain guarantee: a drained device moves whole (window
-// buffer, streaks, confirmed identity — in the handoff blob between
-// private stores, through the tier when the nodes share one),
-// transactions arriving mid-drain
+// buffer, streaks, confirmed identity — parked in the state tier by its
+// old owner, rehydrated by its new one), transactions arriving mid-drain
 // are buffered and replayed to the new owner in arrival order, and the
 // old owner's alerts are delivered before the new owner's. Net effect,
 // asserted by the internal cluster equivalence suites under -race: the

@@ -58,11 +58,7 @@ func binaryCorpusSeeds(t testing.TB) [][]byte {
 		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{tx, tx}},
 		{Type: FrameFeed, Seq: 4, Replay: true, Txs: []weblog.Transaction{tx}},
 		{Type: FrameExport, Seq: 5, Devices: []string{"10.0.0.1", "10.0.0.2"}},
-		{Type: FrameExport, Seq: 6, Devices: []string{"10.0.0.1"}, Handoff: "ab12/1"},
-		{Type: FrameImport, Seq: 7, Blob: []byte{0x1f, 0x8b, 0x08, 0x00, 0x00}},
-		{Type: FrameImport, Seq: 8, Blob: []byte{0x1f, 0x8b, 0x08, 0x00, 0x00}, Handoff: "ab12/1"},
-		{Type: FrameCommit, Seq: 9, Handoff: "ab12/1"},
-		{Type: FrameAbort, Seq: 10, Handoff: "ab12/1"},
+		{Type: FrameExport, Seq: 6},
 		{Type: FrameList, Seq: 11},
 		{Type: FrameGossip, Seq: 12, Gossip: &GossipState{
 			Membership: Membership{Version: 3, Members: []Member{{Name: "n1", Addr: "10.1.0.1:7100"}}},
@@ -70,7 +66,7 @@ func binaryCorpusSeeds(t testing.TB) [][]byte {
 		}},
 		{Type: FrameFlush, Seq: 13},
 		{Type: FrameStats, Seq: 14},
-		{Type: FrameOK, Seq: 15, Count: 3, Blob: []byte("blob")},
+		{Type: FrameOK, Seq: 15, Count: 3},
 		{Type: FrameOK, Seq: 16, Count: -1},
 		{Type: FrameOK, Seq: 17, Devices: []string{"10.0.0.1"}, Cursor: 9},
 		{Type: FrameError, Seq: 18, Error: "refused"},
@@ -91,19 +87,24 @@ func binaryCorpusSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, payload)
 	}
 	seeds = append(seeds,
-		[]byte{},                                                            // empty payload
-		[]byte{binaryMagic},                                                 // bare magic
-		[]byte{binaryMagic, 0x01, 0x01, 0x00},                               // wrong version byte
-		[]byte{binaryMagic, wireVersion, 0x00, 0x00},                        // frame type code 0
-		[]byte{binaryMagic, wireVersion, 0x63, 0x00},                        // unknown frame type code
-		[]byte{binaryMagic, wireVersion, 0x01},                              // missing seq varint
-		[]byte{binaryMagic, wireVersion, 0x01, 0x80},                        // truncated seq varint
-		[]byte{binaryMagic, wireVersion, 0x01, 0x01, 0xff},                  // unknown field tag
-		[]byte{binaryMagic, wireVersion, 0x02, 0x01, tagTxs, 0xff, 0xff, 3}, // tx count exceeds payload
-		[]byte{binaryMagic, wireVersion, 0x01, 0x01, 3, 0x01},               // retired tag 3 (wire version)
-		[]byte{binaryMagic, wireVersion, 0x02, 0x01, 4, 0x01, 0x00},         // retired tag 4 (log lines)
-		[]byte{binaryMagic, wireVersion, 0x04, 0x01, tagBlob, 0x7f, 'x'},    // blob length exceeds payload
-		[]byte{binaryMagic, wireVersion, 0x09, 0x00, 9, 0x02, '{', '}'},     // retired tag 9 (JSON alert)
+		[]byte{},                                                                  // empty payload
+		[]byte{binaryMagic},                                                       // bare magic
+		[]byte{binaryMagic, 0x01, 0x01, 0x00},                                     // wrong version byte
+		[]byte{binaryMagic, wireVersion, 0x00, 0x00},                              // frame type code 0
+		[]byte{binaryMagic, wireVersion, 0x63, 0x00},                              // unknown frame type code
+		[]byte{binaryMagic, wireVersion, 0x01},                                    // missing seq varint
+		[]byte{binaryMagic, wireVersion, 0x01, 0x80},                              // truncated seq varint
+		[]byte{binaryMagic, wireVersion, 0x01, 0x01, 0xff},                        // unknown field tag
+		[]byte{binaryMagic, wireVersion, 0x02, 0x01, tagTxs, 0xff, 0xff, 3},       // tx count exceeds payload
+		[]byte{binaryMagic, wireVersion, 0x01, 0x01, 3, 0x01},                     // retired tag 3 (wire version)
+		[]byte{binaryMagic, wireVersion, 0x02, 0x01, 4, 0x01, 0x00},               // retired tag 4 (log lines)
+		[]byte{binaryMagic, wireVersion, 0x09, 0x00, 9, 0x02, '{', '}'},           // retired tag 9 (JSON alert)
+		[]byte{binaryMagic, wireVersion, 0x04, 0x07, 6, 0x01, 'x'},                // retired code 4 (import) with retired tag 6
+		[]byte{binaryMagic, wireVersion, 0x0a, 0x09, 11, 0x01, 'h'},               // retired code 10 (commit)
+		[]byte{binaryMagic, wireVersion, 0x0b, 0x0a, 11, 0x01, 'h'},               // retired code 11 (abort)
+		[]byte{binaryMagic, wireVersion, 0x07, 0x0f, 6, 0x04, 'b', 'l', 'o', 'b'}, // retired tag 6 (state blob)
+		[]byte{binaryMagic, wireVersion, 0x03, 0x06, 11, 0x01, 'h'},               // retired tag 11 (handoff id)
+		[]byte{binaryMagic, wireVersion, 0x03, 0x05, tagDevices, 0x7f, 'x'},       // device count exceeds payload
 	)
 	return seeds
 }
@@ -166,7 +167,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true},
 		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{tx}},
 		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}},
-		{Type: FrameImport, Seq: 4, Blob: []byte{1, 2, 3}},
+		{Type: FrameList, Seq: 4},
 		{Type: FrameOK, Seq: 5, Count: -7},
 		{Type: FrameError, Seq: 6, Error: "refused"},
 		{Type: FrameAlert, Seq: 7, Alert: binarySeedAlert()},

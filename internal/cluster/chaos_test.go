@@ -1,10 +1,8 @@
 package cluster_test
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"os"
@@ -16,16 +14,17 @@ import (
 	"webtxprofile/internal/cluster/clustertest"
 )
 
-// Fault-injection suite for the drain path: a router facing a node that
-// refuses or dies on an import must keep the affected devices on their
-// old owner with no identification state lost, and membership events must
-// be idempotent. The failing nodes are protocol-level impostors
-// (clustertest.FlakyNode), so the router is tested against real wire
-// behaviour, not injected hooks.
+// Fault-injection suite for the drain path: a router whose drain
+// destination refuses or dies after the source parked the devices must
+// settle them back on the source with no identification state lost, and
+// membership events must be idempotent. The failing nodes are
+// protocol-level impostors (clustertest.FlakyNode), so the router is
+// tested against real wire behaviour, not injected hooks.
 
 // runFlakyJoin feeds half the workload into a healthy 2-node cluster,
-// joins a flaky node (which fails every import per mode), feeds the rest,
-// and asserts nothing diverged from the single-monitor reference.
+// joins a flaky node (which answers the join probe, then fails every park
+// per mode), feeds the rest, and asserts nothing diverged from the
+// single-monitor reference.
 func runFlakyJoin(t *testing.T, mode clustertest.FlakyMode) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, devices := clustertest.Workload(t, ds, 7, 4000)
@@ -36,21 +35,21 @@ func runFlakyJoin(t *testing.T, mode clustertest.FlakyMode) {
 	if err := h.Router.FeedBatch(txs[:half]); err != nil {
 		t.Fatal(err)
 	}
-	flaky := clustertest.StartFlakyNode(t, "chaos", mode)
+	flaky := clustertest.StartFlakyNode(t, "chaos", mode, "injected destination failure")
 	err := h.Router.AddNode(cluster.Member{Name: "chaos", Addr: flaky.Addr()})
 	if err == nil {
-		t.Fatal("AddNode(flaky) reported success though every import failed")
+		t.Fatal("AddNode(flaky) reported success though the destination failed every check")
 	}
 	if !strings.Contains(err.Error(), "kept on") {
 		t.Errorf("AddNode error does not describe the fallback: %v", err)
 	}
-	// The two-phase handoff aborts and re-adopts on its own: a failed
-	// drain must not tell the operator to clean up a stale copy.
+	// The parked devices rehydrate on their source by themselves: a
+	// failed drain must not tell the operator to clean up a stale copy.
 	if strings.Contains(err.Error(), "stale") {
-		t.Errorf("failed drain warns about a stale copy — abort re-adopts automatically: %v", err)
+		t.Errorf("failed drain warns about a stale copy — parked devices rehydrate on the source: %v", err)
 	}
-	if flaky.Imports() == 0 {
-		t.Fatal("no import ever reached the flaky node — the drain path was not exercised")
+	if flaky.Parks() < 2 {
+		t.Fatalf("%d parks reached the flaky node, want the join probe and a destination check", flaky.Parks())
 	}
 	// Every device must still be owned by a healthy founding member.
 	for _, d := range devices {
@@ -59,7 +58,7 @@ func runFlakyJoin(t *testing.T, mode clustertest.FlakyMode) {
 			t.Fatalf("device %s lost its route", d)
 		}
 		if owner == "chaos" {
-			t.Errorf("device %s routed to the node that failed its import", d)
+			t.Errorf("device %s routed to the node that failed its check", d)
 		}
 	}
 	// Drop the broken member (the operator's move after a failed join).
@@ -80,82 +79,58 @@ func runFlakyJoin(t *testing.T, mode clustertest.FlakyMode) {
 	// The proof that no state was lost: alert sequences byte-identical
 	// to the never-resharded reference, across the failed rebalance.
 	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+	if h.State.Stats().GetHits == 0 {
+		t.Error("no parked device rehydrated on its source")
+	}
 }
 
 func TestClusterImportRefusedKeepsOldOwner(t *testing.T) {
-	runFlakyJoin(t, clustertest.FailImport)
+	runFlakyJoin(t, clustertest.FailDestination)
 }
 
 func TestClusterImporterDiesMidDrain(t *testing.T) {
-	runFlakyJoin(t, clustertest.DieOnImport)
+	runFlakyJoin(t, clustertest.DieAsDestination)
 }
 
-// TestNodeRejectsCorruptImport: a corrupt state blob must fail exactly
-// the import RPC — the node survives it and keeps identifying. Exports
-// and imports outside a two-phase handoff are refused outright.
+// TestNodeRejectsCorruptImport: what a node cannot do fails exactly that
+// request. A node with no state tier refuses every park with an error
+// naming the tier, and keeps its devices; an import frame — which only an
+// older build sends — cannot be decoded, so it costs its connection and
+// nothing else. Either way the node keeps identifying.
 func TestNodeRejectsCorruptImport(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, _ := clustertest.Workload(t, ds, 2, 100)
-	h := clustertest.NewHarness(t, set, equivK, "lone")
-	n := h.Node("lone")
-
+	n, err := cluster.ListenNode("127.0.0.1:0", set, cluster.NodeConfig{Name: "lone", K: equivK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
 	c, err := cluster.DialNode(n.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i, blob := range [][]byte{nil, []byte("not gzip"), {0x1f, 0x8b, 0xff, 0xff}} {
-		if _, err := c.ImportHandoff(fmt.Sprintf("corrupt/%d", i), blob); err == nil {
-			t.Errorf("corrupt blob %q imported without error", blob)
-		}
-	}
-	// The failing transactions are the imports only: the node still
-	// feeds, exports and reports stats afterwards.
-	if err := c.Feed(txs); err != nil {
-		t.Fatalf("feed after corrupt imports: %v", err)
-	}
-	devs, err := c.Devices()
-	if err != nil || devs != 2 {
-		t.Fatalf("Devices = %d, %v; want 2", devs, err)
-	}
-	blob, exported, err := c.ExportHandoff("move/1", []string{txs[0].SourceIP})
-	if err != nil || exported != 1 {
-		t.Fatalf("ExportHandoff = %d, %v; want 1", exported, err)
-	}
-	if imported, err := c.ImportHandoff("move/2", blob); err != nil || imported != 1 {
-		t.Fatalf("ImportHandoff of healthy blob = %d, %v; want 1", imported, err)
-	}
-	if adopted, err := c.Commit("move/2"); err != nil || adopted != 1 {
-		t.Fatalf("Commit of healthy blob = %d, %v; want 1", adopted, err)
-	}
-
-	conn, err := net.Dial("tcp", n.Addr().String())
-	if err != nil {
+	last := len(txs) - 1
+	if err := c.FeedSync(txs[:last]); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	bw, br := bufio.NewWriter(conn), bufio.NewReader(conn)
-	for i, req := range []cluster.Frame{
-		{Type: cluster.FrameExport, Devices: []string{txs[1].SourceIP}},
-		{Type: cluster.FrameImport, Blob: blob},
-	} {
-		req.Seq = uint64(i + 1)
-		if err := cluster.WriteFrame(bw, req); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := cluster.ReadFrame(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply.Type != cluster.FrameError {
-			t.Errorf("%s without a handoff id answered %+v, want an error", req.Type, reply)
+	for _, devices := range [][]string{nil, {txs[0].SourceIP}} {
+		if _, err := c.Park(devices); !errors.Is(err, cluster.ErrNodeRefused) || !strings.Contains(err.Error(), "state tier") {
+			t.Errorf("Park(%v) on a node without a tier = %v, want a refusal naming the state tier", devices, err)
 		}
 	}
 	if devs, err := c.Devices(); err != nil || devs != 2 {
-		t.Errorf("Devices = %d, %v after refused frames; want 2", devs, err)
+		t.Fatalf("Devices = %d, %v after refused parks; want 2", devs, err)
+	}
+
+	// An import frame as an older build wrote it: code 4, a state blob
+	// (tag 6) and a handoff id (tag 11).
+	expectHangUp(t, n.Addr().String(), []byte{0xf7, 2, 4, 1, 6, 3, 1, 2, 3, 11, 3, 'a', '/', '1'})
+	if err := c.FeedSync(txs[last:]); err != nil {
+		t.Fatalf("feed after the import frame: %v", err)
+	}
+	if devs, err := c.Devices(); err != nil || devs != 2 {
+		t.Errorf("Devices = %d, %v after the import frame; want 2", devs, err)
 	}
 }
 

@@ -112,11 +112,10 @@ type feedEntry struct {
 // that into exactly-once delivery. Alert pushes resume from the last
 // sequence number the client saw, replayed from the node's alert ring,
 // so a silently dying connection loses no alerts within the ring's
-// horizon. Idempotent RPCs (staged exports and imports, commit, abort,
-// flush, stats, list) are retried across reconnects — always after the
-// replay queue has been re-sent, which preserves the feeds-before-export
-// ordering the drain barrier needs; the non-idempotent legacy
-// Export/Import fail on the first transport error, as before.
+// horizon. RPCs (park, flush, stats, list) are idempotent and retried
+// across reconnects — always after the replay queue has been re-sent,
+// which preserves the feeds-before-park ordering the drain barrier
+// needs.
 //
 // RPCs may be issued from multiple goroutines; replies are matched by
 // sequence number.
@@ -500,53 +499,22 @@ func (c *NodeClient) retireFeed(f Frame) {
 	}
 }
 
-// ExportHandoff stages an export of the named devices under a handoff id
-// (see core.Monitor.ExportStaged), returning the blob and the number of
-// devices the move carries — in the blob, or parked in a shared state
-// tier. Idempotent per id, so it is retried across reconnects; the
-// returned blob is identical on every retry. The drained devices' prior
-// alerts have been delivered through onAlert when it returns.
-func (c *NodeClient) ExportHandoff(id string, devices []string) ([]byte, int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameExport, Handoff: id, Devices: devices})
-	if err != nil {
-		return nil, 0, err
-	}
-	return reply.Blob, reply.Count, nil
-}
-
-// ImportHandoff stages a state blob on the node under a handoff id,
-// invisible until Commit. Idempotent per id; retried across reconnects.
-func (c *NodeClient) ImportHandoff(id string, blob []byte) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameImport, Handoff: id, Blob: blob})
+// Park asks the node to spill the named devices to its state tier and
+// flush it, returning how many devices the move carries (see
+// core.Monitor.Park). The parked devices' prior alerts have been
+// delivered through onAlert when it returns. Idempotent — a repeated
+// park spills nothing new — so it is retried across reconnects. An
+// empty list parks nothing: it checks that the node answers and has a
+// tier.
+func (c *NodeClient) Park(devices []string) (int, error) {
+	reply, err := c.roundTrip(Frame{Type: FrameExport, Devices: devices})
 	if err != nil {
 		return 0, err
 	}
 	return reply.Count, nil
 }
 
-// Commit finalizes a staged handoff on the node (adopt the staged
-// import, or release the held export). Idempotent; retried across
-// reconnects. A definitive refusal — including core.ErrUnknownHandoff
-// when the staged state died with a restart — surfaces as ErrNodeRefused.
-func (c *NodeClient) Commit(id string) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameCommit, Handoff: id})
-	if err != nil {
-		return 0, err
-	}
-	return reply.Count, nil
-}
-
-// Abort cancels a staged handoff on the node (drop the staged import, or
-// re-adopt the held export). Idempotent; retried across reconnects.
-func (c *NodeClient) Abort(id string) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameAbort, Handoff: id})
-	if err != nil {
-		return 0, err
-	}
-	return reply.Count, nil
-}
-
-// List returns the devices the node holds state for (live or spilled).
+// List returns the devices live on the node.
 func (c *NodeClient) List() ([]string, error) {
 	reply, err := c.roundTrip(Frame{Type: FrameList})
 	if err != nil {
@@ -557,9 +525,11 @@ func (c *NodeClient) List() ([]string, error) {
 
 // Flush asks the node to complete pending windows and deliver every
 // outstanding alert; all resulting alerts have passed through onAlert
-// when it returns.
-func (c *NodeClient) Flush() error {
-	_, err := c.roundTrip(Frame{Type: FrameFlush})
+// when it returns. The node first rehydrates the named devices from its
+// state tier (see core.Monitor.Rehydrate), so a device parked there
+// flushes too.
+func (c *NodeClient) Flush(rehydrate ...string) error {
+	_, err := c.roundTrip(Frame{Type: FrameFlush, Devices: rehydrate})
 	return err
 }
 

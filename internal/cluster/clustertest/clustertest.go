@@ -1,6 +1,7 @@
 // Package clustertest is the in-process multi-node test harness for the
-// cluster router: it spins up real Nodes on loopback TCP, wires a Router
-// with a recording alert sink, generates normalized workloads, and
+// cluster router: it spins up real Nodes on loopback TCP, each spilling
+// through its own client of one shared state server, wires a Router with
+// a recording alert sink, generates normalized workloads, and
 // computes single-monitor reference alert sequences — the shared fixture
 // of the equivalence, chaos and regression suites, reusable by future
 // PRs. Everything runs in one process so the suites work under -race and
@@ -16,6 +17,7 @@ import (
 
 	"webtxprofile/internal/cluster"
 	"webtxprofile/internal/core"
+	"webtxprofile/internal/statestore"
 	"webtxprofile/internal/svm"
 	"webtxprofile/internal/synth"
 	"webtxprofile/internal/weblog"
@@ -221,42 +223,54 @@ func AssertSameSigs(tb testing.TB, want, got map[string][]string) {
 	}
 }
 
-// Harness is one in-process cluster: N live nodes joined to a router that
-// records alerts. Close tears everything down.
+// Harness is one in-process cluster: N live nodes on one state tier,
+// joined to a router that records alerts. Close tears everything down.
 type Harness struct {
 	Set    *core.ProfileSet
 	K      int
 	Router *cluster.Router
 	Alerts *Recorder
+	// State is the harness's state server, or nil when
+	// HarnessConfig.TierAddr names another one.
+	State *statestore.Server
 
 	mu       sync.Mutex
 	nodes    map[string]*cluster.Node
+	tiers    map[string]*statestore.Client
+	tierAddr string
+	tierCfg  statestore.ClientConfig
 	nodeCfg  cluster.NodeConfig
 	nodePrep func(name string, cfg *cluster.NodeConfig)
 }
 
-// NewHarness starts one node per name, a router, and joins the nodes in
-// order. The nodes run default monitor configs (no eviction) over the
-// shared trained set.
+// NewHarness starts a state server, one node per name, and a router, and
+// joins the nodes in order. The nodes run default monitor configs (no
+// eviction) over the shared trained set, each spilling through its own
+// tier client.
 func NewHarness(tb testing.TB, set *core.ProfileSet, k int, names ...string) *Harness {
 	tb.Helper()
 	return NewHarnessConfig(tb, set, k, HarnessConfig{}, names...)
 }
 
 // HarnessConfig customizes a harness beyond the defaults — the chaos
-// suites use it to shorten the reconnect schedule and enable the staged
-// and idle sweeps.
+// suites use it to shorten the reconnect schedule and put a ChaosProxy
+// in front of the state server.
 type HarnessConfig struct {
 	// Router seeds the router's config.
 	Router cluster.RouterConfig
-	// Node seeds every node's config; Name and K are set per node by the
-	// harness.
+	// Node seeds every node's config; Name, K and Monitor.Spill are set
+	// per node by the harness.
 	Node cluster.NodeConfig
+	// Tier configures every node's state-tier client.
+	Tier statestore.ClientConfig
+	// TierAddr, when set, is the state server the nodes dial instead of
+	// one the harness starts — a server the test controls, or a proxy in
+	// front of it.
+	TierAddr string
 	// NodePrep, when set, customizes each node's config after the
-	// defaults are applied and before the node starts listening — the
-	// state-tier suites use it to dial a per-node spill client (each
-	// monitor needs its own write-behind queue; sharing one client would
-	// merge views the versioning protocol keeps apart).
+	// defaults (and the node's tier client) are applied and before the
+	// node starts listening — a test can wrap Monitor.Spill to inject
+	// store faults.
 	NodePrep func(name string, cfg *cluster.NodeConfig)
 }
 
@@ -268,32 +282,50 @@ func NewHarnessConfig(tb testing.TB, set *core.ProfileSet, k int, cfg HarnessCon
 		K:        k,
 		Alerts:   NewRecorder(),
 		nodes:    make(map[string]*cluster.Node),
+		tiers:    make(map[string]*statestore.Client),
+		tierAddr: cfg.TierAddr,
+		tierCfg:  cfg.Tier,
 		nodeCfg:  cfg.Node,
 		nodePrep: cfg.NodePrep,
 	}
+	if h.tierAddr == "" {
+		srv, err := statestore.ListenServer("127.0.0.1:0", statestore.ServerConfig{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		h.State = srv
+		h.tierAddr = srv.Addr().String()
+	}
 	h.Router = cluster.NewRouter(h.Alerts.Record, cfg.Router)
+	tb.Cleanup(h.Close)
 	for _, name := range names {
 		h.Join(tb, name)
 	}
-	tb.Cleanup(h.Close)
 	return h
 }
 
-// StartNode launches a node without joining it (the caller drives
-// AddNode), registering it for teardown.
+// StartNode launches a node on its own tier client without joining it
+// (the caller drives AddNode), registering both for teardown.
 func (h *Harness) StartNode(tb testing.TB, name string) *cluster.Node {
 	tb.Helper()
+	tier, err := statestore.Dial(h.tierAddr, h.tierCfg)
+	if err != nil {
+		tb.Fatalf("dialing the state tier for node %s: %v", name, err)
+	}
 	cfg := h.nodeCfg
 	cfg.Name, cfg.K = name, h.K
+	cfg.Monitor.Spill = tier
 	if h.nodePrep != nil {
 		h.nodePrep(name, &cfg)
 	}
 	n, err := cluster.ListenNode("127.0.0.1:0", h.Set, cfg)
 	if err != nil {
+		tier.Close()
 		tb.Fatal(err)
 	}
 	h.mu.Lock()
 	h.nodes[name] = n
+	h.tiers[name] = tier
 	h.mu.Unlock()
 	return n
 }
@@ -315,13 +347,26 @@ func (h *Harness) Node(name string) *cluster.Node {
 	return h.nodes[name]
 }
 
-// Close disconnects the router and stops every node. Idempotent.
+// Tier returns a started node's state-tier client (nil if unknown).
+func (h *Harness) Tier(name string) *statestore.Client {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.tiers[name]
+}
+
+// Close disconnects the router, stops every node and its tier client,
+// and stops the harness's state server. Idempotent.
 func (h *Harness) Close() {
 	h.Router.Close()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for name, n := range h.nodes {
 		n.Close()
+		h.tiers[name].Close()
 		delete(h.nodes, name)
+		delete(h.tiers, name)
+	}
+	if h.State != nil {
+		h.State.Close()
 	}
 }

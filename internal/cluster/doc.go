@@ -11,14 +11,15 @@
 //
 // Nodes are passive shards: each runs a sharded core.Monitor over the
 // same trained profile set and speaks the length-prefixed frame protocol
-// (see wire.go) — feed, export, import, commit, abort, list, flush —
-// plus an unsolicited alert push stream. All placement intelligence
-// lives in the Router; nodes never talk to each other, and every device
-// move is router-mediated: a staged export on the old owner, a staged
-// import on the new, commits on both, transactions buffered in between.
-// When the nodes share a state tier, the state itself travels through
-// the tier and the handoff only orders the move. Routers are replicated (see Replication below); nodes accept
-// any number of them.
+// (see wire.go) — feed, park, list, flush — plus an unsolicited alert
+// push stream. Every node spills through the shared state tier (one
+// internal/statestore server, each node on its own write-behind client);
+// a router refuses to add a node that cannot park. All placement
+// intelligence lives in the Router; nodes never talk to each other, and
+// every device move is router-mediated: the old owner parks the device
+// in the tier, the route flips, and the new owner rehydrates it, with
+// transactions buffered in between. Routers are replicated (see
+// Replication below); nodes accept any number of them.
 //
 // # Wire format
 //
@@ -29,7 +30,7 @@
 // zero-valued fields omitted, unknown tags a decode error. Feeds carry
 // transactions as weblog binary records (Frame.Txs), which the node
 // decodes zero-copy: every string field of every decoded transaction
-// aliases the one frame payload. Handoff blobs pass through untouched.
+// aliases the one frame payload. Device state never crosses this wire.
 //
 // There is one encoding and no negotiation. The version byte is a strict
 // check: a payload without the magic (such as the JSON frames of older
@@ -50,64 +51,42 @@
 //
 //   - State moves whole. A drained device's core.DeviceState carries its
 //     window buffer, consecutive-accept streaks, confirmed identity and
-//     last-seen stamp — in the handoff blob, or through the shared state
-//     tier — and the new owner resumes mid-streak.
+//     last-seen stamp through the state tier, and the new owner resumes
+//     mid-streak.
 //   - No transaction is lost or reordered. The router buffers a draining
 //     device's transactions and replays them to the new owner after the
-//     import, in arrival order, before reopening the route.
+//     park, in arrival order, before reopening the route.
 //   - No alert is reordered. A node syncs its alert deliveries before
-//     answering an export, and the client delivers pushed alerts in-line
+//     answering a park, and the client delivers pushed alerts in-line
 //     before any later RPC reply, so the old owner's alerts for a device
 //     are observed before the new owner's first.
 //
-// Failure handling favors state over placement: if any step of a drain
-// fails, the devices stay routed to (and identifying on) their old owner
-// — the rendezvous hash says where devices should live, but the routing
-// table says where they do.
+// Failure handling favors state over placement: if a drain fails, the
+// devices stay routed to (and identifying on) their old owner — the
+// rendezvous hash says where devices should live, but the routing table
+// says where they do.
 //
-// # Two-phase handoff
+// # Moving a device
 //
-// Between nodes with private stores, a drain moves state through four
-// idempotent steps, each named by a handoff id ("<routerID>/<n>") that
-// is unique across router replicas:
+// A drain takes three steps (Router.drain):
 //
-//	ExportHandoff(src) → ImportHandoff(dst) → Commit(dst) → Commit(src)
+//	Park(src) → Park(dst, no devices) → settle the routes on dst
 //
-// The export holds the moving devices on src (revocable, no longer fed);
-// the import stages the blob on dst (invisible, not identified against).
-// Ownership flips at exactly one step — the commit on dst — and the
-// final commit merely releases src's held copy. Because every step is
-// idempotent per id, any step can be retried across reconnects, and any
-// failure unwinds by aborting both sides: Abort on src re-adopts the
-// held state automatically, so a failed drain never needs operator
-// cleanup and can never leave two live copies. A lost commit
-// acknowledgement is resolved by asking dst to abort — a "handoff
-// already committed" refusal is proof the commit landed. Stagings whose
-// router died before resolving them are invisible until the node's
-// StagedTTL sweep reclaims them.
-//
-// The blob must fit in one frame. An export that would not is refused by
-// src, which re-adopts the devices at once; the drain then moves them in
-// two handoffs, halving again as often as needed, so a move of any size
-// goes through and only a single device too large for a frame stays put.
-//
-// # Moves through a shared state tier
-//
-// When the nodes spill through one internal/statestore server
-// (core.MonitorConfig.SharedSpill on every node), the same four steps
-// carry no state. The export parks the moving devices on src: it spills
-// every live one and flushes the write-behind queue before replying, and
-// its blob holds no device (idle ones are already in the tier). So a
-// move is spill → flip the route → rehydrate: each device's next
-// transaction reaches dst, which reads it from the tier (Get → restore →
-// Delete). That read teaches dst's tier client the device's version, so
-// dst's later spills rank above the tombstone the read planted and are
-// never dropped as stale. An abort has nothing to re-adopt: a parked
-// device rehydrates on src from its client's queue or from the tier. A
-// node on a shared tier refuses to stage a blob that carries devices —
-// only a peer on a private store sends one — so a mixed cluster falls
-// back to the source instead of adopting state at a version its client
-// never learned.
+// The park spills every named live device on src and flushes src's
+// write-behind queue before replying (idle devices are already in the
+// tier). It is idempotent — a retry after a lost reply finds nothing left
+// to spill — so the client retries it across reconnects. The empty park
+// on dst proves dst answers and can take devices. Each moved device's
+// next transaction then reaches dst, which reads it from the tier (Get →
+// restore → Delete). That read teaches dst's tier client the device's
+// version, so dst's later spills rank above the tombstone the read
+// planted and are never dropped as stale; the same per-device version
+// fence is what rules out two live copies. If src refuses the park or dst
+// does not answer, the devices settle back on src and rehydrate there. A
+// leaving src that cannot be reached settles them on dst instead, as
+// FailNode does. Router.Flush rehydrates, on their owners, the devices a
+// move left in the tier with no transaction since, so their pending
+// windows complete at the end of the stream too.
 //
 // # Reconnection
 //
@@ -144,9 +123,10 @@
 //
 // # Failure modes
 //
-// What each failure leaves behind, as proven by the chaos suites
-// (chaos_test.go, ha_test.go — deterministic fault injection through
-// clustertest.ChaosProxy, replayable from the logged WTP_CHAOS_SEED):
+// What each failure leaves behind, as proven by the chaos and state-tier
+// suites (chaos_test.go, ha_test.go, statetier_test.go — deterministic
+// fault injection through clustertest.ChaosProxy, replayable from the
+// logged WTP_CHAOS_SEED):
 //
 //	failure                      outcome
 //	-------                      -------
@@ -155,34 +135,29 @@
 //	node down > MaxAttempts      ErrNodeDown; queued feeds surface via
 //	                             OnDrop; RPCs fail fast
 //	replay buffer full (down)    ErrReplayOverflow (typed), caller sheds
-//	import refused or dies       abort both sides; src re-adopts; devices
-//	                             stay on old owner; nothing to clean up
-//	import ack lost + partition  staging invisible on dst until StagedTTL
-//	                             sweep; devices stay on old owner
-//	commit ack lost              abort probe: "already committed" refusal
-//	                             confirms the flip; handoff completes
 //	router replica crashes       surviving replicas keep routing; alerts
 //	                             deduped on (node, seq); no alert lost
 //	gossiped view unreachable    adoption is all-or-nothing; old view
 //	                             stands, error surfaces in-band
-//
-// With a shared state tier (every node spills through one
-// internal/statestore server, write-behind), the suites in
-// statetier_test.go add:
-//
-//	failure                      outcome
-//	-------                      -------
 //	live move                    movers park in the tier (spill, then
 //	                             flush), the route flips, each device
 //	                             rehydrates at its new owner on its next
 //	                             transaction; no spill is dropped as
 //	                             stale afterwards
-//	park fails                   the drain aborts: devices stay on, or
-//	                             rehydrate at, the source; nothing is
-//	                             lost
+//	park refused or fails        the devices settle back on the source:
+//	                             unparked ones never left, parked ones
+//	                             rehydrate there; a removal is called off
+//	park reply lost              the client retries the park, which
+//	                             spills nothing; the move completes
+//	destination lost after park  the devices settle back on the source
+//	                             and rehydrate there; nothing is lost
+//	leaving node lost mid-park   its devices move on without it; what it
+//	                             parked resumes at the new owners
+//	node without a tier joins    AddNode refuses it before any device
+//	                             moves; the error names the state tier
 //	member dies, FailNode        devices reroute to survivors and resume
 //	                             from their checkpoints — failover with
-//	                             no handoff protocol at all
+//	                             no park at all
 //	state server unreachable     feed path degrades lossy, never blocks:
 //	                             spill Puts fail fast on the bounded
 //	                             write-behind queue (ErrQueueFull);

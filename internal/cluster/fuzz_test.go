@@ -55,11 +55,7 @@ func corpusSeeds(t testing.TB) [][]byte {
 		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{tx}},
 		{Type: FrameFeed, Seq: 2, Replay: true, Txs: []weblog.Transaction{tx}},
 		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}},
-		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1"}, Handoff: "ab12/1"},
-		{Type: FrameImport, Seq: 4, Blob: []byte{0x1f, 0x8b, 0x08, 0x00, 0x00}},
-		{Type: FrameImport, Seq: 4, Blob: []byte{0x1f, 0x8b, 0x08, 0x00, 0x00}, Handoff: "ab12/1"},
-		{Type: FrameCommit, Seq: 5, Handoff: "ab12/1"},
-		{Type: FrameAbort, Seq: 6, Handoff: "ab12/1"},
+		{Type: FrameExport, Seq: 3},
 		{Type: FrameList, Seq: 7},
 		{Type: FrameGossip, Seq: 8, Gossip: &GossipState{
 			Membership: Membership{Version: 3, Members: []Member{{Name: "n1", Addr: "10.1.0.1:7100"}}},
@@ -67,7 +63,7 @@ func corpusSeeds(t testing.TB) [][]byte {
 		}},
 		{Type: FrameFlush, Seq: 9},
 		{Type: FrameStats, Seq: 10},
-		{Type: FrameOK, Seq: 11, Count: 3, Blob: []byte("blob")},
+		{Type: FrameOK, Seq: 11, Count: 3},
 		{Type: FrameOK, Seq: 12, Devices: []string{"10.0.0.1"}, Cursor: 9},
 		{Type: FrameError, Seq: 13, Error: "refused"},
 		{Type: FrameAlert, Seq: 14, Alert: &NodeAlert{Node: "n1", Seq: 14, Alert: core.Alert{
@@ -92,6 +88,13 @@ func corpusSeeds(t testing.TB) [][]byte {
 		[]byte{0xff, 0xff, 0xff, 0xff},     // absurd length
 		[]byte{0, 0, 0, 4, 'n', 'o'},       // truncated payload
 		lengthPrefixed("\xf7\x01\x01\x01"), // foreign version byte
+		// An older build's staged handoff: retired frame codes 4, 10
+		// and 11, and retired tags 6 (state blob) and 11 (handoff id).
+		lengthPrefixed("\xf7\x02\x04\x04\x06\x05\x1f\x8b\x08\x00\x00\x0b\x06ab12/1"),
+		lengthPrefixed("\xf7\x02\x0a\x05\x0b\x06ab12/1"),
+		lengthPrefixed("\xf7\x02\x0b\x06\x0b\x06ab12/1"),
+		lengthPrefixed("\xf7\x02\x07\x0b\x07\x06\x06\x04blob"),
+		lengthPrefixed("\xf7\x02\x03\x03\x05\x01\x0810.0.0.1\x0b\x06ab12/1"),
 	)
 	return seeds
 }

@@ -6,11 +6,13 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"webtxprofile/internal/cluster"
 	"webtxprofile/internal/cluster/clustertest"
+	"webtxprofile/internal/core"
 	"webtxprofile/internal/weblog"
 )
 
@@ -216,81 +218,81 @@ func TestRouterReplicationKillMidStream(t *testing.T) {
 	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
 }
 
-// TestChaosPartitionMidDrain stages an import on the joining node, kills
-// the connection carrying its acknowledgement, and partitions the node
-// away. The two-phase handoff must resolve this worst case — staging
-// landed, router cannot know — with zero live copies on the new node:
-// the devices stay on their old owners, the orphaned staging is invisible
-// (held for the TTL sweep, never identified against), and the operator
-// gets a fallback report, not a stale-copy warning.
+// TestChaosPartitionMidDrain partitions a leaving node away right after
+// its park ran: the park reply is lost and every reconnect dies. The
+// router cannot reach the leaving node, so it moves the devices on
+// without it — and because the park had already put them in the state
+// tier, each resumes at its new owner with nothing lost: the removal
+// completes and the alerts match the reference.
 func TestChaosPartitionMidDrain(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, devices := clustertest.Workload(t, ds, 7, 4000)
 	want := clustertest.ReferenceSigs(t, set, equivK, txs)
 
 	rc := fastReconnect()
-	rc.MaxAttempts = 2 // fail over quickly once the partition hits
+	rc.MaxAttempts = 2 // give up quickly once the partition hits
+	// Two members, so the removal parks all of n3's devices in one go.
 	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
 		Router: cluster.RouterConfig{Client: cluster.ClientConfig{Reconnect: rc}},
-	}, "n1", "n2")
-
-	half := len(txs) / 2
-	if err := h.Router.FeedBatch(txs[:half]); err != nil {
-		t.Fatal(err)
-	}
+	}, "n1")
 
 	n3 := h.StartNode(t, "n3")
 	var mu sync.Mutex
-	var impConn int
-	var impSeq uint64
-	dead := false
+	armed, dead := false, false
+	var parkConn int
+	var parkSeq uint64
 	plan := func(ev clustertest.FaultEvent) clustertest.FaultAction {
 		mu.Lock()
 		defer mu.Unlock()
-		if dead {
+		switch {
+		case dead:
 			return clustertest.Kill
-		}
-		if ev.Dir == clustertest.ToNode && ev.Frame.Type == cluster.FrameImport {
-			impConn, impSeq = ev.Conn, ev.Frame.Seq
-			return clustertest.Pass // the staging reaches the node…
-		}
-		if ev.Dir == clustertest.ToClient && impSeq != 0 && ev.Conn == impConn && ev.Frame.Seq == impSeq {
-			dead = true // …but its ack is lost, and the node partitions away
+		case armed && ev.Dir == clustertest.ToNode && ev.Frame.Type == cluster.FrameExport && len(ev.Frame.Devices) > 0:
+			parkConn, parkSeq = ev.Conn, ev.Frame.Seq
+			return clustertest.Pass // the park reaches the node and runs…
+		case parkSeq != 0 && ev.Dir == clustertest.ToClient && ev.Conn == parkConn && ev.Frame.Seq == parkSeq:
+			dead = true // …but its reply is lost, and the node partitions away
 			return clustertest.Kill
 		}
 		return clustertest.Pass
 	}
 	proxy := clustertest.StartChaosProxy(t, n3.Addr().String(), plan)
+	if err := h.Router.AddNode(cluster.Member{Name: "n3", Addr: proxy.Addr()}); err != nil {
+		t.Fatal(err)
+	}
 
-	err := h.Router.AddNode(cluster.Member{Name: "n3", Addr: proxy.Addr()})
-	if err == nil {
-		t.Fatal("AddNode reported success though the importer partitioned mid-drain")
+	half := len(txs) / 2
+	if err := h.Router.FeedBatch(txs[:half]); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "kept on") {
-		t.Errorf("AddNode error does not describe the fallback: %v", err)
+	syncRouter(t, h.Router)
+	onN3 := 0
+	for _, d := range devices {
+		if owner, _ := h.Router.Owner(d); owner == "n3" {
+			onN3++
+		}
 	}
-	if strings.Contains(err.Error(), "stale") {
-		t.Errorf("failed drain warns about a stale copy — abort re-adopts automatically, nothing is stale: %v", err)
+	if onN3 == 0 {
+		t.Fatal("no device lives on n3 — the removal would move nothing")
 	}
-	// The lost ack left exactly one orphaned staging on n3 — invisible:
-	// no device on the node identifies against it.
-	if p := n3.Monitor().PendingHandoffs(); p != 1 {
-		t.Errorf("n3 pending handoffs = %d, want 1 (the staging whose ack was lost)", p)
+	mu.Lock()
+	armed = true
+	mu.Unlock()
+
+	err := h.Router.RemoveNode("n3")
+	if err == nil || !strings.Contains(err.Error(), "moved without it") {
+		t.Fatalf("RemoveNode(n3) = %v, want a report that the devices moved without the unreachable node", err)
+	}
+	if proxy.Kills() == 0 {
+		t.Fatal("the park reply was never cut")
+	}
+	for _, m := range h.Router.View().Members {
+		if m.Name == "n3" {
+			t.Fatal("n3 is still a member after its removal")
+		}
 	}
 	if d := n3.Monitor().Devices(); d != 0 {
-		t.Errorf("n3 tracks %d devices — the uncommitted staging leaked into live state", d)
-	}
-	for _, d := range devices {
-		owner, ok := h.Router.Owner(d)
-		if !ok {
-			t.Fatalf("device %s lost its route", d)
-		}
-		if owner == "n3" {
-			t.Errorf("device %s routed to the partitioned importer", d)
-		}
-	}
-	if err := h.Router.RemoveNode("n3"); err != nil {
-		t.Errorf("RemoveNode(n3): %v", err)
+		t.Errorf("n3 still tracks %d devices after its park", d)
 	}
 	if err := h.Router.FeedBatch(txs[half:]); err != nil {
 		t.Fatal(err)
@@ -299,6 +301,158 @@ func TestChaosPartitionMidDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+	if st := h.State.Stats(); st.GetHits == 0 || st.StaleDrops != 0 {
+		t.Errorf("tier stats %+v: want rehydrations and no stale drops", st)
+	}
+}
+
+// countingStore counts the Puts that reach a node's tier client.
+type countingStore struct {
+	core.StateStore
+	puts *atomic.Int64
+}
+
+func (c countingStore) Put(device string, blob []byte) error {
+	c.puts.Add(1)
+	return c.StateStore.Put(device, blob)
+}
+
+// TestChaosParkReplyLost cuts the source's connection after a park ran,
+// so its reply never arrives. The client retries the park on a new
+// connection; the retry finds nothing left to spill, and the move
+// completes: every mover was spilled exactly once, no spill is dropped
+// as stale, and the alerts match a single monitor.
+func TestChaosParkReplyLost(t *testing.T) {
+	set, ds := clustertest.TrainedSet(t)
+	txs, devices := clustertest.Workload(t, ds, 9, 4000)
+	want := clustertest.ReferenceSigs(t, set, equivK, txs)
+	rng := rand.New(rand.NewSource(clustertest.ChaosSeed(t)))
+	cut := len(txs)/4 + rng.Intn(len(txs)/2)
+
+	var puts atomic.Int64
+	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
+		Router: cluster.RouterConfig{Client: cluster.ClientConfig{Reconnect: fastReconnect()}},
+		NodePrep: func(name string, cfg *cluster.NodeConfig) {
+			if name == "n1" {
+				cfg.Monitor.Spill = countingStore{cfg.Monitor.Spill, &puts}
+			}
+		},
+	})
+	n1 := h.StartNode(t, "n1")
+	var mu sync.Mutex
+	var parkConn int
+	var parkSeq uint64
+	cutOnce := false
+	plan := func(ev clustertest.FaultEvent) clustertest.FaultAction {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case parkSeq == 0 && ev.Dir == clustertest.ToNode && ev.Frame.Type == cluster.FrameExport && len(ev.Frame.Devices) > 0:
+			parkConn, parkSeq = ev.Conn, ev.Frame.Seq
+		case !cutOnce && parkSeq != 0 && ev.Dir == clustertest.ToClient && ev.Conn == parkConn && ev.Frame.Seq == parkSeq:
+			cutOnce = true
+			return clustertest.Kill
+		}
+		return clustertest.Pass
+	}
+	proxy := clustertest.StartChaosProxy(t, n1.Addr().String(), plan)
+	if err := h.Router.AddNode(cluster.Member{Name: "n1", Addr: proxy.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	feedChunks(t, h.Router, txs[:cut], 50)
+	syncRouter(t, h.Router)
+
+	before := puts.Load()
+	h.Join(t, "n2")
+	if proxy.Kills() != 1 {
+		t.Fatalf("%d connections cut, want the one carrying the park reply", proxy.Kills())
+	}
+	moved := 0
+	for _, d := range devices {
+		if owner, _ := h.Router.Owner(d); owner == "n2" {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the join moved no device")
+	}
+	if spilled := puts.Load() - before; spilled != int64(moved) {
+		t.Errorf("the move spilled %d times for %d movers — the retried park must spill nothing", spilled, moved)
+	}
+
+	feedChunks(t, h.Router, txs[cut:], 50)
+	if err := h.Router.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+	if d := h.State.Stats().StaleDrops; d != 0 {
+		t.Errorf("the server dropped %d spills as stale", d)
+	}
+}
+
+// TestChaosDestinationLostAfterPark partitions the destination away
+// between the park and the drain's check of it: the devices settle back
+// on the source and rehydrate there from the tier, the destination never
+// holds one, and the alerts match a single monitor.
+func TestChaosDestinationLostAfterPark(t *testing.T) {
+	set, ds := clustertest.TrainedSet(t)
+	txs, devices := clustertest.Workload(t, ds, 9, 4000)
+	want := clustertest.ReferenceSigs(t, set, equivK, txs)
+	rng := rand.New(rand.NewSource(clustertest.ChaosSeed(t)))
+	cut := len(txs)/4 + rng.Intn(len(txs)/2)
+
+	rc := fastReconnect()
+	rc.MaxAttempts = 2
+	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
+		Router: cluster.RouterConfig{Client: cluster.ClientConfig{Reconnect: rc}},
+	}, "n1")
+	feedChunks(t, h.Router, txs[:cut], 50)
+	syncRouter(t, h.Router)
+	prev := cluster.ReadClusterStats()
+
+	n2 := h.StartNode(t, "n2")
+	var mu sync.Mutex
+	parks, dead := 0, false
+	plan := func(ev clustertest.FaultEvent) clustertest.FaultAction {
+		mu.Lock()
+		defer mu.Unlock()
+		if !dead && ev.Dir == clustertest.ToNode && ev.Frame.Type == cluster.FrameExport {
+			parks++
+			dead = parks == 2 // the join probe passes; the drain's check does not
+		}
+		if dead {
+			return clustertest.Kill
+		}
+		return clustertest.Pass
+	}
+	proxy := clustertest.StartChaosProxy(t, n2.Addr().String(), plan)
+	err := h.Router.AddNode(cluster.Member{Name: "n2", Addr: proxy.Addr()})
+	if err == nil || !strings.Contains(err.Error(), "kept on n1") {
+		t.Fatalf("AddNode(n2) = %v, want the devices kept on n1", err)
+	}
+	if d := cluster.ReadClusterStats().Sub(prev); d.HandoffAborts == 0 {
+		t.Errorf("no drain counted as settled back on its source: %+v", d)
+	}
+	for _, d := range devices {
+		if owner, _ := h.Router.Owner(d); owner != "n1" {
+			t.Errorf("device %s routed to %s, want n1", d, owner)
+		}
+	}
+	if err := h.Router.RemoveNode("n2"); err != nil {
+		t.Errorf("RemoveNode(n2): %v", err)
+	}
+
+	feedChunks(t, h.Router, txs[cut:], 50)
+	if err := h.Router.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+	if d := n2.Monitor().Devices(); d != 0 {
+		t.Errorf("the unreachable destination tracks %d devices", d)
+	}
+	if h.State.Stats().GetHits == 0 {
+		t.Error("no parked device rehydrated on the source")
+	}
 }
 
 // TestRouterRouteSweep bounds the routing table: a device idle past

@@ -56,12 +56,11 @@ type NodeConfig struct {
 }
 
 // Node is one cluster member: a TCP server exposing its core.Monitor's
-// Feed/FeedBatch, staged handoff (ExportStaged, StageImport, commit,
-// abort) and Flush over the length-prefixed frame protocol, and pushing
-// every alert to subscribed connections tagged with the node's name. A
-// node is passive — it holds no membership view and trusts its router(s)
-// to route transactions and drains correctly; the placement/drain
-// guarantees live in Router.
+// Feed/FeedBatch, Park and Flush over the length-prefixed frame
+// protocol, and pushing every alert to subscribed connections tagged
+// with the node's name. A node is passive — it holds no membership view
+// and trusts its router(s) to route transactions and drains correctly;
+// the placement/drain guarantees live in Router.
 type Node struct {
 	name         string
 	ln           net.Listener
@@ -101,7 +100,11 @@ const maxClientSessions = 64
 
 // ListenNode starts a cluster node on addr over a trained profile set.
 // The node owns its monitor; use Monitor for lifecycle operations the
-// protocol does not cover (Checkpoint, local stats).
+// protocol does not cover (Checkpoint, local stats). Devices move between
+// nodes only through the state tier, so a node that joins a router needs
+// cfg.Monitor.Spill pointed at it (a statestore client): a node without
+// one still serves feeds, but refuses every park, and a router refuses
+// to add it as a member.
 func ListenNode(addr string, set *core.ProfileSet, cfg NodeConfig) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("cluster: node needs a name")
@@ -184,7 +187,7 @@ func (n *Node) Stop() error {
 
 // Close is Stop plus closing the monitor (remaining alerts are delivered
 // first). It does not flush pending windows — a node being drained has
-// already exported its devices, and a crashing node should not emit
+// already parked its devices, and a crashing node should not emit
 // synthetic end-of-stream alerts; call Stop then Monitor().Flush() first
 // for lossy end-of-stream semantics. Idempotent.
 func (n *Node) Close() error {
@@ -248,7 +251,7 @@ func (n *Node) dropSubscriber(conn net.Conn) {
 // syncSubscriber blocks until conn's outbox (if it is a subscriber) has
 // written everything enqueued so far — the per-connection half of the
 // alert ordering barrier: Monitor.Sync guarantees the alerts reached the
-// outbox, this guarantees they reached the wire, so an export or flush
+// outbox, this guarantees they reached the wire, so a park or flush
 // reply written afterwards is strictly later than every prior alert on
 // that connection.
 func (n *Node) syncSubscriber(conn net.Conn) {
@@ -520,21 +523,6 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 	}
 }
 
-// errNoHandoff refuses an export or import outside a two-phase handoff:
-// a one-shot move cannot resolve a lost reply without losing or forking
-// the devices' state.
-var errNoHandoff = errors.New("cluster: export and import need a handoff id")
-
-// errExportTooLarge refuses an export whose blob would not fit in one
-// frame. The node has already re-adopted the devices, so the router can
-// retry them in smaller handoffs.
-var errExportTooLarge = errors.New("cluster: export exceeds the frame limit")
-
-// maxExportBlob caps the state blob one handoff carries: the export
-// reply and the import request each hold the blob plus a few short
-// fields, which the slack leaves room for under MaxFrameBytes.
-var maxExportBlob = MaxFrameBytes - 64<<10
-
 // handle dispatches one request frame to the monitor and builds the
 // reply.
 func (n *Node) handle(conn net.Conn, f Frame) Frame {
@@ -608,58 +596,31 @@ func (n *Node) handle(conn net.Conn, f Frame) Frame {
 		}
 		return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}
 	case FrameExport:
-		if f.Handoff == "" {
-			return errorFrame(f.Seq, errNoHandoff)
-		}
-		// Staged export: the states are held under the handoff id, so a
-		// lost reply is retried (idempotent) and a failed move is
-		// aborted, both by the router.
-		blob, count, err := n.mon.ExportStaged(f.Handoff, f.Devices)
+		// Park: spill the devices to the state tier and flush it. An
+		// empty list parks nothing — the router's probe that this node
+		// answers and has a tier.
+		count, err := n.mon.Park(f.Devices)
 		if err != nil {
 			return errorFrame(f.Seq, err)
 		}
-		if len(blob) > maxExportBlob {
-			if _, err := n.mon.AbortHandoff(f.Handoff); err != nil {
-				return errorFrame(f.Seq, err)
-			}
-			return errorFrame(f.Seq, fmt.Errorf("%w: %d devices in %d bytes", errExportTooLarge, count, len(blob)))
-		}
-		// Ordering barrier: every alert of the exported devices must be
-		// on the wire before the reply, so the importer's alerts are
+		// Ordering barrier: every alert of the parked devices must be on
+		// the wire before the reply, so the new owner's alerts are
 		// strictly later at the router.
 		n.mon.Sync()
 		n.syncSubscriber(conn)
-		return Frame{Type: FrameOK, Seq: f.Seq, Blob: blob, Count: count}
-	case FrameImport:
-		if f.Handoff == "" {
-			return errorFrame(f.Seq, errNoHandoff)
-		}
-		count, err := n.mon.StageImport(f.Handoff, f.Blob)
-		if err != nil {
-			return errorFrame(f.Seq, err)
-		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
-	case FrameCommit:
-		count, err := n.mon.CommitHandoff(f.Handoff)
-		if err != nil {
-			return errorFrame(f.Seq, err)
-		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
-	case FrameAbort:
-		count, err := n.mon.AbortHandoff(f.Handoff)
-		if err != nil {
-			return errorFrame(f.Seq, err)
-		}
 		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
 	case FrameList:
-		names, err := n.mon.TrackedDevices()
+		names := n.mon.TrackedDevices()
+		return Frame{Type: FrameOK, Seq: f.Seq, Devices: names, Count: len(names)}
+	case FrameFlush:
+		// A device that cannot be rehydrated fails the reply, but not
+		// the flush of the others.
+		_, err := n.mon.Rehydrate(f.Devices)
+		n.mon.Flush()
+		n.syncSubscriber(conn)
 		if err != nil {
 			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Devices: names, Count: len(names)}
-	case FrameFlush:
-		n.mon.Flush()
-		n.syncSubscriber(conn)
 		return Frame{Type: FrameOK, Seq: f.Seq}
 	case FrameStats:
 		// Stats doubles as the router's Sync barrier: the reply must be

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bufio"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,5 +146,40 @@ func TestNodeRejectsBadFeedLine(t *testing.T) {
 	}
 	if devs, err := c.Devices(); err != nil || devs != 0 {
 		t.Errorf("Devices = %d, %v after rejected feed; want 0", devs, err)
+	}
+}
+
+// TestRouterRefusesNodeWithoutTier is the deployment guard: devices move
+// between nodes only through the state tier, so a router refuses to add
+// a node that has none — the join fails before any device moves, the
+// error names the state tier, and the view is unchanged.
+func TestRouterRefusesNodeWithoutTier(t *testing.T) {
+	set, ds := clustertest.TrainedSet(t)
+	txs, _ := clustertest.Workload(t, ds, 4, 400)
+	h := clustertest.NewHarness(t, set, equivK, "n1")
+	if err := h.Router.FeedBatch(txs); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := cluster.ListenNode("127.0.0.1:0", set, cluster.NodeConfig{Name: "bare", K: equivK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	v0 := h.Router.View()
+	err = h.Router.AddNode(cluster.Member{Name: "bare", Addr: bare.Addr().String()})
+	if err == nil || !strings.Contains(err.Error(), "state tier") {
+		t.Fatalf("AddNode of a node without a tier = %v, want a refusal naming the state tier", err)
+	}
+	if v := h.Router.View(); v.Version != v0.Version || len(v.Members) != 1 {
+		t.Errorf("the refused join changed the view: %+v -> %+v", v0, v)
+	}
+	if n := bare.Monitor().Devices(); n != 0 {
+		t.Errorf("the refused node tracks %d devices", n)
+	}
+	if err := h.Router.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.Node("n1").Monitor().Devices(); n != 4 {
+		t.Errorf("n1 tracks %d devices after the refused join, want 4", n)
 	}
 }

@@ -1,17 +1,13 @@
 package cluster
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"webtxprofile/internal/core"
 	"webtxprofile/internal/weblog"
 )
 
@@ -47,9 +43,8 @@ type RouterConfig struct {
 	// Client configures the per-node connections (reconnect schedule,
 	// replay depth, client identity prefix).
 	Client ClientConfig
-	// SharedState has no effect: nodes on a shared state tier
-	// (core.MonitorConfig.SharedSpill) move devices through it on their
-	// own, inside the same two-phase drain.
+	// SharedState has no effect: every node runs on the shared state
+	// tier and parks the devices a drain moves there itself.
 	//
 	// Deprecated: leave it unset.
 	SharedState bool
@@ -76,24 +71,25 @@ func (c RouterConfig) withDefaults() RouterConfig {
 //     RemoveNode moves only the removed node's devices. No other device
 //     is touched by a membership change.
 //   - The routing table is authoritative over the hash: if a drain fails
-//     (the importer refused or died), the affected devices stay routed to
-//     their old owner — placement degrades, state does not.
+//     (the source refused the park, or the destination did not answer),
+//     the affected devices stay routed to their old owner — placement
+//     degrades, state does not.
 //
 // Drain guarantees:
 //
 //   - A drained device's identification state travels whole: window
 //     buffer, consecutive-accept streaks, confirmed identity and
-//     last-seen stamp (a core.DeviceState, in the handoff blob or
-//     through the nodes' shared state tier).
+//     last-seen stamp (a core.DeviceState), parked in the shared state
+//     tier by the old owner and rehydrated by the new one.
 //   - Transactions arriving for a device mid-drain are buffered and
-//     replayed to the new owner after the import, in arrival order, so no
+//     replayed to the new owner after the park, in arrival order, so no
 //     window or streak is lost or reordered. Devices not being drained
 //     keep feeding live throughout.
 //   - The old owner's alerts for a drained device are all delivered
-//     before the new owner's (the export reply is ordered after the
-//     alerts on the node connection), so per-device alert order is
-//     preserved across the handoff — the cluster-equivalence property the
-//     clustertest suites assert.
+//     before the new owner's (the park reply is ordered after the alerts
+//     on the node connection), so per-device alert order is preserved
+//     across the move — the cluster-equivalence property the clustertest
+//     suites assert.
 //
 // Feed, FeedBatch and membership changes may be called concurrently;
 // transactions for one device must come from one goroutine at a time (the
@@ -118,12 +114,6 @@ type Router struct {
 	clock     int64 // router-wide stream clock: max tx timestamp routed, unix nanos
 	lastSweep int64 // stream-clock stamp of the last idle-route sweep
 	closed    bool
-
-	// id and handoffN (guarded by balMu, like all rebalance state) name
-	// two-phase handoffs: "<routerID>/<n>" never collides across router
-	// replicas, so a node can hold stagings from several routers at once.
-	id       string
-	handoffN int
 }
 
 // nodeHandle is the router's connection to one member. Its mu serializes
@@ -142,8 +132,12 @@ type nodeHandle struct {
 type route struct {
 	node     string
 	draining bool
-	buf      []weblog.Transaction
-	lastTs   int64 // stream-clock stamp of the device's last routed transaction
+	// parked marks a device a membership change settled on node with no
+	// transaction replayed to it: its state waits in the state tier until
+	// the next one, or until Flush rehydrates it.
+	parked bool
+	buf    []weblog.Transaction
+	lastTs int64 // stream-clock stamp of the device's last routed transaction
 }
 
 // NewRouter creates a router with no members. alerts receives every
@@ -154,14 +148,11 @@ func NewRouter(alerts func(NodeAlert), cfg RouterConfig) *Router {
 	if alerts == nil {
 		alerts = func(NodeAlert) {}
 	}
-	var b [6]byte
-	rand.Read(b[:]) // crypto/rand.Read never fails on supported platforms
 	return &Router{
 		alerts: alerts,
 		cfg:    cfg.withDefaults(),
 		nodes:  make(map[string]*nodeHandle),
 		routes: make(map[string]*route),
-		id:     hex.EncodeToString(b[:]),
 	}
 }
 
@@ -216,23 +207,40 @@ func (r *Router) Close() error {
 
 // Flush asks every node to complete pending windows and deliver all
 // outstanding alerts (end-of-stream semantics); every resulting alert has
-// been handed to the router's callback when Flush returns. Call it once
-// feeding has stopped.
+// been handed to the router's callback when Flush returns. Devices a
+// membership change moved and nothing has fed since are rehydrated on
+// their owners first, so their pending windows complete too. Call it
+// once feeding has stopped.
 func (r *Router) Flush() error {
 	r.mu.Lock()
 	handles := make([]*nodeHandle, 0, len(r.nodes))
 	for _, h := range r.nodes {
 		handles = append(handles, h)
 	}
+	parked := make(map[string][]string)
+	for device, rt := range r.routes {
+		if rt.parked {
+			parked[rt.node] = append(parked[rt.node], device)
+		}
+	}
 	r.mu.Unlock()
 	var errs []error
 	for _, h := range handles {
+		devices := parked[h.member.Name]
 		h.mu.Lock()
-		err := h.client.Flush()
+		err := h.client.Flush(devices...)
 		h.mu.Unlock()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("cluster: flushing node %s: %w", h.member.Name, err))
+			continue
 		}
+		r.mu.Lock()
+		for _, d := range devices {
+			if rt := r.routes[d]; rt != nil && rt.node == h.member.Name {
+				rt.parked = false
+			}
+		}
+		r.mu.Unlock()
 	}
 	return errors.Join(errs...)
 }
@@ -369,7 +377,7 @@ func (r *Router) maybeSweepRoutesLocked() {
 var errNoMembers = errors.New("cluster: router has no member nodes")
 
 // Feed routes one transaction to its device's owner. A transaction for a
-// device mid-drain is buffered and replayed after the handoff; Feed
+// device mid-drain is buffered and replayed after the move; Feed
 // returns immediately for it (its feed error, if any, surfaces from the
 // membership call driving the drain). Feed is FeedBatch for one
 // transaction — the routing, buffering and recheck rules are identical
@@ -448,6 +456,7 @@ func (r *Router) FeedBatch(txs []weblog.Transaction) error {
 				case rt.draining:
 					rt.buf = append(rt.buf, tx)
 				default:
+					rt.parked = false
 					send = append(send, tx)
 				}
 			}
@@ -465,13 +474,14 @@ func (r *Router) FeedBatch(txs []weblog.Transaction) error {
 
 // AddNode joins a member and rebalances: exactly the devices whose
 // rendezvous placement moves to the new node are drained from their
-// current owners (state exported, transactions buffered and replayed) and
-// imported there. Adding an already-present member with the same address
+// current owners (parked in the state tier, transactions buffered and
+// replayed there). Adding an already-present member with the same address
 // is an idempotent no-op; the same name at a different address is an
-// error (drop the old member first). If the new node refuses or loses an
-// import, those devices stay on their old owner with nothing lost, and
-// AddNode reports the failure while the membership (already extended)
-// stands.
+// error (drop the old member first). A node that cannot park — one with
+// no state tier, or from a build that predates parking — is refused
+// before it joins. If a drain fails, those devices stay on their old
+// owner with nothing lost, and AddNode reports the failure while the
+// membership (already extended) stands.
 func (r *Router) AddNode(m Member) error {
 	if m.Name == "" || m.Addr == "" {
 		return fmt.Errorf("cluster: member needs name and addr, got %+v", m)
@@ -497,6 +507,12 @@ func (r *Router) AddNode(m Member) error {
 	client, err := r.dialMember(m)
 	if err != nil {
 		return err
+	}
+	// Every device move goes through the state tier, so a member must be
+	// able to park: an empty park is the probe.
+	if _, err := client.Park(nil); err != nil {
+		client.Close()
+		return fmt.Errorf("cluster: member %s cannot park devices (every node must run on the state tier, from this build): %w", m.Name, err)
 	}
 	h := &nodeHandle{member: m, client: client}
 
@@ -593,9 +609,10 @@ func (r *Router) discoverPlacement() map[string]string {
 // RemoveNode drains every device off a member (each to its rendezvous
 // owner among the remaining members) and drops it from the view. Removing
 // an unknown member is an idempotent no-op; removing the last member is
-// an error. If a destination refuses an import, the affected devices are
-// restored onto the leaving node and the removal is aborted — the node
-// stays a member — so state is never stranded on a closed connection.
+// an error. If the leaving node refuses a park, or a destination does not
+// answer, the affected devices settle back on the leaving node and the
+// removal is aborted — the node stays a member — so state is never
+// stranded on a closed connection.
 func (r *Router) RemoveNode(name string) error {
 	r.balMu.Lock()
 	defer r.balMu.Unlock()
@@ -682,13 +699,12 @@ func (r *Router) RemoveNode(name string) error {
 // FailNode drops a dead member without draining it: RemoveNode for a
 // node that cannot answer. Its devices reroute immediately to their
 // rendezvous owners among the remaining members, and buffered
-// transactions replay there. With a shared state tier (nodes with
-// core.MonitorConfig.SharedSpill that checkpointed or spilled) nothing is
-// lost: each rerouted device rehydrates from the tier at its new owner
-// on its next transaction — failover without handoff. Without the tier
-// the devices restart fresh, which is still the best available outcome
-// for a dead node. Failing an unknown member is an idempotent no-op;
-// failing the last member is an error.
+// transactions replay there. Whatever the dead node checkpointed or
+// spilled is not lost: each rerouted device rehydrates from the state
+// tier at its new owner on its next transaction — failover without a
+// park. Devices it held only in memory restart fresh, which is still the
+// best available outcome for a dead node. Failing an unknown member is
+// an idempotent no-op; failing the last member is an error.
 func (r *Router) FailNode(name string) error {
 	r.balMu.Lock()
 	defer r.balMu.Unlock()
@@ -740,141 +756,52 @@ func (r *Router) FailNode(name string) error {
 }
 
 // drain moves the named devices (already marked draining by the caller)
-// from src to dst as a two-phase handoff:
+// from src to dst through the state tier:
 //
-//	ExportStaged(src) → ImportStaged(dst) → Commit(dst) → Commit(src)
+//  1. Park on src: it spills the devices, flushes its tier client, and
+//     delivers their alerts before it replies. The park is idempotent —
+//     a retry after a lost reply finds nothing left to spill — so the
+//     client retries it across reconnects.
+//  2. Confirm dst: an empty park proves it answers and can take devices
+//     through the tier.
+//  3. Settle the routes on dst, which rehydrates each device from the
+//     tier on its next transaction.
 //
-// Until the destination commits, the moving copy is invisible on both
-// sides (held on src, staged on dst) and every step is idempotent per
-// handoff id, so any step can be retried across reconnects and any
-// failure can be unwound by aborting both sides — Abort on the source
-// re-adopts the held state automatically, which is why a failed drain
-// needs no operator intervention and can never leave two *live* copies.
-// A lost commit acknowledgement is resolved by asking the destination to
-// abort: a "handoff already committed" refusal is the proof the commit
-// landed.
-//
-// When the nodes spill through a shared state tier, the export parks the
-// devices in the tier (spill, then flush) and the blob carries none of
-// them: the same four steps then amount to spill, flip the route,
-// rehydrate on the next transaction at dst. An abort leaves the parked
-// devices to rehydrate on src.
-//
-// A blob too large for one frame is refused by src, which keeps the
-// devices; drain then splits them into two handoffs, recursively, so a
-// move of any size goes through.
-//
-// On failure the devices settle back on src (fellBack=true), except when
-// a leaving src cannot be reached to export, where they settle on dst
-// fresh — their state is unreachable on the node being removed.
+// If src refuses the park or dst does not answer, the devices settle
+// back on src (fellBack=true): parked ones rehydrate there, and the rest
+// never left. A leaving src that cannot be reached settles them on dst
+// instead, as FailNode would. The tier's per-device version fence is
+// what rules out two live copies.
 func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fellBack bool, err error) {
 	sort.Strings(devices)
-	r.handoffN++
-	id := fmt.Sprintf("%s/%d", r.id, r.handoffN)
 	r.mu.Lock()
 	hs, hd := r.nodes[src], r.nodes[dst]
 	r.mu.Unlock()
 
 	hs.mu.Lock()
-	blob, exported, exportErr := hs.client.ExportHandoff(id, devices)
+	parked, parkErr := hs.client.Park(devices)
 	hs.mu.Unlock()
-	if len(devices) > 1 && errors.Is(exportErr, ErrNodeRefused) && strings.Contains(exportErr.Error(), errExportTooLarge.Error()) {
-		// Too much state for one frame: src kept the devices, so move
-		// them in two handoffs, halving again as often as needed.
-		half := len(devices) / 2
-		fb1, err1 := r.drain(src, dst, devices[:half], leavingSrc)
-		fb2, err2 := r.drain(src, dst, devices[half:], leavingSrc)
-		return fb1 || fb2, errors.Join(err1, err2)
-	}
-	if exportErr != nil {
-		if leavingSrc && !errors.Is(exportErr, ErrNodeRefused) {
-			// The leaving node could not be reached to hand its state
-			// over; the devices restart fresh on their new owner rather
-			// than pointing at a node that is going away. A node that
-			// answered with a refusal (a failed park, say) is alive and
-			// keeps the devices instead, aborting the removal.
-			serr := r.settle(devices, dst)
-			return false, errors.Join(fmt.Errorf("cluster: exporting %d devices from leaving %s (state lost): %w", len(devices), src, exportErr), serr)
+	if parkErr != nil {
+		if leavingSrc && !errors.Is(parkErr, ErrNodeRefused) {
+			// A node that answered with a refusal is alive and keeps the
+			// devices, aborting the removal; one that cannot be reached
+			// is going away, so its devices move on and resume from the
+			// tier wherever it holds them.
+			return false, errors.Join(fmt.Errorf("cluster: parking %d devices on leaving %s (moved without it): %w", len(devices), src, parkErr), r.settle(devices, dst))
 		}
-		// If the staging landed but its acknowledgement didn't, Abort
-		// re-adopts it; against a truly dead node it fails like the
-		// export did, and the staging stays invisible until then.
-		hs.mu.Lock()
-		_, abortErr := hs.client.Abort(id)
-		hs.mu.Unlock()
 		statHandoffAborts.Add(1)
-		serr := r.settle(devices, src)
-		return true, errors.Join(fmt.Errorf("cluster: exporting %d devices from %s: %w", len(devices), src, exportErr), abortErr, serr)
+		return true, errors.Join(fmt.Errorf("cluster: parking %d devices, kept on %s: %w", len(devices), src, parkErr), r.settle(devices, src))
 	}
 
 	hd.mu.Lock()
-	staged, importErr := hd.client.ImportHandoff(id, blob)
+	_, dstErr := hd.client.Park(nil)
 	hd.mu.Unlock()
-	if importErr != nil {
-		// The importer refused or died before staging. Nothing on dst is
-		// visible either way; abort both sides — on src that re-adopts
-		// the held state, so the devices keep identifying where they were
-		// with nothing lost and nothing for an operator to clean up.
-		hd.mu.Lock()
-		hd.client.Abort(id) // best-effort: clears a staging whose ack was lost
-		hd.mu.Unlock()
-		hs.mu.Lock()
-		_, restoreErr := hs.client.Abort(id)
-		hs.mu.Unlock()
+	if dstErr != nil {
 		statHandoffAborts.Add(1)
-		serr := r.settle(devices, src)
-		return true, errors.Join(fmt.Errorf("cluster: importing %d devices into %s, kept on %s: %w", exported, dst, src, importErr), restoreErr, serr)
+		return true, errors.Join(fmt.Errorf("cluster: %s did not answer, %d devices kept on %s: %w", dst, len(devices), src, dstErr), r.settle(devices, src))
 	}
-
-	// Commit the destination first: this is the single step where
-	// ownership flips.
-	hd.mu.Lock()
-	_, commitErr := hd.client.Commit(id)
-	hd.mu.Unlock()
-	if commitErr != nil {
-		// Commit is idempotent and was retried; a surviving failure means
-		// dst refused (e.g. the staging died with a restart —
-		// ErrUnknownHandoff is definitive) or dst is unreachable. Ask it
-		// to abort: a "committed" refusal proves the commit actually
-		// landed and only its acknowledgement was lost.
-		hd.mu.Lock()
-		_, dstAbort := hd.client.Abort(id)
-		hd.mu.Unlock()
-		if dstAbort != nil && strings.Contains(dstAbort.Error(), core.ErrHandoffCommitted.Error()) {
-			commitErr = nil // the handoff committed; fall through to success
-		} else {
-			hs.mu.Lock()
-			_, restoreErr := hs.client.Abort(id)
-			hs.mu.Unlock()
-			statHandoffAborts.Add(1)
-			serr := r.settle(devices, src)
-			err := fmt.Errorf("cluster: committing %d devices on %s, kept on %s: %w", exported, dst, src, commitErr)
-			if !errors.Is(commitErr, ErrNodeRefused) && dstAbort != nil {
-				// Neither the commit nor the abort got an answer: the
-				// commit's outcome on dst is unknown. The staging is
-				// invisible and the node's StagedTTL sweep clears it, but
-				// flag the ambiguity.
-				err = fmt.Errorf("%w (commit outcome on %s unknown; its staging is invisible and sweeps by StagedTTL)", err, dst)
-			}
-			return true, errors.Join(err, restoreErr, serr)
-		}
-	}
-
-	// Whatever the blob did not carry went through the shared tier.
-	if viaTier := exported - staged; viaTier > 0 {
-		statWarmRestores.Add(uint64(viaTier))
-	}
-
-	// Release the source's held copy. A failure here does not move
-	// ownership back — dst committed — it only delays reclaiming the
-	// invisible held copy on src.
-	hs.mu.Lock()
-	_, releaseErr := hs.client.Commit(id)
-	hs.mu.Unlock()
-	if releaseErr != nil {
-		releaseErr = fmt.Errorf("cluster: source %s did not release handoff %s (held copy stays staged, invisible): %w", src, id, releaseErr)
-	}
-	return false, errors.Join(releaseErr, r.settle(devices, dst))
+	statWarmRestores.Add(uint64(parked))
+	return false, r.settle(devices, dst)
 }
 
 // settle replays the drained devices' buffered transactions to owner
@@ -884,6 +811,7 @@ func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fell
 // with observing all buffers empty.
 func (r *Router) settle(devices []string, owner string) error {
 	var errs []error
+	fed := make(map[string]bool)
 	for {
 		r.mu.Lock()
 		h := r.nodes[owner]
@@ -892,6 +820,7 @@ func (r *Router) settle(devices []string, owner string) error {
 			if rt := r.routes[d]; rt != nil && len(rt.buf) > 0 {
 				pend = append(pend, rt.buf...)
 				rt.buf = nil
+				fed[d] = true
 			}
 		}
 		if len(pend) == 0 || h == nil {
@@ -899,6 +828,7 @@ func (r *Router) settle(devices []string, owner string) error {
 				if rt := r.routes[d]; rt != nil {
 					rt.node = owner
 					rt.draining = false
+					rt.parked = !fed[d]
 				}
 				// Record the settled placement in the override table when
 				// it disagrees with the pure hash, clear it when it

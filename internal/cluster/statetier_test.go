@@ -16,16 +16,17 @@ import (
 	"webtxprofile/internal/weblog"
 )
 
-// State-tier suite: the cluster spilling through a shared
-// internal/statestore server instead of per-node local stores. The
-// invariant stays the one every cluster suite asserts — per-device alert
-// sequences byte-identical to a single never-resharded monitor — but the
-// topology changes now lean on the tier: every device a membership
-// change moves is parked there by its old owner and rehydrates at its
-// new one, and a dead node's devices fail over by lazy rehydration at
-// their new owners.
+// State-tier suite: the harness puts every node on one shared
+// internal/statestore server, each through its own write-behind client
+// (sharing one client would merge the per-owner version streams the
+// fence keeps apart). The invariant stays the one every cluster suite
+// asserts — per-device alert sequences byte-identical to a single
+// never-resharded monitor — and these cases lean on the tier directly:
+// checkpoints, warm joins, failover by lazy rehydration, and park
+// failures.
 
-// startStateServer runs an in-memory state server for one test.
+// startStateServer runs an in-memory state server for one test that
+// needs it outside a harness, or behind a proxy.
 func startStateServer(tb testing.TB) *statestore.Server {
 	tb.Helper()
 	srv, err := statestore.ListenServer("127.0.0.1:0", statestore.ServerConfig{})
@@ -34,56 +35,6 @@ func startStateServer(tb testing.TB) *statestore.Server {
 	}
 	tb.Cleanup(func() { srv.Close() })
 	return srv
-}
-
-// tierClients dials one write-behind client per node (each monitor needs
-// its own queue — sharing one client would merge the per-owner version
-// streams the fence keeps apart) and hands them to the harness through
-// the NodePrep hook.
-type tierClients struct {
-	tb   testing.TB
-	addr string
-	cfg  statestore.ClientConfig
-
-	mu sync.Mutex
-	m  map[string]*statestore.Client
-}
-
-func newTierClients(tb testing.TB, addr string, cfg statestore.ClientConfig) *tierClients {
-	tb.Helper()
-	tc := &tierClients{tb: tb, addr: addr, cfg: cfg, m: make(map[string]*statestore.Client)}
-	tb.Cleanup(tc.closeAll)
-	return tc
-}
-
-// prep is the HarnessConfig.NodePrep hook: dial a client for the node
-// and point its monitor's spill at the shared tier.
-func (tc *tierClients) prep() func(name string, cfg *cluster.NodeConfig) {
-	return func(name string, cfg *cluster.NodeConfig) {
-		c, err := statestore.Dial(tc.addr, tc.cfg)
-		if err != nil {
-			tc.tb.Fatalf("dialing state tier for node %s: %v", name, err)
-		}
-		tc.mu.Lock()
-		tc.m[name] = c
-		tc.mu.Unlock()
-		cfg.Monitor.Spill = c
-		cfg.Monitor.SharedSpill = true
-	}
-}
-
-func (tc *tierClients) client(name string) *statestore.Client {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.m[name]
-}
-
-func (tc *tierClients) closeAll() {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	for _, c := range tc.m {
-		c.Close()
-	}
 }
 
 // flushTier drains a node's write-behind queue, retrying transient flush
@@ -138,11 +89,8 @@ func TestWarmRestoreJoinEquivalence(t *testing.T) {
 	want := clustertest.ReferenceSigs(t, set, equivK, txs)
 	prev := cluster.ReadClusterStats()
 
-	srv := startStateServer(t)
-	tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{})
-	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
-		NodePrep: tier.prep(),
-	}, "n1")
+	h := clustertest.NewHarness(t, set, equivK, "n1")
+	srv := h.State
 
 	// Phase 1: the whole population identifies on n1.
 	split := len(txs) * 3 / 5
@@ -158,16 +106,16 @@ func TestWarmRestoreJoinEquivalence(t *testing.T) {
 	if spilled == 0 {
 		t.Fatal("checkpoint spilled nothing — the warm join would prove nothing")
 	}
-	flushTier(t, tier.client("n1"))
+	flushTier(t, h.Tier("n1"))
 	if got := srv.Len(); got < spilled {
 		t.Fatalf("tier holds %d devices after flush, want >= %d", got, spilled)
 	}
 
-	// A cold node joins. No mover is live anywhere, so every mover goes
-	// through the tier rather than the handoff blob.
+	// A cold node joins. No mover is live anywhere, so the drain parks
+	// nothing: every mover is already in the tier.
 	h.Join(t, "n2")
 	if d := cluster.ReadClusterStats().Sub(prev); d.WarmRestores == 0 {
-		t.Fatalf("join drained instead of warm-restoring: %+v", d)
+		t.Fatalf("the join moved no device through the tier: %+v", d)
 	}
 
 	// Phase 2: devices rehydrate lazily (tier Get → restore → Delete) on
@@ -197,14 +145,14 @@ func TestLiveMoveAfterRehydrateEquivalence(t *testing.T) {
 	txs, devices := clustertest.Workload(t, ds, 12, 4000)
 	want := clustertest.ReferenceSigs(t, set, equivK, txs)
 
-	checkpointAll := func(t *testing.T, h *clustertest.Harness, tier *tierClients, names []string) {
+	checkpointAll := func(t *testing.T, h *clustertest.Harness, names []string) {
 		t.Helper()
 		syncRouter(t, h.Router)
 		for _, name := range names {
 			if _, failed, err := h.Node(name).Monitor().Checkpoint(); err != nil {
 				t.Fatalf("checkpoint %s: %v (%d devices failed)", name, err, failed)
 			}
-			flushTier(t, tier.client(name))
+			flushTier(t, h.Tier(name))
 		}
 	}
 	// The rehydrating stretch runs from a quarter of the stream until
@@ -235,12 +183,11 @@ func TestLiveMoveAfterRehydrateEquivalence(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := startStateServer(t)
-			tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{})
-			h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{NodePrep: tier.prep()}, tc.before...)
+			h := clustertest.NewHarness(t, set, equivK, tc.before...)
+			srv := h.State
 
 			feedChunks(t, h.Router, txs[:start], 200)
-			checkpointAll(t, h, tier, tc.before)
+			checkpointAll(t, h, tc.before)
 			feedChunks(t, h.Router, txs[start:end], 200)
 			syncRouter(t, h.Router)
 			if n := srv.Len(); n != 0 {
@@ -263,7 +210,7 @@ func TestLiveMoveAfterRehydrateEquivalence(t *testing.T) {
 			}
 
 			feedChunks(t, h.Router, txs[end:split], 200)
-			checkpointAll(t, h, tier, tc.after)
+			checkpointAll(t, h, tc.after)
 			feedChunks(t, h.Router, txs[split:], 200)
 			if err := h.Router.Flush(); err != nil {
 				t.Fatal(err)
@@ -292,9 +239,10 @@ func (g gatedStore) Put(device string, blob []byte) error {
 }
 
 // TestStateTierParkFailureKeepsSource: when a park cannot spill some
-// movers, the move aborts. The refused devices stay live on the source,
-// the parked ones rehydrate there from the tier, a removal is called off
-// — and no state is lost: the alerts still match the reference.
+// movers, the drain settles back on the source. The refused devices stay
+// live there, the parked ones rehydrate there from the tier, a removal is
+// called off — and no state is lost: the alerts still match the
+// reference.
 func TestStateTierParkFailureKeepsSource(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, devices := clustertest.Workload(t, ds, 12, 3000)
@@ -319,13 +267,9 @@ func TestStateTierParkFailureKeepsSource(t *testing.T) {
 		}, "n3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := startStateServer(t)
-			tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{})
 			var refuse atomic.Bool
-			prep := tier.prep()
 			h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
 				NodePrep: func(name string, cfg *cluster.NodeConfig) {
-					prep(name, cfg)
 					cfg.Monitor.Spill = gatedStore{cfg.Monitor.Spill, &refuse, func(d string) bool { return deny[d] }}
 				},
 			}, tc.before...)
@@ -340,7 +284,7 @@ func TestStateTierParkFailureKeepsSource(t *testing.T) {
 			}
 			refuse.Store(false)
 			if d := cluster.ReadClusterStats().Sub(prev); d.HandoffAborts == 0 {
-				t.Fatal("no handoff aborted")
+				t.Fatal("no drain settled back on its source")
 			}
 			member := false
 			for _, m := range h.Router.View().Members {
@@ -355,28 +299,24 @@ func TestStateTierParkFailureKeepsSource(t *testing.T) {
 				t.Fatal(err)
 			}
 			clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
-			if srv.Stats().GetHits == 0 {
+			if h.State.Stats().GetHits == 0 {
 				t.Fatal("no parked device rehydrated from the tier")
 			}
 		})
 	}
 }
 
-// TestFailoverWithoutHandoffEquivalence is the tentpole's second payoff:
-// a member checkpoints, dies, and is declared failed — its devices
-// reroute to the survivors and resume from the tier with no handoff
-// protocol at all, byte-identically.
+// TestFailoverWithoutHandoffEquivalence: a member checkpoints, dies, and
+// is declared failed — its devices reroute to the survivors and resume
+// from the tier with no park at all, byte-identically.
 func TestFailoverWithoutHandoffEquivalence(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, _ := clustertest.Workload(t, ds, 12, 4000)
 	want := clustertest.ReferenceSigs(t, set, equivK, txs)
 	prev := cluster.ReadClusterStats()
 
-	srv := startStateServer(t)
-	tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{})
-	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
-		NodePrep: tier.prep(),
-	}, "n1", "n2", "n3")
+	h := clustertest.NewHarness(t, set, equivK, "n1", "n2", "n3")
+	srv := h.State
 
 	split := len(txs) * 3 / 5
 	feedChunks(t, h.Router, txs[:split], 200)
@@ -389,7 +329,7 @@ func TestFailoverWithoutHandoffEquivalence(t *testing.T) {
 	if _, failed, err := n1.Monitor().Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v (%d devices failed)", err, failed)
 	}
-	flushTier(t, tier.client("n1"))
+	flushTier(t, h.Tier("n1"))
 	n1.Close()
 
 	if err := h.Router.FailNode("n1"); err != nil {
@@ -409,8 +349,7 @@ func TestFailoverWithoutHandoffEquivalence(t *testing.T) {
 	}
 }
 
-// TestChaosStateTierMidStreamKills is the ISSUE's proof obligation: the
-// ChaosProxy kills state-server connections AND a node's feed
+// TestChaosStateTierMidStreamKills: the ChaosProxy kills state-server connections AND a node's feed
 // connections mid-stream, a checkpoint and a warm join land in the
 // middle of it, and the alert stream still matches the reference. The
 // statestore protocol is opaque to the proxy (its frames are not cluster
@@ -457,16 +396,16 @@ func TestChaosStateTierMidStreamKills(t *testing.T) {
 
 	srv := startStateServer(t)
 	stateProxy := clustertest.StartChaosProxy(t, srv.Addr().String(), statePlan)
-	tier := newTierClients(t, stateProxy.Addr(), statestore.ClientConfig{
-		FlushCount:     8,
-		FlushAge:       2 * time.Millisecond,
-		RetryAttempts:  8,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  20 * time.Millisecond,
-	})
 	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
 		Router:   cluster.RouterConfig{Client: cluster.ClientConfig{Reconnect: fastReconnect()}},
-		NodePrep: tier.prep(),
+		TierAddr: stateProxy.Addr(),
+		Tier: statestore.ClientConfig{
+			FlushCount:     8,
+			FlushAge:       2 * time.Millisecond,
+			RetryAttempts:  8,
+			RetryBaseDelay: time.Millisecond,
+			RetryMaxDelay:  20 * time.Millisecond,
+		},
 	}, "n1")
 	n2 := h.StartNode(t, "n2")
 	nodeProxy := clustertest.StartChaosProxy(t, n2.Addr().String(), nodePlan)
@@ -485,7 +424,7 @@ func TestChaosStateTierMidStreamKills(t *testing.T) {
 	if _, failed, err := h.Node("n1").Monitor().Checkpoint(); err != nil {
 		t.Fatalf("checkpoint under chaos: %v (%d devices failed)", err, failed)
 	}
-	flushTier(t, tier.client("n1"))
+	flushTier(t, h.Tier("n1"))
 	h.Join(t, "n3")
 
 	feedChunks(t, h.Router, txs[split:], 50)
@@ -565,51 +504,4 @@ func TestChaosStateTierPartitionDegradesLossy(t *testing.T) {
 		t.Fatalf("server holds %d devices, queue bound was 8", got)
 	}
 	t.Logf("partition: %d fail-fast rejections, %d devices recovered after heal", full, srv.Len())
-}
-
-// BenchmarkWarmRestoreVsDrain times AddNode for a cold node joining a
-// one-node cluster whose whole population moves: "drain" pays the
-// two-phase handoff (export, replay, import) per mover on private
-// stores, "warmrestore" flips routes against a checkpointed shared tier
-// and pays nothing up front, and "tierlive" moves the live population
-// through the tier — the export parks every mover (spill, then flush).
-// The untimed setup (training is shared, but feeding is not) dominates
-// wall clock, so CI runs this with a small -benchtime count.
-func BenchmarkWarmRestoreVsDrain(b *testing.B) {
-	set, ds := clustertest.TrainedSet(b)
-	txs, _ := clustertest.Workload(b, ds, 24, 1500)
-
-	run := func(b *testing.B, tiered, checkpoint bool) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			var tier *tierClients
-			cfg := clustertest.HarnessConfig{}
-			if tiered {
-				srv := startStateServer(b)
-				tier = newTierClients(b, srv.Addr().String(), statestore.ClientConfig{})
-				cfg.NodePrep = tier.prep()
-			}
-			h := clustertest.NewHarnessConfig(b, set, equivK, cfg, "n1")
-			feedChunks(b, h.Router, txs, 500)
-			syncRouter(b, h.Router)
-			if checkpoint {
-				if _, failed, err := h.Node("n1").Monitor().Checkpoint(); err != nil {
-					b.Fatalf("checkpoint: %v (%d devices failed)", err, failed)
-				}
-				flushTier(b, tier.client("n1"))
-			}
-			n2 := h.StartNode(b, "n2")
-			member := cluster.Member{Name: "n2", Addr: n2.Addr().String()}
-			b.StartTimer()
-			if err := h.Router.AddNode(member); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			h.Close()
-		}
-	}
-
-	b.Run("drain", func(b *testing.B) { run(b, false, false) })
-	b.Run("warmrestore", func(b *testing.B) { run(b, true, true) })
-	b.Run("tierlive", func(b *testing.B) { run(b, true, false) })
 }

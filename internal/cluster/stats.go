@@ -8,7 +8,7 @@ import "sync/atomic"
 // at front-end shutdown; operators and tests read them to see the
 // machinery PR 9 left dark — how often gossip runs and converges, how
 // much override traffic placement repair generates, and how often
-// handoffs abort and fail over.
+// drains settle back on their source and devices fail over.
 var (
 	statGossipRounds       atomic.Uint64
 	statViewAdoptions      atomic.Uint64
@@ -38,17 +38,17 @@ type ClusterStats struct {
 	// OverrideTombstones counts override removals applied (a device
 	// back on its hash owner, propagated as an LWW tombstone).
 	OverrideTombstones uint64
-	// HandoffAborts counts two-phase handoffs that unwound — export,
-	// import or commit failed and the source re-adopted its held copy.
+	// HandoffAborts counts drains that settled back on the source — the
+	// source refused the park, or the destination did not answer.
 	HandoffAborts uint64
 	// WarmRestores counts devices a membership change moved through the
-	// shared state tier — parked by the export, or already spilled there
-	// — rather than in the handoff blob. Each rehydrates from the tier
-	// at its new owner on its next transaction.
+	// state tier — parked by their old owner, or already spilled there.
+	// Each rehydrates from the tier at its new owner on its next
+	// transaction.
 	WarmRestores uint64
 	// FailoverReroutes counts devices rerouted off a dead member by
-	// FailNode — no handoff; with a shared state tier their state
-	// rehydrates at the new owner on their next transaction.
+	// FailNode — no park; their state rehydrates from the tier at the
+	// new owner on their next transaction.
 	FailoverReroutes uint64
 }
 

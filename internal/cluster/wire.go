@@ -13,10 +13,9 @@ import (
 // The cluster wire protocol is length-prefixed: each frame is a 4-byte
 // big-endian payload length followed by one frame in the binary encoding
 // of wirecodec.go. Transactions travel inside feed frames as weblog binary
-// records; handoffs travel as the opaque versioned blobs core.Monitor's
-// ExportStaged/StageImport produce and consume, so the node protocol
-// reuses the existing serializations rather than inventing new ones.
-// Every payload starts with a magic byte and a version byte, and the
+// records, reusing the existing serialization rather than inventing a new
+// one; device state never travels on this wire — moves go through the
+// state tier. Every payload starts with a magic byte and a version byte, and the
 // reader refuses any other version with ErrWireVersion: there is one
 // encoding and no negotiation, so every peer of a cluster must run the
 // same build.
@@ -28,10 +27,9 @@ import (
 // Frames on a connection are written atomically (under a write lock), so
 // a reader always sees whole frames in write order.
 
-// MaxFrameBytes caps one frame's payload. Shard-export blobs are the
-// largest frames; 64 MiB holds about 13k devices at typical state sizes
-// (~5 KB each), and a drain with more splits into several handoffs. The
-// reader rejects larger headers before allocating, so a corrupt or
+// MaxFrameBytes caps one frame's payload. Feed batches and the device
+// lists of parks and list replies are the largest frames, far below it.
+// The reader rejects larger headers before allocating, so a corrupt or
 // hostile length prefix cannot balloon memory.
 const MaxFrameBytes = 64 << 20
 
@@ -48,30 +46,17 @@ const (
 	// FrameFeed carries transactions as weblog binary records; the node
 	// feeds them to its monitor and replies ok with the count fed.
 	FrameFeed = "feed"
-	// FrameExport names devices to drain; the node holds them under the
-	// frame's Handoff and replies ok with the state blob and the count of
-	// devices the move carries (parked in a shared state tier or in the
-	// blob).
+	// FrameExport parks the named devices: the node spills them to its
+	// state tier, flushes it, delivers their alerts, and replies ok with
+	// the count of devices the move carries. Parking is idempotent, and
+	// an empty list parks nothing.
 	FrameExport = "export"
-	// FrameImport carries a state blob to stage under the frame's
-	// Handoff; the node replies ok with the count of devices staged.
-	FrameImport = "import"
-	// FrameFlush asks the node to complete pending windows and deliver
-	// every outstanding alert before replying ok.
+	// FrameFlush asks the node to rehydrate the named devices from its
+	// state tier, then complete pending windows and deliver every
+	// outstanding alert before replying ok.
 	FrameFlush = "flush"
 	// FrameStats asks for the node's tracked-device count.
 	FrameStats = "stats"
-	// FrameCommit finishes a two-phase handoff: on the importer it adopts
-	// the blob staged under Handoff, on the exporter it releases the held
-	// copy. The node replies ok with the device count; committing an id a
-	// second time replies ok again (idempotent), so the router can retry
-	// a commit whose first reply was lost.
-	FrameCommit = "commit"
-	// FrameAbort cancels a two-phase handoff: a staged import is dropped,
-	// a held export is re-adopted into the monitor. Aborting an unknown
-	// id replies ok with count 0 (idempotent); aborting a committed id is
-	// an error, because the devices now live on the other side.
-	FrameAbort = "abort"
 	// FrameGossip exchanges router state: the request and its ok reply
 	// both carry a GossipState, so one round trip reconciles both peers.
 	FrameGossip = "gossip"
@@ -101,12 +86,11 @@ type Frame struct {
 	// Txs are the transactions to feed (feed), carried as weblog binary
 	// records.
 	Txs []weblog.Transaction
-	// Devices names the devices to drain (export).
+	// Devices names the devices to park (export) or to rehydrate before
+	// a flush, or lists the devices a node tracks (list reply).
 	Devices []string
-	// Blob is a shard-state blob (import request, export reply).
-	Blob []byte
 	// Count reports how many transactions were fed or devices were
-	// exported/imported/tracked (ok replies).
+	// parked/tracked (ok replies).
 	Count int
 	// Error is the failure message (error replies).
 	Error string
@@ -114,11 +98,6 @@ type Frame struct {
 	// frames carry the origin node's alert sequence number in Seq, so a
 	// resubscribing client can resume from its last-seen cursor.
 	Alert *NodeAlert
-	// Handoff identifies a two-phase drain. Every export, import, commit
-	// and abort frame carries one (the node refuses an export or import
-	// without it): the exported devices are held, the imported ones
-	// invisible, until a commit or abort for the same id.
-	Handoff string
 	// Client is the caller's stable identity (hello). Named clients get
 	// replay dedup: a re-sent feed whose (Client, Seq) was already
 	// applied is acknowledged without feeding the monitor twice.
@@ -144,7 +123,7 @@ type Frame struct {
 type NodeAlert struct {
 	// Node names the member whose monitor emitted the alert. During a
 	// drain a device's alerts may switch origin (old owner first, new
-	// owner after the handoff); the per-device alert order is preserved
+	// owner after the move); the per-device alert order is preserved
 	// across the switch.
 	Node  string     `json:"node"`
 	Alert core.Alert `json:"alert"`

@@ -19,10 +19,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true},
 		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{binarySeedTx(), binarySeedTx()}},
 		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}},
-		{Type: FrameImport, Seq: 4, Blob: []byte{0x1f, 0x8b, 0x00, 0xff}},
+		{Type: FrameExport, Seq: 4},
 		{Type: FrameFlush, Seq: 5},
 		{Type: FrameStats, Seq: 6},
-		{Type: FrameOK, Seq: 7, Count: 42, Blob: []byte("state")},
+		{Type: FrameOK, Seq: 7, Count: 42},
 		{Type: FrameError, Seq: 8, Error: "boom"},
 		{Type: FrameAlert, Alert: &NodeAlert{Node: "n1", Alert: core.Alert{
 			Device: "10.0.0.1", Kind: core.AlertIdentified, User: "user_3", Previous: "user_1",
@@ -72,6 +72,14 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 		{"empty type", append(header(4), binaryMagic, wireVersion, 0x00, 0x01), "unknown binary frame type"},
 		// An older build's alert: tag 9 carried a JSON NodeAlert and is retired.
 		{"json alert tag", append(header(8), binaryMagic, wireVersion, frameTypeCodes[FrameAlert], 0x00, 9, 2, '{', '}'), "unknown field tag 9"},
+		// An older build's staged handoff: frame codes 4, 10 and 11
+		// (import, commit, abort) and tags 6 (state blob) and 11 (handoff
+		// id) are retired.
+		{"retired import", append(header(7), binaryMagic, wireVersion, 4, 0x01, 6, 1, 'x'), "unknown binary frame type 4"},
+		{"retired commit", append(header(7), binaryMagic, wireVersion, 10, 0x01, 11, 1, 'h'), "unknown binary frame type 10"},
+		{"retired abort", append(header(7), binaryMagic, wireVersion, 11, 0x01, 11, 1, 'h'), "unknown binary frame type 11"},
+		{"blob tag", append(header(7), binaryMagic, wireVersion, frameTypeCodes[FrameOK], 0x01, 6, 1, 'x'), "unknown field tag 6"},
+		{"handoff tag", append(header(11), binaryMagic, wireVersion, frameTypeCodes[FrameExport], 0x01, 5, 1, 1, 'd', 11, 1, 'h'), "unknown field tag 11"},
 	}
 	for i, payload := range legacyJSONFrames {
 		cases = append(cases, malformed{fmt.Sprintf("legacy json %d", i), lengthPrefixed(payload), ""})
@@ -97,7 +105,7 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 }
 
 func TestWriteFrameRejectsOversize(t *testing.T) {
-	f := Frame{Type: FrameImport, Blob: make([]byte, MaxFrameBytes)}
+	f := Frame{Type: FrameError, Error: strings.Repeat("x", MaxFrameBytes)}
 	if err := WriteFrame(io.Discard, f); err == nil {
 		t.Error("oversize frame written")
 	}

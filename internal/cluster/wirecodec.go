@@ -23,11 +23,13 @@ const wireVersion = 2
 const binaryMagic = 0xF7
 
 // Binary frame type codes, fixed on the wire (the type strings are not
-// sent).
+// sent). Codes 4, 10 and 11 are retired (they carried the staged
+// handoff's import, commit and abort) and must never be reused: a frame
+// carrying one fails to decode.
 var frameTypeCodes = map[string]byte{
-	FrameHello: 1, FrameFeed: 2, FrameExport: 3, FrameImport: 4,
+	FrameHello: 1, FrameFeed: 2, FrameExport: 3,
 	FrameFlush: 5, FrameStats: 6, FrameOK: 7, FrameError: 8, FrameAlert: 9,
-	FrameCommit: 10, FrameAbort: 11, FrameGossip: 12, FrameList: 13,
+	FrameGossip: 12, FrameList: 13,
 }
 
 // frameTypeNames inverts frameTypeCodes (index = code).
@@ -41,26 +43,25 @@ var frameTypeNames = func() [14]string {
 
 // Binary frame field tags. Fields at their zero value are omitted; an
 // unknown tag is a decode error, so protocol drift surfaces as a clean
-// error on the reader rather than a silent no-op. Tags 3, 4 and 9 are
-// retired (they carried the negotiated wire version, log-line feeds and
-// JSON-encoded alerts) and must never be reused.
+// error on the reader rather than a silent no-op. Tags 3, 4, 6, 9 and 11
+// are retired (they carried the negotiated wire version, log-line feeds,
+// state blobs, JSON-encoded alerts and handoff ids) and must never be
+// reused.
 const (
 	tagNode      = 1 // uvarint length + bytes
 	tagSubscribe = 2 // no payload; presence means true
 	tagDevices   = 5 // uvarint count, then per device: uvarint length + bytes
-	tagBlob      = 6 // uvarint length + bytes
 	tagCount     = 7 // zigzag varint
 	tagError     = 8 // uvarint length + bytes
 	tagTxs       = 10
 	// tagTxs: uvarint count, then count weblog binary records back to back
 	// (the records are self-delimiting).
-	tagHandoff = 11 // uvarint length + bytes
-	tagClient  = 12 // uvarint length + bytes
-	tagCursor  = 13 // uvarint
-	tagResume  = 14 // no payload; presence means true
-	tagReplay  = 15 // no payload; presence means true
-	tagGossip  = 16 // uvarint length + JSON-encoded GossipState
-	tagAlert   = 17 // uvarint length + binary NodeAlert (appendNodeAlert)
+	tagClient = 12 // uvarint length + bytes
+	tagCursor = 13 // uvarint
+	tagResume = 14 // no payload; presence means true
+	tagReplay = 15 // no payload; presence means true
+	tagGossip = 16 // uvarint length + JSON-encoded GossipState
+	tagAlert  = 17 // uvarint length + binary NodeAlert (appendNodeAlert)
 )
 
 // AppendBinaryFrame appends f's binary encoding to dst. The layout is
@@ -82,11 +83,6 @@ func AppendBinaryFrame(dst []byte, f Frame) ([]byte, error) {
 	}
 	if len(f.Devices) > 0 {
 		dst = appendTagStrings(dst, tagDevices, f.Devices)
-	}
-	if len(f.Blob) > 0 {
-		dst = append(dst, tagBlob)
-		dst = binary.AppendUvarint(dst, uint64(len(f.Blob)))
-		dst = append(dst, f.Blob...)
 	}
 	if f.Count != 0 {
 		dst = append(dst, tagCount)
@@ -110,9 +106,6 @@ func AppendBinaryFrame(dst []byte, f Frame) ([]byte, error) {
 		for i := range f.Txs {
 			dst = f.Txs[i].AppendBinary(dst)
 		}
-	}
-	if f.Handoff != "" {
-		dst = appendTagString(dst, tagHandoff, f.Handoff)
 	}
 	if f.Client != "" {
 		dst = appendTagString(dst, tagClient, f.Client)
@@ -189,11 +182,6 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 			f.Subscribe = true
 		case tagDevices:
 			f.Devices, s, err = readWireStrings(s)
-		case tagBlob:
-			var b string
-			if b, s, err = weblog.ReadBinaryString(s); err == nil {
-				f.Blob = []byte(b)
-			}
 		case tagCount:
 			var c int64
 			if c, s, err = weblog.ReadBinaryVarint(s); err == nil {
@@ -230,8 +218,6 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 			if err == nil {
 				f.Txs = txs
 			}
-		case tagHandoff:
-			f.Handoff, s, err = weblog.ReadBinaryString(s)
 		case tagClient:
 			f.Client, s, err = weblog.ReadBinaryString(s)
 		case tagCursor:

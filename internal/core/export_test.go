@@ -4,50 +4,43 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
 
-// stagedMove runs the two-phase handoff the cluster router drives —
-// ExportStaged and Sync on src, StageImport and CommitHandoff on dst,
-// CommitHandoff on src — and returns the devices the export carried and
-// the devices the blob handed to dst.
-func stagedMove(tb testing.TB, src, dst *Monitor, id string, devices []string) (exported, imported int) {
+// parkMove moves devices the way the cluster router does — Park and
+// Sync on src; dst shares src's store and rehydrates each device on its
+// next transaction — and returns the devices the park carried.
+func parkMove(tb testing.TB, src *Monitor, devices []string) int {
 	tb.Helper()
-	blob, exported, err := src.ExportStaged(id, devices)
+	n, err := src.Park(devices)
 	if err != nil {
-		tb.Fatalf("ExportStaged(%s): %v", id, err)
+		tb.Fatalf("Park(%v): %v", devices, err)
 	}
 	src.Sync()
-	if imported, err = dst.StageImport(id, blob); err != nil {
-		tb.Fatalf("StageImport(%s): %v", id, err)
-	}
-	if _, err := dst.CommitHandoff(id); err != nil {
-		tb.Fatalf("importer CommitHandoff(%s): %v", id, err)
-	}
-	if _, err := src.CommitHandoff(id); err != nil {
-		tb.Fatalf("exporter CommitHandoff(%s): %v", id, err)
-	}
-	return exported, imported
+	return n
 }
 
 // TestMonitorExportDevicesMatchesReference moves an arbitrary subset of
-// live devices between two monitors mid-stream via the staged handoff
-// and checks the combined per-device alert sequences stay byte-identical
-// to a single uninterrupted monitor — the primitive the cluster router's
-// drain is built on.
+// live devices between two monitors on one store mid-stream, naming
+// them with duplicates and empty names, and checks the combined
+// per-device alert sequences stay byte-identical to a single
+// uninterrupted monitor — the primitive the cluster router's drain is
+// built on.
 func TestMonitorExportDevicesMatchesReference(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, devices := deviceStream(testDS, 6, 6000)
 	const k = 2
 	want := referenceAlerts(t, set, txs, k)
 
+	tier := NewMemStateStore()
 	col := newAlertCollector()
-	src, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 4})
+	src, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 4, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 8})
+	dst, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 8, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +51,8 @@ func TestMonitorExportDevicesMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, imported := stagedMove(t, src, dst, "r/1", []string{devices[1], devices[4], devices[1], "", "10.255.0.9"})
-	if n != 2 || imported != 2 {
-		t.Fatalf("exported %d, imported %d devices, want 2 (dups, empties and unknowns skipped)", n, imported)
+	if n := parkMove(t, src, []string{devices[1], devices[4], devices[1], ""}); n != 2 || tier.Len() != 2 {
+		t.Fatalf("parked %d devices, store holds %d; want 2 and 2 (dups and empties skipped)", n, tier.Len())
 	}
 	for _, tx := range txs[cut:] {
 		m := src
@@ -78,9 +70,10 @@ func TestMonitorExportDevicesMatchesReference(t *testing.T) {
 	comparePerDevice(t, want, col.got)
 }
 
-// TestMonitorExportDevicesFromSpill checks that exporting a device that
-// was idle-evicted into a private spill store pulls its state out of the
-// store, and that the blob resumes it exactly on the importer.
+// TestMonitorExportDevicesFromSpill checks that parking a device that
+// was idle-evicted into the store spills nothing — it is already there —
+// while still counting it as moved, and that it resumes from the store
+// on the monitor its next transaction reaches.
 func TestMonitorExportDevicesFromSpill(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, _ := deviceStream(testDS, 1, 40)
@@ -109,44 +102,59 @@ func TestMonitorExportDevicesFromSpill(t *testing.T) {
 	if store.Len() != 1 {
 		t.Fatalf("spilled devices = %d, want 1", store.Len())
 	}
-	dst, err := NewMonitor(set, 2, func(Alert) {})
+	dst, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Spill: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	if n, imported := stagedMove(t, src, dst, "r/1", []string{"10.0.0.1"}); n != 1 || imported != 1 {
-		t.Fatalf("exported %d, imported %d devices, want 1", n, imported)
+	if n := parkMove(t, src, []string{"10.0.0.1"}); n != 1 {
+		t.Fatalf("parked %d devices, want 1", n)
 	}
-	if store.Len() != 0 {
-		t.Error("export left the spilled blob behind")
+	if store.Len() != 1 || src.Devices() != 1 {
+		t.Fatalf("after the park: store %d, source %d devices; want 1, 1 (nothing to spill)", store.Len(), src.Devices())
 	}
-	if dst.Devices() != 1 {
-		t.Errorf("importer tracks %d devices, want 1", dst.Devices())
+	a.Timestamp = b.Timestamp
+	if err := dst.Feed(a); err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != 0 || dst.Devices() != 1 {
+		t.Errorf("after the next transaction: store %d, destination %d devices; want 0, 1", store.Len(), dst.Devices())
 	}
 }
 
-// TestMonitorExportDevicesEmpty: exporting nothing (or only unknowns)
-// yields a valid empty blob that imports as zero devices.
+// TestMonitorExportDevicesEmpty: parking nothing is a valid empty move —
+// no device moves and the store is flushed — and a monitor with no
+// store refuses to park, naming the state tier.
 func TestMonitorExportDevicesEmpty(t *testing.T) {
 	set, _ := sharedSet(t)
-	m, err := NewMonitor(set, 2, func(Alert) {})
+	store := &flushCountingStore{StateStore: NewMemStateStore()}
+	m, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Spill: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	blob, n, err := m.ExportStaged("r/1", []string{"10.1.2.3"})
-	if err != nil || n != 0 {
-		t.Fatalf("ExportStaged = %d, %v", n, err)
+	for _, devices := range [][]string{nil, {}, {""}} {
+		if n, err := m.Park(devices); err != nil || n != 0 {
+			t.Fatalf("Park(%q) = %d, %v", devices, n, err)
+		}
 	}
-	if got, err := m.StageImport("r/2", blob); err != nil || got != 0 {
-		t.Fatalf("StageImport of empty export = %d, %v", got, err)
+	if store.flushes != 3 {
+		t.Errorf("empty parks flushed the store %d times, want 3", store.flushes)
+	}
+	bare, err := NewMonitor(set, 2, func(Alert) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if _, err := bare.Park(nil); err == nil || !strings.Contains(err.Error(), "state tier") {
+		t.Errorf("Park without a store = %v, want an error naming the state tier", err)
 	}
 }
 
 // TestMonitorExportParkMatchesReference moves live devices between two
-// monitors on one shared store: the export parks them there and carries
-// none in its blob, and each rehydrates on the importer's side at its
-// next transaction — with every alert byte-identical to one
+// monitors on one shared store: the park leaves them only in the store,
+// tracked by neither monitor, and each rehydrates on the destination at
+// its next transaction — with every alert byte-identical to one
 // uninterrupted monitor.
 func TestMonitorExportParkMatchesReference(t *testing.T) {
 	set, testDS := sharedSet(t)
@@ -156,7 +164,7 @@ func TestMonitorExportParkMatchesReference(t *testing.T) {
 
 	tier := NewMemStateStore()
 	col := newAlertCollector()
-	cfg := MonitorConfig{Shards: 4, Spill: tier, SharedSpill: true}
+	cfg := MonitorConfig{Shards: 4, Spill: tier}
 	src, err := NewMonitorWithConfig(set, k, col.callback, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -173,9 +181,8 @@ func TestMonitorExportParkMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, imported := stagedMove(t, src, dst, "r/1", []string{devices[1], devices[4], devices[1], ""})
-	if n != 2 || imported != 0 {
-		t.Fatalf("exported %d, imported %d devices, want 2 through the tier and 0 in the blob", n, imported)
+	if n := parkMove(t, src, []string{devices[1], devices[4]}); n != 2 {
+		t.Fatalf("parked %d devices, want 2", n)
 	}
 	if tier.Len() != 2 || src.Devices() != 4 || dst.Devices() != 0 {
 		t.Fatalf("after the park: tier %d, src %d, dst %d devices; want 2, 4, 0", tier.Len(), src.Devices(), dst.Devices())
@@ -212,15 +219,14 @@ func (s *flushCountingStore) Flush() error {
 }
 
 // TestMonitorExportParksOnSharedTier pins the park's effects: the live
-// device lands in the store and is no longer tracked, the store is
-// flushed before ExportStaged returns, the blob holds no device, and an
-// abort leaves the parked device in the store for its next transaction
-// to rehydrate.
+// device lands in the store and is no longer tracked or listed, the
+// store is flushed before Park returns, and the parked device stays in
+// the store until its next transaction rehydrates it.
 func TestMonitorExportParksOnSharedTier(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, devices := deviceStream(testDS, 3, 600)
 	store := &flushCountingStore{StateStore: NewMemStateStore()}
-	mon, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 4, Spill: store, SharedSpill: true})
+	mon, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 4, Spill: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,15 +236,11 @@ func TestMonitorExportParksOnSharedTier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blob, n, err := mon.ExportStaged("r/1", devices[:1])
-	if err != nil || n != 1 {
-		t.Fatalf("ExportStaged = %d, %v", n, err)
-	}
-	if states, err := decodeShardState(blob, set.Vocabulary); err != nil || len(states) != 0 {
-		t.Fatalf("parking blob holds %d devices (%v), want none", len(states), err)
+	if n, err := mon.Park(devices[:1]); err != nil || n != 1 {
+		t.Fatalf("Park = %d, %v", n, err)
 	}
 	if store.flushes != 1 {
-		t.Errorf("store flushed %d times during the export, want 1", store.flushes)
+		t.Errorf("store flushed %d times during the park, want 1", store.flushes)
 	}
 	if _, ok, _ := store.Get(devices[0]); !ok {
 		t.Fatal("parked device is not in the store")
@@ -246,14 +248,8 @@ func TestMonitorExportParksOnSharedTier(t *testing.T) {
 	if mon.Devices() != 2 {
 		t.Fatalf("monitor tracks %d devices after the park, want 2", mon.Devices())
 	}
-	if listed, err := mon.TrackedDevices(); err != nil || len(listed) != 2 {
-		t.Errorf("TrackedDevices = %v, %v; the parked device must not be claimed", listed, err)
-	}
-	if got, err := mon.AbortHandoff("r/1"); err != nil || got != 0 {
-		t.Fatalf("AbortHandoff = %d, %v; a park re-adopts nothing", got, err)
-	}
-	if _, ok, _ := store.Get(devices[0]); !ok || mon.Devices() != 2 {
-		t.Fatal("abort moved the parked device out of the store")
+	if listed := mon.TrackedDevices(); len(listed) != 2 {
+		t.Errorf("TrackedDevices = %v; the parked device must not be claimed", listed)
 	}
 	next := txs[0]
 	for _, tx := range txs {
@@ -270,14 +266,14 @@ func TestMonitorExportParksOnSharedTier(t *testing.T) {
 }
 
 // TestMonitorExportParkFailureKeepsDeviceLive: a device whose park Put
-// fails fails the export and stays tracked, while the others park; a
-// flush failure fails the export too, because an unflushed park is not
+// fails fails the park and stays tracked, while the others park; a
+// flush failure fails the park too, because an unflushed park is not
 // visible to the next owner.
 func TestMonitorExportParkFailureKeepsDeviceLive(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, devices := deviceStream(testDS, 4, 800)
 	store := selectiveStore{mem: NewMemStateStore(), deny: map[string]bool{devices[0]: true}}
-	mon, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 4, Spill: store, SharedSpill: true})
+	mon, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 4, Spill: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +283,9 @@ func TestMonitorExportParkFailureKeepsDeviceLive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err = mon.ExportStaged("r/1", devices[:3])
-	if !errors.Is(err, errDeniedDevice) {
-		t.Fatalf("ExportStaged error = %v, want the denied Put", err)
+	n, err := mon.Park(devices[:3])
+	if !errors.Is(err, errDeniedDevice) || n != 2 {
+		t.Fatalf("Park = %d, %v; want the 2 parked devices and the denied Put", n, err)
 	}
 	if mon.Devices() != 2 {
 		t.Errorf("monitor tracks %d devices, want the denied one and the unmoved one", mon.Devices())
@@ -302,7 +298,7 @@ func TestMonitorExportParkFailureKeepsDeviceLive(t *testing.T) {
 	}
 
 	flaky := &flushCountingStore{StateStore: NewMemStateStore(), flushErr: errors.New("tier unreachable")}
-	mon2, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 4, Spill: flaky, SharedSpill: true})
+	mon2, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 4, Spill: flaky})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,48 +308,7 @@ func TestMonitorExportParkFailureKeepsDeviceLive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := mon2.ExportStaged("r/1", devices[:1]); err == nil || !errors.Is(err, flaky.flushErr) {
-		t.Fatalf("ExportStaged over a failing flush = %v, want the flush error", err)
-	}
-}
-
-// TestSharedSpillRefusesStagedImportDevices: a monitor on a shared tier
-// takes devices only through the tier, so a blob that carries devices —
-// which only a peer on a private store sends — is refused at staging,
-// while an empty one (a parking export's) stages as before.
-func TestSharedSpillRefusesStagedImportDevices(t *testing.T) {
-	set, testDS := sharedSet(t)
-	txs, devices := deviceStream(testDS, 2, 400)
-	private, err := NewMonitor(set, 2, func(Alert) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer private.Close()
-	for _, tx := range txs {
-		if err := private.Feed(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, n, err := private.ExportStaged("r/1", devices)
-	if err != nil || n != 2 {
-		t.Fatalf("ExportStaged = %d, %v", n, err)
-	}
-	shared, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Spill: NewMemStateStore(), SharedSpill: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shared.Close()
-	if got, err := shared.StageImport("r/1", blob); err == nil {
-		t.Fatalf("shared-tier monitor staged %d devices from a blob", got)
-	}
-	if shared.PendingHandoffs() != 0 {
-		t.Error("the refused import left a staging behind")
-	}
-	if got, err := shared.StageImport("r/2", encodeShardState(nil)); err != nil || got != 0 {
-		t.Errorf("StageImport of an empty blob = %d, %v", got, err)
-	}
-	// The refusal leaves the exporter's holding intact for the abort.
-	if got, err := private.AbortHandoff("r/1"); err != nil || got != 2 {
-		t.Errorf("AbortHandoff = %d, %v; want both devices re-adopted", got, err)
+	if _, err := mon2.Park(devices[:1]); err == nil || !errors.Is(err, flaky.flushErr) {
+		t.Fatalf("Park over a failing flush = %v, want the flush error", err)
 	}
 }

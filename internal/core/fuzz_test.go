@@ -14,8 +14,8 @@ import (
 
 // stateBlobSeeds are the checked-in seeds for FuzzDeviceStateBlob: real
 // encoded state (a device mid-stream on the shared trained set — its
-// binary blob, the same state as a legacy JSON blob, and a whole shard
-// export), hand-damaged variants, plain garbage, and the version-2
+// binary blob, the same state as a legacy JSON blob, and a device with
+// nothing buffered yet), hand-damaged variants, plain garbage, and the version-2
 // fixture with damaged variants of it. Kept in code so the testdata
 // corpus is reproducible (see TestRegenerateStateFuzzCorpus).
 func stateBlobSeeds(tb testing.TB) [][]byte {
@@ -39,10 +39,7 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	sh.mu.Unlock()
 	blob := EncodeDeviceState(st)
 	legacy := legacyJSONState(tb, st, txs)
-	export, _, err := mon.ExportStaged("fuzz", []string{device})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	unanchored := EncodeDeviceState(DeviceState{Device: device})
 	truncated := append([]byte(nil), blob[:len(blob)/2]...)
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/3] ^= 0xff
@@ -66,12 +63,12 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	return [][]byte{
 		blob,
 		legacy,
-		export,
+		unanchored,
 		truncated,
 		flipped,
 		future,
 		overcount,
-		{stateVersion, 0xff, 0xff, 0x03}, // shard export claiming 65535 devices
+		{stateVersion, 0xff, 0xff, 0x03}, // device name far longer than the blob
 		[]byte(`{}`),
 		[]byte(`{"version":99,"device":"x"}`),
 		[]byte(`{"version":1,"device":"x","identifier":{"host":"y"}}`),
@@ -98,10 +95,10 @@ func sharedSetForFuzz(tb testing.TB) (*ProfileSet, *weblog.Dataset) {
 	return sharedSetVal, sharedTestDS
 }
 
-// FuzzDeviceStateBlob: the two state decoders — the per-device StateStore
-// blob (DecodeDeviceState, the admit/rehydrate path) and the shard-export
-// envelope (decodeShardState, the StageImport path) — must error on
-// malformed input, never panic; any blob that decodes must also survive
+// FuzzDeviceStateBlob: the state decoder — the per-device StateStore blob
+// (DecodeDeviceState, the admit/rehydrate path every device move takes) —
+// must error on malformed input, never panic; any blob that decodes must
+// also survive
 // RestoreIdentifier's structural validation (error or identifier, never a
 // panic) against a real trained profile set. The current format is
 // canonical: whatever decodes from it re-encodes to the same bytes. A
@@ -130,16 +127,6 @@ func FuzzDeviceStateBlob(f *testing.F) {
 			if rerr == nil {
 				// A restored identifier must be immediately usable.
 				id.Flush()
-			}
-		}
-		if states, err := decodeShardState(data, vocab); err == nil {
-			if enc := encodeShardState(states); !bytes.Equal(enc, data) {
-				t.Fatalf("decoded shard export re-encodes differently:\n got %x\nwant %x", enc, data)
-			}
-			for _, st := range states {
-				if id, rerr := RestoreIdentifier(set, st.Identifier); rerr == nil {
-					id.Flush()
-				}
 			}
 		}
 	})

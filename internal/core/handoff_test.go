@@ -1,28 +1,32 @@
 package core
 
 import (
-	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"webtxprofile/internal/weblog"
 )
 
-// TestHandoffCommitMatchesReference drives the full two-phase move —
-// stage on the source, stage on the destination, commit both sides — and
-// checks the combined per-device alert sequences stay byte-identical to
-// one uninterrupted monitor. Staged devices must be invisible on the
-// importer until the commit, and both commits must be idempotent.
+// TestHandoffCommitMatchesReference drives a whole move between two
+// monitors on one store — park and Sync on the source, rehydration on
+// the destination at each device's next transaction — and checks the
+// combined per-device alert sequences stay byte-identical to one
+// uninterrupted monitor. A retried park (the router's answer to a lost
+// reply) reports the same count and spills nothing.
 func TestHandoffCommitMatchesReference(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, devices := deviceStream(testDS, 6, 6000)
 	const k = 2
 	want := referenceAlerts(t, set, txs, k)
 
+	tier := &flushCountingStore{StateStore: NewMemStateStore()}
 	col := newAlertCollector()
-	src, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 4})
+	src, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 4, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 8})
+	dst, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 8, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,41 +38,20 @@ func TestHandoffCommitMatchesReference(t *testing.T) {
 		}
 	}
 
-	const id = "router-1/7"
-	blob, n, err := src.ExportStaged(id, []string{devices[0], devices[3]})
-	if err != nil || n != 2 {
-		t.Fatalf("ExportStaged = %d, %v", n, err)
+	parked := []string{devices[0], devices[3]}
+	if n, err := src.Park(parked); err != nil || n != 2 {
+		t.Fatalf("Park = %d, %v", n, err)
 	}
-	// Retrying the staged export must return the identical held blob.
-	blob2, n2, err := src.ExportStaged(id, []string{devices[0], devices[3]})
-	if err != nil || n2 != 2 || string(blob2) != string(blob) {
-		t.Fatalf("retried ExportStaged = %d bytes, %d, %v; want the same blob", len(blob2), n2, err)
+	before := tier.StateStore.(*MemStateStore).Len()
+	if n, err := src.Park(parked); err != nil || n != 2 {
+		t.Fatalf("retried Park = %d, %v; want the same count", n, err)
+	}
+	if after := tier.StateStore.(*MemStateStore).Len(); after != before || tier.flushes != 2 {
+		t.Fatalf("retried Park changed the store (%d → %d devices) or skipped its flush (%d flushes)", before, after, tier.flushes)
 	}
 	src.Sync()
-
-	if n, err := dst.StageImport(id, blob); err != nil || n != 2 {
-		t.Fatalf("StageImport = %d, %v", n, err)
-	}
 	if dst.Devices() != 0 {
-		t.Fatalf("staged devices leaked into the live shards: %d tracked", dst.Devices())
-	}
-	if n, err := dst.StageImport(id, blob); err != nil || n != 2 {
-		t.Fatalf("retried StageImport = %d, %v", n, err)
-	}
-	if n, err := dst.CommitHandoff(id); err != nil || n != 2 {
-		t.Fatalf("importer CommitHandoff = %d, %v", n, err)
-	}
-	if dst.Devices() != 2 {
-		t.Fatalf("importer tracks %d devices after commit, want 2", dst.Devices())
-	}
-	if n, err := dst.CommitHandoff(id); err != nil || n != 2 {
-		t.Fatalf("retried CommitHandoff = %d, %v (commit must be idempotent)", n, err)
-	}
-	if n, err := src.CommitHandoff(id); err != nil || n != 2 {
-		t.Fatalf("exporter CommitHandoff = %d, %v", n, err)
-	}
-	if src.PendingHandoffs() != 0 || dst.PendingHandoffs() != 0 {
-		t.Fatalf("pending handoffs after commit: src %d, dst %d", src.PendingHandoffs(), dst.PendingHandoffs())
+		t.Fatalf("parked devices appeared on the destination before any transaction: %d tracked", dst.Devices())
 	}
 
 	for _, tx := range txs[cut:] {
@@ -80,6 +63,9 @@ func TestHandoffCommitMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if dst.Devices() != 2 {
+		t.Fatalf("destination tracks %d devices after their next transactions, want 2", dst.Devices())
+	}
 	src.Flush()
 	dst.Flush()
 	src.Close()
@@ -87,19 +73,20 @@ func TestHandoffCommitMatchesReference(t *testing.T) {
 	comparePerDevice(t, want, col.got)
 }
 
-// TestHandoffAbortReadopts cancels a staged export and checks the
-// devices resume on the source with nothing lost: the alert stream stays
-// byte-identical to a monitor that never staged anything, which is
-// exactly the automatic-recovery contract the router's abort path relies
-// on.
+// TestHandoffAbortReadopts parks devices and then sends their next
+// transactions back to the source — what the router does when a move
+// fails after the park — and checks they resume there with nothing
+// lost: the alert stream stays byte-identical to a monitor that never
+// parked anything.
 func TestHandoffAbortReadopts(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, devices := deviceStream(testDS, 4, 4000)
 	const k = 2
 	want := referenceAlerts(t, set, txs, k)
 
+	tier := NewMemStateStore()
 	col := newAlertCollector()
-	src, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 4})
+	src, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 4, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,167 +96,94 @@ func TestHandoffAbortReadopts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const id = "router-1/8"
-	if _, n, err := src.ExportStaged(id, devices[:2]); err != nil || n != 2 {
-		t.Fatalf("ExportStaged = %d, %v", n, err)
+	if n, err := src.Park(devices[:2]); err != nil || n != 2 {
+		t.Fatalf("Park = %d, %v", n, err)
 	}
-	if n, err := src.AbortHandoff(id); err != nil || n != 2 {
-		t.Fatalf("AbortHandoff = %d, %v", n, err)
-	}
-	// Aborting again is a no-op, not an error.
-	if n, err := src.AbortHandoff(id); err != nil || n != 0 {
-		t.Fatalf("retried AbortHandoff = %d, %v", n, err)
+	if tier.Len() != 2 || src.Devices() != 2 {
+		t.Fatalf("after the park: store %d, source %d devices; want 2, 2", tier.Len(), src.Devices())
 	}
 	for _, tx := range txs[cut:] {
 		if err := src.Feed(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if tier.Len() != 0 {
+		t.Fatalf("%d parked devices never rehydrated on the source", tier.Len())
+	}
 	src.Flush()
 	src.Close()
 	comparePerDevice(t, want, col.got)
 }
 
-// TestHandoffLifecycleErrors pins the error and idempotency contract the
-// router's retry logic depends on: unknown commits are definitive,
-// committed aborts are refused, a staged import is dropped by abort.
+// TestHandoffLifecycleErrors pins the park contract the router's
+// protocol depends on: a monitor with no store refuses to park, naming
+// the state tier; parking nothing is an empty move that still flushes
+// the store — the router's destination check; and a device that
+// rehydrated on another monitor is not spilled again by a late retry on
+// the source.
 func TestHandoffLifecycleErrors(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, devices := deviceStream(testDS, 2, 200)
-	m, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2})
+	bare, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer bare.Close()
 	for _, tx := range txs {
-		if err := m.Feed(tx); err != nil {
+		if err := bare.Feed(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	if _, err := m.CommitHandoff("never-seen"); !errors.Is(err, ErrUnknownHandoff) {
-		t.Fatalf("commit of unknown id = %v, want ErrUnknownHandoff", err)
+	if _, err := bare.Park(devices); err == nil || !strings.Contains(err.Error(), "state tier") {
+		t.Fatalf("Park without a store = %v, want an error naming the state tier", err)
 	}
-	if _, _, err := m.ExportStaged("", devices); err == nil {
-		t.Fatal("empty handoff id accepted")
+	if bare.Devices() != 2 {
+		t.Fatalf("a refused park dropped devices: %d tracked", bare.Devices())
 	}
 
-	const id = "r/1"
-	blob, _, err := m.ExportStaged(id, devices[:1])
+	tier := &flushCountingStore{StateStore: NewMemStateStore()}
+	src, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.StageImport(id, blob); err == nil {
-		t.Fatal("staging an import under an export-holding id accepted")
-	}
-	if _, err := m.CommitHandoff(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AbortHandoff(id); !errors.Is(err, ErrHandoffCommitted) {
-		t.Fatalf("abort after commit = %v, want ErrHandoffCommitted", err)
-	}
-	if _, _, err := m.ExportStaged(id, devices[:1]); !errors.Is(err, ErrHandoffCommitted) {
-		t.Fatalf("re-export of committed id = %v, want ErrHandoffCommitted", err)
-	}
-
-	// A staged import dropped by abort leaves no trace: the commit that
-	// never came now reports the definitive unknown-handoff error.
-	other, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2})
+	defer src.Close()
+	dst, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
-	if _, err := other.StageImport("r/2", blob); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := other.AbortHandoff("r/2"); err != nil || n != 2 && n != 1 {
-		t.Fatalf("abort of staged import = %d, %v", n, err)
-	}
-	if other.Devices() != 0 {
-		t.Fatalf("aborted staged import leaked %d devices", other.Devices())
-	}
-	if _, err := other.CommitHandoff("r/2"); !errors.Is(err, ErrUnknownHandoff) {
-		t.Fatalf("commit of aborted staging = %v, want ErrUnknownHandoff", err)
-	}
-
-	// Committing a staged import whose device is already live must refuse
-	// the whole staging and keep it intact for an abort.
-	if _, err := other.StageImport("r/3", blob); err != nil {
-		t.Fatal(err)
+	defer dst.Close()
+	if n, err := dst.Park(nil); err != nil || n != 0 || tier.flushes != 1 {
+		t.Fatalf("empty Park = %d, %v with %d flushes; want 0, nil, 1", n, err, tier.flushes)
 	}
 	for _, tx := range txs {
-		if err := other.Feed(tx); err != nil {
+		if err := src.Feed(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := other.CommitHandoff("r/3"); err == nil {
-		t.Fatal("commit adopted a device that is already live")
-	}
-	if other.PendingHandoffs() != 1 {
-		t.Fatalf("refused commit dropped the staging: %d pending", other.PendingHandoffs())
-	}
-	if n, err := other.AbortHandoff("r/3"); err != nil || n == 0 {
-		t.Fatalf("abort after refused commit = %d, %v", n, err)
-	}
-}
-
-// TestHandoffStagedTTLSweep ages an abandoned import staging out via
-// stream time and checks the sweep tells a late committer the truth
-// (ErrUnknownHandoff), while export holdings survive indefinitely.
-func TestHandoffStagedTTLSweep(t *testing.T) {
-	set, testDS := sharedSet(t)
-	txs, devices := deviceStream(testDS, 2, 400)
-	const ttl = time.Minute
-	donor, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2})
-	if err != nil {
+	if _, err := src.Park(devices[:1]); err != nil {
 		t.Fatal(err)
 	}
-	defer donor.Close()
-	for _, tx := range txs[:len(txs)/2] {
-		if err := donor.Feed(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, _, err := donor.ExportStaged("d/1", devices[:1])
-	if err != nil {
+	next := txs[len(txs)-1]
+	next.SourceIP = devices[0]
+	next.Timestamp = next.Timestamp.Add(time.Second)
+	if err := dst.Feed(next); err != nil {
 		t.Fatal(err)
 	}
-
-	m, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2, StagedTTL: ttl})
-	if err != nil {
+	if _, err := src.Park(devices[:1]); err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if _, err := m.StageImport("i/1", blob); err != nil {
-		t.Fatal(err)
+	if _, ok, _ := tier.Get(devices[0]); ok {
+		t.Fatal("a retried park wrote the device back after it rehydrated elsewhere")
 	}
-	if _, _, err := m.ExportStaged("e/1", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Stream traffic far past the TTL: the clamp advances the clock by at
-	// most one StagedTTL per transaction, so walk it there step by step.
-	base := txs[0].Timestamp
-	tick := txs[0]
-	for i := 0; i < 8; i++ {
-		tick.Timestamp = base.Add(time.Duration(i+1) * ttl)
-		if err := m.Feed(tick); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.CommitHandoff("i/1"); !errors.Is(err, ErrUnknownHandoff) {
-		t.Fatalf("commit of swept staging = %v, want ErrUnknownHandoff", err)
-	}
-	if m.PendingHandoffs() != 1 {
-		t.Fatalf("pending = %d, want 1 (export holding must never be swept)", m.PendingHandoffs())
-	}
-	if _, err := m.CommitHandoff("e/1"); err != nil {
-		t.Fatalf("export holding swept or lost: %v", err)
+	if dst.Devices() != 1 || src.Devices() != 1 {
+		t.Fatalf("source %d, destination %d devices; want 1, 1", src.Devices(), dst.Devices())
 	}
 }
 
 // TestTrackedDevices checks the enumeration a stateless placement mover
-// relies on: live and spilled devices are both listed, staged handoff
-// state is not.
+// relies on: live devices are listed, devices in the store are not —
+// idle-evicted or parked, they belong to whichever monitor their next
+// transaction reaches.
 func TestTrackedDevices(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, _ := deviceStream(testDS, 1, 40)
@@ -288,31 +202,69 @@ func TestTrackedDevices(t *testing.T) {
 	}
 	b := txs[0]
 	b.SourceIP = "10.0.0.2"
+	c := b
+	c.SourceIP = "10.0.0.3"
 	for i := 0; i < 5; i++ {
 		b.Timestamp = a.Timestamp.Add(time.Duration(i+2) * ttl)
-		if err := m.Feed(b); err != nil {
+		c.Timestamp = b.Timestamp
+		if err := m.FeedBatch([]weblog.Transaction{b, c}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if store.Len() != 1 {
 		t.Fatalf("spilled devices = %d, want 1 (test setup)", store.Len())
 	}
-	names, err := m.TrackedDevices()
-	if err != nil {
+	if names := m.TrackedDevices(); len(names) != 2 || names[0] != "10.0.0.2" || names[1] != "10.0.0.3" {
+		t.Fatalf("TrackedDevices = %v, want the two live devices", names)
+	}
+	if _, err := m.Park([]string{"10.0.0.2"}); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "10.0.0.1" || names[1] != "10.0.0.2" {
-		t.Fatalf("TrackedDevices = %v, want the live and the spilled device", names)
+	if names := m.TrackedDevices(); len(names) != 1 || names[0] != "10.0.0.3" {
+		t.Fatalf("TrackedDevices after a park = %v, want only the live device", names)
 	}
+}
 
-	if _, _, err := m.ExportStaged("t/1", []string{"10.0.0.2"}); err != nil {
-		t.Fatal(err)
-	}
-	names, err = m.TrackedDevices()
+// TestMonitorRehydrateBeforeFlush: a device parked and not fed since is
+// in no monitor's shards, so an end-of-stream Flush would skip its
+// pending windows. Rehydrate brings it back from the store first, and
+// the flushed alerts then match a monitor that never parked it.
+// Devices the store does not hold, or that are live, are skipped.
+func TestMonitorRehydrateBeforeFlush(t *testing.T) {
+	set, testDS := sharedSet(t)
+	txs, devices := deviceStream(testDS, 3, 3000)
+	const k = 2
+	want := referenceAlerts(t, set, txs, k)
+
+	tier := NewMemStateStore()
+	col := newAlertCollector()
+	src, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 4, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0] != "10.0.0.1" {
-		t.Fatalf("TrackedDevices with a staged export = %v, want only the live device", names)
+	dst, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 2, Spill: tier})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, tx := range txs {
+		if err := src.Feed(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := src.Park(devices[:2]); err != nil {
+		t.Fatal(err)
+	}
+	src.Sync()
+	n, err := dst.Rehydrate([]string{devices[0], devices[1], devices[2], "10.255.0.9"})
+	if err != nil || n != 2 || tier.Len() != 0 {
+		t.Fatalf("Rehydrate = %d, %v with %d left in the store; want 2, nil, 0", n, err, tier.Len())
+	}
+	if n, err := src.Rehydrate(devices); err != nil || n != 0 {
+		t.Fatalf("Rehydrate of devices live or elsewhere = %d, %v; want 0", n, err)
+	}
+	src.Flush()
+	dst.Flush()
+	src.Close()
+	dst.Close()
+	comparePerDevice(t, want, col.got)
 }

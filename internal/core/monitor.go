@@ -118,18 +118,12 @@ type MonitorConfig struct {
 	// Should the store fail on a spill, the monitor falls back to the
 	// lossy eviction path (flush + AlertLost) rather than leak the device.
 	Spill StateStore
-	// SharedSpill declares that Spill is a store shared by several
-	// monitors — the fleet-wide state tier of internal/statestore —
-	// rather than this process's private directory. It changes how
-	// devices leave and arrive: TrackedDevices reports only live devices
-	// (a node must not claim every device in the fleet-wide store as its
-	// own holdings), ExportStaged parks the moving devices in the tier
-	// instead of putting them in its blob, and StageImport refuses a
-	// blob that carries devices. The new owner then rehydrates each
-	// device on its next transaction — Get, restore, Delete — which
-	// teaches its tier client the device's version, and the tier's
-	// per-device versioning fences a stale write-behind flush from
-	// resurrecting overwritten state.
+	// SharedSpill has no effect. Every cluster node spills through the
+	// shared state tier, and a monitor treats any Spill store the same
+	// way: TrackedDevices lists live devices only, and Park moves devices
+	// through the store.
+	//
+	// Deprecated: leave it unset.
 	SharedSpill bool
 	// Float32Scoring stores the shared fused scoring index's postings —
 	// and runs the per-shard accumulators — in float32, roughly halving
@@ -147,15 +141,6 @@ type MonitorConfig struct {
 	// identical accept masks, so this is an escape hatch and an A/B
 	// instrument, not a semantics knob.
 	ScoringKernels svm.KernelMode
-
-	// StagedTTL reclaims import stagings (StageImport) whose commit never
-	// arrived, measured in stream time like IdleTTL. Only import stagings
-	// are swept — the source still holds the authoritative copy, and a
-	// later commit for a swept id reports ErrUnknownHandoff — so a mover
-	// that died mid-handoff cannot leak staged state forever. Export
-	// holdings are never swept. 0 keeps stagings until commit, abort or
-	// process exit.
-	StagedTTL time.Duration
 
 	// referenceScoring routes every shard's window scoring through the
 	// pre-fused per-model decision path instead of the shared fused
@@ -209,17 +194,6 @@ type Monitor struct {
 	streamNow atomic.Int64
 	lastSweep atomic.Int64
 	behind    atomic.Int64
-
-	// Two-phase handoff stagings (see handoff.go). hmu is leaf-ordered
-	// after the shard locks are NOT held: handoff operations take hmu
-	// first and shard locks inside, and no shard-locked path ever takes
-	// hmu. stagedImports mirrors the staged-import entry count so the
-	// feed path can skip the sweep lock when nothing is staged.
-	hmu           sync.Mutex
-	handoffs      map[string]*handoffEntry
-	recentCommits map[string]int
-	commitOrder   []string
-	stagedImports atomic.Int64
 
 	// pump owns alert delivery. It is a separate allocation referenced by
 	// the delivery goroutine instead of the Monitor itself, so an
@@ -573,12 +547,10 @@ func (m *Monitor) feedLocked(sh *monitorShard, tx weblog.Transaction) error {
 			return err
 		}
 	}
-	if m.cfg.IdleTTL > 0 || m.cfg.StagedTTL > 0 {
+	if m.cfg.IdleTTL > 0 {
 		// Record lastSeen in stream-clock coordinates: the clock is
 		// clamped (below), so a corrupt far-future timestamp must not
 		// give its device an unevictable far-future lastSeen either.
-		// StagedTTL alone also runs the clock — the staged-import sweep
-		// is stream-timed like eviction.
 		seen := m.advanceClock(tx.Timestamp.UnixNano())
 		if ts := tx.Timestamp.UnixNano(); ts < seen {
 			seen = ts
@@ -617,30 +589,8 @@ func (m *Monitor) admitLocked(sh *monitorShard, device string) (*deviceTrack, er
 	// key so tracking one device cannot pin a whole decoded frame.
 	device = strings.Clone(device)
 	if m.cfg.Spill != nil {
-		blob, ok, err := m.cfg.Spill.Get(device)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading spilled state for device %s: %w", device, err)
-		}
-		if ok {
-			st, err := DecodeDeviceState(blob, m.set.Vocabulary)
-			if err == nil && st.Device != device {
-				err = fmt.Errorf("core: spilled state for device %s names device %s", device, st.Device)
-			}
-			var tr *deviceTrack
-			if err == nil {
-				tr, err = m.restoreTrackLocked(sh, device, st)
-			}
-			if err != nil {
-				// Corrupt state: drop the blob so only this one transaction
-				// errors.
-				m.cfg.Spill.Delete(device)
-				return nil, fmt.Errorf("core: rehydrating device %s: %w", device, err)
-			}
-			if derr := m.cfg.Spill.Delete(device); derr != nil {
-				return nil, fmt.Errorf("core: rehydrated device %s but could not clear spilled state: %w", device, derr)
-			}
-			sh.devices[device] = tr
-			return tr, nil
+		if tr, err := m.rehydrateLocked(sh, device); tr != nil || err != nil {
+			return tr, err
 		}
 	}
 	id, err := newIdentifierWithScorer(m.set, device, m.k, sh.sc)
@@ -648,6 +598,39 @@ func (m *Monitor) admitLocked(sh *monitorShard, device string) (*deviceTrack, er
 		return nil, err
 	}
 	tr := &deviceTrack{id: id}
+	sh.devices[device] = tr
+	return tr, nil
+}
+
+// rehydrateLocked starts tracking device from its spilled state and
+// removes the state from the store; it returns nil and no error when the
+// store holds nothing for the device. Runs under sh.mu, with device the
+// monitor's own copy of the id.
+func (m *Monitor) rehydrateLocked(sh *monitorShard, device string) (*deviceTrack, error) {
+	blob, ok, err := m.cfg.Spill.Get(device)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading spilled state for device %s: %w", device, err)
+	}
+	if !ok {
+		return nil, nil
+	}
+	st, err := DecodeDeviceState(blob, m.set.Vocabulary)
+	if err == nil && st.Device != device {
+		err = fmt.Errorf("core: spilled state for device %s names device %s", device, st.Device)
+	}
+	var tr *deviceTrack
+	if err == nil {
+		tr, err = m.restoreTrackLocked(sh, device, st)
+	}
+	if err != nil {
+		// Corrupt state: drop the blob so only this one transaction
+		// errors.
+		m.cfg.Spill.Delete(device)
+		return nil, fmt.Errorf("core: rehydrating device %s: %w", device, err)
+	}
+	if derr := m.cfg.Spill.Delete(device); derr != nil {
+		return nil, fmt.Errorf("core: rehydrated device %s but could not clear spilled state: %w", device, derr)
+	}
 	sh.devices[device] = tr
 	return tr, nil
 }
@@ -712,12 +695,6 @@ const clockRegressAfter = 512
 // behind the clock, the clock snaps back to the observed stream.
 func (m *Monitor) advanceClock(ts int64) int64 {
 	ttl := int64(m.cfg.IdleTTL)
-	if ttl == 0 {
-		// Eviction off but the staged-import sweep on: StagedTTL becomes
-		// the clamp unit, so the clock still cannot be yanked into the
-		// far future by one corrupt timestamp.
-		ttl = int64(m.cfg.StagedTTL)
-	}
 	for {
 		cur := m.streamNow.Load()
 		if cur == 0 {
@@ -769,9 +746,6 @@ func (m *Monitor) advanceClock(ts int64) int64 {
 // traffic flows anywhere. Called without any shard lock held; the CAS
 // elects a single sweeping feeder.
 func (m *Monitor) maybeSweep() {
-	if m.cfg.StagedTTL > 0 && m.stagedImports.Load() > 0 {
-		m.sweepStagedImports()
-	}
 	if m.cfg.IdleTTL <= 0 {
 		return
 	}
@@ -873,9 +847,9 @@ func (m *Monitor) Checkpoint() (spilled, failed int, err error) {
 
 // spillDevices spills the named tracked devices (every tracked device
 // for a nil list) into the spill store and stops tracking them, then
-// flushes the store — the body Checkpoint and a parking ExportStaged
-// share. Untracked names are skipped; a device whose spill fails stays
-// tracked, and its error comes back joined with the rest.
+// flushes the store — the body Checkpoint and Park share. Untracked
+// names are skipped; a device whose spill fails stays tracked, and its
+// error comes back joined with the rest.
 func (m *Monitor) spillDevices(devices []string) (spilled, failed int, err error) {
 	var errs []error
 	spill := func(sh *monitorShard, device string, tr *deviceTrack) {
@@ -910,6 +884,87 @@ func (m *Monitor) spillDevices(devices []string) (spilled, failed int, err error
 	return spilled, failed, errors.Join(errs...)
 }
 
+// Park hands the named devices to the spill store — the shared state
+// tier — so that another monitor on the same tier can take them over:
+// each live device is spilled and stops being tracked, then the store is
+// flushed, and the device rehydrates wherever its next transaction goes.
+// Devices not tracked here are skipped (an idle device is already in the
+// store), as are duplicates and empty names, so parking the same devices
+// again spills nothing. It returns how many of the named devices the
+// move carries: all of them but those whose spill failed, which stay
+// tracked here. A failed spill or flush fails the park. Alerts already
+// enqueued for the parked devices still deliver here; call Sync to wait
+// for them before another monitor takes the devices over.
+func (m *Monitor) Park(devices []string) (int, error) {
+	if m.cfg.Spill == nil {
+		return 0, errors.New("core: parking devices needs a state tier (MonitorConfig.Spill)")
+	}
+	devices = uniqueDevices(devices)
+	_, failed, err := m.spillDevices(devices)
+	return len(devices) - failed, err
+}
+
+// Rehydrate starts tracking the named devices that the spill store holds
+// and this monitor does not, restoring each exactly as its next
+// transaction would — so a Flush then completes their pending windows
+// too. A device the store does not hold is skipped. It returns how many
+// devices it rehydrated; a device whose state cannot be read or restored
+// is skipped with its error joined into the result.
+func (m *Monitor) Rehydrate(devices []string) (int, error) {
+	if m.cfg.Spill == nil {
+		return 0, nil
+	}
+	n := 0
+	var errs []error
+	for _, device := range uniqueDevices(devices) {
+		sh := m.shardFor(device)
+		sh.mu.Lock()
+		if _, live := sh.devices[device]; !live {
+			tr, err := m.rehydrateLocked(sh, strings.Clone(device))
+			if tr != nil {
+				n++
+			}
+			errs = append(errs, err)
+		}
+		sh.mu.Unlock()
+	}
+	return n, errors.Join(errs...)
+}
+
+// uniqueDevices returns devices without empty names and duplicates,
+// keeping first occurrences in order. The result is never nil.
+func uniqueDevices(devices []string) []string {
+	out := make([]string, 0, len(devices))
+	seen := make(map[string]struct{}, len(devices))
+	for _, device := range devices {
+		if _, dup := seen[device]; dup || device == "" {
+			continue
+		}
+		seen[device] = struct{}{}
+		out = append(out, device)
+	}
+	return out
+}
+
+// TrackedDevices returns the names of the devices live in this monitor,
+// sorted. Spilled devices are not listed: the state tier holds the whole
+// fleet's devices, and a spilled device belongs to whichever monitor its
+// next transaction reaches. This is what lets a placement mover with no
+// memory of past routing ask a node "who do you hold?" and compute
+// drains from the answer.
+func (m *Monitor) TrackedDevices() []string {
+	var names []string
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		for device := range sh.devices {
+			names = append(names, device)
+		}
+		sh.mu.Unlock()
+	}
+	slices.Sort(names)
+	return names
+}
+
 // Flush completes all devices' pending windows (end of stream), emits any
 // final alerts, and waits until every alert enqueued so far has been
 // delivered to the callback. Flushing concurrently with Feed/FeedBatch is
@@ -928,11 +983,11 @@ func (m *Monitor) Flush() {
 }
 
 // Sync blocks until every alert enqueued so far has been delivered to the
-// callback, without flushing any windows — the ordering barrier a shard
-// handoff needs: after ExportStaged+Sync, all of the exported devices'
-// alerts have left this monitor, so the importer's alerts are strictly
-// later. Syncing concurrently with feeding is safe; alerts enqueued after
-// Sync begins may or may not be waited for.
+// callback, without flushing any windows — the ordering barrier a device
+// move needs: after Park+Sync, all of the parked devices' alerts have
+// left this monitor, so the new owner's alerts are strictly later.
+// Syncing concurrently with feeding is safe; alerts enqueued after Sync
+// begins may or may not be waited for.
 func (m *Monitor) Sync() {
 	m.pump.wait()
 }

@@ -136,8 +136,21 @@ func TestMonitorAlertsRetainNoIngestMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if err := m2.adoptStatesAtomic(states); err != nil {
-		t.Fatal(err)
+	// Restore the states the way rehydration does, but from the shared
+	// buffer: the device key is the monitor's own copy, the rest comes
+	// from the state.
+	for _, st := range states {
+		sh := m2.shardFor(st.Device)
+		sh.mu.Lock()
+		device := strings.Clone(st.Device)
+		tr, err := m2.restoreTrackLocked(sh, device, st)
+		if err == nil {
+			sh.devices[device] = tr
+		}
+		sh.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := split; i < len(txs); i += 256 {
 		if err := m2.FeedBatch(txs[i:min(i+256, len(txs))]); err != nil {

@@ -20,8 +20,7 @@ import (
 )
 
 // stateVersion is the identifier-state format: the first byte of every
-// per-device blob a StateStore holds and of every shard blob ExportStaged
-// produces. Bump it when the binary layout (or anything it encodes)
+// per-device blob a StateStore holds. Bump it when the binary layout (or anything it encodes)
 // changes incompatibly — decode rejects any version it does not know,
 // like persist.go's bundle loader.
 const stateVersion = 3
@@ -669,48 +668,3 @@ func (s *DiskStateStore) Devices() ([]string, error) {
 
 // Flush is a no-op: Put has already synced the blob to disk.
 func (s *DiskStateStore) Flush() error { return nil }
-
-// encodeShardState renders a shard export — the handoff unit for moving
-// devices between processes: the version byte, a uvarint device count,
-// then each device's binary state as a uvarint length plus bytes. It only
-// crosses the cluster wire between peers of one build, so unlike the
-// per-device blob it has no legacy reader.
-func encodeShardState(devices []DeviceState) []byte {
-	dst := append([]byte(nil), stateVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(devices)))
-	var rec []byte
-	for i := range devices {
-		rec = appendDeviceState(rec[:0], &devices[i])
-		dst = binary.AppendUvarint(dst, uint64(len(rec)))
-		dst = append(dst, rec...)
-	}
-	return dst
-}
-
-// decodeShardState parses and version-checks a shard export, whose
-// records must have been extracted under vocab. Each device decodes from
-// its own copy of its record, so no device's state pins the others'.
-func decodeShardState(data []byte, vocab *features.Vocabulary) ([]DeviceState, error) {
-	r := weblog.NewCanonicalBinaryReader(string(data))
-	if v := r.Byte(); r.Err() == nil && v != stateVersion {
-		return nil, fmt.Errorf("core: unsupported shard export version %d (want %d)", v, stateVersion)
-	}
-	// Each entry is at least its 1-byte length prefix.
-	n := r.Count("devices", 1)
-	var states []DeviceState
-	for i := 0; i < n; i++ {
-		rec := r.Field()
-		if r.Err() != nil {
-			break
-		}
-		st, err := decodeDeviceRecord(strings.Clone(rec), vocab)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard export entry %d: %w", i, err)
-		}
-		states = append(states, st)
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("core: decoding shard export: %w", err)
-	}
-	return states, nil
-}

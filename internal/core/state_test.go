@@ -576,11 +576,12 @@ func TestMonitorCheckpointRestoreMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMonitorExportImportShards is the shard-handoff acceptance criterion:
-// moving every device, one source shard per staged handoff, into a fresh
-// Monitor (different seed, different shard count) must preserve every
-// device's pending windows and streaks — proven by the combined alert
-// sequences matching the uninterrupted reference.
+// TestMonitorExportImportShards is the whole-population move: parking
+// every device, one source shard per park, and resuming them all on a
+// fresh Monitor over the same store (different seed, different shard
+// count) must preserve every device's pending windows and streaks —
+// proven by the combined alert sequences matching the uninterrupted
+// reference.
 func TestMonitorExportImportShards(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, devices := deviceStream(testDS, 9, 6000)
@@ -588,8 +589,9 @@ func TestMonitorExportImportShards(t *testing.T) {
 	want := referenceAlerts(t, set, txs, k)
 	split := len(txs) / 2
 
+	tier := NewMemStateStore()
 	col := newAlertCollector()
-	mon1, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 8, BatchWorkers: 4})
+	mon1, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 8, BatchWorkers: 4, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +608,7 @@ func TestMonitorExportImportShards(t *testing.T) {
 	}
 
 	// The receiving monitor has a different shard layout on purpose.
-	mon2, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 5, BatchWorkers: 4})
+	mon2, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 5, BatchWorkers: 4, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,19 +616,15 @@ func TestMonitorExportImportShards(t *testing.T) {
 	for _, d := range devices {
 		byShard[mon1.shardIndex(d)] = append(byShard[mon1.shardIndex(d)], d)
 	}
-	imported := 0
-	for i, shard := range byShard {
-		_, n := stagedMove(t, mon1, mon2, fmt.Sprintf("r/%d", i), shard)
-		imported += n
+	parked := 0
+	for _, shard := range byShard {
+		parked += parkMove(t, mon1, shard)
 	}
-	if imported != moved {
-		t.Fatalf("imported %d devices, exported monitor had %d", imported, moved)
+	if parked != moved || tier.Len() != moved {
+		t.Fatalf("parked %d devices, store holds %d, source had %d", parked, tier.Len(), moved)
 	}
 	if mon1.Devices() != 0 {
-		t.Errorf("exporting monitor still tracks %d devices", mon1.Devices())
-	}
-	if mon2.Devices() != moved {
-		t.Errorf("importing monitor tracks %d devices, want %d", mon2.Devices(), moved)
+		t.Errorf("source monitor still tracks %d devices", mon1.Devices())
 	}
 	mon1.Flush()
 	mon1.Close()
@@ -638,58 +636,66 @@ func TestMonitorExportImportShards(t *testing.T) {
 		}
 		rest = rest[n:]
 	}
+	if mon2.Devices() != moved || tier.Len() != 0 {
+		t.Errorf("destination tracks %d devices with %d left in the store, want %d and 0", mon2.Devices(), tier.Len(), moved)
+	}
 	mon2.Flush()
 	mon2.Close()
 	comparePerDevice(t, want, col.got)
 }
 
-// TestMonitorExportImportErrors covers the handoff error paths: garbage
-// bytes, version drift, and adopting a device that is already tracked.
+// TestMonitorExportImportErrors covers what a move finds in the store:
+// a parked state that is garbage or from a future format fails the
+// admitting transaction once and is dropped, and a device that
+// rehydrated on one monitor is gone from the store, so a second
+// monitor starts it fresh instead of forking it.
 func TestMonitorExportImportErrors(t *testing.T) {
 	set, testDS := sharedSet(t)
-	mon, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2})
+	tier := NewMemStateStore()
+	mon, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	if _, err := mon.StageImport("r/junk", []byte("junk")); err == nil {
-		t.Error("garbage import accepted")
-	}
-	devs, err := decodeShardState(encodeShardState(nil), set.Vocabulary)
-	if err != nil || len(devs) != 0 {
-		t.Fatalf("empty export round trip: %v", err)
-	}
-	future := encodeShardState(nil)
-	future[0] = stateVersion + 1
-	if _, err := mon.StageImport("r/future", future); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("future-version import error = %v", err)
-	}
-
-	// Conflict: export a device, then commit two imports of it — the
-	// second finds it already tracked and must adopt nothing.
 	txs := hostStream(t, testDS, set.Users()[0], "10.0.0.5", 20)
-	for _, tx := range txs {
+	for _, tx := range txs[:10] {
 		if err := mon.Feed(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blob, _, err := mon.ExportStaged("r/1", []string{"10.0.0.5"})
+	if _, err := mon.Park([]string{"10.0.0.5"}); err != nil {
+		t.Fatal(err)
+	}
+	good, _, _ := tier.Get("10.0.0.5")
+	future := append([]byte(nil), good...)
+	future[0] = stateVersion + 1
+	for name, blob := range map[string][]byte{"garbage": []byte("junk"), "future version": future} {
+		tier.Put("10.0.0.5", blob)
+		if err := mon.Feed(txs[10]); err == nil {
+			t.Errorf("%s parked state rehydrated", name)
+		}
+		if _, ok, _ := tier.Get("10.0.0.5"); ok {
+			t.Errorf("%s parked state left in the store", name)
+		}
+	}
+
+	tier.Put("10.0.0.5", good)
+	other, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2, Spill: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"r/2", "r/3"} {
-		if n, err := mon.StageImport(id, blob); err != nil || n != 1 {
-			t.Fatalf("StageImport(%s) = %d, %v", id, n, err)
-		}
+	defer other.Close()
+	if err := other.Feed(txs[10]); err != nil {
+		t.Fatal(err)
 	}
-	if n, err := mon.CommitHandoff("r/2"); err != nil || n != 1 {
-		t.Fatalf("first commit = %d, %v", n, err)
+	if _, ok, _ := tier.Get("10.0.0.5"); ok {
+		t.Fatal("rehydration left the parked state in the store")
 	}
-	if n, err := mon.CommitHandoff("r/3"); err == nil || n != 0 {
-		t.Errorf("duplicate commit = %d, %v — conflict not reported", n, err)
+	if err := mon.Feed(txs[11]); err != nil {
+		t.Fatal(err)
 	}
-	if mon.Devices() != 1 {
-		t.Errorf("monitor tracks %d devices after the conflict, want 1", mon.Devices())
+	if mon.Devices() != 1 || other.Devices() != 1 {
+		t.Errorf("monitors track %d and %d devices, want 1 each", mon.Devices(), other.Devices())
 	}
 }
 
@@ -936,29 +942,18 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 	}
 
 	// Records mean nothing under another vocabulary: an anchored state is
-	// refused there, alone and inside a shard export.
+	// refused there.
 	blob := EncodeDeviceState(cases[1].st)
 	other := features.Build([]weblog.Transaction{codecTx(0)})
 	if _, err := DecodeDeviceState(blob, other); err == nil || !strings.Contains(err.Error(), "vocabulary") {
 		t.Errorf("decoding under another vocabulary: %v", err)
 	}
-	if _, err := decodeShardState(encodeShardState([]DeviceState{cases[1].st}), other); err == nil {
-		t.Error("shard export decoded under another vocabulary")
-	}
 
 	// The decoder accepts only the canonical bytes: the same state with
-	// its device-length varint padded by a continuation byte is refused,
-	// alone and inside a shard export.
+	// its device-length varint padded by a continuation byte is refused.
 	padded := append([]byte{blob[0], blob[1] | 0x80, 0x00}, blob[2:]...)
 	if _, err := DecodeDeviceState(padded, set.Vocabulary); err == nil {
 		t.Error("blob with a padded varint decoded")
-	}
-	if _, err := decodeShardState(encodeShardState([]DeviceState{cases[1].st}), set.Vocabulary); err != nil {
-		t.Fatal(err)
-	}
-	shard := binary.AppendUvarint(append([]byte{stateVersion}, 1), uint64(len(padded)))
-	if _, err := decodeShardState(append(shard, padded...), set.Vocabulary); err == nil {
-		t.Error("shard export with a padded varint decoded")
 	}
 }
 

@@ -27,8 +27,8 @@
 //	    node or any other: a device that a membership change moves is
 //	    parked here by its old owner (spill, then Flush) and rehydrates at
 //	    its new owner, whose Get learns its version, and a dead node's
-//	    devices rehydrate lazily at their new owner — failover without
-//	    handoff (see internal/cluster: Router.drain and Router.FailNode).
+//	    devices rehydrate lazily at their new owner — failover without a
+//	    park (see internal/cluster: Router.drain and Router.FailNode).
 //
 // # Versioning: why a stale flush cannot clobber a newer spill
 //

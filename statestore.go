@@ -7,7 +7,7 @@ import "webtxprofile/internal/statestore"
 // identification state survives the node that held it. See
 // internal/statestore for the protocol, the write-behind batching and
 // the versioning fence, and internal/cluster for the two payoffs built
-// on top (device moves through the tier, failover without handoff).
+// on top (device moves through the tier, failover without a park).
 type (
 	// StateServer is the authoritative side of the tier: per-device
 	// versioned blobs in memory, optionally persisted through any
@@ -30,7 +30,7 @@ func ListenStateServer(addr string, cfg StateServerConfig) (*StateServer, error)
 }
 
 // DialStateStore connects a write-behind client to the state server at
-// addr; the result plugs into MonitorConfig.Spill (set SharedSpill too).
+// addr; the result plugs into MonitorConfig.Spill.
 func DialStateStore(addr string, cfg RemoteStateConfig) (*RemoteStateStore, error) {
 	return statestore.Dial(addr, cfg)
 }

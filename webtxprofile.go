@@ -74,7 +74,7 @@ type (
 	// RefresherConfig bounds the refresh buffers.
 	RefresherConfig = core.RefresherConfig
 	// StateStore persists evicted devices' identification state so idle
-	// eviction, shard handoff and process restarts keep window buffers
+	// eviction, device moves and process restarts keep window buffers
 	// and consecutive-accept streaks.
 	StateStore = core.StateStore
 	// MemStateStore is the in-process StateStore.
