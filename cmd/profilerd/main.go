@@ -98,8 +98,6 @@ func run() error {
 		gossipL   = flag.String("gossip", "", "serve router gossip on this address so replica front ends can reconcile membership and placement overrides (-join mode)")
 		peers     = flag.String("peers", "", "comma-separated gossip addresses of replica front ends to exchange state with periodically (-join mode)")
 		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address for live profiling of the scoring path (empty disables)")
-		score32   = flag.Bool("score-float32", false, "score windows through float32 fused postings/accumulators: ~half the scoring memory, decisions within the documented float32 bound of exact float64")
-		scoreP    = flag.Bool("score-portable", false, "force the portable per-posting scoring kernels instead of the auto-resolved engine (bit-identical decisions; for debugging and A/B timing)")
 	)
 	flag.Parse()
 	if *clusterL != "" && *join != "" {
@@ -127,18 +125,17 @@ func run() error {
 		// backing store) travels with it.
 		if err := rejectMisplacedFlags("the -state-server tier (only -state-dir configures it)",
 			"bundle", "listen", "k", "shards", "idle-ttl", "batch", "ingest-queue", "node-name",
-			"gossip", "peers", "pprof", "score-float32", "score-portable", "state-addr"); err != nil {
+			"gossip", "peers", "pprof", "state-addr"); err != nil {
 			return err
 		}
 	case *join != "":
 		// The front end holds no monitor: identification state, eviction
-		// and the threshold all live on the member nodes — and so do the
-		// scoring hot path (-pprof profiles it live) and its precision
-		// mode (-score-float32) and engine (-score-portable). The nodes
+		// and the threshold all live on the member nodes — and so does the
+		// scoring hot path (-pprof profiles it live). The nodes
 		// also own the state tier: they park moving devices there, so
 		// the front end never needs to know it exists (-state-addr).
 		if err := rejectMisplacedFlags("the -join front end (set them on the -cluster processes)",
-			"bundle", "k", "shards", "idle-ttl", "state-dir", "state-addr", "node-name", "pprof", "score-float32", "score-portable"); err != nil {
+			"bundle", "k", "shards", "idle-ttl", "state-dir", "state-addr", "node-name", "pprof"); err != nil {
 			return err
 		}
 	case *clusterL != "":
@@ -213,11 +210,7 @@ func run() error {
 				*stateDir, len(spilled))
 		}
 	}
-	monCfg := webtxprofile.MonitorConfig{Shards: *shards, IdleTTL: *idleTTL, Spill: tier.store(),
-		Float32Scoring: *score32}
-	if *scoreP {
-		monCfg.ScoringKernels = webtxprofile.KernelsPortable
-	}
+	monCfg := webtxprofile.MonitorConfig{Shards: *shards, IdleTTL: *idleTTL, Spill: tier.store()}
 
 	if *clusterL != "" {
 		return runNode(logger, set, *clusterL, *nodeName, *k, monCfg, tier)

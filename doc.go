@@ -43,21 +43,17 @@
 //     proves most models cannot accept the window without running their
 //     scalar kernel loops. The index is immutable after construction and
 //     shared read-only across monitor shards; each shard carries only
-//     per-window scratch (svm.Scorer). An optional float32 postings mode
-//     (MonitorConfig.Float32Scoring) halves index memory, with the
-//     float64 divergence certified per decision by
-//     svm.Float32DecisionBound; the default stays exact float64, whose
+//     per-window scratch (svm.Scorer). Scoring runs in float64, and its
 //     accept/reject decisions are bit-identical to the per-model engine.
 //   - The fused postings are laid out cache-blocked in fixed-width
-//     zero-padded lanes, consumed by interchangeable kernel engines:
-//     packed AVX-512 assembly where the CPU supports it, straight-line Go
-//     lane kernels elsewhere, and portable reference loops on demand
-//     (MonitorConfig.ScoringKernels, profilerd -score-portable). Engine
-//     choice is pure mechanism — decisions are bit-identical across all
-//     of them, in float64 and float32 alike, a property pinned by a
-//     differential fuzz target and a monitor-level alert-equivalence
-//     suite. Daemons log the resolved engine and the index footprint
-//     (svm.FusedIndex.Footprint) at startup.
+//     zero-padded lanes, consumed by one of two kernel engines: packed
+//     AVX-512 assembly where the CPU supports it, portable Go loops
+//     everywhere else. The platform picks the engine; no flag does.
+//     Engine choice is pure mechanism — decisions are bit-identical
+//     across both, a property pinned by a differential fuzz target and a
+//     monitor-level alert-equivalence suite. Daemons log the resolved
+//     engine and the index footprint (svm.FusedIndex.Footprint) at
+//     startup.
 //   - Per-user grid searches share one Gram matrix across all ν/C cells of
 //     a (user, kernel) row — the kernel matrix depends only on the kernel
 //     and the training windows — cutting the search's kernel evaluations

@@ -223,7 +223,10 @@ func TestRouterReplicationKillMidStream(t *testing.T) {
 // router cannot reach the leaving node, so it moves the devices on
 // without it — and because the park had already put them in the state
 // tier, each resumes at its new owner with nothing lost: the removal
-// completes and the alerts match the reference.
+// completes and the alerts match the reference. With three members the
+// removal drains to two destinations, and one park must carry both
+// destinations' devices: a later park would fail on the lost node and
+// settle its devices fresh while the node still held them live.
 func TestChaosPartitionMidDrain(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, devices := clustertest.Workload(t, ds, 7, 4000)
@@ -231,10 +234,9 @@ func TestChaosPartitionMidDrain(t *testing.T) {
 
 	rc := fastReconnect()
 	rc.MaxAttempts = 2 // give up quickly once the partition hits
-	// Two members, so the removal parks all of n3's devices in one go.
 	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
 		Router: cluster.RouterConfig{Client: cluster.ClientConfig{Reconnect: rc}},
-	}, "n1")
+	}, "n1", "n2")
 
 	n3 := h.StartNode(t, "n3")
 	var mu sync.Mutex
@@ -266,13 +268,13 @@ func TestChaosPartitionMidDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncRouter(t, h.Router)
-	onN3 := 0
+	var onN3 []string
 	for _, d := range devices {
 		if owner, _ := h.Router.Owner(d); owner == "n3" {
-			onN3++
+			onN3 = append(onN3, d)
 		}
 	}
-	if onN3 == 0 {
+	if len(onN3) == 0 {
 		t.Fatal("no device lives on n3 — the removal would move nothing")
 	}
 	mu.Lock()
@@ -290,6 +292,14 @@ func TestChaosPartitionMidDrain(t *testing.T) {
 		if m.Name == "n3" {
 			t.Fatal("n3 is still a member after its removal")
 		}
+	}
+	dsts := map[string]bool{}
+	for _, d := range onN3 {
+		owner, _ := h.Router.Owner(d)
+		dsts[owner] = true
+	}
+	if len(dsts) < 2 {
+		t.Fatalf("n3's devices all moved to %v — the removal must drain to several destinations", dsts)
 	}
 	if d := n3.Monitor().Devices(); d != 0 {
 		t.Errorf("n3 still tracks %d devices after its park", d)

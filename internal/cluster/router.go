@@ -549,7 +549,7 @@ func (r *Router) AddNode(m Member) error {
 
 	var errs []error
 	for _, src := range sortedKeys(moves) {
-		if _, err := r.drain(src, m.Name, moves[src], false); err != nil {
+		if _, err := r.drain(src, map[string][]string{m.Name: moves[src]}, false); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -609,10 +609,12 @@ func (r *Router) discoverPlacement() map[string]string {
 // RemoveNode drains every device off a member (each to its rendezvous
 // owner among the remaining members) and drops it from the view. Removing
 // an unknown member is an idempotent no-op; removing the last member is
-// an error. If the leaving node refuses a park, or a destination does not
-// answer, the affected devices settle back on the leaving node and the
-// removal is aborted — the node stays a member — so state is never
-// stranded on a closed connection.
+// an error. All of the node's devices are parked in one call, then each
+// destination is confirmed and settled (see drain). If the leaving node
+// refuses the park, or a destination does not answer, the affected
+// devices settle back on the leaving node and the removal is aborted —
+// the node stays a member — so state is never stranded on a closed
+// connection.
 func (r *Router) RemoveNode(name string) error {
 	r.balMu.Lock()
 	defer r.balMu.Unlock()
@@ -668,32 +670,19 @@ func (r *Router) RemoveNode(name string) error {
 	}
 	r.mu.Unlock()
 
-	var errs []error
-	aborted := false
-	for _, dst := range sortedKeys(moves) {
-		fellBack, err := r.drain(name, dst, moves[dst], true)
-		if err != nil {
-			errs = append(errs, err)
-		}
-		if fellBack {
-			aborted = true
-		}
-	}
+	aborted, err := r.drain(name, moves, true)
 	if aborted {
 		// Some devices are back on the leaving node: keep it a member.
 		r.mu.Lock()
 		h.leaving = false
 		r.mu.Unlock()
-		return errors.Join(append(errs, fmt.Errorf("cluster: removal of %s aborted, node remains a member", name))...)
+		return errors.Join(err, fmt.Errorf("cluster: removal of %s aborted, node remains a member", name))
 	}
 	r.mu.Lock()
 	delete(r.nodes, name)
 	r.version++
 	r.mu.Unlock()
-	if err := h.client.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
+	return errors.Join(err, h.client.Close())
 }
 
 // FailNode drops a dead member without draining it: RemoveNode for a
@@ -755,31 +744,43 @@ func (r *Router) FailNode(name string) error {
 	return errors.Join(errs...)
 }
 
-// drain moves the named devices (already marked draining by the caller)
-// from src to dst through the state tier:
+// drain moves devices (already marked draining by the caller, grouped by
+// destination in moves) off src through the state tier:
 //
-//  1. Park on src: it spills the devices, flushes its tier client, and
-//     delivers their alerts before it replies. The park is idempotent —
-//     a retry after a lost reply finds nothing left to spill — so the
-//     client retries it across reconnects.
-//  2. Confirm dst: an empty park proves it answers and can take devices
-//     through the tier.
-//  3. Settle the routes on dst, which rehydrates each device from the
-//     tier on its next transaction.
+//  1. Park them all on src in one call: it spills the devices, flushes
+//     its tier client, and delivers their alerts before it replies. The
+//     park is idempotent — a retry after a lost reply finds nothing left
+//     to spill — so the client retries it across reconnects.
+//  2. Per destination, in name order, confirm it: an empty park proves it
+//     answers and can take devices through the tier.
+//  3. Settle that destination's routes on it, which rehydrates each
+//     device from the tier on its next transaction.
 //
-// If src refuses the park or dst does not answer, the devices settle
-// back on src (fellBack=true): parked ones rehydrate there, and the rest
-// never left. A leaving src that cannot be reached settles them on dst
-// instead, as FailNode would. The tier's per-device version fence is
-// what rules out two live copies.
-func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fellBack bool, err error) {
-	sort.Strings(devices)
+// If src refuses the park, every device settles back on src; if a
+// destination does not answer, its devices settle back on src. Either
+// way fellBack is true: parked devices rehydrate there, and the rest
+// never left. A leaving src that cannot be reached settles each
+// destination's devices there instead, as FailNode would. One park for
+// every destination is what makes that safe: src cannot partition between
+// two parks, leaving devices it still holds live to settle fresh
+// elsewhere. The tier's per-device version fence is what rules out two
+// live copies.
+func (r *Router) drain(src string, moves map[string][]string, leavingSrc bool) (fellBack bool, err error) {
+	var all []string
+	for _, devices := range moves {
+		sort.Strings(devices)
+		all = append(all, devices...)
+	}
+	if len(all) == 0 {
+		return false, nil
+	}
+	sort.Strings(all)
 	r.mu.Lock()
-	hs, hd := r.nodes[src], r.nodes[dst]
+	hs := r.nodes[src]
 	r.mu.Unlock()
 
 	hs.mu.Lock()
-	parked, parkErr := hs.client.Park(devices)
+	parked, parkErr := hs.client.Park(all)
 	hs.mu.Unlock()
 	if parkErr != nil {
 		if leavingSrc && !errors.Is(parkErr, ErrNodeRefused) {
@@ -787,21 +788,37 @@ func (r *Router) drain(src, dst string, devices []string, leavingSrc bool) (fell
 			// devices, aborting the removal; one that cannot be reached
 			// is going away, so its devices move on and resume from the
 			// tier wherever it holds them.
-			return false, errors.Join(fmt.Errorf("cluster: parking %d devices on leaving %s (moved without it): %w", len(devices), src, parkErr), r.settle(devices, dst))
+			errs := []error{fmt.Errorf("cluster: parking %d devices on leaving %s (moved without it): %w", len(all), src, parkErr)}
+			for _, dst := range sortedKeys(moves) {
+				errs = append(errs, r.settle(moves[dst], dst))
+			}
+			return false, errors.Join(errs...)
 		}
 		statHandoffAborts.Add(1)
-		return true, errors.Join(fmt.Errorf("cluster: parking %d devices, kept on %s: %w", len(devices), src, parkErr), r.settle(devices, src))
+		return true, errors.Join(fmt.Errorf("cluster: parking %d devices, kept on %s: %w", len(all), src, parkErr), r.settle(all, src))
 	}
 
-	hd.mu.Lock()
-	_, dstErr := hd.client.Park(nil)
-	hd.mu.Unlock()
-	if dstErr != nil {
-		statHandoffAborts.Add(1)
-		return true, errors.Join(fmt.Errorf("cluster: %s did not answer, %d devices kept on %s: %w", dst, len(devices), src, dstErr), r.settle(devices, src))
+	var errs []error
+	moved := 0
+	for _, dst := range sortedKeys(moves) {
+		devices := moves[dst]
+		r.mu.Lock()
+		hd := r.nodes[dst]
+		r.mu.Unlock()
+		hd.mu.Lock()
+		_, dstErr := hd.client.Park(nil)
+		hd.mu.Unlock()
+		if dstErr != nil {
+			statHandoffAborts.Add(1)
+			fellBack = true
+			errs = append(errs, fmt.Errorf("cluster: %s did not answer, %d devices kept on %s: %w", dst, len(devices), src, dstErr), r.settle(devices, src))
+			continue
+		}
+		moved += len(devices)
+		errs = append(errs, r.settle(devices, dst))
 	}
-	statWarmRestores.Add(uint64(parked))
-	return false, r.settle(devices, dst)
+	statWarmRestores.Add(uint64(min(parked, moved)))
+	return fellBack, errors.Join(errs...)
 }
 
 // settle replays the drained devices' buffered transactions to owner

@@ -30,9 +30,9 @@ func runMonitorAlerts(t *testing.T, cfg MonitorConfig, k int) map[string][]strin
 	return col.got
 }
 
-// TestMonitorFusedMatchesPreFusedEngine is the PR's Monitor-level
-// acceptance property: with the default exact float64 mode, a monitor
-// scoring through the shared fused index emits per-device alert sequences
+// TestMonitorFusedMatchesPreFusedEngine is the Monitor-level acceptance
+// property: a monitor scoring through the shared fused index (on the
+// engine this CPU resolves to) emits per-device alert sequences
 // byte-identical to one scoring through the pre-fused per-model engine
 // (the referenceScoring seam routes every window through
 // svm.Model.Accept, one walk per model, exactly as before the fused
@@ -44,26 +44,11 @@ func TestMonitorFusedMatchesPreFusedEngine(t *testing.T) {
 	comparePerDevice(t, ref, fused)
 }
 
-// TestMonitorKernelEnginesAlertEquivalence extends the byte-identity
-// property across the kernel-engine seam: a monitor forced onto the
-// portable per-posting kernels and one on the auto-resolved engine
-// (the packed AVX-512 kernels where the CPU has them, the Go lane
-// kernels otherwise) must emit identical per-device alert sequences,
-// and both must match the pre-fused per-model reference. Run under
-// -race in CI with the vector engine on.
-func TestMonitorKernelEnginesAlertEquivalence(t *testing.T) {
-	const k = 2
-	ref := runMonitorAlerts(t, MonitorConfig{Shards: 8, referenceScoring: true}, k)
-	auto := runMonitorAlerts(t, MonitorConfig{Shards: 8}, k)
-	portable := runMonitorAlerts(t, MonitorConfig{Shards: 8, ScoringKernels: svm.KernelsPortable}, k)
-	comparePerDevice(t, ref, auto)
-	comparePerDevice(t, ref, portable)
-}
-
 // TestMonitorScoringEngineAccessors pins the observability accessors the
-// daemon logs at startup: a fused monitor reports the resolved engine
-// name and a non-zero index footprint; the portable engine is visible in
-// the name.
+// daemon logs at startup: a fused monitor reports the engine that runs —
+// the packed kernels where the CPU has AVX-512F, the portable loops
+// elsewhere, exactly as the index resolves it — and a non-zero index
+// footprint; the reference seam reports "per-model".
 func TestMonitorScoringEngineAccessors(t *testing.T) {
 	set, _ := sharedSet(t)
 	col := newAlertCollector()
@@ -72,35 +57,26 @@ func TestMonitorScoringEngineAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	if eng := mon.ScoringEngine(); !strings.HasPrefix(eng, "block8/float64") {
-		t.Errorf("ScoringEngine() = %q, want block8/float64 prefix", eng)
+	eng := mon.ScoringEngine()
+	if eng != "portable" && !strings.HasPrefix(eng, "avx512 (cpu: ") {
+		t.Errorf("ScoringEngine() = %q, want \"portable\" or an \"avx512 (cpu: ...)\" name", eng)
+	}
+	_, models, err := setModels(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := svm.NewFusedIndex(models, svm.FusedConfig{}).Engine(); eng != want {
+		t.Errorf("ScoringEngine() = %q, want the resolved engine %q", eng, want)
 	}
 	if fp := mon.ScoringFootprint(); fp.IndexBytes == 0 {
 		t.Errorf("ScoringFootprint() = %+v, want non-zero IndexBytes", fp)
 	}
-	pmon, err := NewMonitorWithConfig(set, 2, col.callback,
-		MonitorConfig{Shards: 2, ScoringKernels: svm.KernelsPortable})
+	ref, err := NewMonitorWithConfig(set, 2, col.callback, MonitorConfig{Shards: 2, referenceScoring: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pmon.Close()
-	if eng := pmon.ScoringEngine(); !strings.HasPrefix(eng, "portable/") {
-		t.Errorf("portable ScoringEngine() = %q, want portable/ prefix", eng)
-	}
-}
-
-// TestMonitorFloat32ScoringRuns smokes the float32 mode end to end: the
-// monitor must run the full stream and alert. Alert sequences are only
-// guaranteed to match float64 within svm.Float32DecisionBound of each
-// decision boundary, so this test asserts liveness, not byte equality —
-// the bound itself is asserted in internal/svm.
-func TestMonitorFloat32ScoringRuns(t *testing.T) {
-	got := runMonitorAlerts(t, MonitorConfig{Shards: 8, Float32Scoring: true}, 2)
-	total := 0
-	for _, sigs := range got {
-		total += len(sigs)
-	}
-	if total == 0 {
-		t.Fatal("float32 monitor produced no alerts over the shared stream")
+	defer ref.Close()
+	if eng := ref.ScoringEngine(); eng != "per-model" {
+		t.Errorf("reference ScoringEngine() = %q, want per-model", eng)
 	}
 }

@@ -67,6 +67,11 @@ func (k AlertKind) String() string {
 // MonitorConfig tunes the sharded monitor. The zero value selects the
 // defaults, which behave exactly like the original single-lock monitor
 // (no eviction) while removing its lock contention.
+//
+// Scoring has no knob: every monitor scores in float64 through one shared
+// fused index, on the packed AVX-512 kernels where the CPU supports them
+// and on the portable loops elsewhere (ScoringEngine names which). Both
+// engines make bit-identical decisions, so alerts never depend on the host.
 type MonitorConfig struct {
 	// Shards is the number of lock-striped device shards (default 16).
 	// Each device hashes to one shard, so per-device event order is
@@ -125,23 +130,6 @@ type MonitorConfig struct {
 	//
 	// Deprecated: leave it unset.
 	SharedSpill bool
-	// Float32Scoring stores the shared fused scoring index's postings —
-	// and runs the per-shard accumulators — in float32, roughly halving
-	// scoring memory and accumulation bandwidth for large populations.
-	// Decisions then match the exact float64 engine only within
-	// svm.Float32DecisionBound, so alert sequences may differ for windows
-	// inside that bound of a profile's decision boundary. Leave it false
-	// (the default, exact float64) when byte-identical equivalence
-	// matters more than memory.
-	Float32Scoring bool
-	// ScoringKernels selects the fused index's kernel implementations:
-	// svm.KernelsAuto (the zero value) resolves to the fastest engine the
-	// CPU supports, svm.KernelsPortable forces the per-posting reference
-	// loops. Every engine produces bit-identical float64 decisions and
-	// identical accept masks, so this is an escape hatch and an A/B
-	// instrument, not a semantics knob.
-	ScoringKernels svm.KernelMode
-
 	// referenceScoring routes every shard's window scoring through the
 	// pre-fused per-model decision path instead of the shared fused
 	// index — the reference engine for the fused-equivalence suites.
@@ -322,10 +310,7 @@ func NewMonitorWithConfig(set *ProfileSet, consecutiveK int, alerts func(Alert),
 	}
 	var ix *svm.FusedIndex
 	if !cfg.referenceScoring {
-		ix = svm.NewFusedIndex(models, svm.FusedConfig{
-			Float32: cfg.Float32Scoring,
-			Kernels: cfg.ScoringKernels,
-		})
+		ix = svm.NewFusedIndex(models, svm.FusedConfig{})
 		m.ix = ix
 	}
 	for i := range m.shards {
@@ -346,8 +331,9 @@ func NewMonitorWithConfig(set *ProfileSet, consecutiveK int, alerts func(Alert),
 	return m, nil
 }
 
-// ScoringEngine names the fused index's resolved kernel engine (e.g.
-// "block8/float64+avx512 (cpu: ...)"), or "per-model" under the reference
+// ScoringEngine names the fused index's resolved kernel engine
+// ("avx512 (cpu: ...)" where the CPU has AVX-512F, "portable" elsewhere),
+// or "per-model" under the reference
 // scoring seam. Daemons log it at startup so deployments can tell which
 // engine a host resolved to.
 func (m *Monitor) ScoringEngine() string {

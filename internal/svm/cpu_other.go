@@ -2,6 +2,6 @@
 
 package svm
 
-// detectCPUFeatures reports no SIMD capabilities off amd64; the lane
-// kernels are portable Go and run everywhere regardless.
+// detectCPUFeatures reports no SIMD capabilities off amd64, where the
+// portable kernels run.
 func detectCPUFeatures() []string { return nil }

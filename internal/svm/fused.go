@@ -50,47 +50,32 @@ var sparseSurvivorShare = 0.1
 type KernelMode uint8
 
 const (
-	// KernelsAuto resolves to the lane-blocked kernels (block8/block16):
-	// straight-line unrolled multiply-add over full lanes. This is the
-	// default and is portable Go — the lane shapes exist so the work maps
-	// 1:1 onto packed FMA registers (and a future build-tagged asm kernel
-	// can consume the same layout directly).
+	// KernelsAuto resolves to the packed AVX-512 kernels
+	// (fusedasm_amd64.s) where the CPU supports AVX-512F, and to the
+	// portable loops everywhere else. This is the default.
 	KernelsAuto KernelMode = iota
-	// KernelsPortable runs simple per-posting reference loops over the
-	// same blocked layout. Float64 results are bit-identical to the lane
-	// kernels (per-accumulator term order is the same); it exists as the
-	// plain-code baseline for differential testing, benchmarking the lane
-	// shapes' win, and as an escape hatch.
+	// KernelsPortable runs the per-posting reference loops over the same
+	// blocked layout on every CPU. Results are bit-identical to the packed
+	// kernels (per-accumulator term order and rounding are the same); it
+	// is the plain-code baseline for differential testing and A/B timing.
 	KernelsPortable
 )
 
-// FusedConfig selects how a FusedIndex stores and accumulates postings.
+// FusedConfig selects how a FusedIndex accumulates postings.
 type FusedConfig struct {
-	// Float32 stores the postings values in float32 and runs the
-	// per-window dot-product accumulators in float32 too, roughly halving
-	// the index and scratch memory and the accumulation bandwidth. The
-	// scalar kernel loop still runs in float64 on the converted dots.
-	// Decisions then match the exact float64 path only within
-	// Float32DecisionBound (instead of bit-identically), so accepts may
-	// differ for windows within that bound of a model's boundary. The
-	// zero value — exact float64 — is the default everywhere.
-	Float32 bool
-
-	// Kernels picks the scoring kernels (lane-blocked vs portable); both
-	// run over the same blocked postings layout and produce bit-identical
-	// accumulators. The zero value (KernelsAuto) is the lane kernels.
+	// Kernels picks the scoring kernels (packed vs portable); both run
+	// over the same blocked postings layout and produce bit-identical
+	// accumulators. The zero value (KernelsAuto) is the fastest engine the
+	// CPU supports.
 	Kernels KernelMode
 }
 
-// Lane widths of the blocked postings layout: one lane of values is one
-// 64-byte cache line (8×float64 or 16×float32), and every (block, column)
-// postings group is zero-padded to a whole number of lanes so the
-// accumulate kernels are pure straight-line lane loops with no remainder
+// laneWidth is the lane width of the blocked postings layout: one lane of
+// values is one 64-byte cache line (8×float64, one AVX-512 register), and
+// every (block, column) postings group is zero-padded to a whole number
+// of lanes so the packed kernels run whole lanes with no remainder
 // handling.
-const (
-	laneWidth64 = 8
-	laneWidth32 = 16
-)
+const laneWidth = 8
 
 // maxBlockGroups bounds the dense per-(block, column) offset table of a
 // postings family. When accumulators × columns would exceed it, the block
@@ -134,20 +119,16 @@ type blockedPostings struct {
 	starts  []int32 // len nblocks*ncols+1: lane-padded group offsets
 	ord     []int32 // accumulator ordinal per posting (spare for pads)
 	val     []float64
-	val32   []float32
 	real    int // postings before padding
 	pad     int // zero-filled lane-padding postings
 }
 
 // pickBlockShift returns the ordinal→block shift: starting from a 16 KiB
-// accumulator span (2048 float64 / 4096 float32), the block doubles until
-// the group table fits maxBlockGroups and the family's npostings average
-// at least minGroupPostings per group.
-func pickBlockShift(nacc, ncols, npostings, elemSize int) uint {
+// accumulator span (2048 float64), the block doubles until the group table
+// fits maxBlockGroups and the family's npostings average at least
+// minGroupPostings per group.
+func pickBlockShift(nacc, ncols, npostings int) uint {
 	shift := uint(11)
-	if elemSize == 4 {
-		shift = 12
-	}
 	for {
 		nblocks := (nacc + (1 << shift) - 1) >> shift
 		if nblocks <= 1 {
@@ -164,16 +145,12 @@ func pickBlockShift(nacc, ncols, npostings, elemSize int) uint {
 // rawOrd/rawVal[rawStarts[c]:rawStarts[c+1]], ordinals ascending within a
 // column) into the blocked, lane-padded layout over nacc accumulators
 // (the last one being the spare pad target).
-func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int, f32 bool) blockedPostings {
+func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int) blockedPostings {
 	ncols := len(rawStarts) - 1
 	if ncols <= 0 || len(rawOrd) == 0 {
 		return blockedPostings{}
 	}
-	lane, elem := laneWidth64, 8
-	if f32 {
-		lane, elem = laneWidth32, 4
-	}
-	shift := pickBlockShift(nacc, ncols, len(rawOrd), elem)
+	shift := pickBlockShift(nacc, ncols, len(rawOrd))
 	nblocks := (nacc + (1 << shift) - 1) >> shift
 	ngroups := nblocks * ncols
 
@@ -187,9 +164,9 @@ func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int, f32 boo
 	pad := 0
 	for g := 0; g < ngroups; g++ {
 		cnt := starts[g+1]
-		if rem := cnt % int32(lane); rem != 0 {
-			pad += lane - int(rem)
-			cnt += int32(lane) - rem
+		if rem := cnt % laneWidth; rem != 0 {
+			pad += laneWidth - int(rem)
+			cnt += laneWidth - rem
 		}
 		starts[g+1] = starts[g] + cnt
 	}
@@ -200,13 +177,9 @@ func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int, f32 boo
 		shift:   shift,
 		starts:  starts,
 		ord:     make([]int32, starts[ngroups]),
+		val:     make([]float64, starts[ngroups]),
 		real:    len(rawOrd),
 		pad:     pad,
-	}
-	if f32 {
-		pb.val32 = make([]float32, starts[ngroups])
-	} else {
-		pb.val = make([]float64, starts[ngroups])
 	}
 	fill := make([]int32, ngroups)
 	copy(fill, starts[:ngroups])
@@ -216,11 +189,7 @@ func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int, f32 boo
 			g := b*ncols + c
 			pos := fill[g]
 			pb.ord[pos] = rawOrd[p]
-			if f32 {
-				pb.val32[pos] = float32(rawVal[p])
-			} else {
-				pb.val[pos] = rawVal[p]
-			}
+			pb.val[pos] = rawVal[p]
 			fill[g] = pos + 1
 		}
 	}
@@ -235,8 +204,7 @@ func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int, f32 boo
 
 // bytes returns the resident size of the family's slices.
 func (pb *blockedPostings) bytes() int64 {
-	return int64(len(pb.starts))*4 + int64(len(pb.ord))*4 +
-		int64(len(pb.val))*8 + int64(len(pb.val32))*4
+	return int64(len(pb.starts))*4 + int64(len(pb.ord))*4 + int64(len(pb.val))*8
 }
 
 // FusedIndex merges every model's decision structure into one population-
@@ -254,7 +222,7 @@ func (pb *blockedPostings) bytes() int64 {
 //     per support vector.
 //
 // Both families use the feature-blocked, lane-padded layout of
-// blockedPostings, and the float64 accumulators stay bit-identical to the
+// blockedPostings, and the accumulators stay bit-identical to the
 // unblocked per-model svIndex.dotsInto pass: every accumulator still
 // receives its terms in window-column order (see blockedPostings). Models
 // that are not prepared (hand-assembled without Validate) take the
@@ -267,7 +235,7 @@ func (pb *blockedPostings) bytes() int64 {
 // thresholds sCrit/d2Crit that make the first screening levels entirely
 // transcendental-free.
 //
-// In float64 mode, RBF models with sCrit > 0 are additionally screened
+// RBF models with sCrit > 0 are additionally screened
 // before any support-vector posting is accumulated (the MaxScore idea of
 // inverted-index retrieval). Per (column, owning model) the index stores
 // hi = max(0, maxᵢ svᵢ[c]) and lo = min(0, minᵢ svᵢ[c]), so for a window
@@ -282,27 +250,23 @@ func (pb *blockedPostings) bytes() int64 {
 // preCrit = (ln Σαᵢe^{−γ‖svᵢ‖²} − ln sCrit)/γ, precomputed in the log
 // domain (the linear-domain sum underflows to 0 once γ‖sv‖² > ~745). The
 // screen charges a rounding margin on top (preScreenRBF), so the mask
-// stays exact. Float32 indexes skip it and keep the plain fused pass: an
-// exact-arithmetic bound does not bound float32-rounded accumulators (the
-// reason screenSV skips its level-1 norm bound there too).
+// stays exact.
 //
 // A FusedIndex is immutable after build and safe for concurrent readers:
 // Monitor shards share one index and attach per-shard Scorer scratch.
 type FusedIndex struct {
-	models   []*Model
-	cfg      FusedConfig
-	portable bool
-	vector   bool // KernelsAuto resolved to the AVX-512 packed kernels
-	kind     []uint8
+	models []*Model
+	vector bool // KernelsAuto resolved to the AVX-512 packed kernels
+	kind   []uint8
 
 	lin blockedPostings // linear-weight postings
 	sv  blockedPostings // support-vector postings
 
 	// Column → owning models with at least one SV posting in that column
 	// (deduped, ascending): ownIDs[ownStarts[c]:ownStarts[c+1]]. This is
-	// the touch-marking pass, decoupled from accumulation so the lane
-	// kernels stay pure multiply-add. ownHi/ownLo (float64 indexes with
-	// at least one pre-screenable model; nil otherwise) run parallel to
+	// the touch-marking pass, decoupled from accumulation so the
+	// accumulate kernels stay pure multiply-add. ownHi/ownLo (indexes
+	// with at least one pre-screenable model; nil otherwise) run parallel to
 	// ownIDs: the owner's max(0, max SV value) and min(0, min SV value)
 	// in that column — the pre-accumulate screen's bound table.
 	ownStarts []int32
@@ -319,7 +283,7 @@ type FusedIndex struct {
 	svBase []int32
 	// Per global ordinal: dual coefficient, ‖sv‖², and — for RBF models —
 	// γ·‖sv‖²/h, the precomputed table-index contribution of the support
-	// vector to the screening bound (see fusedRBFSumBound64: folding γ and
+	// vector to the screening bound (see fusedRBFSumBoundPortable: folding γ and
 	// the table scale into the operand array at build time leaves one fused
 	// multiply-add per support vector in the bound's inner loop).
 	coef     []float64
@@ -376,39 +340,19 @@ func (f IndexFootprint) String() string {
 // Footprint returns the index's memory accounting.
 func (ix *FusedIndex) Footprint() IndexFootprint { return ix.footprint }
 
-// Engine describes the resolved scoring kernels, e.g.
-// "block8/float64+avx512 (cpu: avx2,avx512f,fma,sse2)" or
-// "portable/float32".
+// Engine names the scoring kernels that run, e.g.
+// "avx512 (cpu: avx2,avx512f,fma,sse2)" or "portable".
 func (ix *FusedIndex) Engine() string {
-	var b strings.Builder
-	switch {
-	case ix.portable:
-		b.WriteString("portable")
-	case ix.cfg.Float32:
-		b.WriteString("block16")
-	default:
-		b.WriteString("block8")
+	if !ix.vector {
+		return "portable"
 	}
-	if ix.cfg.Float32 {
-		b.WriteString("/float32")
-	} else {
-		b.WriteString("/float64")
-	}
-	if ix.vector {
-		b.WriteString("+avx512")
-	}
-	if !ix.portable && len(cpuFeatureList) > 0 {
-		b.WriteString(" (cpu: ")
-		b.WriteString(strings.Join(cpuFeatureList, ","))
-		b.WriteString(")")
-	}
-	return b.String()
+	return "avx512 (cpu: " + strings.Join(cpuFeatureList, ",") + ")"
 }
 
 // cpuFeatureList holds the detected SIMD capabilities of this CPU
 // (detectCPUFeatures; empty off amd64). It is both observability and the
 // dispatch input: KernelsAuto resolves to the AVX-512 packed kernels when
-// "avx512f" is present, and to the portable-Go lane kernels otherwise.
+// "avx512f" is present, and to the portable loops otherwise.
 var cpuFeatureList = detectCPUFeatures()
 
 // NewFusedIndex builds the fused population index over models. The models
@@ -418,9 +362,7 @@ func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
 	n := len(models)
 	ix := &FusedIndex{
 		models:   models,
-		cfg:      cfg,
-		portable: cfg.Kernels == KernelsPortable,
-		vector:   cfg.Kernels == KernelsAuto && !disablePackedKernels && asmKernelsSupported(),
+		vector:   cfg.Kernels == KernelsAuto && asmKernelsSupported(),
 		kind:     make([]uint8, n),
 		svBase:   make([]int32, n+1),
 		sumAlpha: make([]float64, n),
@@ -555,7 +497,7 @@ func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
 		ix.maxNorm[mi] = math.Sqrt(maxN)
 		if m.Kernel.Kind == KernelRBF {
 			ix.sCrit[mi], ix.d2Crit[mi] = rbfScreenCrit(m, sumA)
-			if ix.sCrit[mi] > 0 && !cfg.Float32 {
+			if ix.sCrit[mi] > 0 {
 				if ix.preCrit == nil {
 					ix.preCrit = make([]float64, n)
 					for i := range ix.preCrit {
@@ -616,8 +558,8 @@ func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
 	// Convert both families to the blocked, lane-padded layout. The
 	// accumulator counts include one spare slot (ordinal n / numSVs) that
 	// the pad postings target.
-	ix.lin = buildBlocked(linStarts, linOrd, linVal, n+1, cfg.Float32)
-	ix.sv = buildBlocked(svStarts, svOrd, svVal, numSVs+1, cfg.Float32)
+	ix.lin = buildBlocked(linStarts, linOrd, linVal, n+1)
+	ix.sv = buildBlocked(svStarts, svOrd, svVal, numSVs+1)
 
 	ix.footprint = IndexFootprint{
 		Models:       n,
@@ -715,8 +657,8 @@ func (ix *FusedIndex) numSVs() int { return int(ix.svBase[len(ix.models)]) }
 
 // markOwners stamps every model owning at least one support-vector posting
 // in one of x's columns with the scorer's epoch — the same touch condition
-// the accumulate pass used to establish inline, decoupled so the lane
-// kernels stay pure multiply-add. Columns carry deduped owner lists, so
+// the accumulate pass used to establish inline, decoupled so the
+// accumulate kernels stay pure multiply-add. Columns carry deduped owner lists, so
 // this visits ~postings/nnz-per-(model,column) entries, not every posting.
 //
 // When ub is non-nil (an index with a bound table) the same walk also
@@ -770,9 +712,9 @@ func fusedLinearDecision(m *Model, wx, nx float64) float64 {
 // fusedSVDecision evaluates model mi's exact decision value from its
 // per-SV dot products (dots: the model's ordinal range of the fused
 // accumulators, or its own svIndex dots) — the same scalar kernel loop as
-// Model.decisionIndexed. For T = float64 the result is bit-identical to
-// the per-model path.
-func fusedSVDecision[T float32 | float64](ix *FusedIndex, mi int, dots []T, nx float64) float64 {
+// Model.decisionIndexed, so the result is bit-identical to the per-model
+// path.
+func fusedSVDecision(ix *FusedIndex, mi int, dots []float64, nx float64) float64 {
 	m := ix.models[mi]
 	lo, hi := ix.svBase[mi], ix.svBase[mi+1]
 	sum := fusedKernelSum(m.Kernel, ix.coef[lo:hi], ix.svNorms[lo:hi], dots, nx)
@@ -857,14 +799,10 @@ func screenReject(m *Model, sumA, dlo, dhi, d2lo, nx, tol float64) bool {
 // Polynomial and sigmoid models keep the generic interval-bound layers
 // (their SVDD self-term depends on nx, so no threshold precompute): the
 // O(1) Cauchy–Schwarz dot interval, then the accumulated dots' actual
-// range. In float32 mode the level-1 norm product does not bound the
-// float32-rounded accumulators, so touched models go straight to the
-// dots-reading levels, whose bounds are computed from the very values the
-// exact loop would consume.
+// range.
 //
-// dots is the model's float64 dot range — its slice of the fused
-// accumulators, or the per-model dots of AcceptMask's survivor path;
-// float32 indexes pass nil and read their own accumulators.
+// dots is the model's dot range — its slice of the fused accumulators, or
+// the per-model dots of AcceptMask's survivor path.
 func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64, dots []float64) bool {
 	ix := s.ix
 	lo, hi := ix.svBase[mi], ix.svBase[mi+1]
@@ -873,32 +811,21 @@ func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64, dots []float6
 		if !touched {
 			return ix.snMin[mi]+nx > d2Crit
 		}
-		if !ix.cfg.Float32 {
-			var gap float64
-			if normX > ix.maxNorm[mi] {
-				gap = normX - ix.maxNorm[mi]
-			} else if normX < ix.minNorm[mi] {
-				gap = ix.minNorm[mi] - normX
-			}
-			if gap*gap > d2Crit {
-				return true
-			}
+		var gap float64
+		if normX > ix.maxNorm[mi] {
+			gap = normX - ix.maxNorm[mi]
+		} else if normX < ix.minNorm[mi] {
+			gap = ix.minNorm[mi] - normX
+		}
+		if gap*gap > d2Crit {
+			return true
 		}
 		b0, slope := gh*nx, 2*gh
 		var sb float64
-		switch {
-		case ix.cfg.Float32 && s.portable:
-			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots32[lo:hi], b0, slope)
-		case ix.cfg.Float32 && s.vector:
-			sb = fusedRBFSumBoundVec32(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots32[lo:hi], b0, slope)
-		case ix.cfg.Float32:
-			sb = fusedRBFSumBound32(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots32[lo:hi], b0, slope)
-		case s.portable:
+		if s.vector {
+			sb = fusedRBFSumBoundPacked(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
+		} else {
 			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
-		case s.vector:
-			sb = fusedRBFSumBoundVec64(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
-		default:
-			sb = fusedRBFSumBound64(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
 		}
 		return sb < ix.sCrit[mi]
 	}
@@ -909,79 +836,10 @@ func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64, dots []float6
 	if !touched {
 		return screenReject(m, sumA, 0, 0, ix.snMin[mi]+nx, nx, tol)
 	}
-	if !ix.cfg.Float32 {
-		mn := ix.maxNorm[mi] * normX
-		if screenReject(m, sumA, -mn, mn, 0, nx, tol) {
-			return true
-		}
+	mn := ix.maxNorm[mi] * normX
+	if screenReject(m, sumA, -mn, mn, 0, nx, tol) {
+		return true
 	}
-	var dlo, dhi float64
-	if ix.cfg.Float32 {
-		dlo, dhi = fusedDotRange(s.dots32[lo:hi])
-	} else {
-		dlo, dhi = fusedDotRange(dots)
-	}
+	dlo, dhi := fusedDotRange(dots)
 	return screenReject(m, sumA, dlo, dhi, 0, nx, tol)
-}
-
-// Float32DecisionBound returns the documented accuracy contract of the
-// float32 fused mode for model m on window x: the float32-mode decision
-// value differs from the exact float64 value by at most this much. The
-// bound combines the worst-case float32 storage/accumulation error of a
-// dot product (≈ (nnz+2)·2⁻²⁴·‖x‖·max‖svᵢ‖, with generous constant) with
-// the kernel's Lipschitz constant in the dot product (RBF: 2γ since
-// k ≤ 1; sigmoid: γ since tanh' ≤ 1; polynomial: dγ·B^(d−1) on the
-// attainable |γ·d+c₀| ≤ B interval; linear: 1) and Σαᵢ. It is
-// deliberately loose — a cheap certificate, not a tight estimate.
-func Float32DecisionBound(m *Model, x sparse.Vector) float64 {
-	const eps32 = 1.0 / (1 << 24)
-	nnz := float64(len(x.Idx) + 2)
-	nx := x.NormSq()
-	normX := math.Sqrt(nx)
-	floor := 1e-12 * (1 + math.Abs(m.Rho) + math.Abs(m.R2) + math.Abs(m.SumAA))
-
-	if m.Kernel.Kind == KernelLinear && m.w != nil {
-		var nw float64
-		for _, wv := range m.w {
-			nw += wv * wv
-		}
-		err := 8 * nnz * eps32 * (1 + normX*math.Sqrt(nw))
-		if m.Algo == SVDD {
-			err *= 2
-		}
-		return err + floor
-	}
-
-	sn := m.svNorms
-	if sn == nil {
-		sn = norms(m.SVs)
-	}
-	maxSN, sumA := 0.0, 0.0
-	for i := range sn {
-		if sn[i] > maxSN {
-			maxSN = sn[i]
-		}
-		sumA += m.Coef[i]
-	}
-	maxDot := normX * math.Sqrt(maxSN)
-	errDot := 8 * nnz * eps32 * (1 + maxDot)
-
-	var lip float64
-	k := m.Kernel
-	switch k.Kind {
-	case KernelRBF:
-		lip = 2 * k.Gamma
-	case KernelSigmoid:
-		lip = k.Gamma
-	case KernelPoly:
-		b := k.Gamma*maxDot + math.Abs(k.Coef0) + 1
-		lip = float64(k.Degree) * k.Gamma * ipow(b, k.Degree-1)
-	default:
-		lip = 1
-	}
-	err := sumA * lip * errDot
-	if m.Algo == SVDD {
-		err *= 2
-	}
-	return err + floor
 }

@@ -197,93 +197,38 @@ func TestFusedSurvivesJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFusedFloat32WithinBound validates the float32 mode's accuracy
-// contract: every float32-mode decision stays within Float32DecisionBound
-// of the exact float64 decision, and the accept masks agree except for
-// windows whose exact decision sits within the bound of the boundary.
-func TestFusedFloat32WithinBound(t *testing.T) {
-	r := rand.New(rand.NewSource(76))
-	models := fusedPopulation(t, r, 2, 400)
-	exact := NewScorer(models)
-	approx := NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer()
-	checked := 0
-	for trial := 0; trial < 40; trial++ {
-		x := randomSparse(r, 400, 5+r.Intn(20))
-		d64 := append([]float64(nil), exact.Decisions(x)...)
-		d32 := approx.Decisions(x)
-		m32 := append([]bool(nil), approx.AcceptMask(x)...)
-		for i, m := range models {
-			bound := Float32DecisionBound(m, x)
-			if diff := math.Abs(d32[i] - d64[i]); diff > bound {
-				t.Fatalf("model %d (%v/%v): float32 drift %g exceeds bound %g",
-					i, m.Algo, m.Kernel, diff, bound)
-			}
-			if math.Abs(d64[i]) > bound+m.acceptTol() {
-				if m32[i] != m.acceptsValue(d64[i]) {
-					t.Fatalf("model %d: float32 mask flipped outside the bound (dec %v, bound %g)",
-						i, d64[i], bound)
-				}
-				checked++
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no decision landed outside the float32 bound; test is vacuous")
-	}
-}
-
-// forceLaneKernels runs f with KernelsAuto resolving to the Go lane
-// kernels even where the packed AVX-512 engine is available, restoring
-// the real resolution afterwards.
-func forceLaneKernels(t *testing.T, f func()) {
-	t.Helper()
-	prev := disablePackedKernels
-	disablePackedKernels = true
-	defer func() { disablePackedKernels = prev }()
-	f()
-}
-
-// TestFusedEnginesBitIdentical pins the engine-equivalence contract all
-// three kernel sets share: for the same models and probes, the packed
-// AVX-512 engine (where available), the Go lane engine, and the portable
-// per-posting engine produce bit-identical decisions — float64 AND
-// float32 — and identical accept masks. The layout partitions postings
-// into (block, column) groups visited in one fixed order, so every engine
-// feeds each accumulator the same terms in the same order with the same
-// per-term rounding (the packed kernels deliberately split the multiply
-// and the add; see fusedasm_amd64.go).
+// TestFusedEnginesBitIdentical pins the engine-equivalence contract both
+// kernel sets share: for the same models and probes, the engine KernelsAuto
+// resolves to (the packed AVX-512 kernels where available) and the
+// portable per-posting engine produce decisions bit-identical to scoring
+// each model alone, and identical accept masks. The layout partitions
+// postings into (block, column) groups visited in one fixed order, so both
+// engines feed each accumulator the same terms in the same order with the
+// same per-term rounding (the packed kernels deliberately split the
+// multiply and the add; see fusedasm_amd64.go).
 func TestFusedEnginesBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(80))
 	models := fusedPopulation(t, r, 2, 400)
-	for _, f32 := range []bool{false, true} {
-		cfg := FusedConfig{Float32: f32}
-		auto := NewFusedIndex(models, cfg).NewScorer()
-		var lanes *Scorer
-		forceLaneKernels(t, func() {
-			lanes = NewFusedIndex(models, cfg).NewScorer()
-		})
-		cfg.Kernels = KernelsPortable
-		portable := NewFusedIndex(models, cfg).NewScorer()
-		for trial := 0; trial < 40; trial++ {
-			x := randomSparse(r, 450, 3+r.Intn(25))
-			dAuto := append([]float64(nil), auto.Decisions(x)...)
-			dLanes := append([]float64(nil), lanes.Decisions(x)...)
-			dPort := portable.Decisions(x)
-			for i := range models {
-				if math.Float64bits(dAuto[i]) != math.Float64bits(dPort[i]) ||
-					math.Float64bits(dLanes[i]) != math.Float64bits(dPort[i]) {
-					t.Fatalf("float32=%v trial %d model %d: engines disagree: auto %x lanes %x portable %x",
-						f32, trial, i, math.Float64bits(dAuto[i]), math.Float64bits(dLanes[i]), math.Float64bits(dPort[i]))
-				}
+	auto := NewFusedIndex(models, FusedConfig{}).NewScorer()
+	portable := NewFusedIndex(models, FusedConfig{Kernels: KernelsPortable}).NewScorer()
+	for trial := 0; trial < 40; trial++ {
+		x := randomSparse(r, 450, 3+r.Intn(25))
+		want := DecisionBatch(models, x, nil)
+		dAuto := append([]float64(nil), auto.Decisions(x)...)
+		dPort := portable.Decisions(x)
+		for i := range models {
+			if math.Float64bits(dAuto[i]) != math.Float64bits(want[i]) ||
+				math.Float64bits(dPort[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d model %d: engines diverge from per-model %x: auto %x portable %x",
+					trial, i, math.Float64bits(want[i]), math.Float64bits(dAuto[i]), math.Float64bits(dPort[i]))
 			}
-			mAuto := append([]bool(nil), auto.AcceptMask(x)...)
-			mLanes := append([]bool(nil), lanes.AcceptMask(x)...)
-			mPort := portable.AcceptMask(x)
-			for i := range models {
-				if mAuto[i] != mPort[i] || mLanes[i] != mPort[i] {
-					t.Fatalf("float32=%v trial %d model %d: masks disagree: auto %v lanes %v portable %v",
-						f32, trial, i, mAuto[i], mLanes[i], mPort[i])
-				}
+		}
+		mAuto := append([]bool(nil), auto.AcceptMask(x)...)
+		mPort := portable.AcceptMask(x)
+		for i, m := range models {
+			if wantAcc := m.Accept(x); mAuto[i] != wantAcc || mPort[i] != wantAcc {
+				t.Fatalf("trial %d model %d: masks diverge from per-model %v: auto %v portable %v",
+					trial, i, wantAcc, mAuto[i], mPort[i])
 			}
 		}
 	}
@@ -332,27 +277,13 @@ func TestFusedScreeningCounters(t *testing.T) {
 
 // TestFusedScorerAllocs gates the fused hot path: once constructed, a
 // scorer's AcceptMask and Decisions must not allocate (the name matches
-// the CI allocation-gate step's -run Allocs filter), across every
-// precision × engine combination — the packed kernels are //go:noescape,
-// so handing slices' element pointers to them must not force the scratch
-// to the heap per call.
+// the CI allocation-gate step's -run Allocs filter), on both engines —
+// the packed kernels are //go:noescape, so handing slices' element
+// pointers to them must not force the scratch to the heap per call.
 func TestFusedScorerAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	models := fusedPopulation(t, r, 2, 300)
-	cases := map[string]FusedConfig{
-		"float64":          {},
-		"float32":          {Float32: true},
-		"float64-portable": {Kernels: KernelsPortable},
-		"float32-portable": {Float32: true, Kernels: KernelsPortable},
-	}
-	scorers := map[string]*Scorer{}
-	for name, cfg := range cases {
-		scorers[name] = NewFusedIndex(models, cfg).NewScorer()
-	}
-	forceLaneKernels(t, func() {
-		scorers["float64-lanes"] = NewFusedIndex(models, FusedConfig{}).NewScorer()
-		scorers["float32-lanes"] = NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer()
-	})
+	scorers := engineScorers(models)
 	probes := make([]sparse.Vector, 8)
 	for i := range probes {
 		probes[i] = randomSparse(r, 300, 12)

@@ -165,144 +165,3 @@ doneb64:
 	VZEROUPPER
 	MOVSD X9, ret+48(FP)
 	RET
-
-// func rbfSumBound32(coef, snGH *float64, dots *float32, n int, b0, slope float64) float64
-//
-// rbfSumBound64 with the dots stream widened from float32 on load
-// (VCVTPS2PD is exact, matching the scalar loop's float64(dots[i]));
-// same two-lane pipelining into independent accumulators.
-TEXT ·rbfSumBound32(SB), NOSPLIT, $0-56
-	MOVQ coef+0(FP), SI
-	MOVQ snGH+8(FP), DI
-	MOVQ dots+16(FP), BX
-	MOVQ n+24(FP), CX
-	VBROADCASTSD b0+32(FP), Z0
-	VBROADCASTSD slope+40(FP), Z1
-	LEAQ ·rbfExpUB(SB), R8
-	SHRQ $3, CX
-	MOVL $0xFF, AX
-	VPXOR X5, X5, X5
-	VPBROADCASTD rbfBoundMax<>(SB), Y6
-	VXORPD X9, X9, X9
-	VPXORQ Z19, Z19, Z19
-pairb32:
-	CMPQ CX, $2
-	JLT  loopb32
-	VMOVUPD (DI), Z3
-	VADDPD  Z0, Z3, Z3
-	VCVTPS2PD (BX), Z2
-	VMULPD  Z1, Z2, Z2
-	VSUBPD  Z2, Z3, Z3
-	VMOVUPD 64(DI), Z13
-	VADDPD  Z0, Z13, Z13
-	VCVTPS2PD 32(BX), Z12
-	VMULPD  Z1, Z12, Z12
-	VSUBPD  Z12, Z13, Z13
-	VCVTTPD2DQ Z3, Y4
-	VPMAXSD Y5, Y4, Y4
-	VPMINSD Y6, Y4, Y4
-	VCVTTPD2DQ Z13, Y14
-	VPMAXSD Y5, Y14, Y14
-	VPMINSD Y6, Y14, Y14
-	KMOVW   AX, K1
-	VGATHERDPD (R8)(Y4*8), K1, Z7
-	KMOVW   AX, K2
-	VGATHERDPD (R8)(Y14*8), K2, Z17
-	VMOVUPD (SI), Z8
-	VMULPD  Z7, Z8, Z8
-	VADDPD  Z8, Z9, Z9
-	VMOVUPD 64(SI), Z18
-	VMULPD  Z17, Z18, Z18
-	VADDPD  Z18, Z19, Z19
-	ADDQ $128, SI
-	ADDQ $128, DI
-	ADDQ $64, BX
-	SUBQ $2, CX
-	JMP  pairb32
-loopb32:
-	TESTQ CX, CX
-	JZ    doneb32
-	VMOVUPD (DI), Z3
-	VADDPD  Z0, Z3, Z3
-	VCVTPS2PD (BX), Z2
-	VMULPD  Z1, Z2, Z2
-	VSUBPD  Z2, Z3, Z3
-	VCVTTPD2DQ Z3, Y4
-	VPMAXSD Y5, Y4, Y4
-	VPMINSD Y6, Y4, Y4
-	KMOVW   AX, K1
-	VGATHERDPD (R8)(Y4*8), K1, Z7
-	VMOVUPD (SI), Z8
-	VMULPD  Z7, Z8, Z8
-	VADDPD  Z8, Z9, Z9
-	ADDQ $64, SI
-	ADDQ $64, DI
-	ADDQ $32, BX
-	DECQ CX
-	JMP  loopb32
-doneb32:
-	VADDPD Z19, Z9, Z9
-	VEXTRACTF64X4 $1, Z9, Y10
-	VADDPD Y10, Y9, Y9
-	VEXTRACTF128 $1, Y9, X10
-	VADDPD X10, X9, X9
-	VPERMILPD $1, X9, X10
-	VADDSD X10, X9, X9
-	VZEROUPPER
-	MOVSD X9, ret+48(FP)
-	RET
-
-// func accumGroup32(ord *int32, val *float32, n int, w float32, acc *float32)
-//
-// Same shape over 16-posting float32 lanes, with the same two-lane
-// software pipelining (both gathers before either scatter; safe for the
-// same disjointness reasons as accumGroup64).
-TEXT ·accumGroup32(SB), NOSPLIT, $0-40
-	MOVQ ord+0(FP), SI
-	MOVQ val+8(FP), DI
-	MOVQ n+16(FP), CX
-	MOVQ acc+32(FP), AX
-	VBROADCASTSS w+24(FP), Z0
-	SHRQ $4, CX
-	MOVL $0xFFFF, DX
-pair32:
-	CMPQ CX, $2
-	JLT  loop32
-	VMOVDQU32 (SI), Z1
-	VMOVDQU32 64(SI), Z11
-	KMOVW     DX, K1
-	VGATHERDPS (AX)(Z1*4), K1, Z3
-	KMOVW     DX, K3
-	VGATHERDPS (AX)(Z11*4), K3, Z13
-	VMOVUPS (DI), Z2
-	VMULPS  Z2, Z0, Z2
-	VADDPS  Z2, Z3, Z3
-	VMOVUPS 64(DI), Z12
-	VMULPS  Z12, Z0, Z12
-	VADDPS  Z12, Z13, Z13
-	KMOVW   DX, K2
-	VSCATTERDPS Z3, K2, (AX)(Z1*4)
-	KMOVW   DX, K4
-	VSCATTERDPS Z13, K4, (AX)(Z11*4)
-	ADDQ $128, SI
-	ADDQ $128, DI
-	SUBQ $2, CX
-	JMP  pair32
-loop32:
-	TESTQ CX, CX
-	JZ    done32
-	VMOVDQU32 (SI), Z1
-	KMOVW     DX, K1
-	VGATHERDPS (AX)(Z1*4), K1, Z3
-	VMOVUPS (DI), Z2
-	VMULPS  Z2, Z0, Z2
-	VADDPS  Z2, Z3, Z3
-	KMOVW   DX, K2
-	VSCATTERDPS Z3, K2, (AX)(Z1*4)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ CX
-	JMP  loop32
-done32:
-	VZEROUPPER
-	RET

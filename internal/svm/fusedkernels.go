@@ -11,10 +11,10 @@ import "math"
 
 // fusedKernelSum computes Σᵢ αᵢ·k(xᵢ,x) from accumulated dot products,
 // kernel-specialized; Model.decisionIndexed runs this very loop on its
-// per-model dots, so fused float64 sums are bit-identical to that path as
-// long as the dots are (one accumulator, ascending i — do not reorder or
-// unroll this one).
-func fusedKernelSum[T float32 | float64](k Kernel, coef, sn []float64, dots []T, nx float64) float64 {
+// per-model dots, so fused sums are bit-identical to that path as long as
+// the dots are (one accumulator, ascending i — do not reorder or unroll
+// this one).
+func fusedKernelSum(k Kernel, coef, sn []float64, dots []float64, nx float64) float64 {
 	coef = coef[:len(dots)]
 	sn = sn[:len(dots)]
 	var sum float64
@@ -23,18 +23,18 @@ func fusedKernelSum[T float32 | float64](k Kernel, coef, sn []float64, dots []T,
 		g, c0 := k.Gamma, k.Coef0
 		if k.Degree == 3 { // LIBSVM's default degree, worth a closed form
 			for i := range dots {
-				b := g*float64(dots[i]) + c0
+				b := g*dots[i] + c0
 				sum += coef[i] * b * b * b
 			}
 		} else {
 			for i := range dots {
-				sum += coef[i] * ipow(g*float64(dots[i])+c0, k.Degree)
+				sum += coef[i] * ipow(g*dots[i]+c0, k.Degree)
 			}
 		}
 	case KernelRBF:
 		g := k.Gamma
 		for i := range dots {
-			d2 := sn[i] + nx - 2*float64(dots[i])
+			d2 := sn[i] + nx - 2*dots[i]
 			if d2 < 0 {
 				d2 = 0
 			}
@@ -43,11 +43,11 @@ func fusedKernelSum[T float32 | float64](k Kernel, coef, sn []float64, dots []T,
 	case KernelSigmoid:
 		g, c0 := k.Gamma, k.Coef0
 		for i := range dots {
-			sum += coef[i] * math.Tanh(g*float64(dots[i])+c0)
+			sum += coef[i] * math.Tanh(g*dots[i]+c0)
 		}
 	default: // linear models take the weight-vector path; kept for completeness
 		for i := range dots {
-			sum += coef[i] * float64(dots[i])
+			sum += coef[i] * dots[i]
 		}
 	}
 	return sum
@@ -56,9 +56,8 @@ func fusedKernelSum[T float32 | float64](k Kernel, coef, sn []float64, dots []T,
 // fusedDotRange returns [dmin, dmax] ∋ 0 covering the accumulated dot
 // products (0 is always included: untouched support vectors hold an
 // exact zero).
-func fusedDotRange[T float32 | float64](dots []T) (dmin, dmax float64) {
-	for i := range dots {
-		d := float64(dots[i])
+func fusedDotRange(dots []float64) (dmin, dmax float64) {
+	for _, d := range dots {
 		if d < dmin {
 			dmin = d
 		} else if d > dmax {
@@ -100,12 +99,12 @@ var rbfExpUB = func() (t [256]float64) {
 // exact loop's γ·(snᵢ + nx − 2·dotᵢ) scaled by 1/h, with every rounding
 // difference absorbed by the table's whole-step slack. This is the
 // reference shape: one accumulator, one support vector at a time.
-func fusedRBFSumBoundPortable[T float32 | float64](coef, snGH []float64, dots []T, b0, slope float64) float64 {
+func fusedRBFSumBoundPortable(coef, snGH, dots []float64, b0, slope float64) float64 {
 	coef = coef[:len(dots)]
 	snGH = snGH[:len(dots)]
 	var sum float64
 	for i := range dots {
-		k := int(snGH[i] + b0 - slope*float64(dots[i]))
+		k := int(snGH[i] + b0 - slope*dots[i])
 		if k < 0 {
 			k = 0
 		} else if k > 255 {
@@ -116,94 +115,6 @@ func fusedRBFSumBoundPortable[T float32 | float64](coef, snGH []float64, dots []
 		sum += coef[i] * rbfExpUB[k&255]
 	}
 	return sum
-}
-
-// fusedRBFSumBound64 is the lane engine's RBF sum bound: four independent
-// accumulator chains so the index conversions and table loads of adjacent
-// support vectors overlap instead of serializing on one sum. The bound is
-// a screen input, not a decision value — summation order is free as long
-// as every term is the admissible per-SV bound, which is unchanged.
-func fusedRBFSumBound64(coef, snGH, dots []float64, b0, slope float64) float64 {
-	coef = coef[:len(dots)]
-	snGH = snGH[:len(dots)]
-	var s0, s1, s2, s3 float64
-	for len(dots) >= 4 && len(snGH) >= 4 && len(coef) >= 4 {
-		d, sg, c := dots[:4], snGH[:4], coef[:4]
-		k0 := int(sg[0] + b0 - slope*d[0])
-		k1 := int(sg[1] + b0 - slope*d[1])
-		k2 := int(sg[2] + b0 - slope*d[2])
-		k3 := int(sg[3] + b0 - slope*d[3])
-		if k0 < 0 {
-			k0 = 0
-		} else if k0 > 255 {
-			k0 = 255
-		}
-		if k1 < 0 {
-			k1 = 0
-		} else if k1 > 255 {
-			k1 = 255
-		}
-		if k2 < 0 {
-			k2 = 0
-		} else if k2 > 255 {
-			k2 = 255
-		}
-		if k3 < 0 {
-			k3 = 0
-		} else if k3 > 255 {
-			k3 = 255
-		}
-		s0 += c[0] * rbfExpUB[k0&255]
-		s1 += c[1] * rbfExpUB[k1&255]
-		s2 += c[2] * rbfExpUB[k2&255]
-		s3 += c[3] * rbfExpUB[k3&255]
-		dots, snGH, coef = dots[4:], snGH[4:], coef[4:]
-	}
-	s0 += fusedRBFSumBoundPortable(coef, snGH, dots, b0, slope)
-	return (s0 + s1) + (s2 + s3)
-}
-
-// fusedRBFSumBound32 is fusedRBFSumBound64 over float32 accumulators
-// (bounds computed from the very values the float32 exact loop would
-// consume).
-func fusedRBFSumBound32(coef, snGH []float64, dots []float32, b0, slope float64) float64 {
-	coef = coef[:len(dots)]
-	snGH = snGH[:len(dots)]
-	var s0, s1, s2, s3 float64
-	for len(dots) >= 4 && len(snGH) >= 4 && len(coef) >= 4 {
-		d, sg, c := dots[:4], snGH[:4], coef[:4]
-		k0 := int(sg[0] + b0 - slope*float64(d[0]))
-		k1 := int(sg[1] + b0 - slope*float64(d[1]))
-		k2 := int(sg[2] + b0 - slope*float64(d[2]))
-		k3 := int(sg[3] + b0 - slope*float64(d[3]))
-		if k0 < 0 {
-			k0 = 0
-		} else if k0 > 255 {
-			k0 = 255
-		}
-		if k1 < 0 {
-			k1 = 0
-		} else if k1 > 255 {
-			k1 = 255
-		}
-		if k2 < 0 {
-			k2 = 0
-		} else if k2 > 255 {
-			k2 = 255
-		}
-		if k3 < 0 {
-			k3 = 0
-		} else if k3 > 255 {
-			k3 = 255
-		}
-		s0 += c[0] * rbfExpUB[k0&255]
-		s1 += c[1] * rbfExpUB[k1&255]
-		s2 += c[2] * rbfExpUB[k2&255]
-		s3 += c[3] * rbfExpUB[k3&255]
-		dots, snGH, coef = dots[4:], snGH[4:], coef[4:]
-	}
-	s0 += fusedRBFSumBoundPortable(coef, snGH, dots, b0, slope)
-	return (s0 + s1) + (s2 + s3)
 }
 
 // preScreenRBF is the dense pass of the pre-accumulate screen (see

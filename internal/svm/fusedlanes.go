@@ -3,25 +3,21 @@ package svm
 import "webtxprofile/internal/sparse"
 
 // The accumulate/clear kernels of the fused engine, over the blocked
-// lane-padded layout (blockedPostings). Three engines share the layout:
+// lane-padded layout (blockedPostings). Two engines share the layout:
 //
-//   - The packed kernels (accumulateVector64/accumulateVector32) run the
-//     same block/column walk but hand each lane-padded group to the
-//     AVX-512 gather–multiply–add–scatter routines in fusedasm_amd64.s.
-//     KernelsAuto resolves to them when the CPU supports AVX-512F.
-//   - The lane kernels (accumulate64/accumulate32, clear64/clear32) are
-//     straight-line unrolled over whole lanes — one 64-byte line of values
-//     and its ordinals per iteration, no remainder handling (padding
-//     guarantees full lanes). They are the shape the packed kernels
-//     consume, in portable Go, and the KernelsAuto engine everywhere
-//     AVX-512 is unavailable.
-//   - The portable kernels run the obvious per-posting loop over the very
-//     same postings in the very same order (KernelsPortable).
+//   - The packed kernel (accumulatePacked) hands each lane-padded
+//     (block, column) group to the AVX-512 gather–multiply–add–scatter
+//     routine in fusedasm_amd64.s. KernelsAuto resolves to it when the CPU
+//     supports AVX-512F.
+//   - The portable kernel (accumulatePortable) runs the obvious
+//     per-posting loop over the very same postings in the very same order.
+//     KernelsAuto resolves to it everywhere else, and KernelsPortable
+//     forces it.
 //
-// All three produce bit-identical float64 (and float32) accumulators:
-// per (column, accumulator) there is at most one posting, every engine
-// visits groups in the same order, and the packed kernels round the
-// multiply and the add separately exactly like the Go ones.
+// Both produce bit-identical accumulators: per (column, accumulator) there
+// is at most one posting, both engines visit groups in the same order, and
+// the packed kernel rounds the multiply and the add separately exactly like
+// the Go loop. Clearing (reset) is one Go loop for both.
 //
 // Blocks are the outer loop and the window's columns the inner one, so
 // every scattered accumulator write of an iteration lands inside one
@@ -29,7 +25,9 @@ import "webtxprofile/internal/sparse"
 // loops keep their bounds checks (the dense per-model passes that must be
 // bounds-check-free live in fusedkernels.go, which CI gates).
 
-func (pb *blockedPostings) accumulate64(x sparse.Vector, acc []float64) int {
+// accumulatePacked is the packed engine: the blocked walk, with each
+// group's lanes processed by the AVX-512 kernel.
+func (pb *blockedPostings) accumulatePacked(x sparse.Vector, acc []float64) int {
 	ncols := pb.ncols
 	if ncols <= 0 {
 		return 0
@@ -51,205 +49,16 @@ func (pb *blockedPostings) accumulate64(x sparse.Vector, acc []float64) int {
 				continue
 			}
 			visited += int(e - s)
-			w := xv[k]
-			ord := pb.ord[s:e]
-			val := pb.val[s:e]
-			for len(ord) >= laneWidth64 && len(val) >= laneWidth64 {
-				o, v := ord[:laneWidth64], val[:laneWidth64]
-				acc[o[0]] += w * v[0]
-				acc[o[1]] += w * v[1]
-				acc[o[2]] += w * v[2]
-				acc[o[3]] += w * v[3]
-				acc[o[4]] += w * v[4]
-				acc[o[5]] += w * v[5]
-				acc[o[6]] += w * v[6]
-				acc[o[7]] += w * v[7]
-				ord, val = ord[laneWidth64:], val[laneWidth64:]
-			}
-		}
-	}
-	return visited
-}
-
-func (pb *blockedPostings) accumulate32(x sparse.Vector, acc []float32) int {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return 0
-	}
-	xi, xv := x.Idx, x.Val
-	if len(xi) > len(xv) {
-		xi = xi[:len(xv)]
-	}
-	visited := 0
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for k := range xi {
-			c := xi[k]
-			if c >= ncols {
-				break
-			}
-			s, e := row[c], row[c+1]
-			if s == e {
-				continue
-			}
-			visited += int(e - s)
-			w := float32(xv[k])
-			ord := pb.ord[s:e]
-			val := pb.val32[s:e]
-			for len(ord) >= laneWidth32 && len(val) >= laneWidth32 {
-				o, v := ord[:laneWidth32], val[:laneWidth32]
-				acc[o[0]] += w * v[0]
-				acc[o[1]] += w * v[1]
-				acc[o[2]] += w * v[2]
-				acc[o[3]] += w * v[3]
-				acc[o[4]] += w * v[4]
-				acc[o[5]] += w * v[5]
-				acc[o[6]] += w * v[6]
-				acc[o[7]] += w * v[7]
-				acc[o[8]] += w * v[8]
-				acc[o[9]] += w * v[9]
-				acc[o[10]] += w * v[10]
-				acc[o[11]] += w * v[11]
-				acc[o[12]] += w * v[12]
-				acc[o[13]] += w * v[13]
-				acc[o[14]] += w * v[14]
-				acc[o[15]] += w * v[15]
-				ord, val = ord[laneWidth32:], val[laneWidth32:]
-			}
-		}
-	}
-	return visited
-}
-
-// accumulateVector64 is the packed engine: the same walk as accumulate64,
-// with each group's lanes processed by the AVX-512 kernel.
-func (pb *blockedPostings) accumulateVector64(x sparse.Vector, acc []float64) int {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return 0
-	}
-	xi, xv := x.Idx, x.Val
-	if len(xi) > len(xv) {
-		xi = xi[:len(xv)]
-	}
-	visited := 0
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for k := range xi {
-			c := xi[k]
-			if c >= ncols {
-				break
-			}
-			s, e := row[c], row[c+1]
-			if s == e {
-				continue
-			}
-			visited += int(e - s)
 			accumGroup64(&pb.ord[s], &pb.val[s], int(e-s), xv[k], &acc[0])
 		}
 	}
 	return visited
 }
 
-func (pb *blockedPostings) accumulateVector32(x sparse.Vector, acc []float32) int {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return 0
-	}
-	xi, xv := x.Idx, x.Val
-	if len(xi) > len(xv) {
-		xi = xi[:len(xv)]
-	}
-	visited := 0
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for k := range xi {
-			c := xi[k]
-			if c >= ncols {
-				break
-			}
-			s, e := row[c], row[c+1]
-			if s == e {
-				continue
-			}
-			visited += int(e - s)
-			accumGroup32(&pb.ord[s], &pb.val32[s], int(e-s), float32(xv[k]), &acc[0])
-		}
-	}
-	return visited
-}
-
-// clear64 re-walks exactly the postings accumulate64 touched for x and
-// zeroes their accumulator cells, leaving the scratch all-zero again in
-// O(matched postings) instead of O(population).
-func (pb *blockedPostings) clear64(x sparse.Vector, acc []float64) {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return
-	}
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for _, c := range x.Idx {
-			if c >= ncols {
-				break
-			}
-			ord := pb.ord[row[c]:row[c+1]]
-			for len(ord) >= laneWidth64 {
-				o := ord[:laneWidth64]
-				acc[o[0]] = 0
-				acc[o[1]] = 0
-				acc[o[2]] = 0
-				acc[o[3]] = 0
-				acc[o[4]] = 0
-				acc[o[5]] = 0
-				acc[o[6]] = 0
-				acc[o[7]] = 0
-				ord = ord[laneWidth64:]
-			}
-		}
-	}
-}
-
-func (pb *blockedPostings) clear32(x sparse.Vector, acc []float32) {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return
-	}
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for _, c := range x.Idx {
-			if c >= ncols {
-				break
-			}
-			ord := pb.ord[row[c]:row[c+1]]
-			for len(ord) >= laneWidth32 {
-				o := ord[:laneWidth32]
-				acc[o[0]] = 0
-				acc[o[1]] = 0
-				acc[o[2]] = 0
-				acc[o[3]] = 0
-				acc[o[4]] = 0
-				acc[o[5]] = 0
-				acc[o[6]] = 0
-				acc[o[7]] = 0
-				acc[o[8]] = 0
-				acc[o[9]] = 0
-				acc[o[10]] = 0
-				acc[o[11]] = 0
-				acc[o[12]] = 0
-				acc[o[13]] = 0
-				acc[o[14]] = 0
-				acc[o[15]] = 0
-				ord = ord[laneWidth32:]
-			}
-		}
-	}
-}
-
-// accumulatePortable64 is the reference engine: the same blocked walk,
-// one posting at a time. Per-accumulator term order is identical to
-// accumulate64, so float64 results are bit-identical.
-func (pb *blockedPostings) accumulatePortable64(x sparse.Vector, acc []float64) int {
+// accumulatePortable is the reference engine: the same blocked walk, one
+// posting at a time. Per-accumulator term order is identical to
+// accumulatePacked, so results are bit-identical.
+func (pb *blockedPostings) accumulatePortable(x sparse.Vector, acc []float64) int {
 	ncols := pb.ncols
 	if ncols <= 0 {
 		return 0
@@ -275,33 +84,18 @@ func (pb *blockedPostings) accumulatePortable64(x sparse.Vector, acc []float64) 
 	return visited
 }
 
-func (pb *blockedPostings) accumulatePortable32(x sparse.Vector, acc []float32) int {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return 0
+// reset zeroes the accumulator cells the accumulate pass touched for x,
+// which visited postings. Sparse windows re-walk exactly those postings
+// (O(matched), never O(population)); a window whose postings cover at
+// least a quarter of acc takes one bulk zeroing pass instead — sequential
+// stores beat the walk's scattered ones well before the crossover, and
+// since the bulk path only fires when cells ≤ 4·visited, clearing stays
+// O(matched postings) either way.
+func (pb *blockedPostings) reset(x sparse.Vector, acc []float64, visited int) {
+	if visited*4 >= len(acc) {
+		clear(acc)
+		return
 	}
-	visited := 0
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for k, c := range x.Idx {
-			if c >= ncols {
-				break
-			}
-			s, e := row[c], row[c+1]
-			if s == e {
-				continue
-			}
-			visited += int(e - s)
-			w := float32(x.Val[k])
-			for p := s; p < e; p++ {
-				acc[pb.ord[p]] += w * pb.val32[p]
-			}
-		}
-	}
-	return visited
-}
-
-func (pb *blockedPostings) clearPortable64(x sparse.Vector, acc []float64) {
 	ncols := pb.ncols
 	if ncols <= 0 {
 		return
@@ -312,26 +106,8 @@ func (pb *blockedPostings) clearPortable64(x sparse.Vector, acc []float64) {
 			if c >= ncols {
 				break
 			}
-			for p := row[c]; p < row[c+1]; p++ {
-				acc[pb.ord[p]] = 0
-			}
-		}
-	}
-}
-
-func (pb *blockedPostings) clearPortable32(x sparse.Vector, acc []float32) {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return
-	}
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for _, c := range x.Idx {
-			if c >= ncols {
-				break
-			}
-			for p := row[c]; p < row[c+1]; p++ {
-				acc[pb.ord[p]] = 0
+			for _, o := range pb.ord[row[c]:row[c+1]] {
+				acc[o] = 0
 			}
 		}
 	}

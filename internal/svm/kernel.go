@@ -41,11 +41,9 @@
 // when its decision value provably falls below the accept tolerance, so
 // the mask is identical to calling Model.Accept per model; screening
 // effectiveness is observable via KernelStats (PostingsVisited,
-// ScreenedModels, FusedDecisions). FusedConfig.Float32 stores postings
-// and accumulators in float32 — half the memory and often faster — with
-// the worst-case deviation from the exact float64 decision certified by
-// Float32DecisionBound. A FusedIndex is safe for concurrent use; each
-// goroutine takes its own Scorer for scratch.
+// ScreenedModels, FusedDecisions). Scoring runs in float64 throughout. A
+// FusedIndex is safe for concurrent use; each goroutine takes its own
+// Scorer for scratch.
 //
 // # Blocked postings layout and kernel engines
 //
@@ -54,20 +52,20 @@
 // so per-group posting runs stay long enough to keep the hardware
 // prefetcher fed — see pickBlockShift), postings are grouped by
 // (block, column), and every group is zero-padded to whole fixed-width
-// lanes (8 float64 or 16 float32 values — one 64-byte line each). Pads
-// target a dedicated spare accumulator cell, so kernels process whole
-// lanes with no remainder handling and the scatter of a lane never
-// aliases a real ordinal. Three interchangeable engines consume this one
-// layout (FusedConfig.Kernels): packed AVX-512 assembly
+// lanes (8 float64 values — one 64-byte line). Pads target a dedicated
+// spare accumulator cell, so the packed kernels process whole lanes with
+// no remainder handling and the scatter of a lane never aliases a real
+// ordinal. Two interchangeable engines consume this one layout, resolved
+// by FusedConfig.Kernels: KernelsAuto picks packed AVX-512 assembly
 // (gather–multiply–add–scatter per lane, plus a packed table-driven RBF
-// screening-bound reduction), straight-line Go lane kernels, and portable
-// per-posting reference loops. Engine selection never changes results:
-// blocks partition ordinals, each (column, accumulator) pair carries at
-// most one posting, and all engines visit groups in one fixed order with
+// screening-bound reduction) where the CPU supports AVX-512F and the
+// portable per-posting loops everywhere else; KernelsPortable forces the
+// portable loops. Engine selection never changes results: blocks
+// partition ordinals, each (column, accumulator) pair carries at most one
+// posting, and both engines visit groups in one fixed order with
 // separately rounded multiply and add (the assembly deliberately avoids
-// FMA), so float64 — and float32 — decisions are bit-identical across
-// engines, per-model paths, and CPUs; only screening *effort* may differ,
-// never a mask. The per-model epilogue passes over contiguous SV ranges
+// FMA), so decisions are bit-identical across engines, per-model paths,
+// and CPUs; only screening *effort* may differ, never a mask. The per-model epilogue passes over contiguous SV ranges
 // (kernel sums, screen bounds, dot ranges) live in fusedkernels.go, which
 // CI keeps free of bounds checks in inner loops; index build cost and
 // lane-padding overhead are observable via KernelStats

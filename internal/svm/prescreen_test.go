@@ -66,17 +66,13 @@ func withSurvivorShare(share float64, f func()) {
 	f()
 }
 
-// engineScorers builds auto, lanes and portable float64 scorers over models.
+// engineScorers builds an auto-resolved (packed where the CPU supports
+// it) and a portable scorer over models.
 func engineScorers(models []*Model) map[string]*Scorer {
-	sc := map[string]*Scorer{
+	return map[string]*Scorer{
 		"auto":     NewFusedIndex(models, FusedConfig{}).NewScorer(),
 		"portable": NewFusedIndex(models, FusedConfig{Kernels: KernelsPortable}).NewScorer(),
 	}
-	prev := disablePackedKernels
-	disablePackedKernels = true
-	sc["lanes"] = NewFusedIndex(models, FusedConfig{}).NewScorer()
-	disablePackedKernels = prev
-	return sc
 }
 
 // preScreenProbes returns the probe windows of the differential tests:
@@ -225,28 +221,6 @@ func TestPreScreenUnderflowRegression(t *testing.T) {
 	sc.AcceptMask(randomSparse(r, dim, 10))
 	if d := ReadKernelStats().Sub(before); d.PreScreened == 0 {
 		t.Error("no model pre-screened on a far window")
-	}
-}
-
-// TestPreScreenFloat32Untouched pins the float64-only scope: a float32
-// index builds no bound table and never pre-screens.
-func TestPreScreenFloat32Untouched(t *testing.T) {
-	r := rand.New(rand.NewSource(93))
-	var models []*Model
-	for i := 0; i < 20; i++ {
-		models = append(models, calibratedRBFModel(t, r, 200, 0.3, 1, false))
-	}
-	ix := NewFusedIndex(models, FusedConfig{Float32: true})
-	if ix.preCrit != nil || ix.ownHi != nil || ix.ownLo != nil {
-		t.Fatal("float32 index built a pre-screen bound table")
-	}
-	sc := ix.NewScorer()
-	before := ReadKernelStats()
-	for i := 0; i < 20; i++ {
-		sc.AcceptMask(randomSparse(r, 200, 12))
-	}
-	if d := ReadKernelStats().Sub(before); d.PreScreened != 0 {
-		t.Errorf("float32 scorer pre-screened %d models", d.PreScreened)
 	}
 }
 

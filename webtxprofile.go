@@ -87,10 +87,6 @@ type (
 	// DeviceState is the portable per-device monitor state (identifier
 	// snapshot plus confirmed identity), the unit StateStores hold.
 	DeviceState = core.DeviceState
-	// KernelMode selects the fused scoring engine's kernel
-	// implementations (MonitorConfig.ScoringKernels): auto-resolved or
-	// forced portable. Every engine is bit-identical in float64 mode.
-	KernelMode = svm.KernelMode
 	// SynthConfig parameterizes synthetic benchmark generation.
 	SynthConfig = synth.Config
 	// SynthSegment is one user-interval of a device scenario.
@@ -103,15 +99,6 @@ const (
 	OCSVM = svm.OCSVM
 	// SVDD is the Support Vector Data Description of Tax & Duin.
 	SVDD = svm.SVDD
-)
-
-// Kernel engine modes.
-const (
-	// KernelsAuto resolves to the fastest scoring engine the CPU
-	// supports (the packed AVX-512 kernels, else the Go lane kernels).
-	KernelsAuto = svm.KernelsAuto
-	// KernelsPortable forces the per-posting reference loops.
-	KernelsPortable = svm.KernelsPortable
 )
 
 // Alert kinds.
