@@ -591,7 +591,7 @@ func permissivePopulation(b testing.TB, u, step int) ([]*svm.Model, []sparse.Vec
 // against U user models, comparing the per-model-index baseline
 // (DecisionBatch: each model re-walks the window through its own inverted
 // index) against the fused population index (one shared postings pass plus
-// decision screening) on both kernel engines. decisions/sec is the
+// decision screening). decisions/sec is the
 // reported capacity metric — the paper's identification loop runs exactly
 // this evaluation per completed window.
 //
@@ -629,25 +629,17 @@ func BenchmarkPopulationDecisions(b *testing.B) {
 			}
 			rate(b)
 		})
-		// fused runs the engine this CPU resolves to; fused-portable pins
-		// the portable loops on the same index layout, the A/B column for
-		// the packed kernels (identical decisions).
-		for _, e := range []struct {
-			name string
-			cfg  svm.FusedConfig
-		}{{"fused", svm.FusedConfig{}}, {"fused-portable", svm.FusedConfig{Kernels: svm.KernelsPortable}}} {
-			b.Run(fmt.Sprintf("%s/models=%d", e.name, u), func(b *testing.B) {
-				sc := svm.NewFusedIndex(models, e.cfg).NewScorer()
-				before := svm.ReadKernelStats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sc.AcceptMask(probes[i%len(probes)])
-				}
-				rate(b)
-				st := svm.ReadKernelStats().Sub(before)
-				b.ReportMetric(float64(st.ScreenedModels)/float64(b.N), "screened/op")
-			})
-		}
+		b.Run(fmt.Sprintf("fused/models=%d", u), func(b *testing.B) {
+			sc := svm.NewScorer(models)
+			before := svm.ReadKernelStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.AcceptMask(probes[i%len(probes)])
+			}
+			rate(b)
+			st := svm.ReadKernelStats().Sub(before)
+			b.ReportMetric(float64(st.ScreenedModels)/float64(b.N), "screened/op")
+		})
 	}
 }
 

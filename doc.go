@@ -45,15 +45,12 @@
 //     shared read-only across monitor shards; each shard carries only
 //     per-window scratch (svm.Scorer). Scoring runs in float64, and its
 //     accept/reject decisions are bit-identical to the per-model engine.
-//   - The fused postings are laid out cache-blocked in fixed-width
-//     zero-padded lanes, consumed by one of two kernel engines: packed
-//     AVX-512 assembly where the CPU supports it, portable Go loops
-//     everywhere else. The platform picks the engine; no flag does.
-//     Engine choice is pure mechanism — decisions are bit-identical
-//     across both, a property pinned by a differential fuzz target and a
-//     monitor-level alert-equivalence suite. Daemons log the resolved
-//     engine and the index footprint (svm.FusedIndex.Footprint) at
-//     startup.
+//   - The fused postings are laid out cache-blocked and walked by plain
+//     Go loops, the same on every platform and with no engine flag.
+//     Decisions are bit-identical to the per-model engine, a property
+//     pinned by a differential fuzz target and a monitor-level
+//     alert-equivalence suite. Daemons log the index footprint
+//     (svm.FusedIndex.Footprint) at startup.
 //   - Per-user grid searches share one Gram matrix across all ν/C cells of
 //     a (user, kernel) row — the kernel matrix depends only on the kernel
 //     and the training windows — cutting the search's kernel evaluations

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"strings"
-	"testing"
-
-	"webtxprofile/internal/svm"
-)
+import "testing"
 
 // runMonitorAlerts replays txs through a monitor built with cfg and
 // returns the per-device alert signatures (stream fully fed, flushed,
@@ -45,10 +40,8 @@ func TestMonitorFusedMatchesPreFusedEngine(t *testing.T) {
 }
 
 // TestMonitorScoringEngineAccessors pins the observability accessors the
-// daemon logs at startup: a fused monitor reports the engine that runs —
-// the packed kernels where the CPU has AVX-512F, the portable loops
-// elsewhere, exactly as the index resolves it — and a non-zero index
-// footprint; the reference seam reports "per-model".
+// daemon logs at startup: a fused monitor reports "fused" and a non-zero
+// index footprint; the reference seam reports "per-model".
 func TestMonitorScoringEngineAccessors(t *testing.T) {
 	set, _ := sharedSet(t)
 	col := newAlertCollector()
@@ -57,16 +50,8 @@ func TestMonitorScoringEngineAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	eng := mon.ScoringEngine()
-	if eng != "portable" && !strings.HasPrefix(eng, "avx512 (cpu: ") {
-		t.Errorf("ScoringEngine() = %q, want \"portable\" or an \"avx512 (cpu: ...)\" name", eng)
-	}
-	_, models, err := setModels(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := svm.NewFusedIndex(models, svm.FusedConfig{}).Engine(); eng != want {
-		t.Errorf("ScoringEngine() = %q, want the resolved engine %q", eng, want)
+	if eng := mon.ScoringEngine(); eng != "fused" {
+		t.Errorf("ScoringEngine() = %q, want fused", eng)
 	}
 	if fp := mon.ScoringFootprint(); fp.IndexBytes == 0 {
 		t.Errorf("ScoringFootprint() = %+v, want non-zero IndexBytes", fp)

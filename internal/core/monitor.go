@@ -69,9 +69,8 @@ func (k AlertKind) String() string {
 // (no eviction) while removing its lock contention.
 //
 // Scoring has no knob: every monitor scores in float64 through one shared
-// fused index, on the packed AVX-512 kernels where the CPU supports them
-// and on the portable loops elsewhere (ScoringEngine names which). Both
-// engines make bit-identical decisions, so alerts never depend on the host.
+// fused index, whose decisions are bit-identical to scoring each model
+// alone, so alerts never depend on the host.
 type MonitorConfig struct {
 	// Shards is the number of lock-striped device shards (default 16).
 	// Each device hashes to one shard, so per-device event order is
@@ -331,16 +330,14 @@ func NewMonitorWithConfig(set *ProfileSet, consecutiveK int, alerts func(Alert),
 	return m, nil
 }
 
-// ScoringEngine names the fused index's resolved kernel engine
-// ("avx512 (cpu: ...)" where the CPU has AVX-512F, "portable" elsewhere),
-// or "per-model" under the reference
-// scoring seam. Daemons log it at startup so deployments can tell which
-// engine a host resolved to.
+// ScoringEngine names the scoring path: "fused" for the shared fused
+// index, or "per-model" under the reference scoring seam. Daemons log it
+// at startup beside the index footprint.
 func (m *Monitor) ScoringEngine() string {
 	if m.ix == nil {
 		return "per-model"
 	}
-	return m.ix.Engine()
+	return "fused"
 }
 
 // ScoringFootprint returns the shared fused index's memory accounting

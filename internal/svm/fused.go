@@ -3,7 +3,6 @@ package svm
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"webtxprofile/internal/sparse"
 )
@@ -46,36 +45,10 @@ const preScreenEps = 0x1p-52
 // either path.
 var sparseSurvivorShare = 0.1
 
-// KernelMode selects which scoring kernels a FusedIndex runs.
-type KernelMode uint8
-
-const (
-	// KernelsAuto resolves to the packed AVX-512 kernels
-	// (fusedasm_amd64.s) where the CPU supports AVX-512F, and to the
-	// portable loops everywhere else. This is the default.
-	KernelsAuto KernelMode = iota
-	// KernelsPortable runs the per-posting reference loops over the same
-	// blocked layout on every CPU. Results are bit-identical to the packed
-	// kernels (per-accumulator term order and rounding are the same); it
-	// is the plain-code baseline for differential testing and A/B timing.
-	KernelsPortable
-)
-
-// FusedConfig selects how a FusedIndex accumulates postings.
-type FusedConfig struct {
-	// Kernels picks the scoring kernels (packed vs portable); both run
-	// over the same blocked postings layout and produce bit-identical
-	// accumulators. The zero value (KernelsAuto) is the fastest engine the
-	// CPU supports.
-	Kernels KernelMode
-}
-
-// laneWidth is the lane width of the blocked postings layout: one lane of
-// values is one 64-byte cache line (8×float64, one AVX-512 register), and
-// every (block, column) postings group is zero-padded to a whole number
-// of lanes so the packed kernels run whole lanes with no remainder
-// handling.
-const laneWidth = 8
+// FusedConfig is the build configuration of a FusedIndex. It has no
+// fields: the index has one layout and one engine. It remains only so
+// existing NewFusedIndex callers keep compiling.
+type FusedConfig struct{}
 
 // maxBlockGroups bounds the dense per-(block, column) offset table of a
 // postings family. When accumulators × columns would exceed it, the block
@@ -95,17 +68,15 @@ const maxBlockGroups = 4 << 20
 const minGroupPostings = 512
 
 // blockedPostings is one postings family of a FusedIndex (linear weights
-// or support vectors) in the feature-blocked, lane-padded layout.
+// or support vectors) in the feature-blocked layout.
 //
 // Accumulator ordinals are split into fixed power-of-two blocks
 // (block(g) = g >> shift, sized so a block's accumulator span stays
 // L1-resident), and postings are grouped by (block, column): group
-// (b, c) occupies ord/val[starts[b*ncols+c] : starts[b*ncols+c+1]],
-// zero-padded to full lanes with postings that target the spare ordinal
-// (val 0, so they accumulate exact zeros into a cell nobody reads).
+// (b, c) occupies ord/val[starts[b*ncols+c] : starts[b*ncols+c+1]].
 // Within a group, postings keep ascending ordinal order.
 //
-// The accumulate kernels walk blocks in the outer loop and the window's
+// The accumulate pass walks blocks in the outer loop and the window's
 // columns in the inner loop, so all scattered writes of a block land in
 // one small accumulator span. Bit-identity with the unblocked column-major
 // walk holds because blocks partition ordinals exactly: every term of a
@@ -116,11 +87,9 @@ type blockedPostings struct {
 	ncols   int32   // column span (max posting column + 1)
 	nblocks int32   // ordinal blocks
 	shift   uint    // accumulator ordinal → block index
-	starts  []int32 // len nblocks*ncols+1: lane-padded group offsets
-	ord     []int32 // accumulator ordinal per posting (spare for pads)
+	starts  []int32 // len nblocks*ncols+1: group offsets
+	ord     []int32 // accumulator ordinal per posting
 	val     []float64
-	real    int // postings before padding
-	pad     int // zero-filled lane-padding postings
 }
 
 // pickBlockShift returns the ordinal→block shift: starting from a 16 KiB
@@ -143,8 +112,7 @@ func pickBlockShift(nacc, ncols, npostings int) uint {
 
 // buildBlocked converts raw column-sorted postings (column c holds
 // rawOrd/rawVal[rawStarts[c]:rawStarts[c+1]], ordinals ascending within a
-// column) into the blocked, lane-padded layout over nacc accumulators
-// (the last one being the spare pad target).
+// column) into the blocked layout over nacc accumulators.
 func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int) blockedPostings {
 	ncols := len(rawStarts) - 1
 	if ncols <= 0 || len(rawOrd) == 0 {
@@ -161,14 +129,8 @@ func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int) blocked
 			starts[b*ncols+c+1]++
 		}
 	}
-	pad := 0
 	for g := 0; g < ngroups; g++ {
-		cnt := starts[g+1]
-		if rem := cnt % laneWidth; rem != 0 {
-			pad += laneWidth - int(rem)
-			cnt += laneWidth - rem
-		}
-		starts[g+1] = starts[g] + cnt
+		starts[g+1] += starts[g]
 	}
 
 	pb := blockedPostings{
@@ -176,10 +138,8 @@ func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int) blocked
 		nblocks: int32(nblocks),
 		shift:   shift,
 		starts:  starts,
-		ord:     make([]int32, starts[ngroups]),
-		val:     make([]float64, starts[ngroups]),
-		real:    len(rawOrd),
-		pad:     pad,
+		ord:     make([]int32, len(rawOrd)),
+		val:     make([]float64, len(rawOrd)),
 	}
 	fill := make([]int32, ngroups)
 	copy(fill, starts[:ngroups])
@@ -191,12 +151,6 @@ func buildBlocked(rawStarts, rawOrd []int32, rawVal []float64, nacc int) blocked
 			pb.ord[pos] = rawOrd[p]
 			pb.val[pos] = rawVal[p]
 			fill[g] = pos + 1
-		}
-	}
-	spare := int32(nacc - 1)
-	for g := 0; g < ngroups; g++ {
-		for pos := fill[g]; pos < starts[g+1]; pos++ {
-			pb.ord[pos] = spare // values are already zero
 		}
 	}
 	return pb
@@ -221,12 +175,11 @@ func (pb *blockedPostings) bytes() int64 {
 //     range of global ordinals (svBase), and the pass accumulates xᵢ·x
 //     per support vector.
 //
-// Both families use the feature-blocked, lane-padded layout of
-// blockedPostings, and the accumulators stay bit-identical to the
-// unblocked per-model svIndex.dotsInto pass: every accumulator still
-// receives its terms in window-column order (see blockedPostings). Models
-// that are not prepared (hand-assembled without Validate) take the
-// per-model fallback path.
+// Both families use the feature-blocked layout of blockedPostings, and
+// the accumulators stay bit-identical to the unblocked per-model
+// svIndex.dotsInto pass: every accumulator still receives its terms in
+// window-column order (see blockedPostings). Models that are not prepared
+// (hand-assembled without Validate) take the per-model fallback path.
 //
 // The index also caches, per model, the decision-screen inputs of
 // Scorer.AcceptMask: Σαᵢ, the min/max support-vector norms (every αᵢ > 0
@@ -256,7 +209,6 @@ func (pb *blockedPostings) bytes() int64 {
 // Monitor shards share one index and attach per-shard Scorer scratch.
 type FusedIndex struct {
 	models []*Model
-	vector bool // KernelsAuto resolved to the AVX-512 packed kernels
 	kind   []uint8
 
 	lin blockedPostings // linear-weight postings
@@ -265,7 +217,7 @@ type FusedIndex struct {
 	// Column → owning models with at least one SV posting in that column
 	// (deduped, ascending): ownIDs[ownStarts[c]:ownStarts[c+1]]. This is
 	// the touch-marking pass, decoupled from accumulation so the
-	// accumulate kernels stay pure multiply-add. ownHi/ownLo (indexes
+	// accumulate pass stays pure multiply-add. ownHi/ownLo (indexes
 	// with at least one pre-screenable model; nil otherwise) run parallel to
 	// ownIDs: the owner's max(0, max SV value) and min(0, min SV value)
 	// in that column — the pre-accumulate screen's bound table.
@@ -283,7 +235,7 @@ type FusedIndex struct {
 	svBase []int32
 	// Per global ordinal: dual coefficient, ‖sv‖², and — for RBF models —
 	// γ·‖sv‖²/h, the precomputed table-index contribution of the support
-	// vector to the screening bound (see fusedRBFSumBoundPortable: folding γ and
+	// vector to the screening bound (see fusedRBFSumBound: folding γ and
 	// the table scale into the operand array at build time leaves one fused
 	// multiply-add per support vector in the bound's inner loop).
 	coef     []float64
@@ -317,52 +269,31 @@ type FusedIndex struct {
 	footprint IndexFootprint
 }
 
-// IndexFootprint is the memory accounting of a built FusedIndex: what the
-// blocked layout costs and how much of it is lane padding.
+// IndexFootprint is the memory accounting of a built FusedIndex.
 type IndexFootprint struct {
-	Models       int
-	SVs          int
-	Postings     int   // real postings stored (linear weights + SV entries)
-	LanePadWaste int   // zero-filled pad slots added to fill out lanes
-	IndexBytes   int64 // resident bytes: postings, offsets, per-model caches, pre-screen bound table
+	Models     int
+	SVs        int
+	Postings   int   // postings stored (linear weights + SV entries)
+	IndexBytes int64 // resident bytes: postings, offsets, per-model caches, pre-screen bound table
 }
 
 // String renders the footprint for startup logs.
 func (f IndexFootprint) String() string {
-	padPct := 0.0
-	if n := f.Postings + f.LanePadWaste; n > 0 {
-		padPct = 100 * float64(f.LanePadWaste) / float64(n)
-	}
-	return fmt.Sprintf("models=%d svs=%d postings=%d pad=%d (%.1f%%) bytes=%d",
-		f.Models, f.SVs, f.Postings, f.LanePadWaste, padPct, f.IndexBytes)
+	return fmt.Sprintf("models=%d svs=%d postings=%d bytes=%d",
+		f.Models, f.SVs, f.Postings, f.IndexBytes)
 }
 
 // Footprint returns the index's memory accounting.
 func (ix *FusedIndex) Footprint() IndexFootprint { return ix.footprint }
 
-// Engine names the scoring kernels that run, e.g.
-// "avx512 (cpu: avx2,avx512f,fma,sse2)" or "portable".
-func (ix *FusedIndex) Engine() string {
-	if !ix.vector {
-		return "portable"
-	}
-	return "avx512 (cpu: " + strings.Join(cpuFeatureList, ",") + ")"
-}
-
-// cpuFeatureList holds the detected SIMD capabilities of this CPU
-// (detectCPUFeatures; empty off amd64). It is both observability and the
-// dispatch input: KernelsAuto resolves to the AVX-512 packed kernels when
-// "avx512f" is present, and to the portable loops otherwise.
-var cpuFeatureList = detectCPUFeatures()
-
 // NewFusedIndex builds the fused population index over models. The models
 // are shared, not copied; prepared models (Train, UnmarshalJSON, Validate)
 // take the fused path, unprepared ones are recorded for per-model fallback.
-func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
+// The FusedConfig argument is empty and ignored.
+func NewFusedIndex(models []*Model, _ FusedConfig) *FusedIndex {
 	n := len(models)
 	ix := &FusedIndex{
 		models:   models,
-		vector:   cfg.Kernels == KernelsAuto && asmKernelsSupported(),
 		kind:     make([]uint8, n),
 		svBase:   make([]int32, n+1),
 		sumAlpha: make([]float64, n),
@@ -555,17 +486,14 @@ func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
 		}
 	}
 
-	// Convert both families to the blocked, lane-padded layout. The
-	// accumulator counts include one spare slot (ordinal n / numSVs) that
-	// the pad postings target.
-	ix.lin = buildBlocked(linStarts, linOrd, linVal, n+1)
-	ix.sv = buildBlocked(svStarts, svOrd, svVal, numSVs+1)
+	// Convert both families to the blocked layout.
+	ix.lin = buildBlocked(linStarts, linOrd, linVal, n)
+	ix.sv = buildBlocked(svStarts, svOrd, svVal, numSVs)
 
 	ix.footprint = IndexFootprint{
-		Models:       n,
-		SVs:          numSVs,
-		Postings:     ix.lin.real + ix.sv.real,
-		LanePadWaste: ix.lin.pad + ix.sv.pad,
+		Models:   n,
+		SVs:      numSVs,
+		Postings: len(ix.lin.ord) + len(ix.sv.ord),
 		IndexBytes: ix.lin.bytes() + ix.sv.bytes() +
 			int64(len(ix.ownStarts))*4 + int64(len(ix.ownIDs))*4 +
 			int64(len(ix.ownHi)+len(ix.ownLo))*8 +
@@ -658,7 +586,7 @@ func (ix *FusedIndex) numSVs() int { return int(ix.svBase[len(ix.models)]) }
 // markOwners stamps every model owning at least one support-vector posting
 // in one of x's columns with the scorer's epoch — the same touch condition
 // the accumulate pass used to establish inline, decoupled so the
-// accumulate kernels stay pure multiply-add. Columns carry deduped owner lists, so
+// accumulate pass stays pure multiply-add. Columns carry deduped owner lists, so
 // this visits ~postings/nnz-per-(model,column) entries, not every posting.
 //
 // When ub is non-nil (an index with a bound table) the same walk also
@@ -667,7 +595,7 @@ func (ix *FusedIndex) numSVs() int { return int(ix.svBase[len(ix.models)]) }
 // negative value, every term ≥ 0 — and returns the owner entries visited
 // and the support-vector postings in x's columns. The scatter index is
 // data-dependent, so this loop keeps its bounds checks (like the
-// accumulate kernels in fusedlanes.go).
+// accumulate pass in fusedlanes.go).
 func (ix *FusedIndex) markOwners(x sparse.Vector, marks []uint64, epoch uint64, ub []float64) (owners, postings int) {
 	lim := int32(len(ix.ownStarts)) - 1
 	for k, c := range x.Idx {
@@ -820,13 +748,7 @@ func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64, dots []float6
 		if gap*gap > d2Crit {
 			return true
 		}
-		b0, slope := gh*nx, 2*gh
-		var sb float64
-		if s.vector {
-			sb = fusedRBFSumBoundPacked(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
-		} else {
-			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, b0, slope)
-		}
+		sb := fusedRBFSumBound(ix.coef[lo:hi], ix.snGammaH[lo:hi], dots, gh*nx, 2*gh)
 		return sb < ix.sCrit[mi]
 	}
 

@@ -10,11 +10,11 @@ import (
 	"webtxprofile/internal/sparse"
 )
 
-// randomKernelModel hand-assembles a structurally valid model with the
+// randomSVModel hand-assembles a structurally valid model with the
 // given kernel. Validate is NOT called; callers decide whether to prepare
 // the caches (and thereby whether the model takes the fused or the
 // fallback path).
-func randomKernelModel(r *rand.Rand, algo Algorithm, k Kernel, nsv, dim, nnz int) *Model {
+func randomSVModel(r *rand.Rand, algo Algorithm, k Kernel, nsv, dim, nnz int) *Model {
 	m := &Model{Algo: algo, Kernel: k, Param: 0.1, TrainSize: nsv}
 	for i := 0; i < nsv; i++ {
 		m.SVs = append(m.SVs, randomSparse(r, dim, nnz))
@@ -38,7 +38,7 @@ func fusedPopulation(t *testing.T, r *rand.Rand, copies, dim int) []*Model {
 	for c := 0; c < copies; c++ {
 		for _, algo := range []Algorithm{OCSVM, SVDD} {
 			for _, k := range kernelsUnderTest() {
-				m := randomKernelModel(r, algo, k, 1+r.Intn(60), dim, 5+r.Intn(20))
+				m := randomSVModel(r, algo, k, 1+r.Intn(60), dim, 5+r.Intn(20))
 				if err := m.Validate(); err != nil {
 					t.Fatal(err)
 				}
@@ -138,8 +138,8 @@ func TestFusedEmptyWindowAndEmptyPopulation(t *testing.T) {
 func TestFusedUnpreparedFallback(t *testing.T) {
 	r := rand.New(rand.NewSource(74))
 	models := fusedPopulation(t, r, 1, 300)
-	raw := randomKernelModel(r, OCSVM, RBF(0.5), 20, 300, 10) // no Validate
-	rawLin := randomLinearModel(r, SVDD, 15, 300, 10)         // no Validate
+	raw := randomSVModel(r, OCSVM, RBF(0.5), 20, 300, 10) // no Validate
+	rawLin := randomLinearModel(r, SVDD, 15, 300, 10)     // no Validate
 	models = append(models, raw, rawLin)
 	sc := NewScorer(models)
 
@@ -197,38 +197,32 @@ func TestFusedSurvivesJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFusedEnginesBitIdentical pins the engine-equivalence contract both
-// kernel sets share: for the same models and probes, the engine KernelsAuto
-// resolves to (the packed AVX-512 kernels where available) and the
-// portable per-posting engine produce decisions bit-identical to scoring
-// each model alone, and identical accept masks. The layout partitions
-// postings into (block, column) groups visited in one fixed order, so both
-// engines feed each accumulator the same terms in the same order with the
-// same per-term rounding (the packed kernels deliberately split the
-// multiply and the add; see fusedasm_amd64.go).
+// TestFusedEnginesBitIdentical pins the contract between the two scoring
+// engines, the fused index and per-model scoring: for the same models and
+// probes, fused decisions are bit-identical to scoring each model alone,
+// and the accept masks are identical. The layout partitions postings into
+// (block, column) groups visited in one fixed order, so every accumulator
+// receives the same terms in the same order with the same per-term
+// rounding as the per-model index pass.
 func TestFusedEnginesBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(80))
 	models := fusedPopulation(t, r, 2, 400)
-	auto := NewFusedIndex(models, FusedConfig{}).NewScorer()
-	portable := NewFusedIndex(models, FusedConfig{Kernels: KernelsPortable}).NewScorer()
+	sc := NewScorer(models)
 	for trial := 0; trial < 40; trial++ {
 		x := randomSparse(r, 450, 3+r.Intn(25))
 		want := DecisionBatch(models, x, nil)
-		dAuto := append([]float64(nil), auto.Decisions(x)...)
-		dPort := portable.Decisions(x)
+		got := sc.Decisions(x)
 		for i := range models {
-			if math.Float64bits(dAuto[i]) != math.Float64bits(want[i]) ||
-				math.Float64bits(dPort[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d model %d: engines diverge from per-model %x: auto %x portable %x",
-					trial, i, math.Float64bits(want[i]), math.Float64bits(dAuto[i]), math.Float64bits(dPort[i]))
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d model %d: fused %x diverges from per-model %x",
+					trial, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
-		mAuto := append([]bool(nil), auto.AcceptMask(x)...)
-		mPort := portable.AcceptMask(x)
+		mask := sc.AcceptMask(x)
 		for i, m := range models {
-			if wantAcc := m.Accept(x); mAuto[i] != wantAcc || mPort[i] != wantAcc {
-				t.Fatalf("trial %d model %d: masks diverge from per-model %v: auto %v portable %v",
-					trial, i, wantAcc, mAuto[i], mPort[i])
+			if wantAcc := m.Accept(x); mask[i] != wantAcc {
+				t.Fatalf("trial %d model %d: fused mask %v diverges from per-model %v",
+					trial, i, mask[i], wantAcc)
 			}
 		}
 	}
@@ -244,7 +238,7 @@ func TestFusedScreeningCounters(t *testing.T) {
 	// exp(−γ·(snMin+nx)) · Σα − ρ is decisively negative.
 	var models []*Model
 	for i := 0; i < 16; i++ {
-		m := randomKernelModel(r, OCSVM, RBF(0.5), 10, 200, 8)
+		m := randomSVModel(r, OCSVM, RBF(0.5), 10, 200, 8)
 		m.Rho = 5 + r.Float64()
 		if err := m.Validate(); err != nil {
 			t.Fatal(err)
@@ -277,31 +271,27 @@ func TestFusedScreeningCounters(t *testing.T) {
 
 // TestFusedScorerAllocs gates the fused hot path: once constructed, a
 // scorer's AcceptMask and Decisions must not allocate (the name matches
-// the CI allocation-gate step's -run Allocs filter), on both engines —
-// the packed kernels are //go:noescape, so handing slices' element
-// pointers to them must not force the scratch to the heap per call.
+// the CI allocation-gate step's -run Allocs filter).
 func TestFusedScorerAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	models := fusedPopulation(t, r, 2, 300)
-	scorers := engineScorers(models)
+	sc := NewScorer(models)
 	probes := make([]sparse.Vector, 8)
 	for i := range probes {
 		probes[i] = randomSparse(r, 300, 12)
 	}
-	for name, sc := range scorers {
-		i := 0
-		if avg := testing.AllocsPerRun(50, func() {
-			sc.AcceptMask(probes[i%len(probes)])
-			i++
-		}); avg != 0 {
-			t.Errorf("%s AcceptMask allocates %.1f per window, want 0", name, avg)
-		}
-		if avg := testing.AllocsPerRun(50, func() {
-			sc.Decisions(probes[i%len(probes)])
-			i++
-		}); avg != 0 {
-			t.Errorf("%s Decisions allocates %.1f per window, want 0", name, avg)
-		}
+	i := 0
+	if avg := testing.AllocsPerRun(50, func() {
+		sc.AcceptMask(probes[i%len(probes)])
+		i++
+	}); avg != 0 {
+		t.Errorf("AcceptMask allocates %.1f per window, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		sc.Decisions(probes[i%len(probes)])
+		i++
+	}); avg != 0 {
+		t.Errorf("Decisions allocates %.1f per window, want 0", avg)
 	}
 
 	// A population the pre-accumulate screen mostly rejects, scored on
@@ -317,17 +307,16 @@ func TestFusedScorerAllocs(t *testing.T) {
 		svProbes = append(svProbes, m.SVs[0])
 	}
 	withSurvivorShare(math.Inf(1), func() {
-		for name, sc := range engineScorers(calibrated) {
-			i := 0
-			if avg := testing.AllocsPerRun(50, func() {
-				sc.AcceptMask(svProbes[i%len(svProbes)])
-				i++
-			}); avg != 0 {
-				t.Errorf("sparse-path %s AcceptMask allocates %.1f per window, want 0", name, avg)
-			}
-			if len(sc.svDots) == 0 {
-				t.Errorf("sparse-path %s: no survivor was scored on the per-survivor path", name)
-			}
+		sc := NewScorer(calibrated)
+		i := 0
+		if avg := testing.AllocsPerRun(50, func() {
+			sc.AcceptMask(svProbes[i%len(svProbes)])
+			i++
+		}); avg != 0 {
+			t.Errorf("sparse-path AcceptMask allocates %.1f per window, want 0", avg)
+		}
+		if len(sc.svDots) == 0 {
+			t.Error("sparse path: no survivor was scored on the per-survivor path")
 		}
 	})
 }

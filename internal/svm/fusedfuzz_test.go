@@ -42,12 +42,11 @@ func fuzzVsScalarSeeds() [][]byte {
 	}
 }
 
-// FuzzFusedVsScalar is the differential fuzz target for the scoring
-// engines: for an arbitrary window over a mixed population (every kernel
-// and algorithm, plus calibrated RBF profiles the pre-accumulate screen
-// mostly rejects), both engines (packed AVX-512 where available, and
-// portable) must produce decisions bit-identical to scoring each model
-// alone, and identical accept masks.
+// FuzzFusedVsScalar is the differential fuzz target for the fused index:
+// for an arbitrary window over a mixed population (every kernel and
+// algorithm, plus calibrated RBF profiles the pre-accumulate screen mostly
+// rejects), the fused scorer must produce decisions bit-identical to
+// scoring each model alone, and identical accept masks.
 func FuzzFusedVsScalar(f *testing.F) {
 	for _, seed := range fuzzVsScalarSeeds() {
 		f.Add(seed)
@@ -56,7 +55,7 @@ func FuzzFusedVsScalar(f *testing.F) {
 	var models []*Model
 	for _, algo := range []Algorithm{OCSVM, SVDD} {
 		for _, k := range kernelsUnderTest() {
-			m := randomKernelModel(r, algo, k, 1+r.Intn(20), 300, 4+r.Intn(12))
+			m := randomSVModel(r, algo, k, 1+r.Intn(20), 300, 4+r.Intn(12))
 			if err := m.Validate(); err != nil {
 				f.Fatal(err)
 			}
@@ -68,28 +67,22 @@ func FuzzFusedVsScalar(f *testing.F) {
 	for i := 0; i < 24; i++ {
 		models = append(models, calibratedRBFModel(f, r, 300, 0.3, 1, i%2 == 0))
 	}
-	auto := NewFusedIndex(models, FusedConfig{}).NewScorer()
-	port := NewFusedIndex(models, FusedConfig{Kernels: KernelsPortable}).NewScorer()
+	sc := NewScorer(models)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		x := fuzzProbe(raw)
-		da := append([]float64(nil), auto.Decisions(x)...)
-		dp := port.Decisions(x)
+		got := sc.Decisions(x)
 		for i, m := range models {
-			want := m.Decision(x)
-			if math.Float64bits(da[i]) != math.Float64bits(want) ||
-				math.Float64bits(dp[i]) != math.Float64bits(want) {
-				t.Fatalf("model %d (%v/%v): engines diverge from solo %x: auto %x portable %x",
-					i, m.Algo, m.Kernel, math.Float64bits(want), math.Float64bits(da[i]), math.Float64bits(dp[i]))
+			if want := m.Decision(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("model %d (%v/%v): fused %x diverges from solo %x",
+					i, m.Algo, m.Kernel, math.Float64bits(got[i]), math.Float64bits(want))
 			}
 		}
-		ma := append([]bool(nil), auto.AcceptMask(x)...)
-		mp := port.AcceptMask(x)
+		mask := sc.AcceptMask(x)
 		for i, m := range models {
-			want := m.Accept(x)
-			if ma[i] != want || mp[i] != want {
-				t.Fatalf("model %d (%v/%v): masks diverge from solo %v: auto %v portable %v",
-					i, m.Algo, m.Kernel, want, ma[i], mp[i])
+			if want := m.Accept(x); mask[i] != want {
+				t.Fatalf("model %d (%v/%v): fused mask %v diverges from solo %v",
+					i, m.Algo, m.Kernel, mask[i], want)
 			}
 		}
 	})

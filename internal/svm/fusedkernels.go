@@ -91,15 +91,16 @@ var rbfExpUB = func() (t [256]float64) {
 	return
 }()
 
-// fusedRBFSumBoundPortable bounds Σαᵢ·exp(−γ‖xᵢ−x‖²) from above per
+// fusedRBFSumBound bounds Σαᵢ·exp(−γ‖xᵢ−x‖²) from above per
 // support vector via the rbfExpUB table. The table index γ·d²ᵢ/h is
 // computed in strength-reduced form snGHᵢ + b0 − slope·dotᵢ, where
 // snGH = γ·snᵢ/h comes precomputed from the index and b0 = γ·nx/h,
 // slope = 2γ/h are per-window constants — algebraically equal to the
 // exact loop's γ·(snᵢ + nx − 2·dotᵢ) scaled by 1/h, with every rounding
-// difference absorbed by the table's whole-step slack. This is the
-// reference shape: one accumulator, one support vector at a time.
-func fusedRBFSumBoundPortable(coef, snGH, dots []float64, b0, slope float64) float64 {
+// difference absorbed by the table's whole-step slack. One accumulator
+// sums the support vectors in ascending order, so the bound, and with it
+// the screening effort, is the same on every CPU.
+func fusedRBFSumBound(coef, snGH, dots []float64, b0, slope float64) float64 {
 	coef = coef[:len(dots)]
 	snGH = snGH[:len(dots)]
 	var sum float64

@@ -45,31 +45,22 @@
 // FusedIndex is safe for concurrent use; each goroutine takes its own
 // Scorer for scratch.
 //
-// # Blocked postings layout and kernel engines
+// # Blocked postings layout
 //
-// The fused postings are stored cache-blocked and lane-padded: ordinals
-// are partitioned into power-of-two accumulator blocks (sized adaptively
-// so per-group posting runs stay long enough to keep the hardware
-// prefetcher fed — see pickBlockShift), postings are grouped by
-// (block, column), and every group is zero-padded to whole fixed-width
-// lanes (8 float64 values — one 64-byte line). Pads target a dedicated
-// spare accumulator cell, so the packed kernels process whole lanes with
-// no remainder handling and the scatter of a lane never aliases a real
-// ordinal. Two interchangeable engines consume this one layout, resolved
-// by FusedConfig.Kernels: KernelsAuto picks packed AVX-512 assembly
-// (gather–multiply–add–scatter per lane, plus a packed table-driven RBF
-// screening-bound reduction) where the CPU supports AVX-512F and the
-// portable per-posting loops everywhere else; KernelsPortable forces the
-// portable loops. Engine selection never changes results: blocks
-// partition ordinals, each (column, accumulator) pair carries at most one
-// posting, and both engines visit groups in one fixed order with
-// separately rounded multiply and add (the assembly deliberately avoids
-// FMA), so decisions are bit-identical across engines, per-model paths,
-// and CPUs; only screening *effort* may differ, never a mask. The per-model epilogue passes over contiguous SV ranges
-// (kernel sums, screen bounds, dot ranges) live in fusedkernels.go, which
-// CI keeps free of bounds checks in inner loops; index build cost and
-// lane-padding overhead are observable via KernelStats
-// (IndexBuild*, LanePadWaste, IndexBytes) and FusedIndex.Footprint.
+// The fused postings are stored cache-blocked: ordinals are partitioned
+// into power-of-two accumulator blocks (sized adaptively so per-group
+// posting runs stay long enough to keep the hardware prefetcher fed — see
+// pickBlockShift), and postings are grouped by (block, column). One Go
+// loop walks the groups block by block, one posting at a time. Blocks
+// partition ordinals and each (column, accumulator) pair carries at most
+// one posting, so every accumulator receives its terms in window-column
+// order and decisions are bit-identical to the per-model path on every
+// CPU; the screens sum in one fixed order too, so screening effort does
+// not depend on the host either. The per-model epilogue passes over
+// contiguous SV ranges (kernel sums, screen bounds, dot ranges) live in
+// fusedkernels.go, which CI keeps free of bounds checks in inner loops;
+// index memory is observable via KernelStats (IndexBytes) and
+// FusedIndex.Footprint.
 package svm
 
 import (

@@ -66,15 +66,6 @@ func withSurvivorShare(share float64, f func()) {
 	f()
 }
 
-// engineScorers builds an auto-resolved (packed where the CPU supports
-// it) and a portable scorer over models.
-func engineScorers(models []*Model) map[string]*Scorer {
-	return map[string]*Scorer{
-		"auto":     NewFusedIndex(models, FusedConfig{}).NewScorer(),
-		"portable": NewFusedIndex(models, FusedConfig{Kernels: KernelsPortable}).NewScorer(),
-	}
-}
-
 // preScreenProbes returns the probe windows of the differential tests:
 // random windows (positive and signed, some reaching past the index's
 // columns), every model's own support vectors — near-boundary probes, the
@@ -97,7 +88,7 @@ func preScreenProbes(r *rand.Rand, models []*Model, dim int) []sparse.Vector {
 	return probes
 }
 
-// checkMasksMatch asserts that every engine's AcceptMask equals per-model
+// checkMasksMatch asserts that the fused AcceptMask equals per-model
 // Accept on every probe, under the default crossover and with either path
 // forced, and returns the pre-screen counters of the default run.
 func checkMasksMatch(t *testing.T, models []*Model, probes []sparse.Vector) KernelStats {
@@ -109,24 +100,22 @@ func checkMasksMatch(t *testing.T, models []*Model, probes []sparse.Vector) Kern
 			want[p][i] = m.Accept(x)
 		}
 	}
-	scorers := engineScorers(models)
+	sc := NewScorer(models)
 	var stats KernelStats
 	for _, share := range []float64{sparseSurvivorShare, 0, math.Inf(1)} {
 		withSurvivorShare(share, func() {
-			for name, sc := range scorers {
-				before := ReadKernelStats()
-				for p, x := range probes {
-					mask := sc.AcceptMask(x)
-					for i := range models {
-						if mask[i] != want[p][i] {
-							t.Fatalf("share %v engine %s probe %d model %d: mask %v, per-model Accept %v (dec %v)",
-								share, name, p, i, mask[i], want[p][i], models[i].Decision(x))
-						}
+			before := ReadKernelStats()
+			for p, x := range probes {
+				mask := sc.AcceptMask(x)
+				for i := range models {
+					if mask[i] != want[p][i] {
+						t.Fatalf("share %v probe %d model %d: mask %v, per-model Accept %v (dec %v)",
+							share, p, i, mask[i], want[p][i], models[i].Decision(x))
 					}
 				}
-				if name == "auto" && share == sparseSurvivorShare {
-					stats = ReadKernelStats().Sub(before)
-				}
+			}
+			if share == sparseSurvivorShare {
+				stats = ReadKernelStats().Sub(before)
 			}
 		})
 	}
@@ -136,8 +125,8 @@ func checkMasksMatch(t *testing.T, models []*Model, probes []sparse.Vector) Kern
 // TestPreScreenMostlyRejected is the admissibility property on a
 // population the pre-accumulate screen mostly rejects (calibrated RBF
 // profiles, signed and unsigned, mixed with every other kernel and
-// algorithm): masks must equal per-model Accept under every engine and on
-// both the per-survivor and the fused path, and the screen must actually
+// algorithm): masks must equal per-model Accept on both the per-survivor
+// and the fused path, and the screen must actually
 // have done the rejecting.
 func TestPreScreenMostlyRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(90))

@@ -12,7 +12,7 @@ import (
 // against every user profile. It runs on the fused population index: one
 // pass over the window's non-zeros accumulates every model's weight dot
 // product and every support vector's dot product at once (FusedIndex, in
-// the feature-blocked lane layout), then a per-model epilogue folds the
+// the feature-blocked layout), then a per-model epilogue folds the
 // accumulators into decision values. Decisions is exact — bit-identical to
 // the per-model path — while AcceptMask additionally screens: models whose
 // decision upper bound proves they cannot accept skip the scalar kernel
@@ -26,21 +26,18 @@ import (
 // accumulators, touch marks, and output buffers. Scratch accumulators are
 // cleared by re-walking the window's postings after scoring, so a window
 // costs O(matched postings + models), never O(population's support
-// vectors). The accumulators carry one spare trailing cell that the
-// layout's lane-padding postings target (they add exact zeros there).
+// vectors).
 //
 // A Scorer is not safe for concurrent use; create one per goroutine with
 // FusedIndex.NewScorer (they are cheap — the index is shared, read-only).
 type Scorer struct {
-	ix     *FusedIndex
-	vector bool
+	ix *FusedIndex
 
 	dec []float64
 	acc []bool
 
 	// Accumulators, all-zero between windows. wx[mi] collects the linear
-	// models' w·x; dots[g] collects global ordinal g's sv·x; the last cell
-	// of each is the pad postings' spare target.
+	// models' w·x; dots[g] collects global ordinal g's sv·x.
 	wx   []float64
 	dots []float64
 
@@ -73,13 +70,12 @@ func NewScorer(models []*Model) *Scorer {
 func (ix *FusedIndex) NewScorer() *Scorer {
 	n := len(ix.models)
 	s := &Scorer{
-		ix:     ix,
-		vector: ix.vector,
-		dec:    make([]float64, 0, n),
-		acc:    make([]bool, n),
-		wx:     make([]float64, n+1),
-		dots:   make([]float64, ix.numSVs()+1),
-		marks:  make([]uint64, n),
+		ix:    ix,
+		dec:   make([]float64, 0, n),
+		acc:   make([]bool, n),
+		wx:    make([]float64, n),
+		dots:  make([]float64, ix.numSVs()),
+		marks: make([]uint64, n),
 	}
 	if ix.preCrit != nil {
 		s.ub = make([]float64, n)
@@ -95,24 +91,14 @@ func (s *Scorer) Len() int { return len(s.ix.models) }
 // Model returns the i-th model, in the order passed to NewScorer.
 func (s *Scorer) Model(i int) *Model { return s.ix.models[i] }
 
-// accumulate runs one postings family's fused pass for x into acc through
-// the resolved engine, returning the postings visited (lane-pad slots
-// included).
-func (s *Scorer) accumulate(pb *blockedPostings, x sparse.Vector, acc []float64) int {
-	if s.vector {
-		return pb.accumulatePacked(x, acc)
-	}
-	return pb.accumulatePortable(x, acc)
-}
-
 // Decisions evaluates every model's decision function on x — exactly; no
 // screening, so the values are bit-identical to scoring each model alone. The returned slice is scratch owned by the scorer,
 // valid until the next call.
 func (s *Scorer) Decisions(x sparse.Vector) []float64 {
 	ix := s.ix
 	nx := x.NormSq()
-	lin := s.accumulate(&ix.lin, x, s.wx)
-	sv := s.accumulate(&ix.sv, x, s.dots)
+	lin := ix.lin.accumulate(x, s.wx)
+	sv := ix.sv.accumulate(x, s.dots)
 	fused, fallback := 0, 0
 	s.dec = s.dec[:0]
 	for mi, m := range ix.models {
@@ -170,9 +156,9 @@ func (s *Scorer) AcceptMask(x sparse.Vector) []bool {
 		preScreened, liveSVs = preScreenRBF(s.ub, ix.preCrit, ix.maxNorm, ix.svCount, s.live, nx, normX, slack)
 		perModel = float64(liveSVs) < sparseSurvivorShare*float64(min(postings, ix.numSVs()))
 	}
-	lin, sv := s.accumulate(&ix.lin, x, s.wx), 0
+	lin, sv := ix.lin.accumulate(x, s.wx), 0
 	if !perModel {
-		sv = s.accumulate(&ix.sv, x, s.dots)
+		sv = ix.sv.accumulate(x, s.dots)
 	}
 	visited += lin + sv
 	screened, fused, fallback := preScreened, 0, 0

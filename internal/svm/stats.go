@@ -23,14 +23,12 @@ import "sync/atomic"
 // support-vector posting was accumulated, and
 // FusedDecisions/FallbackDecisions split per-window model decisions
 // between the fused index and the per-model fallback of unprepared
-// models. PostingsVisited includes the blocked layout's lane-pad slots
-// (they ride in the same lanes as real postings).
+// models.
 //
-// LanePadWaste and IndexBytes are gauges, not counters: they reflect the
-// most recently built FusedIndex's memory footprint (pad postings added
-// to fill out lanes, and total resident index bytes — see
-// FusedIndex.Footprint for the per-index view), so long-running processes
-// can observe index memory without holding the index.
+// IndexBytes is a gauge, not a counter: it reflects the most recently
+// built FusedIndex's total resident bytes (see FusedIndex.Footprint for
+// the per-index view), so long-running processes can observe index
+// memory without holding the index.
 type KernelStats struct {
 	KernelEvals uint64
 	CacheHits   uint64
@@ -44,8 +42,7 @@ type KernelStats struct {
 	FusedDecisions    uint64
 	FallbackDecisions uint64
 
-	LanePadWaste uint64
-	IndexBytes   uint64
+	IndexBytes uint64
 }
 
 var (
@@ -61,13 +58,11 @@ var (
 	statFusedDecisions    atomic.Uint64
 	statFallbackDecisions atomic.Uint64
 
-	statLanePadWaste atomic.Uint64
-	statIndexBytes   atomic.Uint64
+	statIndexBytes atomic.Uint64
 )
 
-// recordIndexBuild stores the footprint gauges of the index just built.
+// recordIndexBuild stores the footprint gauge of the index just built.
 func recordIndexBuild(f IndexFootprint) {
-	statLanePadWaste.Store(uint64(f.LanePadWaste))
 	statIndexBytes.Store(uint64(f.IndexBytes))
 }
 
@@ -109,8 +104,7 @@ func ReadKernelStats() KernelStats {
 		FusedDecisions:    statFusedDecisions.Load(),
 		FallbackDecisions: statFallbackDecisions.Load(),
 
-		LanePadWaste: statLanePadWaste.Load(),
-		IndexBytes:   statIndexBytes.Load(),
+		IndexBytes: statIndexBytes.Load(),
 	}
 }
 
@@ -129,13 +123,12 @@ func ResetKernelStats() {
 	statFusedDecisions.Store(0)
 	statFallbackDecisions.Store(0)
 
-	statLanePadWaste.Store(0)
 	statIndexBytes.Store(0)
 }
 
 // Sub returns the per-window delta between two cumulative snapshots. The
-// footprint gauges (LanePadWaste, IndexBytes) are not deltas; the newer
-// snapshot's values carry through unchanged.
+// footprint gauge (IndexBytes) is not a delta; the newer snapshot's value
+// carries through unchanged.
 func (s KernelStats) Sub(prev KernelStats) KernelStats {
 	return KernelStats{
 		KernelEvals: s.KernelEvals - prev.KernelEvals,
@@ -150,7 +143,6 @@ func (s KernelStats) Sub(prev KernelStats) KernelStats {
 		FusedDecisions:    s.FusedDecisions - prev.FusedDecisions,
 		FallbackDecisions: s.FallbackDecisions - prev.FallbackDecisions,
 
-		LanePadWaste: s.LanePadWaste,
-		IndexBytes:   s.IndexBytes,
+		IndexBytes: s.IndexBytes,
 	}
 }
