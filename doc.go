@@ -103,7 +103,7 @@
 //
 // A StateStore holds spilled devices: NewMemStateStore keeps them
 // in-process (eviction bounds live identifier memory without losing
-// streaks), NewDiskStateStore persists one gzip file per device so
+// streaks), NewDiskStateStore persists one raw blob file per device so
 // state survives restarts (profilerd's -state-dir; Monitor.Checkpoint
 // spills every live device for a graceful shutdown). Resume is exact:
 // an evicting-and-rehydrating monitor emits the identical alert sequence

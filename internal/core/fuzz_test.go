@@ -6,18 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"webtxprofile/internal/weblog"
 )
 
 // stateBlobSeeds are the checked-in seeds for FuzzDeviceStateBlob: real
-// encoded state (a device mid-stream on the shared trained set — its
-// binary blob, the same state as a legacy JSON blob, and a device with
-// nothing buffered yet), hand-damaged variants, plain garbage, and the version-2
-// fixture with damaged variants of it. Kept in code so the testdata
-// corpus is reproducible (see TestRegenerateStateFuzzCorpus).
+// encoded state (a device mid-stream on the shared trained set, and a
+// device with nothing buffered yet), hand-damaged variants, the real
+// blob under an older version byte, with a trailing byte or in the state
+// server's backing envelope, and plain garbage. Kept in code so the
+// testdata corpus is reproducible (see TestRegenerateStateFuzzCorpus).
 func stateBlobSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	set, testDS := sharedSetForFuzz(tb)
@@ -38,13 +37,16 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	st := deviceStateLocked(device, sh.devices[device])
 	sh.mu.Unlock()
 	blob := EncodeDeviceState(st)
-	legacy := legacyJSONState(tb, st, txs)
 	unanchored := EncodeDeviceState(DeviceState{Device: device})
 	truncated := append([]byte(nil), blob[:len(blob)/2]...)
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/3] ^= 0xff
 	future := append([]byte(nil), blob...)
 	future[0] = stateVersion + 1
+	trailing := append(append([]byte(nil), blob...), 0)
+	// The state server's backing envelope: 0x01, the uvarint version, the
+	// blob.
+	enveloped := append([]byte{0x01, 0x07}, blob...)
 	// An anchored state whose record count claims far more records than
 	// follow it.
 	overcount := append([]byte{stateVersion}, 1, 'x', 0, stateFlagAnchored, 1, 'x', 2, 1, 'x', 0, 0)
@@ -53,20 +55,16 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 	fp := set.Vocabulary.Fingerprint()
 	overcount = binary.LittleEndian.AppendUint64(binary.AppendUvarint(overcount, uint64(fp.Size)), fp.Hash)
 	overcount = binary.AppendUvarint(append(overcount, 1, 1, 'u'), 1<<20)
-	v2, err := os.ReadFile(v2Fixture)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	v2Truncated := append([]byte(nil), v2[:len(v2)/2]...)
-	v2Flipped := append([]byte(nil), v2...)
-	v2Flipped[len(v2Flipped)/3] ^= 0xff
 	return [][]byte{
 		blob,
-		legacy,
 		unanchored,
 		truncated,
 		flipped,
 		future,
+		append([]byte{1}, blob[1:]...),
+		append([]byte{2}, blob[1:]...),
+		trailing,
+		enveloped,
 		overcount,
 		{stateVersion, 0xff, 0xff, 0x03}, // device name far longer than the blob
 		[]byte(`{}`),
@@ -76,9 +74,6 @@ func stateBlobSeeds(tb testing.TB) [][]byte {
 		[]byte("not json at all"),
 		{0x1f, 0x8b, 0x08, 0x00}, // gzip magic, truncated body
 		{},
-		v2,
-		v2Truncated,
-		v2Flipped,
 	}
 }
 
@@ -100,10 +95,8 @@ func sharedSetForFuzz(tb testing.TB) (*ProfileSet, *weblog.Dataset) {
 // must error on malformed input, never panic; any blob that decodes must
 // also survive
 // RestoreIdentifier's structural validation (error or identifier, never a
-// panic) against a real trained profile set. The current format is
-// canonical: whatever decodes from it re-encodes to the same bytes. A
-// blob in an earlier format (version 2, or JSON) re-encodes to a
-// current-format blob that decodes to an equal state.
+// panic) against a real trained profile set. The format is canonical:
+// whatever decodes re-encodes to the same bytes.
 func FuzzDeviceStateBlob(f *testing.F) {
 	for _, seed := range stateBlobSeeds(f) {
 		f.Add(seed)
@@ -113,15 +106,8 @@ func FuzzDeviceStateBlob(f *testing.F) {
 		vocab := set.Vocabulary
 		if st, err := DecodeDeviceState(data, vocab); err == nil {
 			enc := EncodeDeviceState(st)
-			if data[0] == stateVersion && !bytes.Equal(enc, data) {
+			if !bytes.Equal(enc, data) {
 				t.Fatalf("decoded blob re-encodes differently:\n got %x\nwant %x", enc, data)
-			}
-			again, err := DecodeDeviceState(enc, vocab)
-			if err != nil {
-				t.Fatalf("re-encoded state does not decode: %v", err)
-			}
-			if data[0] == txStateVersion && !reflect.DeepEqual(again, st) {
-				t.Fatalf("version-%d state changed through a re-encode:\n got %+v\nwant %+v", txStateVersion, again, st)
 			}
 			id, rerr := RestoreIdentifier(set, st.Identifier)
 			if rerr == nil {

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"compress/gzip"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/url"
 	"os"
@@ -24,19 +21,6 @@ import (
 // changes incompatibly — decode rejects any version it does not know,
 // like persist.go's bundle loader.
 const stateVersion = 3
-
-// Earlier device-blob formats. Such blobs at rest (DiskStateStore files,
-// a state server during a rolling upgrade) are still read, and the
-// device's next spill rewrites them in the current format; nothing writes
-// them any more. Both stored whole transactions where the current format
-// stores extracted records: their readers extract the transactions
-// against the monitor's vocabulary.
-const (
-	// legacyStateVersion is the JSON format.
-	legacyStateVersion = 1
-	// txStateVersion is the binary format with whole transactions.
-	txStateVersion = 2
-)
 
 // DeviceState is the portable identification state of one monitored
 // device: the streaming identifier's snapshot plus the monitor-level
@@ -65,9 +49,8 @@ const (
 // groupMaskKnown covers a record's group-mask bits: one per Table I group.
 const groupMaskKnown = 1<<len(features.Record{}.Cols) - 1
 
-// EncodeDeviceState serializes one device blob (the disk store adds
-// gzip). The layout, with strings as a uvarint length plus bytes and
-// stamps as zigzag varint UnixNano, is
+// EncodeDeviceState serializes one device blob. The layout, with strings
+// as a uvarint length plus bytes and stamps as zigzag varint UnixNano, is
 //
 //	byte     version (stateVersion)
 //	string   device, current user
@@ -175,17 +158,9 @@ func appendRecord(dst []byte, r *features.Record, prev time.Duration) []byte {
 }
 
 // DecodeDeviceState parses and version-checks one device blob against the
-// vocabulary of the monitor that will restore it: the current binary
-// format, whose records must have been extracted under vocab (same
-// fingerprint), or an earlier format — binary version 2, or JSON (first
-// byte '{') — whose buffered transactions it extracts against vocab.
+// vocabulary of the monitor that will restore it: its records must have
+// been extracted under vocab (same fingerprint).
 func DecodeDeviceState(blob []byte, vocab *features.Vocabulary) (DeviceState, error) {
-	switch {
-	case len(blob) > 0 && blob[0] == '{':
-		return decodeLegacyDeviceState(blob, vocab)
-	case len(blob) > 0 && blob[0] == txStateVersion:
-		return decodeTxDeviceState(string(blob), vocab)
-	}
 	// One copy that every decoded string aliases: a blob holds a single
 	// device, so the copy pins no other device's memory.
 	return decodeDeviceRecord(string(blob), vocab)
@@ -212,9 +187,26 @@ func readDeviceState(r *weblog.BinaryReader) DeviceState {
 	if v := r.Byte(); r.Err() == nil && v != stateVersion {
 		r.Fail(fmt.Errorf("unsupported device state version %d (want %d)", v, stateVersion))
 	}
-	st, anchored := readDeviceHeader(r)
-	ss := &st.Identifier.Streamer
-	if anchored {
+	st := DeviceState{Device: r.Field(), Current: r.Field()}
+	if r.Err() == nil && st.Device == "" {
+		r.Fail(fmt.Errorf("missing device id"))
+	}
+	flags := r.Byte()
+	if flags&^stateFlagsKnown != 0 {
+		r.Fail(fmt.Errorf("unknown flag bits %#x", flags))
+	}
+	if flags&stateFlagLastSeen != 0 {
+		st.LastSeen = time.Unix(0, r.Varint()).UTC()
+	}
+	id := &st.Identifier
+	id.Host = r.Field()
+	id.K = r.Int()
+	ss := &id.Streamer
+	ss.Entity = r.Field()
+	ss.NextIdx = r.Int()
+	ss.EmitCount = r.Int()
+	ss.Closed = flags&stateFlagClosed != 0
+	if flags&stateFlagAnchored != 0 {
 		ss.Anchored = true
 		ss.Anchor = time.Unix(0, r.Varint()).UTC()
 		ss.LastSeen = time.Unix(0, r.Varint()).UTC()
@@ -236,34 +228,20 @@ func readDeviceState(r *weblog.BinaryReader) DeviceState {
 			}
 		}
 	}
-	readRuns(r, &st.Identifier)
+	// A run is at least a 1-byte user length and a 1-byte streak.
+	if n := r.Count("runs", 2); n > 0 {
+		id.Runs = make(map[string]int, n)
+		prev := ""
+		for i := 0; i < n; i++ {
+			u := r.Field()
+			if i > 0 && u <= prev {
+				r.Fail(fmt.Errorf("runs not sorted by user at %q", u))
+			}
+			id.Runs[u] = r.Int()
+			prev = u
+		}
+	}
 	return st
-}
-
-// readDeviceHeader reads the fields every binary format version starts
-// with after its version byte, up to the streamer's counters, and reports
-// whether the streamer is anchored.
-func readDeviceHeader(r *weblog.BinaryReader) (DeviceState, bool) {
-	st := DeviceState{Device: r.Field(), Current: r.Field()}
-	if r.Err() == nil && st.Device == "" {
-		r.Fail(fmt.Errorf("missing device id"))
-	}
-	flags := r.Byte()
-	if flags&^stateFlagsKnown != 0 {
-		r.Fail(fmt.Errorf("unknown flag bits %#x", flags))
-	}
-	if flags&stateFlagLastSeen != 0 {
-		st.LastSeen = time.Unix(0, r.Varint()).UTC()
-	}
-	id := &st.Identifier
-	id.Host = r.Field()
-	id.K = r.Int()
-	ss := &id.Streamer
-	ss.Entity = r.Field()
-	ss.NextIdx = r.Int()
-	ss.EmitCount = r.Int()
-	ss.Closed = flags&stateFlagClosed != 0
-	return st, flags&stateFlagAnchored != 0
 }
 
 // readRecord reads one buffered record (see appendRecord) whose
@@ -301,103 +279,6 @@ func readRecord(r *weblog.BinaryReader, rec *features.Record, prev time.Duration
 	if rec.Cols[features.GroupReputationRisk] >= 0 {
 		rec.Risk = r.Float64()
 	}
-}
-
-// readRuns reads the runs every binary format version ends with.
-func readRuns(r *weblog.BinaryReader, id *IdentifierState) {
-	// A run is at least a 1-byte user length and a 1-byte streak.
-	if n := r.Count("runs", 2); n > 0 {
-		id.Runs = make(map[string]int, n)
-		prev := ""
-		for i := 0; i < n; i++ {
-			u := r.Field()
-			if i > 0 && u <= prev {
-				r.Fail(fmt.Errorf("runs not sorted by user at %q", u))
-			}
-			id.Runs[u] = r.Int()
-			prev = u
-		}
-	}
-}
-
-// decodeTxDeviceState reads a version-2 device blob, whose streamer
-// buffered whole transactions as weblog binary records, and extracts
-// them against vocab. Its strings alias s.
-func decodeTxDeviceState(s string, vocab *features.Vocabulary) (DeviceState, error) {
-	r := weblog.NewBinaryReader(s[1:])
-	st, anchored := readDeviceHeader(r)
-	ts := features.TransactionState{Entity: st.Identifier.Streamer.Entity, Anchored: anchored,
-		Closed: st.Identifier.Streamer.Closed, NextIdx: st.Identifier.Streamer.NextIdx, EmitCount: st.Identifier.Streamer.EmitCount}
-	if anchored {
-		pair := new([2]weblog.Transaction)
-		r.Transaction(&pair[0])
-		r.Transaction(&pair[1])
-		ts.Anchor, ts.LastSeen = &pair[0], &pair[1]
-		if n := r.Count("buffered transactions", weblog.MinBinaryRecord); n > 0 {
-			ts.Buffered = make([]weblog.Transaction, n)
-			for i := range ts.Buffered {
-				r.Transaction(&ts.Buffered[i])
-			}
-		}
-	}
-	readRuns(r, &st.Identifier)
-	if err := r.Done(); err != nil {
-		return DeviceState{}, fmt.Errorf("core: decoding version-%d device state: %w", txStateVersion, err)
-	}
-	var err error
-	if st.Identifier.Streamer, err = ts.Records(vocab); err != nil {
-		return DeviceState{}, fmt.Errorf("core: decoding version-%d device state: %w", txStateVersion, err)
-	}
-	return st, nil
-}
-
-// legacyDeviceState is the version-1 JSON device blob.
-type legacyDeviceState struct {
-	Version    int       `json:"version"`
-	Device     string    `json:"device"`
-	Current    string    `json:"current,omitempty"`
-	LastSeen   time.Time `json:"last_seen"`
-	Identifier struct {
-		Host     string                    `json:"host"`
-		K        int                       `json:"k"`
-		Streamer features.TransactionState `json:"streamer"`
-		Runs     map[string]int            `json:"runs,omitempty"`
-	} `json:"identifier"`
-}
-
-// decodeLegacyDeviceState reads a version-1 JSON device blob and extracts
-// its buffered transactions against vocab. It rejects the anchor shapes
-// RestoreStreamer would refuse anyway.
-func decodeLegacyDeviceState(blob []byte, vocab *features.Vocabulary) (DeviceState, error) {
-	var j legacyDeviceState
-	if err := json.Unmarshal(blob, &j); err != nil {
-		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
-	}
-	if j.Version != legacyStateVersion {
-		return DeviceState{}, fmt.Errorf("core: unsupported JSON device state version %d (want %d)", j.Version, legacyStateVersion)
-	}
-	if j.Device == "" {
-		return DeviceState{}, fmt.Errorf("core: device state missing device id")
-	}
-	ts := &j.Identifier.Streamer
-	if ts.Anchored != (ts.Anchor != nil) || ts.Anchored != (ts.LastSeen != nil) || (!ts.Anchored && len(ts.Buffered) > 0) {
-		return DeviceState{}, fmt.Errorf("core: device state for %s has inconsistent streamer anchor", j.Device)
-	}
-	ss, err := ts.Records(vocab)
-	if err != nil {
-		return DeviceState{}, fmt.Errorf("core: decoding device state: %w", err)
-	}
-	return DeviceState{
-		Device:   j.Device,
-		Current:  j.Current,
-		LastSeen: j.LastSeen,
-		Identifier: IdentifierState{
-			Host:     j.Identifier.Host,
-			K:        j.Identifier.K,
-			Streamer: ss,
-			Runs:     j.Identifier.Runs,
-		},
-	}, nil
 }
 
 // StateStore persists evicted devices' identification state so an idle
@@ -486,25 +367,21 @@ func (s *MemStateStore) Len() int {
 }
 
 // diskStateSuffix names the per-device state files a DiskStateStore
-// writes: <url.PathEscape(device)>.state.gz in the store directory.
-const diskStateSuffix = ".state.gz"
+// writes: <url.PathEscape(device)>.state in the store directory.
+const diskStateSuffix = ".state"
 
-// DiskStateStore is a StateStore keeping one gzip-compressed blob file per
-// device in a directory, so spilled identification state survives process
-// restarts — the profilerd -state-dir backing. Writes are atomic (temp
-// file + rename, like ProfileSet.SaveFile) and an in-memory presence index
-// built at open time makes the Get miss — every first-seen device of a
-// monitor with spilling enabled — a map lookup instead of a stat.
+// DiskStateStore is a StateStore keeping one file per device in a
+// directory, holding exactly the bytes Put was given, so spilled
+// identification state survives process restarts — the profilerd
+// -state-dir backing. Writes are atomic (temp file + rename, like
+// ProfileSet.SaveFile) and an in-memory presence index built at open time
+// makes the Get miss — every first-seen device of a monitor with spilling
+// enabled — a map lookup instead of a stat.
 //
 // Safe for concurrent use within one process; the directory must not be
 // shared by multiple live processes.
 type DiskStateStore struct {
 	dir string
-
-	// gzPool recycles gzip writers across Puts: each deflate state is
-	// ~800 KB, which a fleet-wide Checkpoint would otherwise reallocate
-	// once per device.
-	gzPool sync.Pool
 
 	mu      sync.Mutex
 	present map[string]struct{}
@@ -512,7 +389,8 @@ type DiskStateStore struct {
 
 // NewDiskStateStore opens (creating if needed) a directory-backed state
 // store and indexes the device states already present from earlier
-// processes.
+// processes. It removes the temp files of crashed Puts and the
+// ".state.gz" files of earlier builds.
 func NewDiskStateStore(dir string) (*DiskStateStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating state dir %s: %w", dir, err)
@@ -532,10 +410,12 @@ func NewDiskStateStore(dir string) (*DiskStateStore, error) {
 			// Put that crashed before its rename: it holds no committed
 			// state, so collect it instead of accumulating one per crash.
 			// (The suffix check above runs first: a device named
-			// ".state-x" escapes to ".state-x.state.gz" and is kept.)
-			if strings.HasPrefix(name, ".state-") {
+			// ".state-x" escapes to ".state-x.state" and is kept.) A
+			// ".state.gz" file holds gzipped state of an earlier build, in
+			// a format no monitor reads any more.
+			if strings.HasPrefix(name, ".state-") || strings.HasSuffix(name, ".state.gz") {
 				if err := os.Remove(filepath.Join(dir, name)); err != nil {
-					return nil, fmt.Errorf("core: sweeping orphaned temp file %s: %w", name, err)
+					return nil, fmt.Errorf("core: sweeping %s: %w", name, err)
 				}
 			}
 			continue
@@ -556,28 +436,17 @@ func (s *DiskStateStore) path(device string) string {
 	return filepath.Join(s.dir, url.PathEscape(device)+diskStateSuffix)
 }
 
-// Put writes the blob as a gzip file, atomically and crash-durably: the
-// temp file is fsynced before the rename and the directory after it, so
-// a power cut leaves either the old committed state or the new one —
-// never a torn file under the device's name.
+// Put writes the blob to the device's file, atomically and
+// crash-durably: the temp file is fsynced before the rename and the
+// directory after it, so a power cut leaves either the old committed
+// state or the new one — never a torn file under the device's name.
 func (s *DiskStateStore) Put(device string, blob []byte) error {
 	tmp, err := os.CreateTemp(s.dir, ".state-*")
 	if err != nil {
 		return fmt.Errorf("core: spilling device %s: %w", device, err)
 	}
 	defer os.Remove(tmp.Name())
-	gz, _ := s.gzPool.Get().(*gzip.Writer)
-	if gz == nil {
-		gz = gzip.NewWriter(tmp)
-	} else {
-		gz.Reset(tmp)
-	}
-	if _, err = gz.Write(blob); err == nil {
-		err = gz.Close()
-	} else {
-		gz.Close()
-	}
-	s.gzPool.Put(gz)
+	_, err = tmp.Write(blob)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -614,8 +483,8 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Get reads and decompresses the device's blob. Devices absent from the
-// presence index return ok=false without touching the filesystem.
+// Get reads the device's blob. Devices absent from the presence index
+// return ok=false without touching the filesystem.
 func (s *DiskStateStore) Get(device string) ([]byte, bool, error) {
 	s.mu.Lock()
 	_, ok := s.present[device]
@@ -623,21 +492,11 @@ func (s *DiskStateStore) Get(device string) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	f, err := os.Open(s.path(device))
+	blob, err := os.ReadFile(s.path(device))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, false, nil
 		}
-		return nil, false, fmt.Errorf("core: reading state for device %s: %w", device, err)
-	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: state for device %s not gzip: %w", device, err)
-	}
-	defer gz.Close()
-	blob, err := io.ReadAll(gz)
-	if err != nil {
 		return nil, false, fmt.Errorf("core: reading state for device %s: %w", device, err)
 	}
 	return blob, true, nil

@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -204,6 +204,14 @@ func TestStateStores(t *testing.T) {
 				blob, ok, err := tc.s.Get(d)
 				if err != nil || !ok || string(blob) != fmt.Sprintf("blob-%d", i) {
 					t.Fatalf("Get(%q) = %q, %v, %v", d, blob, ok, err)
+				}
+				// The disk store's file holds exactly the bytes Put was
+				// given, under the device's escaped name.
+				if ds, ok := tc.s.(*DiskStateStore); ok {
+					file, err := os.ReadFile(filepath.Join(ds.Dir(), url.PathEscape(d)+".state"))
+					if err != nil || string(file) != fmt.Sprintf("blob-%d", i) {
+						t.Fatalf("file of %q holds %q, %v; want the Put bytes", d, file, err)
+					}
 				}
 			}
 			if err := tc.s.Put(devices[0], []byte("replaced")); err != nil {
@@ -414,19 +422,32 @@ func TestMonitorRehydrateRejectsCorruptBlob(t *testing.T) {
 	}
 
 	// Version drift is rejected the same way: a binary blob from a future
-	// format, and a JSON blob claiming a version other than the legacy one.
+	// format, state from earlier builds — binary version 2 and version-1
+	// JSON — and JSON claiming any other version. Each device then starts
+	// fresh.
 	good := EncodeDeviceState(DeviceState{Device: "10.0.1.9", Identifier: IdentifierState{Host: "10.0.1.9", Streamer: features.StreamerState{Entity: "10.0.1.9"}}})
 	future := append([]byte(nil), good...)
 	future[0] = stateVersion + 1
-	for i, blob := range [][]byte{future, []byte(`{"version":99,"device":"10.0.1.9"}`)} {
-		store.Put("10.0.1.9", blob)
+	v2 := append([]byte(nil), good...)
+	v2[0] = 2
+	for i, blob := range [][]byte{
+		future,
+		v2,
+		[]byte(`{"version":1,"device":"10.0.2.2","identifier":{"host":"10.0.2.2","k":2,"streamer":{"entity":"10.0.2.2"}}}`),
+		[]byte(`{"version":99,"device":"10.0.2.3"}`),
+	} {
+		dev := fmt.Sprintf("10.0.2.%d", i)
+		store.Put(dev, blob)
 		tx := txs[1]
-		tx.SourceIP = "10.0.1.9"
+		tx.SourceIP = dev
 		if err := mon.Feed(tx); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Errorf("blob %d: version-drifted blob error = %v", i, err)
 		}
 		if store.Len() != 0 {
 			t.Errorf("blob %d: version-drifted blob not dropped", i)
+		}
+		if err := mon.Feed(tx); err != nil {
+			t.Errorf("blob %d: device did not start fresh after a version-drifted blob: %v", i, err)
 		}
 	}
 
@@ -726,7 +747,7 @@ func TestDiskStateStoreCrashDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	// PathEscape keeps dots and dashes, so this device's file is
-	// ".state-evil.state.gz" — prefix of a temp file, suffix of a real one.
+	// ".state-evil.state" — prefix of a temp file, suffix of a real one.
 	if err := store.Put(".state-evil", []byte("prefixed-device")); err != nil {
 		t.Fatal(err)
 	}
@@ -741,6 +762,11 @@ func TestDiskStateStoreCrashDurability(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	// An earlier build's gzipped state is in a format no monitor reads.
+	earlier := filepath.Join(dir, "10.0.0.7.state.gz")
+	if err := os.WriteFile(earlier, []byte{0x1f, 0x8b, 0x08, 0x00}, 0o600); err != nil {
+		t.Fatal(err)
+	}
 	// Unrelated files are not ours to delete.
 	keep := filepath.Join(dir, "notes.txt")
 	if err := os.WriteFile(keep, []byte("operator notes"), 0o600); err != nil {
@@ -751,9 +777,9 @@ func TestDiskStateStoreCrashDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, orphan := range []string{torn, empty} {
+	for _, orphan := range []string{torn, empty, earlier} {
 		if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-			t.Errorf("orphaned temp file %s survived reopen (err=%v)", filepath.Base(orphan), err)
+			t.Errorf("orphaned file %s survived reopen (err=%v)", filepath.Base(orphan), err)
 		}
 	}
 	if _, err := os.Stat(keep); err != nil {
@@ -856,6 +882,26 @@ func codecTx(i int) weblog.Transaction {
 	}
 }
 
+// codecSnapshot snapshots a streamer of device that was fed txs, all
+// within one hour-long window, so every record is still buffered.
+func codecSnapshot(t *testing.T, vocab *features.Vocabulary, device string, txs ...weblog.Transaction) features.StreamerState {
+	t.Helper()
+	s, err := features.NewStreamer(vocab, features.WindowConfig{Duration: time.Hour, Shift: time.Hour}, device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range txs {
+		if _, err := s.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss := s.Snapshot()
+	if len(ss.Records) != len(txs) {
+		t.Fatalf("streamer buffers %d of %d transactions", len(ss.Records), len(txs))
+	}
+	return ss
+}
+
 // TestDeviceStateCodecRoundTrip: the binary codec reproduces every shape
 // of device state exactly, including a real mid-stream snapshot.
 func TestDeviceStateCodecRoundTrip(t *testing.T) {
@@ -872,15 +918,16 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 	}
 	anchor, last := codecTx(0), codecTx(9)
 	seen := time.Date(2015, 5, 29, 6, 0, 0, 7, time.UTC)
+	// streamer builds a state at window 4 after 3 emits; an anchored one
+	// spans anchor to last and buffers the records of buffered.
 	streamer := func(anchored, closed bool, buffered ...weblog.Transaction) features.StreamerState {
-		ts := features.TransactionState{Entity: host, Anchored: anchored, Closed: closed, NextIdx: 4, EmitCount: 3}
+		ss := features.StreamerState{Entity: host, Anchored: anchored, Closed: closed, NextIdx: 4, EmitCount: 3}
 		if anchored {
-			a, l := anchor, last
-			ts.Anchor, ts.LastSeen, ts.Buffered = &a, &l, buffered
-		}
-		ss, err := ts.Records(set.Vocabulary)
-		if err != nil {
-			t.Fatal(err)
+			snap := codecSnapshot(t, set.Vocabulary, host, append(append([]weblog.Transaction{anchor}, buffered...), last)...)
+			ss.Anchor, ss.LastSeen, ss.Vocabulary = snap.Anchor, snap.LastSeen, snap.Vocabulary
+			if len(buffered) > 0 {
+				ss.Users, ss.Records = snap.Users, snap.Records[1:1+len(buffered)]
+			}
 		}
 		return ss
 	}
@@ -957,240 +1004,18 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMonitorRehydratesLegacyJSONBlob: a device spilled by an earlier
-// release, as a version-1 JSON blob, rehydrates mid-stream with exactly
-// the alerts of a device that never spilled, and its next spill rewrites
-// the blob in the binary format.
-func TestMonitorRehydratesLegacyJSONBlob(t *testing.T) {
-	set, testDS := sharedSet(t)
-	const dev = "10.0.3.9"
-	txs := hostStream(t, testDS, set.Users()[0], dev, 600)
-	mid := len(txs) / 2
-	feed := func(mon *Monitor, txs []weblog.Transaction) {
-		for _, tx := range txs {
-			if err := mon.Feed(tx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	refCol := newAlertCollector()
-	ref, err := NewMonitor(set, 2, refCol.callback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(ref, txs)
-	ref.Close()
-	if len(refCol.got[dev]) == 0 {
-		t.Fatal("reference run raised no alerts")
-	}
-
-	col := newAlertCollector()
-	old, err := NewMonitor(set, 2, col.callback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(old, txs[:mid])
-	sh := old.shardFor(dev)
-	sh.mu.Lock()
-	st := deviceStateLocked(dev, sh.devices[dev])
-	sh.mu.Unlock()
-	old.Close()
-	if !st.Identifier.Streamer.Anchored || len(st.Identifier.Streamer.Records) == 0 {
-		t.Fatal("split point carries no buffered transactions")
-	}
-	legacy := legacyJSONState(t, st, txs[:mid])
-	if decoded, err := DecodeDeviceState(legacy, set.Vocabulary); err != nil {
-		t.Fatal(err)
-	} else if !reflect.DeepEqual(decoded.Identifier.Streamer.Records, st.Identifier.Streamer.Records) {
-		t.Fatal("records extracted from the legacy blob differ from the live streamer's")
-	}
-
-	store := NewMemStateStore()
-	store.Put(dev, legacy)
-	mon, err := NewMonitorWithConfig(set, 2, col.callback, MonitorConfig{Spill: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(mon, txs[mid:])
-	if n, _, err := mon.Checkpoint(); err != nil || n != 1 {
-		t.Fatalf("Checkpoint = %d, %v", n, err)
-	}
-	mon.Close()
-	comparePerDevice(t, refCol.got, col.got)
-
-	blob, ok, _ := store.Get(dev)
-	if !ok || len(blob) == 0 || blob[0] != stateVersion {
-		t.Fatalf("spill after a legacy rehydrate did not write a version-%d blob: %q", stateVersion, blob)
-	}
-	if _, err := DecodeDeviceState(blob, set.Vocabulary); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// legacyTxState renders ss — the streamer state of a device fed txs —
-// as the earlier formats stored it: whole transactions, the buffered ones
-// being the last len(ss.Records) of txs.
-func legacyTxState(ss features.StreamerState, txs []weblog.Transaction) features.TransactionState {
-	ts := features.TransactionState{Entity: ss.Entity, Anchored: ss.Anchored, Closed: ss.Closed,
-		NextIdx: ss.NextIdx, EmitCount: ss.EmitCount}
-	if ss.Anchored {
-		ts.Anchor, ts.LastSeen = &txs[0], &txs[len(txs)-1]
-		ts.Buffered = txs[len(txs)-len(ss.Records):]
-	}
-	return ts
-}
-
-// legacyJSONState renders st, the state of a device fed txs, as the
-// version-1 JSON blob an earlier release spilled.
-func legacyJSONState(tb testing.TB, st DeviceState, txs []weblog.Transaction) []byte {
-	tb.Helper()
-	j := legacyDeviceState{Version: legacyStateVersion, Device: st.Device, Current: st.Current, LastSeen: st.LastSeen}
-	j.Identifier.Host, j.Identifier.K, j.Identifier.Runs = st.Identifier.Host, st.Identifier.K, st.Identifier.Runs
-	j.Identifier.Streamer = legacyTxState(st.Identifier.Streamer, txs)
-	blob, err := json.Marshal(j)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return blob
-}
-
-// v2Fixture is a device blob in format version 2 (whole buffered
-// transactions), written by that format's encoder: device 10.0.3.9 after
-// the first 369 transactions of hostStream(testDS, set.Users()[0],
-// "10.0.3.9", 600) through a monitor with K=2 and a 24h IdleTTL — a
-// split where a user stands confirmed, two streaks run and 54
-// transactions are buffered.
-const (
-	v2Fixture      = "testdata/device_state_v2.bin"
-	v2FixtureSplit = 369
-)
-
-// TestMonitorRehydratesV2StateFixture pins format version 2: a device
-// rehydrated from a blob an earlier release spilled emits the same
-// windows and alerts as a device that never spilled, and its next spill
-// rewrites the blob in the current format.
-func TestMonitorRehydratesV2StateFixture(t *testing.T) {
-	set, testDS := sharedSet(t)
-	const dev = "10.0.3.9"
-	txs := hostStream(t, testDS, set.Users()[0], dev, 600)
-	blob, err := os.ReadFile(v2Fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blob[0] != txStateVersion {
-		t.Fatalf("fixture is version %d, want %d", blob[0], txStateVersion)
-	}
-	st, err := DecodeDeviceState(blob, set.Vocabulary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Current == "" || len(st.Identifier.Runs) < 2 || len(st.Identifier.Streamer.Records) == 0 {
-		t.Fatalf("fixture decodes to current %q, %d runs, %d records; want a confirmed user, streaks and a buffer",
-			st.Current, len(st.Identifier.Runs), len(st.Identifier.Streamer.Records))
-	}
-
-	// Windows: an identifier restored from the fixture against one fed
-	// the whole stream.
-	ref, err := NewIdentifier(set, dev, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tx := range txs[:v2FixtureSplit] {
-		if _, err := ref.Feed(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(st.Identifier.Streamer.Records, ref.Snapshot().Streamer.Records) {
-		t.Fatal("records extracted from the fixture differ from the live streamer's")
-	}
-	id, err := RestoreIdentifier(set, st.Identifier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	windows := 0
-	for i, tx := range txs[v2FixtureSplit:] {
-		want, err := ref.Feed(tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := id.Feed(tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("tx %d after the split: rehydrated identifier emitted %+v, want %+v", i, got, want)
-		}
-		windows += len(got)
-	}
-	if got, want := id.Flush(), ref.Flush(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Flush: rehydrated identifier emitted %d events, want %d", len(got), len(want))
-	}
-	if windows == 0 {
-		t.Fatal("no window completed after the split; the test needs some")
-	}
-
-	// Alerts: a monitor rehydrating the fixture against one that never
-	// spilled.
-	feed := func(mon *Monitor, txs []weblog.Transaction) {
-		for _, tx := range txs {
-			if err := mon.Feed(tx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	cfg := MonitorConfig{IdleTTL: 24 * time.Hour}
-	refCol := newAlertCollector()
-	refMon, err := NewMonitorWithConfig(set, 2, refCol.callback, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(refMon, txs)
-	refMon.Close()
-	col := newAlertCollector()
-	before, err := NewMonitorWithConfig(set, 2, col.callback, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(before, txs[:v2FixtureSplit])
-	before.Close()
-	store := NewMemStateStore()
-	store.Put(dev, blob)
-	cfg.Spill = store
-	mon, err := NewMonitorWithConfig(set, 2, col.callback, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(mon, txs[v2FixtureSplit:])
-	if n, _, err := mon.Checkpoint(); err != nil || n != 1 {
-		t.Fatalf("Checkpoint = %d, %v", n, err)
-	}
-	mon.Close()
-	if len(refCol.got[dev]) == 0 {
-		t.Fatal("reference run raised no alerts")
-	}
-	comparePerDevice(t, refCol.got, col.got)
-	if again, ok, _ := store.Get(dev); !ok || len(again) == 0 || again[0] != stateVersion {
-		t.Fatalf("spill after a version-%d rehydrate did not write a version-%d blob", txStateVersion, stateVersion)
-	}
-}
-
 // TestDecodeDeviceStateAllocs: decoding costs a fixed number of
 // allocations whatever the number of buffered records — the strings of
 // the state alias one copy of the blob.
 func TestDecodeDeviceStateAllocs(t *testing.T) {
 	vocab := features.Build([]weblog.Transaction{codecTx(0), codecTx(1)})
 	allocs := func(buffered int) float64 {
-		anchor, last := codecTx(0), codecTx(59)
-		ts := features.TransactionState{Entity: "10.0.0.4", Anchored: true, Anchor: &anchor, LastSeen: &last}
-		for i := 0; i < buffered; i++ {
-			ts.Buffered = append(ts.Buffered, codecTx(i*60/buffered))
+		txs := make([]weblog.Transaction, buffered)
+		for i := range txs {
+			txs[i] = codecTx(i * 60 / buffered)
 		}
-		ss, err := ts.Records(vocab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := DeviceState{Device: "10.0.0.4", Current: "user_4", LastSeen: last.Timestamp,
+		ss := codecSnapshot(t, vocab, "10.0.0.4", txs...)
+		st := DeviceState{Device: "10.0.0.4", Current: "user_4", LastSeen: ss.LastSeen,
 			Identifier: IdentifierState{Host: "10.0.0.4", K: 3, Runs: map[string]int{"user_4": 2, "user_1": 1}, Streamer: ss}}
 		blob := EncodeDeviceState(st)
 		return testing.AllocsPerRun(50, func() {

@@ -158,12 +158,7 @@ func TestTable4AndTable5AndFig34(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig3.Rows) < 2 {
-		t.Fatalf("fig3 rows = %d", len(fig3.Rows))
-	}
-	if !strings.HasPrefix(fig3.Rows[0][0], "actual") {
-		t.Errorf("first row should be the actual-user track")
-	}
+	checkFigure3Pins(t, fig3)
 
 	fig4, err := Figure4(sharedEnv)
 	if err != nil {
@@ -269,6 +264,41 @@ func checkTable5Pins(t *testing.T, tab5 *Table) {
 	near("ACCself", mean.Self, 82.5)
 	near("ACCother", mean.Other, 15.4)
 	near("ACC", mean.ACC(), 67.2)
+}
+
+// checkFigure3Pins pins the seeded Figure 3 reproduction as exact strings:
+// the actual-user track, the accept row of every model that accepted a
+// window ('#' accepted, '.' not, one column per window), the window count,
+// true-user acceptance and exclusive-correct count, and the consecutive-5
+// identification. The three-user scenario is this synthetic corpus's, not
+// the paper's (7 of 25 models accepted a window there).
+func checkFigure3Pins(t *testing.T, fig3 *Table) {
+	t.Helper()
+	want := [][2]string{
+		{"actual", "11111111111111111111111111111111111111111111111111111111111111111111111111111112222222222222222222222222222222222222222222222222222222222223333333333333333333333333333333333333333333333333333333333333"},
+		{"user_1", "#########################################.############################################...#....##............#......#....##........#..#.#.........................#................#..#...........##....."},
+		{"user_2", "#########################################.############################################...##.#.##............#......#...###........#..#.#..#......................#...................#...........##....."},
+		{"user_3", "......##...#.....##.##.##....##....###...............###..#..#.....##..........###############################.#######.####################............................................................."},
+		{"user_4", "........#........##.......................................................................................................................................#............................................."},
+		{"user_5", "....................##......#.......#.................##.............................#...............................#....###.....#.........##########..####################.###########################"},
+	}
+	if len(fig3.Rows) != len(want) {
+		t.Errorf("fig3 has %d rows, want %d", len(fig3.Rows), len(want))
+	}
+	for i := 0; i < len(want) && i < len(fig3.Rows); i++ {
+		if got := fig3.Rows[i]; got[0] != want[i][0] || got[1] != want[i][1] {
+			t.Errorf("fig3 row %d:\n got %s %s\nwant %s %s", i, got[0], got[1], want[i][0], want[i][1])
+		}
+	}
+	notes := strings.Join(fig3.Notes, "\n")
+	for _, pin := range []string{
+		"windows: 200, true-user acceptance 193/200, exclusive-correct 84,",
+		`consecutive-5 identification: "user_1" (ok=true)`,
+	} {
+		if !strings.Contains(notes, pin) {
+			t.Errorf("fig3 notes lack %q:\n%s", pin, notes)
+		}
+	}
 }
 
 func TestFigure5(t *testing.T) {

@@ -194,41 +194,6 @@ func TestVocabularyFingerprint(t *testing.T) {
 	}
 }
 
-// TestTransactionStateRecords: a state in the earlier whole-transaction
-// form converts to exactly the state the streamer itself snapshots, and
-// a buffer no record can express is refused.
-func TestTransactionStateRecords(t *testing.T) {
-	txs := windowCorpus()
-	v := Build(txs)
-	cfg := WindowConfig{Duration: time.Minute, Shift: 30 * time.Second}
-	for split := 1; split <= len(txs); split++ {
-		s, _ := NewStreamer(v, cfg, "x")
-		for _, x := range txs[:split] {
-			if _, err := s.Add(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := s.Snapshot()
-		ts := TransactionState{Entity: "x", Anchored: true, NextIdx: want.NextIdx, EmitCount: want.EmitCount,
-			Anchor: &txs[0], LastSeen: &txs[split-1], Buffered: txs[split-len(want.Records) : split]}
-		got, err := ts.Records(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("split %d: converted state\n got %+v\nwant %+v", split, got, want)
-		}
-	}
-	ts := TransactionState{Entity: "x", Anchored: true, Anchor: &txs[1], LastSeen: &txs[2], Buffered: txs[:3]}
-	if _, err := ts.Records(v); err == nil {
-		t.Error("buffered transaction before the anchor converted")
-	}
-	ts = TransactionState{Entity: "x", Anchored: true, Anchor: &txs[0], LastSeen: &txs[2], Buffered: []weblog.Transaction{txs[2], txs[1]}}
-	if _, err := ts.Records(v); err == nil {
-		t.Error("out-of-order buffer converted")
-	}
-}
-
 func TestColumnName(t *testing.T) {
 	v := Build(corpus())
 	if got := v.ColumnName(0); got != "action:GET" {

@@ -280,65 +280,6 @@ func (s *Streamer) Snapshot() StreamerState {
 	return st
 }
 
-// TransactionState is a streamer's state as device-state formats 1 and 2
-// stored it: whole transactions instead of records. The legacy readers in
-// core decode it, and Records turns it into a StreamerState.
-type TransactionState struct {
-	Entity    string               `json:"entity"`
-	Anchored  bool                 `json:"anchored,omitempty"`
-	Closed    bool                 `json:"closed,omitempty"`
-	NextIdx   int                  `json:"next_idx,omitempty"`
-	EmitCount int                  `json:"emit_count,omitempty"`
-	Anchor    *weblog.Transaction  `json:"anchor,omitempty"`
-	LastSeen  *weblog.Transaction  `json:"last_seen,omitempty"`
-	Buffered  []weblog.Transaction `json:"buffered,omitempty"`
-}
-
-// Records extracts ts's buffered transactions against vocab, returning
-// the equivalent StreamerState. Its strings alias ts's. Only the
-// anchor's and last-seen transaction's timestamps survive; an anchored
-// state missing either converts to one RestoreStreamer rejects. Buffered
-// transactions before the anchor or out of order, which no record can
-// express, are an error.
-func (ts *TransactionState) Records(vocab *Vocabulary) (StreamerState, error) {
-	st := StreamerState{
-		Entity:    ts.Entity,
-		Anchored:  ts.Anchored,
-		Closed:    ts.Closed,
-		NextIdx:   ts.NextIdx,
-		EmitCount: ts.EmitCount,
-	}
-	if ts.Anchored {
-		st.Vocabulary = vocab.Fingerprint()
-	}
-	if ts.Anchor != nil {
-		st.Anchor = ts.Anchor.Timestamp
-	}
-	if ts.LastSeen != nil {
-		st.LastSeen = ts.LastSeen.Timestamp
-	}
-	if len(ts.Buffered) > 0 {
-		st.Records = make([]Record, len(ts.Buffered))
-	}
-	prev := time.Duration(0)
-	for i := range ts.Buffered {
-		tx := &ts.Buffered[i]
-		r := vocab.record(tx)
-		if r.Offset = tx.Timestamp.Sub(st.Anchor); r.Offset < prev {
-			return StreamerState{}, fmt.Errorf("features: buffered transaction %d of %q lies before its predecessor or the anchor", i, ts.Entity)
-		}
-		prev = r.Offset
-		r.User = uint32(len(st.Users))
-		if j := slices.Index(st.Users, tx.UserID); j >= 0 {
-			r.User = uint32(j)
-		} else {
-			st.Users = append(st.Users, tx.UserID)
-		}
-		st.Records[i] = r
-	}
-	return st, nil
-}
-
 // RestoreStreamer rebuilds a streamer from a snapshot taken with Snapshot,
 // re-bound to the given vocabulary and window configuration (which must be
 // the ones the original streamer ran with — they are not part of the

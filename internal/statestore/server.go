@@ -20,8 +20,9 @@ type ServerConfig struct {
 	// ordinary core.StateStore (a DiskStateStore directory makes the
 	// tier durable across server restarts). Blobs are stored wrapped in
 	// a small envelope carrying the device's version, so the monotonic
-	// fence survives the restart; a directory previously written by a
-	// plain -state-dir daemon is adopted with every device at version 1.
+	// fence survives the restart. A backing blob without the envelope
+	// (say, a plain -state-dir daemon's file) is deleted at start, not
+	// loaded.
 	// Backing failures are logged and do not fail the in-memory apply:
 	// the tier stays available and the durability is best-effort, like
 	// the monitor's own spill fallback.
@@ -93,6 +94,7 @@ func ListenServer(addr string, cfg ServerConfig) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("statestore: listing backing store: %w", err)
 		}
+		dropped := 0
 		for _, d := range devices {
 			raw, ok, err := cfg.Backing.Get(d)
 			if err != nil {
@@ -103,9 +105,16 @@ func ListenServer(addr string, cfg ServerConfig) (*Server, error) {
 			}
 			ver, blob, ok := decodeEnvelope(raw)
 			if !ok {
-				ver, blob = 1, raw
+				if err := cfg.Backing.Delete(d); err != nil {
+					return nil, fmt.Errorf("statestore: dropping unversioned device %s from backing store: %w", d, err)
+				}
+				dropped++
+				continue
 			}
 			s.entries[d] = &entry{ver: ver, blob: append([]byte(nil), blob...)}
+		}
+		if dropped > 0 {
+			cfg.ErrorLog.Printf("statestore: dropped %d backing blobs without a version envelope; those devices start fresh", dropped)
 		}
 	}
 	ln, err := net.Listen("tcp", addr)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -356,16 +358,23 @@ func TestBackingDurability(t *testing.T) {
 	}
 }
 
-// TestBackingAdoptsPlainStateDir proves a directory written by a plain
-// -state-dir daemon promotes into the shared tier: raw (non-enveloped)
-// blobs load as version 1.
-func TestBackingAdoptsPlainStateDir(t *testing.T) {
+// TestBackingDropsUnenvelopedBlob: a backing blob without the version
+// envelope — device state a plain -state-dir daemon wrote — is neither
+// loaded nor kept: the server deletes it from the backing store at start
+// and logs the drop once, while enveloped devices load as before.
+func TestBackingDropsUnenvelopedBlob(t *testing.T) {
 	dir := t.TempDir()
 	plain, err := core.NewDiskStateStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.Put("dev-legacy", []byte("legacy-state")); err != nil {
+	state := core.EncodeDeviceState(core.DeviceState{Device: "dev-plain"})
+	for _, d := range []string{"dev-plain", "dev-plain-2"} {
+		if err := plain.Put(d, state); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := plain.Put("dev-tier", appendEnvelope(nil, 4, []byte("tier-state"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -373,14 +382,23 @@ func TestBackingAdoptsPlainStateDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := startServer(t, ServerConfig{Backing: backing})
+	var logged bytes.Buffer
+	srv := startServer(t, ServerConfig{Backing: backing, ErrorLog: log.New(&logged, "", 0)})
 	if got := srv.Len(); got != 1 {
-		t.Fatalf("server adopted %d devices, want 1", got)
+		t.Fatalf("server loaded %d devices, want only the enveloped one", got)
 	}
 	c := dialServer(t, srv, manualFlush)
-	got, ok := mustGet(t, c, "dev-legacy")
-	if !ok || string(got) != "legacy-state" {
-		t.Fatalf("adopted blob: %q ok=%v, want legacy-state", got, ok)
+	if got, ok := mustGet(t, c, "dev-plain"); ok {
+		t.Fatalf("unenveloped blob loaded: %q", got)
+	}
+	if got, ok := mustGet(t, c, "dev-tier"); !ok || string(got) != "tier-state" {
+		t.Fatalf("enveloped blob: %q ok=%v, want tier-state", got, ok)
+	}
+	if devices, err := backing.Devices(); err != nil || len(devices) != 1 || devices[0] != "dev-tier" {
+		t.Fatalf("backing store after start lists %v, %v; want only dev-tier", devices, err)
+	}
+	if lines := strings.Count(logged.String(), "\n"); lines != 1 || !strings.Contains(logged.String(), "dropped 2 ") {
+		t.Fatalf("drop logged as %q, want one line counting 2 blobs", logged.String())
 	}
 }
 

@@ -283,11 +283,10 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 
 // Envelope for blobs persisted through a backing core.StateStore: a
 // version byte, the device's uvarint version, then the raw blob — so the
-// monotonic fence survives a server restart over the same directory. A
-// backing blob without the envelope (a plain -state-dir promoted to the
-// shared tier) is adopted as version 1: device state never starts with
-// byte 0x01 (a binary blob starts with its format version, 2 or 3; a legacy
-// JSON one with '{'), so the two are unambiguous.
+// monotonic fence survives a server restart over the same directory.
+// Device state never starts with byte 0x01 (its first byte is its format
+// version, 3), so a backing blob without the envelope is told apart; the
+// server deletes such a blob at start instead of loading it.
 const envelopeVersion = 0x01
 
 func appendEnvelope(dst []byte, ver uint64, blob []byte) []byte {

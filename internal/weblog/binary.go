@@ -32,12 +32,6 @@ import (
 // line cap; a corrupt length prefix cannot balloon memory.
 const MaxBinaryRecord = 1 << 20
 
-// MinBinaryRecord is the smallest encoded record: a 1-byte timestamp
-// varint, nine empty fields, reputation and flags. Decoders bound record
-// counts with it, so a corrupt count cannot size an allocation beyond
-// what the input could hold.
-const MinBinaryRecord = 12
-
 // binaryFlagPrivate is the Private field's bit in the record's flags byte.
 const binaryFlagPrivate = 0x01
 
@@ -238,16 +232,6 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // varintLen is the length of x's zigzag varint encoding.
 func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
-// binaryLen is the length of t's AppendBinary encoding.
-func (t *Transaction) binaryLen() int {
-	n := varintLen(t.Timestamp.UnixNano()) + 2 // + reputation, flags
-	for _, f := range [...]string{t.Host, t.Scheme, t.Action, t.UserID, t.SourceIP,
-		t.Category, t.MediaType.Super, t.MediaType.Sub, t.AppType} {
-		n += uvarintLen(uint64(len(f))) + len(f)
-	}
-	return n
-}
-
 // Byte reads one byte.
 func (r *BinaryReader) Byte() byte {
 	if r.s == "" {
@@ -308,20 +292,6 @@ func (r *BinaryReader) Uint64() uint64 {
 
 // Float64 reads 8 little-endian bytes as an IEEE 754 double.
 func (r *BinaryReader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
-
-// Transaction decodes one binary record into dst.
-func (r *BinaryReader) Transaction(dst *Transaction) {
-	rest, err := decodeBinaryInto(dst, r.s)
-	if err != nil {
-		r.Fail(err)
-		return
-	}
-	if r.canonical {
-		r.advance(rest, dst.binaryLen())
-		return
-	}
-	r.s = rest
-}
 
 // Count reads an element count, rejecting one that elements of at least
 // minSize bytes could not fit in the remaining bytes, so a corrupt count

@@ -139,6 +139,7 @@ func TestBinaryFieldsAliasInput(t *testing.T) {
 // TestCanonicalBinaryReader: a padded varint (a redundant continuation
 // byte) decodes to the same value everywhere except the canonical reader,
 // which rejects it; minimal encodings read identically in both modes.
+// DecodeBinary, which reads records off the wire, accepts a padded one.
 func TestCanonicalBinaryReader(t *testing.T) {
 	tx := binarySampleTxs()[1]
 	rec := tx.AppendBinary(nil)
@@ -149,34 +150,31 @@ func TestCanonicalBinaryReader(t *testing.T) {
 		t.Fatalf("DecodeBinary of a padded record: %+v, %v", got, err)
 	}
 
-	read := func(r *BinaryReader) (Transaction, uint64, int64, string, error) {
-		var got Transaction
-		r.Transaction(&got)
+	read := func(r *BinaryReader) (uint64, int64, string, error) {
 		u, v, f := r.Uvarint(), r.Varint(), r.Field()
-		return got, u, v, f, r.Done()
+		return u, v, f, r.Done()
 	}
-	minimal := append(append(rec, 0x05, 0x03), 1, 'x')
+	minimal := []byte{0x05, 0x03, 1, 'x'}
 	for _, canonical := range []bool{false, true} {
 		r := NewBinaryReader(string(minimal))
 		if canonical {
 			r = NewCanonicalBinaryReader(string(minimal))
 		}
-		if got, u, v, f, err := read(r); err != nil || !reflect.DeepEqual(got, tx) || u != 5 || v != -2 || f != "x" {
-			t.Errorf("canonical=%v: minimal payload read %+v %d %d %q, %v", canonical, got, u, v, f, err)
+		if u, v, f, err := read(r); err != nil || u != 5 || v != -2 || f != "x" {
+			t.Errorf("canonical=%v: minimal payload read %d %d %q, %v", canonical, u, v, f, err)
 		}
 	}
 
 	cases := map[string][]byte{
-		"padded record":  append(append([]byte(nil), padded...), 0x05, 0x03, 1, 'x'),
-		"padded uvarint": append(append([]byte(nil), rec...), 0x85, 0x00, 0x03, 1, 'x'),
-		"padded varint":  append(append([]byte(nil), rec...), 0x05, 0x83, 0x00, 1, 'x'),
-		"padded length":  append(append([]byte(nil), rec...), 0x05, 0x03, 0x81, 0x00, 'x'),
+		"padded uvarint": {0x85, 0x00, 0x03, 1, 'x'},
+		"padded varint":  {0x05, 0x83, 0x00, 1, 'x'},
+		"padded length":  {0x05, 0x03, 0x81, 0x00, 'x'},
 	}
 	for name, payload := range cases {
-		if _, _, _, _, err := read(NewBinaryReader(string(payload))); err != nil {
+		if _, _, _, err := read(NewBinaryReader(string(payload))); err != nil {
 			t.Errorf("%s: plain reader refused it: %v", name, err)
 		}
-		if _, _, _, _, err := read(NewCanonicalBinaryReader(string(payload))); err == nil {
+		if _, _, _, err := read(NewCanonicalBinaryReader(string(payload))); err == nil {
 			t.Errorf("%s: canonical reader accepted it", name)
 		}
 	}

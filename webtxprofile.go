@@ -79,8 +79,8 @@ type (
 	StateStore = core.StateStore
 	// MemStateStore is the in-process StateStore.
 	MemStateStore = core.MemStateStore
-	// DiskStateStore is the directory-backed StateStore (one gzip file per
-	// device).
+	// DiskStateStore is the directory-backed StateStore (one file per
+	// device holding its raw blob).
 	DiskStateStore = core.DiskStateStore
 	// IdentifierState is a serializable streaming-identifier snapshot.
 	IdentifierState = core.IdentifierState
