@@ -398,6 +398,26 @@ func TestExtensionROCAndLatency(t *testing.T) {
 	if len(lat.Rows) != 4 {
 		t.Fatalf("latency rows = %d", len(lat.Rows))
 	}
+	checkLatencyPins(t, lat)
+}
+
+// checkLatencyPins pins the seeded time-to-identification table, the one
+// check of the abstract's "<5 minutes" claim that runs the consecutive-k
+// rule over every user's test windows: per k, the users identified, the
+// users identified correctly and the median windows to identification.
+func checkLatencyPins(t *testing.T, lat *Table) {
+	t.Helper()
+	want := [][4]string{
+		{"1", "5/5", "4/5", "1"},
+		{"3", "5/5", "4/5", "4"},
+		{"5", "5/5", "4/5", "6"},
+		{"10", "5/5", "5/5", "23"},
+	}
+	for i, w := range want {
+		if got := lat.Rows[i]; got[0] != w[0] || got[1] != w[1] || got[2] != w[2] || got[3] != w[3] {
+			t.Errorf("latency row %d = %q, want k=%s identified %s correct %s median windows %s", i, got[:4], w[0], w[1], w[2], w[3])
+		}
+	}
 }
 
 func TestExtensionDrift(t *testing.T) {
