@@ -193,7 +193,7 @@ func run() error {
 		tier = &stateTier{remote: remote, desc: "state server " + *stateAddr}
 		logger.Printf("spilling to %s (write-behind); devices resume on their next transaction wherever they land", tier.desc)
 	case *stateDir != "":
-		disk, err := webtxprofile.NewDiskStateStore(*stateDir)
+		disk, err := openStateDir(logger, *stateDir)
 		if err != nil {
 			return err
 		}
@@ -216,6 +216,19 @@ func run() error {
 		return runNode(logger, set, *clusterL, *nodeName, *k, monCfg, tier)
 	}
 	return runStandalone(logger, set, *listen, *k, monCfg, *batch, *ingestQ, tier)
+}
+
+// openStateDir opens a -state-dir store and reports the earlier build's
+// device states it dropped: those devices restart fresh.
+func openStateDir(logger *log.Logger, dir string) (*webtxprofile.DiskStateStore, error) {
+	disk, err := webtxprofile.NewDiskStateStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	if n := disk.DroppedLegacy(); n > 0 {
+		logger.Printf("state-dir %s: dropped %d .state.gz files of an earlier build (a format no longer read); those devices restart fresh", dir, n)
+	}
+	return disk, nil
 }
 
 // stateTier is whichever spill backend the role resolved — at most one of
@@ -309,7 +322,7 @@ func runNode(logger *log.Logger, set *webtxprofile.ProfileSet, addr, name string
 func runStateServer(logger *log.Logger, addr, stateDir string) error {
 	cfg := webtxprofile.StateServerConfig{ErrorLog: logger}
 	if stateDir != "" {
-		backing, err := webtxprofile.NewDiskStateStore(stateDir)
+		backing, err := openStateDir(logger, stateDir)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"log"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,5 +50,32 @@ func TestClusterNeedsStateTier(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "state tier") || !strings.Contains(err.Error(), "-state-addr") {
 			t.Errorf("profilerd %v = %v, want a refusal naming the state tier and -state-addr", args, err)
 		}
+	}
+}
+
+// TestOpenStateDirReportsDroppedLegacy: opening a -state-dir that holds
+// an earlier build's .state.gz files logs how many were dropped; a clean
+// directory logs nothing.
+func TestOpenStateDirReportsDroppedLegacy(t *testing.T) {
+	dir := t.TempDir()
+	for _, dev := range []string{"10.0.0.1", "10.0.0.2"} {
+		if err := os.WriteFile(filepath.Join(dir, dev+".state.gz"), []byte{0x1f, 0x8b}, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	logger := log.New(&out, "", 0)
+	if _, err := openStateDir(logger, dir); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "dropped 2 .state.gz files") {
+		t.Errorf("log = %q, want the 2 dropped files reported", out.String())
+	}
+	out.Reset()
+	if _, err := openStateDir(logger, dir); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("reopening the swept dir logged %q, want nothing", out.String())
 	}
 }

@@ -20,6 +20,15 @@
 //	// handle err
 //	fmt.Println(cm.Mean()) // ACC_self / ACC_other / ACC
 //
+// # One composer, one identification rule
+//
+// Training and the daemon run the same code: features.Compose is a loop
+// over the features.Streamer each live device runs, and the offline
+// eval.IdentifyConsecutive and the live core.Identifier both apply the
+// Sect. V-B consecutive-window rule through eval.AdvanceStreaks.
+// TestOfflineIdentificationMatchesLive (internal/experiments) holds the
+// two paths to the same first identification.
+//
 // # Streaming identification engine
 //
 // The live path — the proxy-side daemon of the paper's deployment

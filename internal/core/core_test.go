@@ -366,8 +366,8 @@ func TestIdentifierSparseStreaksMatchDense(t *testing.T) {
 			t.Fatalf("window %d: %d streaks for %d accepting users", windows, len(id.streaks), len(last.Accepted))
 		}
 		for _, sk := range id.streaks {
-			if sk.run != dense[sk.user] {
-				t.Fatalf("window %d: user %s streak %d, dense %d", windows, users[sk.user], sk.run, dense[sk.user])
+			if sk.Run != dense[sk.User] {
+				t.Fatalf("window %d: user %s streak %d, dense %d", windows, users[sk.User], sk.Run, dense[sk.User])
 			}
 		}
 	}

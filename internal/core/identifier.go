@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"webtxprofile/internal/eval"
 	"webtxprofile/internal/features"
 	"webtxprofile/internal/weblog"
 )
@@ -33,14 +34,8 @@ type Identifier struct {
 	// user index into sc.users. After any window the only non-zero
 	// streaks belong to the users that accepted it, so this stays a
 	// handful of entries per device at any population size.
-	streaks []streak
+	streaks []eval.Streak
 	host    string
-}
-
-// streak is one user's current consecutive-accept run.
-type streak struct {
-	user int // index into the scorer's users
-	run  int
 }
 
 // NewIdentifier creates a streaming identifier for one device.
@@ -101,7 +96,7 @@ func (id *Identifier) Snapshot() IdentifierState {
 	if len(id.streaks) > 0 {
 		st.Runs = make(map[string]int, len(id.streaks))
 		for _, sk := range id.streaks {
-			st.Runs[id.sc.users[sk.user]] = sk.run
+			st.Runs[id.sc.users[sk.User]] = sk.Run
 		}
 	}
 	return st
@@ -142,14 +137,14 @@ func restoreIdentifierWithScorer(set *ProfileSet, host string, st IdentifierStat
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring streamer for %s: %w", st.Host, err)
 	}
-	var streaks []streak
+	var streaks []eval.Streak
 	for j, u := range sc.users {
 		r := st.Runs[u]
 		if r < 0 {
 			return nil, fmt.Errorf("core: negative streak %d for user %s in state for %s", r, u, st.Host)
 		}
 		if r > 0 {
-			streaks = append(streaks, streak{user: j, run: r})
+			streaks = append(streaks, eval.Streak{User: j, Run: r})
 		}
 	}
 	return &Identifier{
@@ -180,6 +175,10 @@ func (id *Identifier) Flush() []Event {
 	return id.classify(id.streamer.Close())
 }
 
+// classify scores each window against every profile and applies the
+// Sect. V-B consecutive-window rule through eval.AdvanceStreaks — the
+// same rule the offline eval.IdentifyConsecutive runs — merging the
+// streaks on the shard's scratch.
 func (id *Identifier) classify(ws []features.Window) []Event {
 	if len(ws) == 0 {
 		return nil
@@ -188,36 +187,15 @@ func (id *Identifier) classify(ws []features.Window) []Event {
 	events := make([]Event, 0, len(ws))
 	for i := range ws {
 		ev := Event{Window: ws[i]}
-		mask := id.sc.acceptMask(ws[i].Vector)
-		// Merge the ascending streak list against the mask into the
-		// shard's scratch: accepting users extend their run (or start
-		// one), every other streak ends.
-		next, old := id.sc.streaks[:0], id.streaks
-		for j, accepted := range mask {
-			if !accepted {
-				continue
-			}
-			for len(old) > 0 && old[0].user < j {
-				old = old[1:]
-			}
-			run := 1
-			if len(old) > 0 && old[0].user == j {
-				run += old[0].run
-			}
-			next = append(next, streak{user: j, run: run})
-			ev.Accepted = append(ev.Accepted, users[j])
+		next, who := eval.AdvanceStreaks(id.sc.streaks[:0], id.streaks, id.sc.acceptMask(ws[i].Vector), id.k)
+		for _, sk := range next {
+			ev.Accepted = append(ev.Accepted, users[sk.User])
+		}
+		if who >= 0 {
+			ev.Identified = users[who]
 		}
 		id.sc.streaks = next
 		id.streaks = append(id.streaks[:0], next...)
-		// Deterministic winner: longest current run ≥ k, ties broken by
-		// user id (users are sorted, strict > keeps the first).
-		bestRun := 0
-		for _, sk := range id.streaks {
-			if sk.run >= id.k && sk.run > bestRun {
-				bestRun = sk.run
-				ev.Identified = users[sk.user]
-			}
-		}
 		events = append(events, ev)
 	}
 	return events

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"webtxprofile/internal/eval"
 	"webtxprofile/internal/sparse"
 	"webtxprofile/internal/svm"
 )
@@ -24,7 +25,7 @@ type scorer struct {
 	sc    *svm.Scorer
 	// streaks is Identifier.classify's merge scratch, shared by every
 	// identifier of the scorer (one per shard, serialized like sc).
-	streaks []streak
+	streaks []eval.Streak
 
 	// refModels, when non-nil, routes acceptMask through the pre-fused
 	// per-model decision path (svm.Model.Accept, one window walk per

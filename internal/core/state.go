@@ -382,6 +382,9 @@ const diskStateSuffix = ".state"
 // shared by multiple live processes.
 type DiskStateStore struct {
 	dir string
+	// dropped counts the earlier builds' ".state.gz" files removed at
+	// open.
+	dropped int
 
 	mu      sync.Mutex
 	present map[string]struct{}
@@ -390,7 +393,7 @@ type DiskStateStore struct {
 // NewDiskStateStore opens (creating if needed) a directory-backed state
 // store and indexes the device states already present from earlier
 // processes. It removes the temp files of crashed Puts and the
-// ".state.gz" files of earlier builds.
+// ".state.gz" files of earlier builds; DroppedLegacy counts the latter.
 func NewDiskStateStore(dir string) (*DiskStateStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating state dir %s: %w", dir, err)
@@ -413,9 +416,13 @@ func NewDiskStateStore(dir string) (*DiskStateStore, error) {
 			// ".state-x" escapes to ".state-x.state" and is kept.) A
 			// ".state.gz" file holds gzipped state of an earlier build, in
 			// a format no monitor reads any more.
-			if strings.HasPrefix(name, ".state-") || strings.HasSuffix(name, ".state.gz") {
+			legacy := strings.HasSuffix(name, ".state.gz")
+			if strings.HasPrefix(name, ".state-") || legacy {
 				if err := os.Remove(filepath.Join(dir, name)); err != nil {
 					return nil, fmt.Errorf("core: sweeping %s: %w", name, err)
+				}
+				if legacy {
+					s.dropped++
 				}
 			}
 			continue
@@ -431,6 +438,11 @@ func NewDiskStateStore(dir string) (*DiskStateStore, error) {
 
 // Dir returns the backing directory.
 func (s *DiskStateStore) Dir() string { return s.dir }
+
+// DroppedLegacy returns the number of ".state.gz" files of earlier builds
+// removed at open: devices whose state was lost to the format change,
+// which restart fresh.
+func (s *DiskStateStore) DroppedLegacy() int { return s.dropped }
 
 func (s *DiskStateStore) path(device string) string {
 	return filepath.Join(s.dir, url.PathEscape(device)+diskStateSuffix)

@@ -762,10 +762,14 @@ func TestDiskStateStoreCrashDurability(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	// An earlier build's gzipped state is in a format no monitor reads.
-	earlier := filepath.Join(dir, "10.0.0.7.state.gz")
-	if err := os.WriteFile(earlier, []byte{0x1f, 0x8b, 0x08, 0x00}, 0o600); err != nil {
-		t.Fatal(err)
+	// Earlier builds' gzipped state is in a format no monitor reads.
+	var earlier []string
+	for _, dev := range []string{"10.0.0.7", "10.0.0.8", "10.0.0.9"} {
+		f := filepath.Join(dir, dev+".state.gz")
+		if err := os.WriteFile(f, []byte{0x1f, 0x8b, 0x08, 0x00}, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		earlier = append(earlier, f)
 	}
 	// Unrelated files are not ours to delete.
 	keep := filepath.Join(dir, "notes.txt")
@@ -777,10 +781,13 @@ func TestDiskStateStoreCrashDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, orphan := range []string{torn, empty, earlier} {
+	for _, orphan := range append([]string{torn, empty}, earlier...) {
 		if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 			t.Errorf("orphaned file %s survived reopen (err=%v)", filepath.Base(orphan), err)
 		}
+	}
+	if got := reopened.DroppedLegacy(); got != len(earlier) {
+		t.Errorf("DroppedLegacy = %d, want the %d .state.gz files (temp files are not device state)", got, len(earlier))
 	}
 	if _, err := os.Stat(keep); err != nil {
 		t.Errorf("unrelated file swept: %v", err)

@@ -298,18 +298,15 @@ func TestTimelineAndSummarize(t *testing.T) {
 	if correct < 16 {
 		t.Errorf("own model accepted only %d/20 windows", correct)
 	}
-	st := Summarize(tl, []string{"user_1", "user_2", "user_3"})
+	st := Summarize(tl)
 	if st.Windows != 20 {
 		t.Errorf("windows = %d", st.Windows)
 	}
 	if st.ActualAccepted < 16 {
 		t.Errorf("actual accepted = %d", st.ActualAccepted)
 	}
-	if st.LongestRunByUser["user_1"] < 5 {
-		t.Errorf("user_1 longest run = %d", st.LongestRunByUser["user_1"])
-	}
-	if st.LongestRunByUser["user_3"] > 2 {
-		t.Errorf("user_3 longest run = %d (model should not match)", st.LongestRunByUser["user_3"])
+	if u, _, ok := IdentifyConsecutive(tl, 5); !ok || u != "user_1" {
+		t.Errorf("consecutive-5 identification = %q (ok=%v), want user_1", u, ok)
 	}
 }
 
@@ -337,5 +334,11 @@ func TestIdentifyConsecutive(t *testing.T) {
 	u, _, ok = IdentifyConsecutive(tl, 2)
 	if !ok || u != "a" {
 		t.Errorf("k=2: got %q", u)
+	}
+	// Ties go to the smaller user id whatever the Accepted order, as in
+	// the streaming identifier.
+	u, idx, ok = IdentifyConsecutive([]TimelinePoint{{Accepted: []string{"b", "a"}}}, 1)
+	if !ok || u != "a" || idx != 0 {
+		t.Errorf("unsorted tie: got %q at %d ok=%v, want a at 0", u, idx, ok)
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"time"
 
 	"webtxprofile/internal/features"
@@ -46,37 +47,18 @@ type TimelineStats struct {
 	ExclusiveCorrect int
 	// MeanAccepting is the mean number of models accepting a window.
 	MeanAccepting float64
-	// LongestRunByUser maps each user to their longest run of consecutive
-	// windows accepted by their model — Fig. 3's observation that the
-	// true user holds the longest streak.
-	LongestRunByUser map[string]int
 }
 
-// Summarize computes timeline statistics over the given model ids.
-func Summarize(tl []TimelinePoint, users []string) TimelineStats {
-	st := TimelineStats{Windows: len(tl), LongestRunByUser: make(map[string]int, len(users))}
+// Summarize computes timeline statistics.
+func Summarize(tl []TimelinePoint) TimelineStats {
+	st := TimelineStats{Windows: len(tl)}
 	var totalAccepting int
-	run := make(map[string]int, len(users))
 	for _, pt := range tl {
-		accepted := make(map[string]bool, len(pt.Accepted))
-		for _, u := range pt.Accepted {
-			accepted[u] = true
-		}
 		totalAccepting += len(pt.Accepted)
-		if accepted[pt.ActualUser] {
+		if slices.Contains(pt.Accepted, pt.ActualUser) {
 			st.ActualAccepted++
 			if len(pt.Accepted) == 1 {
 				st.ExclusiveCorrect++
-			}
-		}
-		for _, u := range users {
-			if accepted[u] {
-				run[u]++
-				if run[u] > st.LongestRunByUser[u] {
-					st.LongestRunByUser[u] = run[u]
-				}
-			} else {
-				run[u] = 0
 			}
 		}
 	}
@@ -86,34 +68,68 @@ func Summarize(tl []TimelinePoint, users []string) TimelineStats {
 	return st
 }
 
-// IdentifyConsecutive implements the identification rule sketched at the
-// end of Sect. V-B: a user is identified once their model accepts k
-// consecutive windows. It returns the first user to reach k consecutive
-// acceptances and the window index where that happened (ok=false when no
-// user qualifies).
-func IdentifyConsecutive(tl []TimelinePoint, k int) (user string, windowIdx int, ok bool) {
-	if k <= 0 {
-		k = 1
+// Streak is one user's current run of consecutive accepted windows. User
+// indexes the caller's user list, which is sorted by user id.
+type Streak struct {
+	User int
+	Run  int
+}
+
+// AdvanceStreaks applies one window to the Sect. V-B identification rule,
+// for IdentifyConsecutive and the daemon's core.Identifier alike: a user
+// is identified once their model accepts k consecutive windows. prev holds
+// the non-zero streaks before the window, ascending by User; accepted is
+// the window's accept mask over the sorted users. The streaks after the
+// window — one per accepting user — are appended to next, ascending, and
+// returned with the identified user: the longest run of at least k, ties
+// going to the smaller index (user id), or -1. A k below 1 acts as 1.
+// next must not share prev's backing array.
+func AdvanceStreaks(next, prev []Streak, accepted []bool, k int) ([]Streak, int) {
+	who, best := -1, 0
+	for j, ok := range accepted {
+		if !ok {
+			continue
+		}
+		for len(prev) > 0 && prev[0].User < j {
+			prev = prev[1:]
+		}
+		run := 1
+		if len(prev) > 0 && prev[0].User == j {
+			run += prev[0].Run
+		}
+		next = append(next, Streak{User: j, Run: run})
+		if run >= k && run > best {
+			who, best = j, run
+		}
 	}
-	run := make(map[string]int)
+	return next, who
+}
+
+// IdentifyConsecutive runs the timeline through AdvanceStreaks, indexing
+// the accepting users in sorted order as core.Identifier indexes its
+// profiles. It returns the user identified at the first window where a run
+// reaches k and that window's index (ok=false when no user qualifies).
+func IdentifyConsecutive(tl []TimelinePoint, k int) (user string, windowIdx int, ok bool) {
+	var users []string
+	for _, pt := range tl {
+		users = append(users, pt.Accepted...)
+	}
+	slices.Sort(users)
+	users = slices.Compact(users)
+	accepted := make([]bool, len(users))
+	var prev, next []Streak
 	for i, pt := range tl {
-		accepted := make(map[string]bool, len(pt.Accepted))
+		clear(accepted)
 		for _, u := range pt.Accepted {
-			accepted[u] = true
+			j, _ := slices.BinarySearch(users, u)
+			accepted[j] = true
 		}
-		// Advance runs for accepted users; others reset. Iterate accepted
-		// in sorted order so ties resolve deterministically.
-		for _, u := range pt.Accepted {
-			run[u]++
-			if run[u] >= k {
-				return u, i, true
-			}
+		var who int
+		next, who = AdvanceStreaks(next[:0], prev, accepted, k)
+		if who >= 0 {
+			return users[who], i, true
 		}
-		for u := range run {
-			if !accepted[u] {
-				run[u] = 0
-			}
-		}
+		prev, next = next, prev
 	}
 	return "", 0, false
 }

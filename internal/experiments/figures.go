@@ -97,28 +97,16 @@ func Figure3(e *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(e.Users) < 3 {
-		return nil, fmt.Errorf("experiments: need >= 3 users for fig3")
-	}
-	// Mirror the paper's cast: a confusable-cluster user first, then two
-	// users from elsewhere in the population.
-	cast := []string{e.Users[0], e.Users[len(e.Users)/2], e.Users[len(e.Users)-1]}
-	const device = "10.99.0.1"
-	scenarioStart := e.Scale.Synth.Start.Add(time.Duration(e.Scale.Synth.Weeks)*7*24*time.Hour + 9*time.Hour)
-	scenario, err := e.Gen.GenerateDeviceScenario(device, scenarioStart, []synth.Segment{
-		{UserID: cast[0], Offset: 0, Length: 40 * time.Minute},
-		{UserID: cast[1], Offset: 40 * time.Minute, Length: 30 * time.Minute},
-		{UserID: cast[2], Offset: 70 * time.Minute, Length: 30 * time.Minute},
-	})
+	cast, txs, err := figure3Scenario(e)
 	if err != nil {
 		return nil, err
 	}
-	windows, err := features.Compose(e.Vocab, RetainedWindow(), scenario.Transactions, device)
+	windows, err := features.Compose(e.Vocab, RetainedWindow(), txs, figure3Device)
 	if err != nil {
 		return nil, err
 	}
 	tl := eval.Timeline(models, windows)
-	st := eval.Summarize(tl, e.Users)
+	st := eval.Summarize(tl)
 
 	t := &Table{
 		ID:     "fig3",
@@ -159,6 +147,30 @@ func Figure3(e *Env) (*Table, error) {
 			st.Windows, st.ActualAccepted, st.Windows, st.ExclusiveCorrect, st.MeanAccepting),
 		fmt.Sprintf("consecutive-5 identification: %q (ok=%v); paper: 7 of 25 models accepted windows, true user holds the longest runs", id1, ok))
 	return t, nil
+}
+
+// figure3Device is the device the Fig. 3 scenario runs on.
+const figure3Device = "10.99.0.1"
+
+// figure3Scenario generates the Fig. 3 scenario and returns its cast and
+// the device's transactions in time order.
+func figure3Scenario(e *Env) ([]string, []weblog.Transaction, error) {
+	if len(e.Users) < 3 {
+		return nil, nil, fmt.Errorf("experiments: need >= 3 users for fig3")
+	}
+	// Mirror the paper's cast: a confusable-cluster user first, then two
+	// users from elsewhere in the population.
+	cast := []string{e.Users[0], e.Users[len(e.Users)/2], e.Users[len(e.Users)-1]}
+	scenarioStart := e.Scale.Synth.Start.Add(time.Duration(e.Scale.Synth.Weeks)*7*24*time.Hour + 9*time.Hour)
+	scenario, err := e.Gen.GenerateDeviceScenario(figure3Device, scenarioStart, []synth.Segment{
+		{UserID: cast[0], Offset: 0, Length: 40 * time.Minute},
+		{UserID: cast[1], Offset: 40 * time.Minute, Length: 30 * time.Minute},
+		{UserID: cast[2], Offset: 70 * time.Minute, Length: 30 * time.Minute},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return cast, scenario.Transactions, nil
 }
 
 // Figure4 reproduces Fig. 4: the distribution of single-window prediction

@@ -331,7 +331,7 @@ func TestComposeEmptyInput(t *testing.T) {
 	}
 }
 
-func TestComposeUsersAndHosts(t *testing.T) {
+func TestComposeUsers(t *testing.T) {
 	txs := windowCorpus()
 	ds := weblog.FromTransactions(txs)
 	v := BuildFromDataset(ds)
@@ -348,57 +348,6 @@ func TestComposeUsersAndHosts(t *testing.T) {
 			if len(w.UserCounts) != 1 || w.UserCounts[u] != w.Count {
 				t.Errorf("user window for %s contains foreign transactions: %v", u, w.UserCounts)
 			}
-		}
-	}
-	byHost, err := ComposeHosts(v, cfg, ds)
-	if err != nil {
-		t.Fatalf("ComposeHosts: %v", err)
-	}
-	// All transactions share one source address.
-	if len(byHost) != 1 {
-		t.Fatalf("got %d hosts", len(byHost))
-	}
-}
-
-func TestStreamerMatchesCompose(t *testing.T) {
-	configs := []WindowConfig{
-		{Duration: time.Minute, Shift: time.Minute},
-		{Duration: time.Minute, Shift: 30 * time.Second},
-		{Duration: 90 * time.Second, Shift: 10 * time.Second},
-	}
-	txs := windowCorpus()
-	v := Build(txs)
-	for _, cfg := range configs {
-		want, err := Compose(v, cfg, txs, "x")
-		if err != nil {
-			t.Fatalf("Compose: %v", err)
-		}
-		st, err := NewStreamer(v, cfg, "x")
-		if err != nil {
-			t.Fatalf("NewStreamer: %v", err)
-		}
-		var got []Window
-		for _, x := range txs {
-			ws, err := st.Add(x)
-			if err != nil {
-				t.Fatalf("Add: %v", err)
-			}
-			got = append(got, ws...)
-		}
-		got = append(got, st.Close()...)
-		if len(got) != len(want) {
-			t.Fatalf("%v: streamer emitted %d windows, compose %d", cfg, len(got), len(want))
-		}
-		for i := range got {
-			if !got[i].Start.Equal(want[i].Start) || got[i].Count != want[i].Count {
-				t.Errorf("%v: window %d differs: %+v vs %+v", cfg, i, got[i], want[i])
-			}
-			if got[i].Vector.Key() != want[i].Vector.Key() {
-				t.Errorf("%v: window %d vectors differ", cfg, i)
-			}
-		}
-		if st.Emitted() != len(want) {
-			t.Errorf("Emitted = %d, want %d", st.Emitted(), len(want))
 		}
 	}
 }
@@ -450,7 +399,7 @@ func TestStreamersShareScratchConcurrently(t *testing.T) {
 // streamer at any point of the stream — with the state pushed through a
 // JSON round trip, as the core state store does — and restoring it must
 // produce exactly the window sequence of the uninterrupted run (which
-// TestStreamerMatchesCompose pins to Compose). Splits at every index cover
+// TestWindowingMatchesNaive pins to the naive walk). Splits at every index cover
 // the edge positions: before the anchor, mid-window, and on window
 // boundaries.
 func TestStreamerSnapshotResume(t *testing.T) {

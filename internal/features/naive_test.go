@@ -196,7 +196,9 @@ func gapTrace(rng *rand.Rand, cfg WindowConfig, n int) ([]weblog.Transaction, []
 }
 
 // checkAgainstNaive compares Compose and Streamer with the naive walkers
-// on one trace: the composed windows; per Add the returned windows,
+// on one trace: the composed windows against naiveCompose's batch walk,
+// which extracts every transaction afresh for each window; per Add the
+// returned windows,
 // Emitted() and the JSON-encoded snapshot; then Close the same way. The
 // streamer under test is replaced by one restored from its round-tripped
 // snapshot after every transaction marked in resume.
@@ -257,14 +259,18 @@ func checkAgainstNaive(t *testing.T, cfg WindowConfig, txs []weblog.Transaction,
 	if !reflect.DeepEqual(streamed, composed) {
 		t.Fatalf("%v: streamer emitted %d windows in all, Compose %d", cfg, len(streamed), len(composed))
 	}
+	if s.Emitted() != len(composed) {
+		t.Fatalf("%v: Emitted() = %d after Close, want %d", cfg, s.Emitted(), len(composed))
+	}
 }
 
 // TestWindowingMatchesNaive is the differential property test for the
 // window jump: on seeded traces mixing every gap shape (no gap up to days,
 // exact window boundaries, exact multiples of D and S) under every
 // diffConfigs shape, Compose and Streamer — windows, Emitted() and every
-// snapshot — match the step-by-step walk. Replay a failure with the logged
-// WTP_WINDOW_SEED.
+// snapshot — match the step-by-step walk. The hand-written windowCorpus
+// runs too, under S = D, S dividing D, and D = 90s with S = 10s. Replay a
+// failure with the logged WTP_WINDOW_SEED.
 func TestWindowingMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(windowtest.Seed(t)))
 	for _, cfg := range diffConfigs {
@@ -272,6 +278,14 @@ func TestWindowingMatchesNaive(t *testing.T) {
 			txs, resume := gapTrace(rng, cfg, 1+rng.Intn(60))
 			checkAgainstNaive(t, cfg, txs, resume)
 		}
+	}
+	for _, cfg := range []WindowConfig{
+		{Duration: time.Minute, Shift: time.Minute},
+		{Duration: time.Minute, Shift: 30 * time.Second},
+		{Duration: 90 * time.Second, Shift: 10 * time.Second},
+	} {
+		txs := windowCorpus()
+		checkAgainstNaive(t, cfg, txs, make([]bool, len(txs)))
 	}
 }
 

@@ -12,16 +12,16 @@ import (
 	"webtxprofile/internal/weblog"
 )
 
-// Streamer composes windows incrementally from a live transaction feed —
-// the online counterpart of Compose used by the continuous-authentication
-// pipeline. Transactions must arrive in non-decreasing timestamp order;
-// windows are emitted as soon as their interval can no longer receive
-// transactions (that is, when a transaction at or past the window end
-// arrives, or on Close).
-//
-// Streamer produces exactly the windows Compose would produce on the full
-// transaction sequence; TestStreamerMatchesCompose asserts that
-// equivalence.
+// Streamer composes windows incrementally from a transaction feed. It is
+// the only window composer: the continuous-authentication pipeline feeds
+// it live, and Compose — training, grid search, the experiments — runs a
+// whole sorted sequence through it. Transactions must arrive in
+// non-decreasing timestamp order; windows are emitted as soon as their
+// interval can no longer receive transactions (that is, when a
+// transaction at or past the window end arrives, or on Close).
+// TestWindowingMatchesNaive holds it to a window-by-window walk, and
+// TestOfflineIdentificationMatchesLive (internal/experiments) holds the
+// offline identification path to the daemon's.
 //
 // Cost is O(transactions × D/S), independent of idle time: once its buffer
 // drains, the streamer jumps straight to the first window that can hold
@@ -191,8 +191,8 @@ func referencedUsers(recs []Record, users []string) []string {
 }
 
 // Close flushes the windows still covering buffered transactions and marks
-// the streamer finished. It mirrors Compose's trailing behaviour: windows
-// are generated while their start is not after the last transaction.
+// the streamer finished: windows are generated while their start is not
+// after the last transaction.
 func (s *Streamer) Close() []Window {
 	if s.closed || !s.anchored {
 		s.closed = true
@@ -232,7 +232,7 @@ func (s *Streamer) Emitted() int { return s.emitCount }
 // restored from a snapshot produces exactly the window sequence the
 // original would have produced — the checkpoint/resume property the
 // durable identifier state in core builds on (TestStreamerSnapshotResume
-// proves it against Compose).
+// proves it against an uninterrupted run).
 //
 // The state is plain data (core's device-state codec serializes it); it
 // carries no vocabulary or window configuration — RestoreStreamer

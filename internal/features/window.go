@@ -96,74 +96,28 @@ func (w *Window) DominantUser() string {
 }
 
 // Compose aggregates the chronologically sorted transactions of one entity
-// into sliding windows. Windows are anchored at the first transaction's
-// timestamp; a window materializes only if at least one transaction falls
-// inside it (empty windows carry no information and are skipped, see
-// DESIGN.md). The transactions slice must be sorted by timestamp.
-//
-// Cost is O(transactions × D/S), independent of idle time: across a gap
-// Compose jumps straight to the first window that can hold the next
-// transaction (WindowConfig.FirstWindowEndingAfter) instead of visiting the
-// empty windows in between. A transaction too far past the first one to
-// index (a corrupt timestamp centuries ahead) fails the call with an error
-// wrapping ErrWindowRange.
+// into sliding windows: it feeds them, in order, through a Streamer and
+// closes it, so offline windows are the daemon's windows. Windows are
+// anchored at the first transaction's timestamp; a window materializes only
+// if at least one transaction falls inside it (empty windows carry no
+// information and are skipped, see DESIGN.md). An out-of-order transaction,
+// or one too far past the first to index (an error wrapping
+// ErrWindowRange), fails the call with its index. Cost is the Streamer's:
+// O(transactions × D/S), independent of idle time.
 func Compose(vocab *Vocabulary, cfg WindowConfig, txs []weblog.Transaction, entity string) ([]Window, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := NewStreamer(vocab, cfg, entity)
+	if err != nil {
 		return nil, err
 	}
-	if len(txs) == 0 {
-		return nil, nil
-	}
-	for i := 1; i < len(txs); i++ {
-		if txs[i].Timestamp.Before(txs[i-1].Timestamp) {
-			return nil, fmt.Errorf("features: transactions not sorted at index %d", i)
-		}
-	}
-	t0 := txs[0].Timestamp
-	last := txs[len(txs)-1].Timestamp
-	if _, err := cfg.FirstWindowEndingAfter(t0, last); err != nil {
-		return nil, err
-	}
-	// Windows run while their start is not after the last transaction.
-	lastK := int(last.Sub(t0) / cfg.Shift)
 	var windows []Window
-	acc := sparse.NewAccumulator(vocab.NumericCols())
-	var scratch sparse.Vector
-	lo := 0 // first transaction with Timestamp >= start
-	for k := 0; k <= lastK; k++ {
-		start := t0.Add(time.Duration(k) * cfg.Shift)
-		for txs[lo].Timestamp.Before(start) { // start <= last bounds lo
-			lo++
+	for i := range txs {
+		ws, err := s.Add(txs[i])
+		if err != nil {
+			return nil, fmt.Errorf("features: transaction %d: %w", i, err)
 		}
-		end := start.Add(cfg.Duration)
-		if !txs[lo].Timestamp.Before(end) {
-			// Window k is empty, and so is every window up to the first
-			// one still open at txs[lo]; that one starts at or before
-			// txs[lo] (S <= D), so lo stays put.
-			var err error
-			if k, err = cfg.FirstWindowEndingAfter(t0, txs[lo].Timestamp); err != nil {
-				return nil, err
-			}
-			start = t0.Add(time.Duration(k) * cfg.Shift)
-			end = start.Add(cfg.Duration)
-		}
-		acc.Reset()
-		users := make(map[string]int)
-		for i := lo; i < len(txs) && txs[i].Timestamp.Before(end); i++ {
-			vocab.ExtractInto(&txs[i], &scratch)
-			acc.Add(scratch)
-			users[txs[i].UserID]++
-		}
-		windows = append(windows, Window{
-			Start:      start,
-			End:        end,
-			Vector:     acc.Vector(),
-			Count:      acc.Count(),
-			Entity:     entity,
-			UserCounts: users,
-		})
+		windows = append(windows, ws...)
 	}
-	return windows, nil
+	return append(windows, s.Close()...), nil
 }
 
 // ComposeUsers builds user-specific windows (Sect. III-C) for every user in
@@ -176,20 +130,6 @@ func ComposeUsers(vocab *Vocabulary, cfg WindowConfig, ds *weblog.Dataset) (map[
 			return nil, fmt.Errorf("features: windowing user %s: %w", u, err)
 		}
 		out[u] = ws
-	}
-	return out, nil
-}
-
-// ComposeHosts builds host-specific windows (Sect. III-D) for every source
-// address in ds, keyed by address.
-func ComposeHosts(vocab *Vocabulary, cfg WindowConfig, ds *weblog.Dataset) (map[string][]Window, error) {
-	out := make(map[string][]Window)
-	for _, h := range ds.Hosts() {
-		ws, err := Compose(vocab, cfg, ds.HostTransactions(h), h)
-		if err != nil {
-			return nil, fmt.Errorf("features: windowing host %s: %w", h, err)
-		}
-		out[h] = ws
 	}
 	return out, nil
 }

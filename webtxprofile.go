@@ -221,7 +221,8 @@ func RestoreIdentifier(set *ProfileSet, st IdentifierState) (*Identifier, error)
 }
 
 // IdentifyConsecutive applies the consecutive-window identification rule
-// to a batch timeline.
+// to a batch timeline: the rule the live Identifier applies, ties going to
+// the smaller user id.
 func IdentifyConsecutive(tl []TimelinePoint, k int) (user string, windowIdx int, ok bool) {
 	return eval.IdentifyConsecutive(tl, k)
 }
