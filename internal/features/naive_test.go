@@ -198,10 +198,9 @@ func gapTrace(rng *rand.Rand, cfg WindowConfig, n int) ([]weblog.Transaction, []
 // checkAgainstNaive compares Compose and Streamer with the naive walkers
 // on one trace: the composed windows against naiveCompose's batch walk,
 // which extracts every transaction afresh for each window; per Add the
-// returned windows,
-// Emitted() and the JSON-encoded snapshot; then Close the same way. The
-// streamer under test is replaced by one restored from its round-tripped
-// snapshot after every transaction marked in resume.
+// returned windows, Emitted() and the JSON-encoded snapshot; then Close
+// the same way. The streamer under test is replaced by one restored from
+// its round-tripped snapshot after every transaction marked in resume.
 func checkAgainstNaive(t *testing.T, cfg WindowConfig, txs []weblog.Transaction, resume []bool) {
 	t.Helper()
 	vocab := Build(txs)
