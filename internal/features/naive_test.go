@@ -267,9 +267,8 @@ func checkAgainstNaive(t *testing.T, cfg WindowConfig, txs []weblog.Transaction,
 // window jump: on seeded traces mixing every gap shape (no gap up to days,
 // exact window boundaries, exact multiples of D and S) under every
 // diffConfigs shape, Compose and Streamer — windows, Emitted() and every
-// snapshot — match the step-by-step walk. The hand-written windowCorpus
-// runs too, under S = D, S dividing D, and D = 90s with S = 10s. Replay a
-// failure with the logged WTP_WINDOW_SEED.
+// snapshot — match the step-by-step walk. Replay a failure with the
+// logged WTP_WINDOW_SEED.
 func TestWindowingMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(windowtest.Seed(t)))
 	for _, cfg := range diffConfigs {
@@ -278,6 +277,14 @@ func TestWindowingMatchesNaive(t *testing.T) {
 			checkAgainstNaive(t, cfg, txs, resume)
 		}
 	}
+}
+
+// TestStreamerMatchesCompose runs the hand-written windowCorpus through
+// checkAgainstNaive under S = D, S dividing D, and D = 90s with S = 10s
+// (a shape no diffConfigs entry has): the Streamer fed one transaction at
+// a time and Compose emit the naive walk's windows, and Emitted() counts
+// them after Close.
+func TestStreamerMatchesCompose(t *testing.T) {
 	for _, cfg := range []WindowConfig{
 		{Duration: time.Minute, Shift: time.Minute},
 		{Duration: time.Minute, Shift: 30 * time.Second},
