@@ -486,23 +486,7 @@ func TestWireRoundTrip(t *testing.T) {
 		rng.Read(b)
 		return b
 	}
-	msgs := []message{
-		{op: opPut, seq: 1, puts: []putEntry{
-			{device: "a", ver: 1, blob: randBytes(0)},
-			{device: "device/with=odd:chars", ver: 1 << 40, blob: randBytes(300)},
-		}},
-		{op: opGet, seq: 2, device: "dev"},
-		{op: opDelete, seq: 3, device: ""},
-		{op: opList, seq: 4},
-		{op: opPutOK, seq: 5, vers: []uint64{0, 1, 1 << 50}},
-		{op: opGetOK, seq: 6, found: true, ver: 9, blob: randBytes(64)},
-		{op: opGetOK, seq: 7, found: false, ver: 3},
-		{op: opDeleteOK, seq: 8, ver: 12},
-		{op: opListOK, seq: 9, devices: []string{"a", "b", "c"}},
-		{op: opListOK, seq: 10},
-		{op: opErr, seq: 11, errMsg: "boom"},
-	}
-	for i, m := range msgs {
+	for i, m := range wireSampleMessages(randBytes) {
 		enc, err := appendMessage(nil, m)
 		if err != nil {
 			t.Fatalf("msg %d: encode: %v", i, err)
@@ -534,5 +518,27 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if _, _, ok := decodeEnvelope(core.EncodeDeviceState(core.DeviceState{Device: "10.0.0.1"})); ok {
 		t.Fatal("plain binary device state decoded as an envelope")
+	}
+}
+
+// wireSampleMessages is one message of every op's shape, blobs drawn
+// from randBytes: TestWireRoundTrip's inputs and FuzzStateMessage's
+// well-formed seeds.
+func wireSampleMessages(randBytes func(n int) []byte) []message {
+	return []message{
+		{op: opPut, seq: 1, puts: []putEntry{
+			{device: "a", ver: 1, blob: randBytes(0)},
+			{device: "device/with=odd:chars", ver: 1 << 40, blob: randBytes(300)},
+		}},
+		{op: opGet, seq: 2, device: "dev"},
+		{op: opDelete, seq: 3, device: ""},
+		{op: opList, seq: 4},
+		{op: opPutOK, seq: 5, vers: []uint64{0, 1, 1 << 50}},
+		{op: opGetOK, seq: 6, found: true, ver: 9, blob: randBytes(64)},
+		{op: opGetOK, seq: 7, found: false, ver: 3},
+		{op: opDeleteOK, seq: 8, ver: 12},
+		{op: opListOK, seq: 9, devices: []string{"a", "b", "c"}},
+		{op: opListOK, seq: 10},
+		{op: opErr, seq: 11, errMsg: "boom"},
 	}
 }
