@@ -3,9 +3,6 @@ package clustertest
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"net"
 	"os"
 	"strconv"
@@ -14,6 +11,7 @@ import (
 	"time"
 
 	"webtxprofile/internal/cluster"
+	"webtxprofile/internal/weblog"
 )
 
 // ChaosSeed returns this run's fault-injection seed: WTP_CHAOS_SEED when
@@ -249,15 +247,19 @@ func (p *ChaosProxy) pump(src, dst net.Conn, id int, dir Dir) {
 	br := bufio.NewReader(src)
 	seq := 0
 	for {
-		raw, err := readRawFrame(br)
+		payload, err := weblog.ReadFrame(br, nil)
 		if err != nil {
 			return
 		}
 		seq++
 		ev := FaultEvent{Conn: id, Seq: seq, Dir: dir}
-		// Classification decodes a copy; the original bytes are what get
-		// forwarded, so a decode failure just means an unclassified frame.
-		if f, err := cluster.ReadFrame(bufio.NewReader(bytes.NewReader(raw))); err == nil {
+		// Re-frame the payload verbatim: what gets forwarded is the bytes
+		// read, so a decode failure just means an unclassified frame.
+		raw := append(weblog.AppendFrameHeader(make([]byte, 0, 4+len(payload))), payload...)
+		if weblog.FinishFrame(raw) != nil {
+			return
+		}
+		if f, err := cluster.ReadFrame(bytes.NewReader(raw)); err == nil {
 			ev.Frame = f
 		}
 		p.mu.Lock()
@@ -283,23 +285,4 @@ func (p *ChaosProxy) pump(src, dst net.Conn, id int, dir Dir) {
 			return
 		}
 	}
-}
-
-// readRawFrame reads one length-prefixed frame and returns its full wire
-// bytes (header included), ready to forward verbatim.
-func readRawFrame(br *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > cluster.MaxFrameBytes {
-		return nil, fmt.Errorf("chaosproxy: frame length %d out of range", n)
-	}
-	raw := make([]byte, 4+int(n))
-	copy(raw, hdr[:])
-	if _, err := io.ReadFull(br, raw[4:]); err != nil {
-		return nil, err
-	}
-	return raw, nil
 }

@@ -27,7 +27,10 @@
 // payload: the magic byte 0xF7, a version byte (2), a frame type code,
 // a uvarint sequence number, then tagged fields until the payload ends —
 // each field a tag byte followed by a length/count-prefixed body,
-// zero-valued fields omitted, unknown tags a decode error. Feeds carry
+// zero-valued fields omitted, unknown tags a decode error. The framer
+// (weblog.ReadFrame, with its MaxFrameBytes bound) and the payload reader
+// (weblog.BinaryReader) are the ones the state tier's protocol uses too;
+// the two protocols differ in their magic bytes. Feeds carry
 // transactions as weblog binary records (Frame.Txs), which the node
 // decodes zero-copy: every string field of every decoded transaction
 // aliases the one frame payload. Device state never crosses this wire.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,13 +9,14 @@ import (
 	"webtxprofile/internal/weblog"
 )
 
-// The cluster wire protocol is length-prefixed: each frame is a 4-byte
+// The cluster wire protocol is length-prefixed by weblog's framer (the
+// one the state tier's protocol uses too): each frame is a 4-byte
 // big-endian payload length followed by one frame in the binary encoding
 // of wirecodec.go. Transactions travel inside feed frames as weblog binary
 // records, reusing the existing serialization rather than inventing a new
 // one; device state never travels on this wire — moves go through the
-// state tier. Every payload starts with a magic byte and a version byte, and the
-// reader refuses any other version with ErrWireVersion: there is one
+// state tier. Every payload starts with a magic byte and a version byte,
+// and the reader refuses any other version with ErrWireVersion: there is one
 // encoding and no negotiation, so every peer of a cluster must run the
 // same build.
 //
@@ -27,11 +27,11 @@ import (
 // Frames on a connection are written atomically (under a write lock), so
 // a reader always sees whole frames in write order.
 
-// MaxFrameBytes caps one frame's payload. Feed batches and the device
-// lists of parks and list replies are the largest frames, far below it.
-// The reader rejects larger headers before allocating, so a corrupt or
-// hostile length prefix cannot balloon memory.
-const MaxFrameBytes = 64 << 20
+// MaxFrameBytes caps one frame's payload: the bound of the length-prefix
+// framer (weblog.ReadFrame) that this wire shares with the state tier's.
+// Feed batches and the device lists of parks and list replies are the
+// largest frames, far below it.
+const MaxFrameBytes = weblog.MaxFrameBytes
 
 // ErrWireVersion reports a frame this build cannot read: a payload that
 // does not start with the binary frame magic (such as the JSON frames of
@@ -145,14 +145,13 @@ func WriteFrame(w io.Writer, f Frame) error {
 // scratch buffer, may be nil) and writes it to w in one call, returning
 // the buffer for reuse.
 func writeFrame(w io.Writer, buf []byte, f Frame) ([]byte, error) {
-	buf, err := AppendBinaryFrame(append(buf[:0], 0, 0, 0, 0), f)
+	buf, err := AppendBinaryFrame(weblog.AppendFrameHeader(buf[:0]), f)
 	if err != nil {
 		return buf[:0], err
 	}
-	if n := len(buf) - 4; n > MaxFrameBytes {
-		return buf[:0], fmt.Errorf("cluster: %s frame of %d bytes exceeds limit %d", f.Type, n, MaxFrameBytes)
+	if err := weblog.FinishFrame(buf); err != nil {
+		return buf[:0], fmt.Errorf("cluster: %s %w", f.Type, err)
 	}
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	if _, err := w.Write(buf); err != nil {
 		return buf[:0], fmt.Errorf("cluster: writing %s frame: %w", f.Type, err)
 	}
@@ -166,23 +165,12 @@ func writeFrame(w io.Writer, buf []byte, f Frame) ([]byte, error) {
 // wrapping ErrWireVersion. A clean EOF before any header byte returns
 // io.EOF unwrapped so callers can detect an orderly connection end.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("cluster: reading frame header: %w", err)
+	payload, err := weblog.ReadFrame(r, nil)
+	if err == io.EOF {
+		return Frame{}, io.EOF
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return Frame{}, fmt.Errorf("cluster: zero-length frame")
-	}
-	if n > MaxFrameBytes {
-		return Frame{}, fmt.Errorf("cluster: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, fmt.Errorf("cluster: reading %d-byte frame payload: %w", n, err)
+	if err != nil {
+		return Frame{}, fmt.Errorf("cluster: %w", err)
 	}
 	return decodeBinaryFrame(payload)
 }

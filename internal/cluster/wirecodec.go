@@ -151,119 +151,73 @@ func appendTagStrings(dst []byte, tag byte, ss []string) []byte {
 // allocation. Malformed input returns an error, never panics
 // (FuzzBinaryFrame).
 func decodeBinaryFrame(payload []byte) (Frame, error) {
-	s := string(payload)
-	if len(s) == 0 || s[0] != binaryMagic {
+	if len(payload) == 0 || payload[0] != binaryMagic {
 		return Frame{}, fmt.Errorf("%w: payload does not start with the frame magic %#x", ErrWireVersion, binaryMagic)
 	}
-	if len(s) > 1 && s[1] != wireVersion {
-		return Frame{}, fmt.Errorf("%w: frame version %d, this build speaks %d", ErrWireVersion, s[1], wireVersion)
+	if len(payload) > 1 && payload[1] != wireVersion {
+		return Frame{}, fmt.Errorf("%w: frame version %d, this build speaks %d", ErrWireVersion, payload[1], wireVersion)
 	}
-	if len(s) < 3 {
+	if len(payload) < 3 {
 		return Frame{}, fmt.Errorf("cluster: truncated frame header")
 	}
-	code := s[2]
+	code := payload[2]
 	if int(code) >= len(frameTypeNames) || frameTypeNames[code] == "" {
 		return Frame{}, fmt.Errorf("cluster: unknown binary frame type %d", code)
 	}
 	f := Frame{Type: frameTypeNames[code]}
-	s = s[3:]
-	seq, s, err := weblog.ReadBinaryUvarint(s)
-	if err != nil {
-		return Frame{}, fmt.Errorf("cluster: frame seq: %w", err)
-	}
-	f.Seq = seq
-	for len(s) > 0 {
-		tag := s[0]
-		s = s[1:]
-		switch tag {
+	r := weblog.NewBinaryReader(string(payload[3:]))
+	f.Seq = r.Uvarint()
+	for r.Len() > 0 {
+		switch tag := r.Byte(); tag {
 		case tagNode:
-			f.Node, s, err = weblog.ReadBinaryString(s)
+			f.Node = r.Field()
 		case tagSubscribe:
 			f.Subscribe = true
 		case tagDevices:
-			f.Devices, s, err = readWireStrings(s)
+			f.Devices = r.Fields("devices")
 		case tagCount:
-			var c int64
-			if c, s, err = weblog.ReadBinaryVarint(s); err == nil {
-				f.Count = int(c)
-			}
+			f.Count = r.Int()
 		case tagError:
-			f.Error, s, err = weblog.ReadBinaryString(s)
+			f.Error = r.Field()
 		case tagAlert:
-			var b string
-			if b, s, err = weblog.ReadBinaryString(s); err == nil {
-				f.Alert, err = decodeNodeAlert(b)
+			if b := r.Field(); r.Err() == nil {
+				alert, err := decodeNodeAlert(b)
+				if err != nil {
+					r.Fail(err)
+				}
+				f.Alert = alert
 			}
 		case tagTxs:
-			var count uint64
-			if count, s, err = weblog.ReadBinaryUvarint(s); err != nil {
-				break
-			}
 			// A minimal record is 12 bytes (1-byte timestamp varint, nine
-			// empty fields, reputation, flags): a count claiming more
-			// records than the remaining bytes could hold is corrupt, and
-			// rejecting it here keeps the allocation below proportional to
-			// real input.
-			if count > uint64(len(s)/12)+1 {
-				err = fmt.Errorf("%d transactions cannot fit in %d bytes", count, len(s))
-				break
-			}
-			txs := make([]weblog.Transaction, count)
-			for i := range txs {
-				if txs[i], s, err = weblog.DecodeBinaryFrom(s); err != nil {
-					err = fmt.Errorf("transaction %d: %w", i, err)
-					break
-				}
-			}
-			if err == nil {
-				f.Txs = txs
+			// empty fields, reputation, flags).
+			f.Txs = make([]weblog.Transaction, r.Count("transactions", 12))
+			for i := range f.Txs {
+				r.Transaction(&f.Txs[i])
 			}
 		case tagClient:
-			f.Client, s, err = weblog.ReadBinaryString(s)
+			f.Client = r.Field()
 		case tagCursor:
-			f.Cursor, s, err = weblog.ReadBinaryUvarint(s)
+			f.Cursor = r.Uvarint()
 		case tagResume:
 			f.Resume = true
 		case tagReplay:
 			f.Replay = true
 		case tagGossip:
-			var b string
-			if b, s, err = weblog.ReadBinaryString(s); err == nil {
+			if b := r.Field(); r.Err() == nil {
 				var g GossipState
-				if err = json.Unmarshal([]byte(b), &g); err == nil {
-					f.Gossip = &g
+				if err := json.Unmarshal([]byte(b), &g); err != nil {
+					r.Fail(err)
 				}
+				f.Gossip = &g
 			}
 		default:
-			err = fmt.Errorf("unknown field tag %d", tag)
+			r.Fail(fmt.Errorf("unknown field tag %d", tag))
 		}
-		if err != nil {
-			return Frame{}, fmt.Errorf("cluster: decoding binary %s frame: %w", f.Type, err)
-		}
+	}
+	if err := r.Err(); err != nil {
+		return Frame{}, fmt.Errorf("cluster: decoding binary %s frame: %w", f.Type, err)
 	}
 	return f, nil
-}
-
-// readWireStrings reads a counted list of length-prefixed strings.
-func readWireStrings(s string) ([]string, string, error) {
-	count, s, err := weblog.ReadBinaryUvarint(s)
-	if err != nil {
-		return nil, "", err
-	}
-	if count == 0 {
-		return nil, s, nil
-	}
-	// Each entry needs at least its 1-byte length prefix.
-	if count > uint64(len(s)) {
-		return nil, "", fmt.Errorf("%d strings cannot fit in %d bytes", count, len(s))
-	}
-	out := make([]string, count)
-	for i := range out {
-		if out[i], s, err = weblog.ReadBinaryString(s); err != nil {
-			return nil, "", fmt.Errorf("string %d: %w", i, err)
-		}
-	}
-	return out, s, nil
 }
 
 // appendNodeAlert appends na's binary encoding: node, seq, the alert's
@@ -359,13 +313,7 @@ func decodeNodeAlert(s string) (*NodeAlert, error) {
 			prev = u
 		}
 	}
-	// Each accepted user is at least its 1-byte length.
-	if n := r.Count("accepted users", 1); n > 0 {
-		a.Event.Accepted = make([]string, n)
-		for i := range a.Event.Accepted {
-			a.Event.Accepted[i] = r.Field()
-		}
-	}
+	a.Event.Accepted = r.Fields("accepted users")
 	a.Event.Identified = r.Field()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("alert: %w", err)

@@ -212,12 +212,7 @@ func readDeviceState(r *weblog.BinaryReader) DeviceState {
 		ss.LastSeen = time.Unix(0, r.Varint()).UTC()
 		ss.Vocabulary.Size = int(r.Uvarint())
 		ss.Vocabulary.Hash = r.Uint64()
-		if n := r.Count("users", 1); n > 0 {
-			ss.Users = make([]string, n)
-			for i := range ss.Users {
-				ss.Users[i] = r.Field()
-			}
-		}
+		ss.Users = r.Fields("users")
 		// A record is at least its offset, user and mask bytes.
 		if n := r.Count("buffered records", 3); n > 0 {
 			ss.Records = make([]features.Record, n)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -152,13 +153,14 @@ func TestTable4AndTable5AndFig34(t *testing.T) {
 	if !strings.Contains(out, "mean diagonal") {
 		t.Errorf("missing summary note:\n%s", out)
 	}
-	checkTable5Pins(t, tab5)
+	meanDiagonal := checkTable5Pins(t, tab5)
 
 	fig3, err := Figure3(sharedEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFigure3Pins(t, fig3)
+	accepted, windows := checkFigure3Pins(t, fig3)
+	checkQualityFloor(t, meanDiagonal, accepted, windows)
 
 	fig4, err := Figure4(sharedEnv)
 	if err != nil {
@@ -231,8 +233,8 @@ func checkTable4Pins(t *testing.T, tab4 *Table) {
 // point. The values come from the confusion matrix itself (rebuilt as
 // Table5 builds it), and the rendered table must show that matrix. They
 // are this synthetic corpus's numbers, not the paper's (Table V reports
-// self-acceptance around 90%).
-func checkTable5Pins(t *testing.T, tab5 *Table) {
+// self-acceptance around 90%). It returns the mean diagonal in percent.
+func checkTable5Pins(t *testing.T, tab5 *Table) float64 {
 	t.Helper()
 	models, err := sharedEnv.Models(svm.OCSVM)
 	if err != nil {
@@ -264,6 +266,7 @@ func checkTable5Pins(t *testing.T, tab5 *Table) {
 	near("ACCself", mean.Self, 82.5)
 	near("ACCother", mean.Other, 15.4)
 	near("ACC", mean.ACC(), 67.2)
+	return 100 * mean.Self
 }
 
 // checkFigure3Pins pins the seeded Figure 3 reproduction as exact strings:
@@ -271,8 +274,9 @@ func checkTable5Pins(t *testing.T, tab5 *Table) {
 // window ('#' accepted, '.' not, one column per window), the window count,
 // true-user acceptance and exclusive-correct count, and the consecutive-5
 // identification. The three-user scenario is this synthetic corpus's, not
-// the paper's (7 of 25 models accepted a window there).
-func checkFigure3Pins(t *testing.T, fig3 *Table) {
+// the paper's (7 of 25 models accepted a window there). It returns the
+// true-user acceptance as the notes state it: accepted of windows.
+func checkFigure3Pins(t *testing.T, fig3 *Table) (accepted, windows int) {
 	t.Helper()
 	want := [][2]string{
 		{"actual", "11111111111111111111111111111111111111111111111111111111111111111111111111111112222222222222222222222222222222222222222222222222222222222223333333333333333333333333333333333333333333333333333333333333"},
@@ -298,6 +302,34 @@ func checkFigure3Pins(t *testing.T, fig3 *Table) {
 		if !strings.Contains(notes, pin) {
 			t.Errorf("fig3 notes lack %q:\n%s", pin, notes)
 		}
+	}
+	for _, note := range fig3.Notes {
+		if _, err := fmt.Sscanf(note, "windows: %d, true-user acceptance %d/", &windows, &accepted); err == nil {
+			return accepted, windows
+		}
+	}
+	t.Fatalf("fig3 notes state no true-user acceptance:\n%s", notes)
+	return 0, 0
+}
+
+// checkQualityFloor holds the reproduction above a floor that no change
+// may breach, separate from the exact pins: the mean Table 5 diagonal at
+// least 80.5% (the 82.5% pin less 2.0 points) and Figure 3's true-user
+// acceptance at least 185 of 200 windows (the 193/200 pin less 8
+// windows). A deliberate model change may re-pin the exact values, but it
+// may not go below the floor.
+func checkQualityFloor(t *testing.T, meanDiagonal float64, accepted, windows int) {
+	t.Helper()
+	const (
+		diagonalFloor = 80.5 // percent
+		acceptedFloor = 185  // of floorWindows
+		floorWindows  = 200
+	)
+	if meanDiagonal < diagonalFloor {
+		t.Errorf("mean Table 5 diagonal %.2f%% is below the %.1f%% floor", meanDiagonal, diagonalFloor)
+	}
+	if accepted*floorWindows < acceptedFloor*windows {
+		t.Errorf("Figure 3 true-user acceptance %d/%d is below the %d/%d floor", accepted, windows, acceptedFloor, floorWindows)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"webtxprofile/internal/core"
+	"webtxprofile/internal/weblog"
 )
 
 // ErrQueueFull is returned by Put when the write-behind queue is at
@@ -134,9 +135,8 @@ type Client struct {
 	rpcMu   sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
-	bw      *bufio.Writer
 	seq     uint64
-	scratch []byte
+	scratch []byte // the request frame, reused
 
 	kick chan struct{}
 	done chan struct{}
@@ -166,7 +166,6 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	}
 	c.conn = conn
 	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
 	c.wg.Add(1)
 	go c.flusher()
 	return c, nil
@@ -530,22 +529,24 @@ func (c *Client) attempt(req message) (message, error) {
 		}
 		c.conn = conn
 		c.br = bufio.NewReader(conn)
-		c.bw = bufio.NewWriter(conn)
 	}
 	c.seq++
 	req.seq = c.seq
-	payload, err := appendMessage(c.scratch[:0], req)
+	frame, err := appendMessage(weblog.AppendFrameHeader(c.scratch[:0]), req)
 	if err != nil {
 		return message{}, err
 	}
-	c.scratch = payload[:0]
+	c.scratch = frame[:0]
+	if err := weblog.FinishFrame(frame); err != nil {
+		return message{}, fmt.Errorf("statestore: %w", err)
+	}
 	c.conn.SetDeadline(time.Now().Add(c.cfg.RPCTimeout))
-	if err := writeFrame(c.bw, payload); err != nil {
+	if _, err := c.conn.Write(frame); err != nil {
 		return message{}, err
 	}
-	// Fresh buffer per reply: decoded strings and blobs alias it, and
-	// Get hands the blob to the caller.
-	raw, err := readFrame(c.br, nil)
+	// Fresh buffer per reply: decoded blobs alias it, and Get hands the
+	// blob to the caller.
+	raw, err := weblog.ReadFrame(c.br, nil)
 	if err != nil {
 		return message{}, err
 	}

@@ -6,7 +6,10 @@
 // Two halves. Server holds the authoritative per-device blobs in memory
 // (optionally persisted through any core.StateStore, e.g. a
 // core.DiskStateStore directory) and speaks a length-prefixed binary
-// protocol in the style of the cluster's wire v2. Client implements the
+// protocol (see wire.go). It shares the cluster wire's framer and frame
+// bound (weblog.ReadFrame, MaxFrameBytes) and its payload reader
+// (weblog.BinaryReader), but has its own magic byte, so a connection
+// made to the wrong service fails at its first frame. Client implements the
 // four-method core.StateStore interface over that protocol with
 // write-behind batching: Put never touches the network — it coalesces
 // into a bounded dirty queue flushed by count or age — so the monitor's

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"webtxprofile/internal/core"
+	"webtxprofile/internal/weblog"
 )
 
 // ServerConfig configures a state server; the zero value works.
@@ -202,10 +203,9 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	var readBuf, writeBuf []byte
 	for {
-		payload, err := readFrame(br, readBuf)
+		payload, err := weblog.ReadFrame(br, readBuf)
 		if err != nil {
 			return // EOF and read errors both just end the connection
 		}
@@ -219,14 +219,17 @@ func (s *Server) serve(conn net.Conn) {
 		} else {
 			resp = s.dispatch(req)
 		}
-		out, encErr := appendMessage(writeBuf[:0], resp)
+		out, encErr := appendMessage(weblog.AppendFrameHeader(writeBuf[:0]), resp)
 		if encErr != nil {
 			s.cfg.ErrorLog.Printf("statestore: encoding reply: %v", encErr)
 			return
 		}
 		writeBuf = out[:0]
+		if weblog.FinishFrame(out) != nil {
+			return // a reply beyond the frame bound cannot be sent
+		}
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if werr := writeFrame(bw, out); werr != nil {
+		if _, werr := conn.Write(out); werr != nil {
 			return
 		}
 		if err != nil {
@@ -261,8 +264,8 @@ func (s *Server) applyPut(req message) message {
 		e := s.entries[p.device]
 		if e == nil {
 			e = &entry{}
-			// Clone the key: p.device aliases the connection's read buffer,
-			// which the next frame overwrites in place.
+			// Clone the key: p.device aliases the decoded copy of the
+			// whole frame, which a map key must not pin.
 			s.entries[strings.Clone(p.device)] = e
 		}
 		if p.ver > e.ver {
@@ -305,7 +308,7 @@ func (s *Server) applyDelete(req message) message {
 	e := s.entries[req.device]
 	if e == nil {
 		e = &entry{}
-		s.entries[strings.Clone(req.device)] = e // key must not alias the read buffer
+		s.entries[strings.Clone(req.device)] = e // key must not pin the decoded frame
 	}
 	e.ver++
 	e.blob = nil
@@ -340,7 +343,9 @@ func (s *Server) persist(device string, e *entry) {
 		return
 	}
 	enveloped := appendEnvelope(make([]byte, 0, len(e.blob)+16), e.ver, e.blob)
-	if err := s.cfg.Backing.Put(device, enveloped); err != nil {
+	// Clone the key: device aliases the decoded copy of the whole frame,
+	// which a store that keeps its keys (DiskStateStore does) must not pin.
+	if err := s.cfg.Backing.Put(strings.Clone(device), enveloped); err != nil {
 		s.cfg.ErrorLog.Printf("statestore: backing put of device %s: %v", device, err)
 	}
 }

@@ -2,11 +2,13 @@ package statestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -518,6 +520,28 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if _, _, ok := decodeEnvelope(core.EncodeDeviceState(core.DeviceState{Device: "10.0.0.1"})); ok {
 		t.Fatal("plain binary device state decoded as an envelope")
+	}
+}
+
+// TestDecodeHostilePutBatchAllocs: a put batch whose count claims one
+// entry per remaining byte is refused before the decoder reserves room
+// for that many entries. Every entry takes at least 3 bytes, so the count
+// is checked against that; the decoder may copy the payload once, but
+// must not allocate twice its size.
+func TestDecodeHostilePutBatchAllocs(t *testing.T) {
+	const n = 1 << 20
+	payload := binary.AppendUvarint([]byte{wireMagic, wireVersion, opPut, 0x01}, n)
+	payload = append(payload, make([]byte, n)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeMessage(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a put batch of more entries than its bytes can hold decoded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2*uint64(len(payload)) {
+		t.Errorf("decoding a %d-byte hostile put batch allocated %d bytes (%.1fx), want < 2x",
+			len(payload), alloc, float64(alloc)/float64(len(payload)))
 	}
 }
 

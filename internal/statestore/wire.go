@@ -1,28 +1,28 @@
 package statestore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
+
+	"webtxprofile/internal/weblog"
 )
 
-// Wire format, in the style of the cluster's binary wire v2: every frame
-// is a 4-byte big-endian length followed by that many payload bytes, and
-// the payload is
+// Wire format. Frames go through weblog's length-prefix framer, the one
+// the cluster wire uses too: a 4-byte big-endian length, then that many
+// payload bytes, with one bound (weblog.MaxFrameBytes, which is the
+// cluster's MaxFrameBytes) on both. So clustertest.ChaosProxy, which
+// enforces only that bound and forwards undecodable frames verbatim, can
+// sit in front of a state server in the chaos suites. The payload is
 //
 //	magic (0xF6) | version (1) | op | uvarint seq | op-specific body
 //
-// with strings and blobs as uvarint-length-prefixed bytes. The magic
-// differs from the cluster protocol's (0xF7) so a misdirected connection
-// fails loudly at the first frame, and the frame bound stays at or below
-// the cluster's MaxFrameBytes so clustertest.ChaosProxy — which enforces
-// only the length bound and forwards undecodable frames verbatim — can
-// sit in front of a state server in the chaos suites.
+// with counts, sequence numbers and versions as uvarints, and strings and
+// blobs as uvarint-length-prefixed bytes, all read through
+// weblog.BinaryReader. The magic differs from the cluster protocol's
+// (0xF7), so a misdirected connection fails loudly at the first frame.
 const (
-	wireMagic     = 0xF6
-	wireVersion   = 1
-	maxFrameBytes = 64 << 20
+	wireMagic   = 0xF6
+	wireVersion = 1
 )
 
 // Operation codes. Requests and replies share the message struct; every
@@ -64,39 +64,6 @@ type message struct {
 
 var errMalformed = fmt.Errorf("statestore: malformed frame")
 
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, errMalformed
-	}
-	return v, b[n:], nil
-}
-
-// readBytes returns a sub-slice aliasing b: callers that retain the
-// result past the read buffer's reuse must copy it.
-func readBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := readUvarint(b)
-	if err != nil || n > uint64(len(rest)) {
-		return nil, nil, errMalformed
-	}
-	return rest[:n], rest[n:], nil
-}
-
-func readString(b []byte) (string, []byte, error) {
-	raw, rest, err := readBytes(b)
-	return string(raw), rest, err
-}
-
 // appendMessage encodes m onto dst (which may be a reused scratch
 // buffer) and returns the extended slice.
 func appendMessage(dst []byte, m message) ([]byte, error) {
@@ -106,12 +73,12 @@ func appendMessage(dst []byte, m message) ([]byte, error) {
 	case opPut:
 		dst = binary.AppendUvarint(dst, uint64(len(m.puts)))
 		for _, p := range m.puts {
-			dst = appendString(dst, p.device)
+			dst = weblog.AppendBinaryString(dst, p.device)
 			dst = binary.AppendUvarint(dst, p.ver)
-			dst = appendBytes(dst, p.blob)
+			dst = weblog.AppendBinaryString(dst, p.blob)
 		}
 	case opGet, opDelete:
-		dst = appendString(dst, m.device)
+		dst = weblog.AppendBinaryString(dst, m.device)
 	case opList:
 	case opPutOK:
 		dst = binary.AppendUvarint(dst, uint64(len(m.vers)))
@@ -125,160 +92,78 @@ func appendMessage(dst []byte, m message) ([]byte, error) {
 			dst = append(dst, 0)
 		}
 		dst = binary.AppendUvarint(dst, m.ver)
-		dst = appendBytes(dst, m.blob)
+		dst = weblog.AppendBinaryString(dst, m.blob)
 	case opDeleteOK:
 		dst = binary.AppendUvarint(dst, m.ver)
 	case opListOK:
 		dst = binary.AppendUvarint(dst, uint64(len(m.devices)))
 		for _, d := range m.devices {
-			dst = appendString(dst, d)
+			dst = weblog.AppendBinaryString(dst, d)
 		}
 	case opErr:
-		dst = appendString(dst, m.errMsg)
+		dst = weblog.AppendBinaryString(dst, m.errMsg)
 	default:
 		return nil, fmt.Errorf("statestore: encoding unknown op 0x%02x", m.op)
 	}
 	return dst, nil
 }
 
-// decodeMessage parses a frame payload. Strings and blobs alias the
-// payload; the whole payload must be consumed (trailing bytes are an
+// decodeMessage parses a frame payload. It reads a string copy of the
+// payload, which the decoded strings alias; blobs alias the payload
+// itself. The whole payload must be consumed (trailing bytes are an
 // error, like the cluster codec). Errors, never panics, on adversarial
-// input: every length is checked against the remaining bytes.
+// input (FuzzStateMessage): every length and count is checked against
+// the remaining bytes, a count at its elements' smallest encoding.
 func decodeMessage(payload []byte) (message, error) {
 	if len(payload) < 3 || payload[0] != wireMagic || payload[1] != wireVersion {
 		return message{}, errMalformed
 	}
 	m := message{op: payload[2]}
-	rest := payload[3:]
-	var err error
-	if m.seq, rest, err = readUvarint(rest); err != nil {
-		return message{}, err
-	}
+	body := payload[3:]
+	r := weblog.NewBinaryReader(string(body))
+	m.seq = r.Uvarint()
 	switch m.op {
 	case opPut:
-		var n uint64
-		if n, rest, err = readUvarint(rest); err != nil {
-			return message{}, err
-		}
-		if n > uint64(len(rest)) { // each entry takes >= 1 byte
-			return message{}, errMalformed
-		}
-		m.puts = make([]putEntry, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var p putEntry
-			if p.device, rest, err = readString(rest); err != nil {
-				return message{}, err
-			}
-			if p.ver, rest, err = readUvarint(rest); err != nil {
-				return message{}, err
-			}
-			if p.blob, rest, err = readBytes(rest); err != nil {
-				return message{}, err
-			}
-			m.puts = append(m.puts, p)
+		// An entry is at least a 1-byte device length, version and blob
+		// length.
+		m.puts = make([]putEntry, r.Count("put entries", 3))
+		for i := range m.puts {
+			p := &m.puts[i]
+			p.device, p.ver, p.blob = r.Field(), r.Uvarint(), readBlob(r, body)
 		}
 	case opGet, opDelete:
-		if m.device, rest, err = readString(rest); err != nil {
-			return message{}, err
-		}
+		m.device = r.Field()
 	case opList:
 	case opPutOK:
-		var n uint64
-		if n, rest, err = readUvarint(rest); err != nil {
-			return message{}, err
-		}
-		if n > uint64(len(rest)) {
-			return message{}, errMalformed
-		}
-		m.vers = make([]uint64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var v uint64
-			if v, rest, err = readUvarint(rest); err != nil {
-				return message{}, err
-			}
-			m.vers = append(m.vers, v)
+		m.vers = make([]uint64, r.Count("versions", 1))
+		for i := range m.vers {
+			m.vers[i] = r.Uvarint()
 		}
 	case opGetOK:
-		if len(rest) < 1 {
-			return message{}, errMalformed
-		}
-		m.found = rest[0] != 0
-		rest = rest[1:]
-		if m.ver, rest, err = readUvarint(rest); err != nil {
-			return message{}, err
-		}
-		if m.blob, rest, err = readBytes(rest); err != nil {
-			return message{}, err
-		}
+		m.found = r.Byte() != 0
+		m.ver = r.Uvarint()
+		m.blob = readBlob(r, body)
 	case opDeleteOK:
-		if m.ver, rest, err = readUvarint(rest); err != nil {
-			return message{}, err
-		}
+		m.ver = r.Uvarint()
 	case opListOK:
-		var n uint64
-		if n, rest, err = readUvarint(rest); err != nil {
-			return message{}, err
-		}
-		if n > uint64(len(rest)) {
-			return message{}, errMalformed
-		}
-		m.devices = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var d string
-			if d, rest, err = readString(rest); err != nil {
-				return message{}, err
-			}
-			m.devices = append(m.devices, d)
-		}
+		m.devices = r.Fields("devices")
 	case opErr:
-		if m.errMsg, rest, err = readString(rest); err != nil {
-			return message{}, err
-		}
+		m.errMsg = r.Field()
 	default:
 		return message{}, fmt.Errorf("statestore: unknown op 0x%02x", m.op)
 	}
-	if len(rest) != 0 {
-		return message{}, errMalformed
+	if err := r.Done(); err != nil {
+		return message{}, fmt.Errorf("%w: %v", errMalformed, err)
 	}
 	return m, nil
 }
 
-// writeFrame writes one length-prefixed frame and flushes.
-func writeFrame(bw *bufio.Writer, payload []byte) error {
-	if len(payload) > maxFrameBytes {
-		return fmt.Errorf("statestore: frame of %d bytes exceeds the %d-byte bound", len(payload), maxFrameBytes)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(payload); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// readFrame reads one frame payload, reusing buf when it fits. The
-// returned slice is only valid until the next call with the same buf.
-func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > maxFrameBytes {
-		return nil, fmt.Errorf("statestore: frame of %d bytes exceeds the %d-byte bound", n, maxFrameBytes)
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+// readBlob reads one length-prefixed blob as a slice of body, the bytes
+// r reads a copy of, so a blob is not copied a second time.
+func readBlob(r *weblog.BinaryReader, body []byte) []byte {
+	b := r.Field()
+	end := len(body) - r.Len()
+	return body[end-len(b) : end : end]
 }
 
 // Envelope for blobs persisted through a backing core.StateStore: a

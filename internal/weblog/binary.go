@@ -3,6 +3,7 @@ package weblog
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"time"
@@ -10,9 +11,25 @@ import (
 	"webtxprofile/internal/taxonomy"
 )
 
-// Binary transaction record — the wire-v2 payload unit shared by the
-// collector's binary ingest mode and the cluster's binary feed frames.
-// One record is:
+// The binary primitives the system's binary codecs are built from:
+// varints, uvarint-length-prefixed strings, counted lists, the binary
+// transaction record, and a length-prefix framer. Encoders append with
+// the encoding/binary Append functions and AppendBinaryString. Every
+// decoder reads through BinaryReader:
+//   - binary records: DecodeBinary (the collector's binary ingest) and
+//     BinaryReader.Transaction (the cluster's feed frames);
+//   - cluster frames and the alerts inside them (cluster.ReadFrame);
+//   - the state tier's messages (statestore);
+//   - device-state blobs (core.DecodeDeviceState), through the canonical
+//     reader.
+//
+// Both TCP protocols, the cluster wire and the state tier's, frame their
+// payloads with AppendFrameHeader, FinishFrame and ReadFrame, and so does
+// clustertest.ChaosProxy; the collector's binary stream keeps its own
+// uvarint prefix per record.
+
+// Binary transaction record — the payload unit shared by the collector's
+// binary ingest mode and the cluster's feed frames. One record is:
 //
 //	varint   timestamp (UnixNano, zigzag-encoded)
 //	9 ×      uvarint length + raw bytes: host, scheme, action, user,
@@ -58,9 +75,10 @@ func (t *Transaction) AppendBinary(dst []byte) []byte {
 	return append(dst, flags)
 }
 
-// AppendBinaryString appends s as a uvarint length plus its bytes — the
-// string encoding of binary records, read back by ReadBinaryString.
-func AppendBinaryString(dst []byte, s string) []byte {
+// AppendBinaryString appends s, a string or a byte slice, as a uvarint
+// length plus its bytes: the string encoding of binary records, read back
+// by BinaryReader.Field.
+func AppendBinaryString[S ~string | ~[]byte](dst []byte, s S) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -69,117 +87,20 @@ func AppendBinaryString(dst []byte, s string) []byte {
 // fields are carved out of a single fresh copy of rec, so the call costs
 // one allocation regardless of field count.
 func DecodeBinary(rec []byte) (Transaction, error) {
-	tx, rest, err := DecodeBinaryFrom(string(rec))
-	if err != nil {
-		return Transaction{}, err
-	}
-	if rest != "" {
-		return Transaction{}, fmt.Errorf("weblog: %d trailing bytes after binary record", len(rest))
+	var tx Transaction
+	r := NewBinaryReader(string(rec))
+	r.Transaction(&tx)
+	if err := r.Done(); err != nil {
+		return Transaction{}, fmt.Errorf("weblog: binary record: %w", err)
 	}
 	return tx, nil
 }
 
-// DecodeBinaryFrom decodes one binary record from the front of s and
-// returns the remainder — the shape a frame decoder wants for records
-// concatenated back to back. The decoded string fields alias s's backing
-// memory (zero copies); convert the wire payload to a string once and
-// every record shares it. Structural validity only: run Validate for the
-// log-line format's semantic checks.
-func DecodeBinaryFrom(s string) (Transaction, string, error) {
-	var tx Transaction
-	rest, err := decodeBinaryInto(&tx, s)
-	if err != nil {
-		return Transaction{}, "", err
-	}
-	return tx, rest, nil
-}
-
-// decodeBinaryInto is DecodeBinaryFrom writing into *tx, which holds
-// garbage on error.
-func decodeBinaryInto(tx *Transaction, s string) (string, error) {
-	ts, s, err := ReadBinaryVarint(s)
-	if err != nil {
-		return "", fmt.Errorf("weblog: binary record timestamp: %w", err)
-	}
-	tx.Timestamp = time.Unix(0, ts).UTC()
-	fields := [9]*string{
-		&tx.Host, &tx.Scheme, &tx.Action, &tx.UserID, &tx.SourceIP,
-		&tx.Category, &tx.MediaType.Super, &tx.MediaType.Sub, &tx.AppType,
-	}
-	for i, f := range fields {
-		if *f, s, err = ReadBinaryString(s); err != nil {
-			return "", fmt.Errorf("weblog: binary record field %d: %w", i, err)
-		}
-	}
-	if len(s) < 2 {
-		return "", fmt.Errorf("weblog: binary record truncated before reputation")
-	}
-	tx.Reputation = taxonomy.Reputation(s[0])
-	flags := s[1]
-	if flags&^binaryFlagPrivate != 0 {
-		return "", fmt.Errorf("weblog: binary record has unknown flag bits %#x", flags)
-	}
-	tx.Private = flags&binaryFlagPrivate != 0
-	return s[2:], nil
-}
-
-// ReadBinaryVarint is binary.Varint over a string, returning the rest —
-// the primitive binary records (and the cluster frames that carry them)
-// are read with.
-func ReadBinaryVarint(s string) (int64, string, error) {
-	ux, rest, err := ReadBinaryUvarint(s)
-	if err != nil {
-		return 0, "", err
-	}
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, rest, nil
-}
-
-// ReadBinaryUvarint is binary.Uvarint over a string, returning the rest.
-func ReadBinaryUvarint(s string) (uint64, string, error) {
-	var x uint64
-	var shift uint
-	for i := 0; i < len(s); i++ {
-		if i == binary.MaxVarintLen64 {
-			break
-		}
-		b := s[i]
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, "", fmt.Errorf("uvarint overflows 64 bits")
-			}
-			return x | uint64(b)<<shift, s[i+1:], nil
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	if len(s) > binary.MaxVarintLen64 {
-		return 0, "", fmt.Errorf("uvarint overflows 64 bits")
-	}
-	return 0, "", fmt.Errorf("truncated uvarint")
-}
-
-// ReadBinaryString reads one uvarint-length-prefixed string, returning the
-// field (aliasing s) and the rest.
-func ReadBinaryString(s string) (string, string, error) {
-	n, rest, err := ReadBinaryUvarint(s)
-	if err != nil {
-		return "", "", err
-	}
-	if n > uint64(len(rest)) {
-		return "", "", fmt.Errorf("field of %d bytes exceeds remaining %d", n, len(rest))
-	}
-	return rest[:n], rest[n:], nil
-}
-
 // BinaryReader walks a payload built from this file's primitives —
-// varints, length-prefixed strings, binary records — as the state and
-// cluster codecs lay them out. The first error sticks: every later read
-// returns a zero value, so a decoder checks Err once at the end. Decoded
-// strings alias the payload.
+// varints, length-prefixed strings, binary records — as the cluster
+// frames, the state tier's messages and device state lay them out. The
+// first error sticks: every later read returns a zero value, so a decoder
+// checks Err once at the end. Decoded strings alias the payload.
 type BinaryReader struct {
 	s         string
 	err       error
@@ -216,21 +137,11 @@ func (r *BinaryReader) Fail(err error) {
 	r.s = ""
 }
 
-// advance moves the reader to rest after a read whose canonical encoding
-// is want bytes long.
-func (r *BinaryReader) advance(rest string, want int) {
-	if r.canonical && len(r.s)-len(rest) != want {
-		r.Fail(fmt.Errorf("non-canonical encoding"))
-		return
-	}
-	r.s = rest
-}
+// Len returns the number of unread bytes.
+func (r *BinaryReader) Len() int { return len(r.s) }
 
 // uvarintLen is the length of x's minimal uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// varintLen is the length of x's zigzag varint encoding.
-func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
 // Byte reads one byte.
 func (r *BinaryReader) Byte() byte {
@@ -243,25 +154,44 @@ func (r *BinaryReader) Byte() byte {
 	return b
 }
 
-// Uvarint reads one uvarint.
+// Uvarint reads one uvarint. It accepts what binary.Uvarint accepts;
+// the canonical reader refuses a padded encoding too.
 func (r *BinaryReader) Uvarint() uint64 {
-	x, rest, err := ReadBinaryUvarint(r.s)
-	if err != nil {
-		r.Fail(err)
-		return 0
+	var x uint64
+	var shift uint
+	for i := 0; i < len(r.s) && i < binary.MaxVarintLen64; i++ {
+		b := r.s[i]
+		if b >= 0x80 {
+			x |= uint64(b&0x7f) << shift
+			shift += 7
+			continue
+		}
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			break
+		}
+		x |= uint64(b) << shift
+		if r.canonical && i+1 != uvarintLen(x) {
+			r.Fail(fmt.Errorf("non-canonical encoding"))
+			return 0
+		}
+		r.s = r.s[i+1:]
+		return x
 	}
-	r.advance(rest, uvarintLen(x))
-	return x
+	if len(r.s) < binary.MaxVarintLen64 {
+		r.Fail(fmt.Errorf("truncated uvarint"))
+	} else {
+		r.Fail(fmt.Errorf("uvarint overflows 64 bits"))
+	}
+	return 0
 }
 
 // Varint reads one zigzag varint.
 func (r *BinaryReader) Varint() int64 {
-	x, rest, err := ReadBinaryVarint(r.s)
-	if err != nil {
-		r.Fail(err)
-		return 0
+	ux := r.Uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	r.advance(rest, varintLen(x))
 	return x
 }
 
@@ -270,13 +200,29 @@ func (r *BinaryReader) Int() int { return int(r.Varint()) }
 
 // Field reads one uvarint-length-prefixed string.
 func (r *BinaryReader) Field() string {
-	v, rest, err := ReadBinaryString(r.s)
-	if err != nil {
-		r.Fail(err)
+	n := r.Uvarint()
+	if n > uint64(len(r.s)) {
+		r.Fail(fmt.Errorf("field of %d bytes exceeds remaining %d", n, len(r.s)))
 		return ""
 	}
-	r.advance(rest, uvarintLen(uint64(len(v)))+len(v))
+	v := r.s[:n]
+	r.s = r.s[n:]
 	return v
+}
+
+// Fields reads a counted list of fields (see Count); an empty list reads
+// as nil.
+func (r *BinaryReader) Fields(what string) []string {
+	// Each field is at least its 1-byte length.
+	n := r.Count(what, 1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.Field()
+	}
+	return out
 }
 
 // Uint64 reads 8 bytes as a little-endian uint64.
@@ -303,4 +249,92 @@ func (r *BinaryReader) Count(what string, minSize int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// Transaction reads one binary record into *tx, whose string fields then
+// alias the payload: convert a wire payload to a string once and every
+// record read from it shares that copy, with no further allocation.
+// Structural validity only: run Validate for the log-line format's
+// semantic checks.
+func (r *BinaryReader) Transaction(tx *Transaction) {
+	tx.Timestamp = time.Unix(0, r.Varint()).UTC()
+	tx.Host = r.Field()
+	tx.Scheme = r.Field()
+	tx.Action = r.Field()
+	tx.UserID = r.Field()
+	tx.SourceIP = r.Field()
+	tx.Category = r.Field()
+	tx.MediaType.Super = r.Field()
+	tx.MediaType.Sub = r.Field()
+	tx.AppType = r.Field()
+	tx.Reputation = taxonomy.Reputation(r.Byte())
+	flags := r.Byte()
+	if flags&^binaryFlagPrivate != 0 {
+		r.Fail(fmt.Errorf("unknown flag bits %#x", flags))
+	}
+	tx.Private = flags&binaryFlagPrivate != 0
+}
+
+// The length-prefix framing shared by the cluster wire and the state
+// tier's protocol: a frame is its payload's length as a 4-byte big-endian
+// integer, then the payload. An empty payload or one above MaxFrameBytes
+// is refused on both the write and the read side.
+
+// MaxFrameBytes caps one frame's payload. The reader rejects a larger
+// header before allocating, so a corrupt or hostile length prefix cannot
+// balloon memory.
+const MaxFrameBytes = 64 << 20
+
+// AppendFrameHeader appends room for a frame's length prefix to dst.
+// Append the payload after it, then pass the frame to FinishFrame.
+func AppendFrameHeader(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
+
+// FinishFrame fills in the length prefix of frame, a header from
+// AppendFrameHeader followed by the payload, so the frame goes out in one
+// write.
+func FinishFrame(frame []byte) error {
+	n := len(frame) - 4
+	if err := checkFrameLen(uint64(n)); err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// ReadFrame reads one frame from r and returns its payload, read into buf
+// when it fits (so a caller done with one payload may pass it back in for
+// the next) and into a fresh slice otherwise. A clean EOF before any
+// header byte returns io.EOF unwrapped, so callers can tell an orderly
+// connection end.
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("reading frame header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if err := checkFrameLen(uint64(n)); err != nil {
+		return nil, err
+	}
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("reading %d-byte frame payload: %w", n, err)
+	}
+	return buf, nil
+}
+
+// checkFrameLen refuses a payload length the framing does not carry.
+func checkFrameLen(n uint64) error {
+	if n == 0 {
+		return fmt.Errorf("zero-length frame")
+	}
+	if n > MaxFrameBytes {
+		return fmt.Errorf("frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+	}
+	return nil
 }

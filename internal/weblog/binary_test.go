@@ -1,6 +1,7 @@
 package weblog
 
 import (
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -69,26 +70,25 @@ func TestBinaryMatchesLineFormat(t *testing.T) {
 	}
 }
 
-func TestDecodeBinaryFromConcatenated(t *testing.T) {
+func TestBinaryReaderConcatenated(t *testing.T) {
 	txs := binarySampleTxs()
 	var buf []byte
 	for i := range txs {
 		buf = txs[i].AppendBinary(buf)
 	}
-	rest := string(buf)
+	r := NewBinaryReader(string(buf))
 	for i := range txs {
 		var tx Transaction
-		var err error
-		tx, rest, err = DecodeBinaryFrom(rest)
-		if err != nil {
+		r.Transaction(&tx)
+		if err := r.Err(); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(tx, txs[i]) {
 			t.Errorf("record %d drifted:\n  in: %+v\n out: %+v", i, txs[i], tx)
 		}
 	}
-	if rest != "" {
-		t.Errorf("%d trailing bytes after last record", len(rest))
+	if rest := r.Len(); rest != 0 {
+		t.Errorf("%d trailing bytes after last record", rest)
 	}
 }
 
@@ -116,20 +116,23 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 	tx := binarySampleTxs()[0]
 	s := string(tx.AppendBinary(nil))
 	if avg := testing.AllocsPerRun(200, func() {
-		if _, _, err := DecodeBinaryFrom(s); err != nil {
-			t.Fatal(err)
+		var tx Transaction
+		r := NewBinaryReader(s)
+		if r.Transaction(&tx); r.Err() != nil {
+			t.Fatal(r.Err())
 		}
 	}); avg > 0 {
-		t.Errorf("DecodeBinaryFrom allocates %.1f times per record, want 0", avg)
+		t.Errorf("BinaryReader.Transaction allocates %.1f times per record, want 0", avg)
 	}
 }
 
 func TestBinaryFieldsAliasInput(t *testing.T) {
 	tx := binarySampleTxs()[0]
 	s := string(tx.AppendBinary(nil))
-	got, _, err := DecodeBinaryFrom(s)
-	if err != nil {
-		t.Fatal(err)
+	var got Transaction
+	r := NewBinaryReader(s)
+	if r.Transaction(&got); r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if !strings.Contains(s, got.Host) {
 		t.Fatal("decoded host not present in input")
@@ -144,7 +147,7 @@ func TestCanonicalBinaryReader(t *testing.T) {
 	tx := binarySampleTxs()[1]
 	rec := tx.AppendBinary(nil)
 	// Host length (after the timestamp varint) padded with a 0x80 0x00 tail.
-	tsLen := varintLen(tx.Timestamp.UnixNano())
+	tsLen := len(binary.AppendVarint(nil, tx.Timestamp.UnixNano()))
 	padded := append(append(append([]byte(nil), rec[:tsLen]...), rec[tsLen]|0x80, 0x00), rec[tsLen+1:]...)
 	if got, err := DecodeBinary(padded); err != nil || !reflect.DeepEqual(got, tx) {
 		t.Fatalf("DecodeBinary of a padded record: %+v, %v", got, err)
