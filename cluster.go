@@ -33,16 +33,15 @@ type (
 	// protocol (the router manages these internally; exposed for tools).
 	ClusterNodeClient = cluster.NodeClient
 	// ClusterGossipServer accepts gossip exchanges from replica routers:
-	// each inbound exchange reconciles membership views and placement
-	// overrides in both directions.
+	// each inbound exchange reconciles membership views in both
+	// directions.
 	ClusterGossipServer = cluster.GossipServer
 	// ClusterGossipState is one router's shareable state — the versioned
-	// membership view and the override table replicas converge on.
+	// membership view replicas converge on.
 	ClusterGossipState = cluster.GossipState
 	// ClusterStats snapshots the process-wide replication and
-	// rebalancing counters: gossip rounds, view adoptions, override
-	// entries/tombstones, drains settled back on the source, warm
-	// restores and failover reroutes.
+	// rebalancing counters: gossip rounds, view adoptions, membership
+	// changes called off, warm restores and failover reroutes.
 	ClusterStats = cluster.ClusterStats
 )
 
@@ -79,9 +78,8 @@ func DialClusterNode(addr string, onAlert func(NodeAlert)) (*ClusterNodeClient, 
 
 // ServeClusterGossip starts a gossip listener for a router so replica
 // routers (ClusterRouter.GossipWith) can reconcile state with it. Any
-// number of replicas can front the same nodes; gossip carries the two
-// things placement cannot re-derive — the versioned membership view and
-// the routing overrides.
+// number of replicas can front the same nodes; gossip carries the one
+// thing placement cannot re-derive — the versioned membership view.
 func ServeClusterGossip(r *ClusterRouter, addr string) (*ClusterGossipServer, error) {
 	return cluster.ServeGossip(r, addr)
 }

@@ -95,7 +95,7 @@ func run() error {
 		clusterL  = flag.String("cluster", "", "run as a cluster node: serve the node wire protocol on this address instead of a proxy collector")
 		nodeName  = flag.String("node-name", "", "this node's cluster name (default: hostname; -cluster mode)")
 		join      = flag.String("join", "", "run as the cluster front end routing to these members: comma-separated name=addr pairs")
-		gossipL   = flag.String("gossip", "", "serve router gossip on this address so replica front ends can reconcile membership and placement overrides (-join mode)")
+		gossipL   = flag.String("gossip", "", "serve router gossip on this address so replica front ends can reconcile their membership views (-join mode)")
 		peers     = flag.String("peers", "", "comma-separated gossip addresses of replica front ends to exchange state with periodically (-join mode)")
 		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address for live profiling of the scoring path (empty disables)")
 	)
@@ -349,8 +349,8 @@ func runStateServer(logger *log.Logger, addr, stateDir string) error {
 // runRouter is the front end: proxy log lines in, rendezvous-routed
 // transactions out to the member nodes, origin-tagged alerts logged.
 // With -gossip/-peers the front end is replicated: replicas reconcile
-// membership and placement overrides by periodic anti-entropy exchanges,
-// and each one routes independently (placement is deterministic, alerts
+// their membership views by periodic anti-entropy exchanges, and each one
+// routes independently (placement is a pure function of the view, alerts
 // deduplicate downstream on their node sequence numbers).
 func runRouter(logger *log.Logger, join, listen string, batch, ingestQ int,
 	gossipAddr, peers string) error {
@@ -425,9 +425,8 @@ func runRouter(logger *log.Logger, join, listen string, batch, ingestQ int,
 		logger.Printf("flush: %v", err)
 	}
 	cs := webtxprofile.ReadClusterStats()
-	logger.Printf("cluster stats: %d gossip rounds, %d view adoptions, %d override entries, %d tombstones, %d drains settled back on the source, %d warm restores, %d failover reroutes",
-		cs.GossipRounds, cs.ViewAdoptions, cs.OverrideEntries, cs.OverrideTombstones,
-		cs.HandoffAborts, cs.WarmRestores, cs.FailoverReroutes)
+	logger.Printf("cluster stats: %d gossip rounds, %d view adoptions, %d membership changes called off, %d warm restores, %d failover reroutes",
+		cs.GossipRounds, cs.ViewAdoptions, cs.HandoffAborts, cs.WarmRestores, cs.FailoverReroutes)
 	logger.Printf("shutting down after routing %d devices", router.Devices())
 	return nil
 }

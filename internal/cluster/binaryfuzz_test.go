@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,7 +63,6 @@ func binaryCorpusSeeds(t testing.TB) [][]byte {
 		{Type: FrameList, Seq: 11},
 		{Type: FrameGossip, Seq: 12, Gossip: &GossipState{
 			Membership: Membership{Version: 3, Members: []Member{{Name: "n1", Addr: "10.1.0.1:7100"}}},
-			Overrides:  []Override{{Device: "10.0.0.1", Node: "n1", Ver: 5}, {Device: "10.0.0.2", Ver: 6}},
 		}},
 		{Type: FrameFlush, Seq: 13},
 		{Type: FrameStats, Seq: 14},
@@ -105,8 +105,34 @@ func binaryCorpusSeeds(t testing.TB) [][]byte {
 		[]byte{binaryMagic, wireVersion, 0x07, 0x0f, 6, 0x04, 'b', 'l', 'o', 'b'}, // retired tag 6 (state blob)
 		[]byte{binaryMagic, wireVersion, 0x03, 0x06, 11, 0x01, 'h'},               // retired tag 11 (handoff id)
 		[]byte{binaryMagic, wireVersion, 0x03, 0x05, tagDevices, 0x7f, 'x'},       // device count exceeds payload
+		oldBuildGossip(), // mixed builds: a gossip body with an override table
 	)
 	return seeds
+}
+
+// oldBuildGossip is a gossip frame payload as builds that kept an
+// override table wrote it: its JSON body also carries "overrides", which
+// this build decodes and ignores.
+func oldBuildGossip() []byte {
+	const body = `{"membership":{"Version":3,"Members":[{"Name":"n1","Addr":"10.1.0.1:7100"}]},` +
+		`"overrides":[{"device":"10.0.0.1","node":"n1","ver":5},{"device":"10.0.0.2","ver":6}]}`
+	payload := []byte{binaryMagic, wireVersion, frameTypeCodes[FrameGossip], 8, tagGossip}
+	payload = binary.AppendUvarint(payload, uint64(len(body)))
+	return append(payload, body...)
+}
+
+// TestOldBuildGossipDecodes: a replica from a build that gossiped an
+// override table still reconciles membership with this one — its frame
+// decodes to the view it carries, the table dropped.
+func TestOldBuildGossipDecodes(t *testing.T) {
+	f, err := decodeBinaryFrame(oldBuildGossip())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := GossipState{Membership: Membership{Version: 3, Members: []Member{{Name: "n1", Addr: "10.1.0.1:7100"}}}}
+	if f.Type != FrameGossip || f.Gossip == nil || !reflect.DeepEqual(*f.Gossip, want) {
+		t.Fatalf("old-build gossip decoded to %+v (gossip %+v), want %+v", f, f.Gossip, want)
+	}
 }
 
 // FuzzBinaryFrame: arbitrary bytes fed to the frame payload decoder

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,12 +16,32 @@ import (
 	"webtxprofile/internal/cluster/clustertest"
 )
 
-// Fault-injection suite for the drain path: a router whose drain
-// destination refuses or dies after the source parked the devices must
-// settle them back on the source with no identification state lost, and
-// membership events must be idempotent. The failing nodes are
-// protocol-level impostors (clustertest.FlakyNode), so the router is
-// tested against real wire behaviour, not injected hooks.
+// Fault-injection suite for membership changes: a join whose new node
+// refuses or dies after the sources parked the movers is called off —
+// every mover settles back on its source with no identification state
+// lost, and the view is unchanged — and membership events must be
+// idempotent. The failing nodes are protocol-level impostors
+// (clustertest.FlakyNode), so the router is tested against real wire
+// behaviour, not injected hooks.
+
+// assertViewKept checks what a called-off membership change leaves: the
+// view exactly as it was before, and no device routed to a node outside
+// it.
+func assertViewKept(t *testing.T, r *cluster.Router, before cluster.Membership, devices []string) {
+	t.Helper()
+	if v := r.View(); !reflect.DeepEqual(v, before) {
+		t.Errorf("the called-off change moved the view: %+v -> %+v", before, v)
+	}
+	members := make(map[string]bool)
+	for _, m := range before.Members {
+		members[m.Name] = true
+	}
+	for _, d := range devices {
+		if owner, ok := r.Owner(d); ok && !members[owner] {
+			t.Errorf("device %s routed to %s, which is not a member", d, owner)
+		}
+	}
+}
 
 // runFlakyJoin feeds half the workload into a healthy 2-node cluster,
 // joins a flaky node (which answers the join probe, then fails every park
@@ -35,6 +57,7 @@ func runFlakyJoin(t *testing.T, mode clustertest.FlakyMode) {
 	if err := h.Router.FeedBatch(txs[:half]); err != nil {
 		t.Fatal(err)
 	}
+	v0 := h.Router.View()
 	flaky := clustertest.StartFlakyNode(t, "chaos", mode, "injected destination failure")
 	err := h.Router.AddNode(cluster.Member{Name: "chaos", Addr: flaky.Addr()})
 	if err == nil {
@@ -61,9 +84,10 @@ func runFlakyJoin(t *testing.T, mode clustertest.FlakyMode) {
 			t.Errorf("device %s routed to the node that failed its check", d)
 		}
 	}
-	// Drop the broken member (the operator's move after a failed join).
-	// It holds no devices, so the removal is a pure membership event —
-	// and repeating it is a no-op.
+	assertViewKept(t, h.Router, v0, devices)
+	// The operator's old move after a failed join, dropping the broken
+	// member, is a no-op now: the node never became a member. Repeating
+	// it is a no-op too.
 	if err := h.Router.RemoveNode("chaos"); err != nil {
 		t.Errorf("RemoveNode(chaos): %v", err)
 	}
@@ -90,6 +114,181 @@ func TestClusterImportRefusedKeepsOldOwner(t *testing.T) {
 
 func TestClusterImporterDiesMidDrain(t *testing.T) {
 	runFlakyJoin(t, clustertest.DieAsDestination)
+}
+
+// TestCalledOffJoinRouteSweep: a called-off join leaves nothing to
+// remember. The flaky node fails the join's confirm, so every mover
+// settles back on its source; then the stream jumps past RouteIdleTTL,
+// which sweeps every route, and each device's late transactions re-place
+// it by hash — on the node that holds its state, live or parked in the
+// tier. Devices first seen after the failed join place on members only,
+// and the alerts match the single-monitor reference.
+func TestCalledOffJoinRouteSweep(t *testing.T) {
+	set, ds := clustertest.TrainedSet(t)
+	txs, devices := clustertest.Workload(t, ds, 12, 4000)
+	half := len(txs) / 2
+	for i := range txs {
+		if i < half && i%12 >= 6 {
+			txs[i].SourceIP = devices[i%12-6] // devices 6–11 are first seen after the join
+		}
+		if i >= half {
+			txs[i].Timestamp = txs[i].Timestamp.Add(48 * time.Hour)
+		}
+	}
+	want := clustertest.ReferenceSigs(t, set, equivK, txs)
+	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
+		Router: cluster.RouterConfig{RouteIdleTTL: time.Hour},
+	}, "n1", "n2")
+
+	if err := h.Router.FeedBatch(txs[:half]); err != nil {
+		t.Fatal(err)
+	}
+	holder := make(map[string]string)
+	for _, d := range devices[:6] {
+		holder[d], _ = h.Router.Owner(d)
+	}
+	v0 := h.Router.View()
+	flaky := clustertest.StartFlakyNode(t, "chaos", clustertest.FailDestination, "injected destination failure")
+	if err := h.Router.AddNode(cluster.Member{Name: "chaos", Addr: flaky.Addr()}); err == nil {
+		t.Fatal("AddNode(flaky) reported success though the new node failed its confirm")
+	}
+	assertViewKept(t, h.Router, v0, devices)
+
+	// The first late transaction moves the stream clock two days on: the
+	// sweep drops every route but its own.
+	if err := h.Router.FeedBatch(txs[half : half+1]); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.Router.Devices(); n != 1 {
+		t.Fatalf("%d routes after a two-day jump in stream time, want only the late transaction's", n)
+	}
+	if err := h.Router.FeedBatch(txs[half+1:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range devices[:6] {
+		if owner, _ := h.Router.Owner(d); owner != holder[d] {
+			t.Errorf("device %s re-placed on %s after the sweep, its state is on %s", d, owner, holder[d])
+		}
+	}
+	assertViewKept(t, h.Router, v0, devices)
+	if err := h.Router.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+	if h.State.Stats().GetHits == 0 {
+		t.Error("no parked device rehydrated on its source")
+	}
+}
+
+// TestJoinConcurrentNewDevices: devices first seen while a join is in
+// flight must not reach the joining node before the join commits, and
+// must settle with the join's movers. A second goroutine feeds devices
+// never seen before while the new node's confirm is held. Then the
+// confirm is lost (the join is called off: none of those devices is
+// routed to, or tracked by, the reverted node) or answers (the join
+// commits). Either way the stream then jumps past RouteIdleTTL, so every
+// route is swept and re-placed by hash: a device left anywhere but its
+// owner would split its state. The alerts must match the reference.
+func TestJoinConcurrentNewDevices(t *testing.T) {
+	set, ds := clustertest.TrainedSet(t)
+	txs, devices := clustertest.Workload(t, ds, 12, 4000)
+	half, mid := len(txs)/2, len(txs)*3/4
+	for i := range txs {
+		if i < half && i%12 >= 6 {
+			txs[i].SourceIP = devices[i%12-6] // devices 6–11 are first seen during the join
+		}
+		if i >= mid {
+			txs[i].Timestamp = txs[i].Timestamp.Add(48 * time.Hour)
+		}
+	}
+	want := clustertest.ReferenceSigs(t, set, equivK, txs)
+
+	for _, calledOff := range []bool{true, false} {
+		name := map[bool]string{true: "called-off", false: "committed"}[calledOff]
+		t.Run(name, func(t *testing.T) {
+			rc := fastReconnect()
+			rc.MaxAttempts = 2
+			h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
+				Router: cluster.RouterConfig{RouteIdleTTL: time.Hour, Client: cluster.ClientConfig{Reconnect: rc}},
+			}, "n1", "n2")
+			if err := h.Router.FeedBatch(txs[:half]); err != nil {
+				t.Fatal(err)
+			}
+			syncRouter(t, h.Router)
+			v0 := h.Router.View()
+
+			n3 := h.StartNode(t, "n3")
+			confirming, fed := make(chan struct{}), make(chan struct{})
+			var mu sync.Mutex
+			parks, dead := 0, false
+			plan := func(ev clustertest.FaultEvent) clustertest.FaultAction {
+				mu.Lock()
+				hold := false
+				if !dead && ev.Dir == clustertest.ToNode && ev.Frame.Type == cluster.FrameExport {
+					parks++
+					hold = parks == 2
+				}
+				mu.Unlock()
+				if hold { // the join probe passed; the confirm is held
+					close(confirming)
+					select {
+					case <-fed:
+					case <-time.After(30 * time.Second):
+					}
+					mu.Lock()
+					dead = calledOff
+					mu.Unlock()
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if dead {
+					return clustertest.Kill
+				}
+				return clustertest.Pass
+			}
+			proxy := clustertest.StartChaosProxy(t, n3.Addr().String(), plan)
+
+			go func() {
+				defer close(fed)
+				<-confirming
+				if err := h.Router.FeedBatch(txs[half:mid]); err != nil {
+					t.Errorf("feeding during the join: %v", err)
+				}
+			}()
+			err := h.Router.AddNode(cluster.Member{Name: "n3", Addr: proxy.Addr()})
+			<-fed
+			if calledOff {
+				if err == nil {
+					t.Fatal("AddNode(n3) reported success though its confirm was lost")
+				}
+				assertViewKept(t, h.Router, v0, devices)
+			} else if err != nil {
+				t.Fatalf("AddNode(n3): %v", err)
+			}
+			for _, d := range devices[6:] {
+				if _, ok := h.Router.Owner(d); !ok {
+					t.Errorf("device %s, first seen during the join, has no route", d)
+				}
+			}
+
+			if err := h.Router.FeedBatch(txs[mid : mid+1]); err != nil {
+				t.Fatal(err)
+			}
+			if n := h.Router.Devices(); n != 1 {
+				t.Fatalf("%d routes after a two-day jump in stream time, want only the late transaction's", n)
+			}
+			if err := h.Router.FeedBatch(txs[mid+1:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Router.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+			if d := n3.Monitor().Devices(); calledOff && d != 0 {
+				t.Errorf("the reverted node tracks %d devices", d)
+			}
+		})
+	}
 }
 
 // TestNodeRejectsCorruptImport: what a node cannot do fails exactly that

@@ -64,32 +64,43 @@
 //     before any later RPC reply, so the old owner's alerts for a device
 //     are observed before the new owner's first.
 //
-// Failure handling favors state over placement: if a drain fails, the
-// devices stay routed to (and identifying on) their old owner — the
-// rendezvous hash says where devices should live, but the routing table
-// says where they do.
+// Placement is a pure function of membership: every settled route names
+// the device's rendezvous owner under the current view. A membership
+// change is all or nothing — it either completes or is called off with
+// every device back where it was and the view unchanged — so no failure
+// leaves a device off its hash owner, and the router keeps no placement
+// memory beside the view.
 //
 // # Moving a device
 //
-// A drain takes three steps (Router.drain):
+// A membership change moves devices in three steps (Router.AddNode,
+// Router.RemoveNode):
 //
-//	Park(src) → Park(dst, no devices) → settle the routes on dst
+//	Park(every src) → Park(every dst, no devices) → settle the routes
 //
-// The park spills every named live device on src and flushes src's
-// write-behind queue before replying (idle devices are already in the
-// tier). It is idempotent — a retry after a lost reply finds nothing left
-// to spill — so the client retries it across reconnects. The empty park
-// on dst proves dst answers and can take devices. Each moved device's
-// next transaction then reaches dst, which reads it from the tier (Get →
-// restore → Delete). That read teaches dst's tier client the device's
-// version, so dst's later spills rank above the tombstone the read
-// planted and are never dropped as stale; the same per-device version
-// fence is what rules out two live copies. If src refuses the park or dst
-// does not answer, the devices settle back on src and rehydrate there. A
-// leaving src that cannot be reached settles them on dst instead, as
-// FailNode does. Router.Flush rehydrates, on their owners, the devices a
-// move left in the tier with no transaction since, so their pending
-// windows complete at the end of the stream too.
+// A park spills every named live device on its source and flushes the
+// source's write-behind queue before replying (idle devices are already
+// in the tier). It is idempotent — a retry after a lost reply finds
+// nothing left to spill — so the client retries it across reconnects. A
+// join parks once per source and a removal once, on the leaving node.
+// The empty parks then prove that every destination answers and can take
+// devices; only after them does the view change and any route settle.
+// Each moved device's next transaction reaches its new owner, which reads
+// it from the tier (Get → restore → Delete). That read teaches the owner's
+// tier client the device's version, so its later spills rank above the
+// tombstone the read planted and are never dropped as stale; the same
+// per-device version fence is what rules out two live copies.
+//
+// If a source refuses its park or cannot be reached, or a destination
+// does not answer, the change is called off: every mover settles back on
+// its source and the parked ones rehydrate there. A leaving node that
+// cannot be reached is the one exception — it is going away, so its
+// devices move on to their destinations as FailNode's would. Devices
+// first seen while a change is in flight, and owned by the node it adds
+// or removes, wait with the movers and settle with them. Router.Flush
+// rehydrates, on their owners, the devices a move left in the tier with
+// no transaction since, so their pending windows complete at the end of
+// the stream too.
 //
 // # Reconnection
 //
@@ -108,15 +119,14 @@
 // Any number of router replicas can front the same nodes, because a
 // router holds almost no authoritative state: placement is derivable
 // from the membership view by rendezvous hashing, and current holdings
-// are discoverable from the nodes themselves (list). The two things
-// replicas must agree on travel by gossip (GossipState, ServeGossip,
-// GossipWith): the versioned membership view (higher version adopted
-// wholesale, never triggering a drain — rebalancing belongs to the
-// router that ran the membership change) and the override table, a
-// last-writer-wins register per device recording placements that
-// disagree with the pure hash. Override merges are commutative,
-// associative and idempotent, so replicas converge under any exchange
-// order. Alerts are fanned to every replica's subscription; each alert
+// are discoverable from the nodes themselves (list). The one thing
+// replicas must agree on travels by gossip (GossipState, ServeGossip,
+// GossipWith): the versioned membership view, the higher version adopted
+// wholesale and never triggering a move — rebalancing belongs to the
+// router that ran the membership change. Because changes are all or
+// nothing, the view alone fixes every device's placement; there is no
+// table of exceptions to reconcile. Alerts are fanned to every replica's
+// subscription; each alert
 // carries its node's sequence number, so downstream consumers collapse
 // duplicates on (node, seq) without disturbing per-device order.
 //
@@ -147,13 +157,15 @@
 //	                             rehydrates at its new owner on its next
 //	                             transaction; no spill is dropped as
 //	                             stale afterwards
-//	park refused or fails        the devices settle back on the source:
-//	                             unparked ones never left, parked ones
-//	                             rehydrate there; a removal is called off
+//	park refused or fails        the change is called off and the view is
+//	                             unchanged; the devices settle back on
+//	                             their sources: unparked ones never left,
+//	                             parked ones rehydrate there
 //	park reply lost              the client retries the park, which
 //	                             spills nothing; the move completes
-//	destination lost after park  the devices settle back on the source
-//	                             and rehydrate there; nothing is lost
+//	destination lost after park  the change is called off and the view is
+//	                             unchanged; the devices settle back on
+//	                             the source and rehydrate there
 //	leaving node lost mid-park   its devices move on without it; what it
 //	                             parked resumes at the new owners
 //	node without a tier joins    AddNode refuses it before any device

@@ -59,7 +59,6 @@ func corpusSeeds(t testing.TB) [][]byte {
 		{Type: FrameList, Seq: 7},
 		{Type: FrameGossip, Seq: 8, Gossip: &GossipState{
 			Membership: Membership{Version: 3, Members: []Member{{Name: "n1", Addr: "10.1.0.1:7100"}}},
-			Overrides:  []Override{{Device: "10.0.0.1", Node: "n1", Ver: 5}, {Device: "10.0.0.2", Ver: 6}},
 		}},
 		{Type: FrameFlush, Seq: 9},
 		{Type: FrameStats, Seq: 10},

@@ -10,28 +10,38 @@ import (
 	"time"
 )
 
-// Router replication. Routers are stateless by design — placement is
-// derivable from membership by rendezvous hashing, and the devices
-// themselves are discoverable from the nodes (List) — so any number of
-// router replicas can front the same cluster. The one piece of state
-// that is *not* derivable is the override table: the memory of settled
-// placements that disagree with the pure hash (failed drains, aborted
-// removals). Replicas reconcile it, together with the versioned
-// membership view, by exchanging GossipState — a last-writer-wins merge
-// that converges under any interleaving of exchanges.
+// Router replication. Routers are stateless by design — placement is a
+// pure function of the membership view (rendezvous hashing; membership
+// changes are all or nothing, so no settled route disagrees with the
+// hash), and the devices themselves are discoverable from the nodes
+// (List) — so any number of router replicas can front the same cluster.
+// The one thing replicas must agree on is the versioned membership view,
+// which they reconcile by exchanging GossipState: the higher version
+// wins, so replicas converge under any interleaving of exchanges.
+
+// GossipState is one router's shareable state: its versioned membership
+// view. A gossip exchange is symmetric anti-entropy — the request carries
+// the caller's view, the ok reply the responder's, and each side adopts
+// the other's when it is newer. Older builds also sent an override table
+// (an "overrides" field); decoding ignores it.
+type GossipState struct {
+	Membership Membership `json:"membership"`
+}
 
 // Gossip snapshots this router's shareable state: the versioned
-// membership and the override table.
+// membership.
 func (r *Router) Gossip() GossipState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return GossipState{Membership: r.viewLocked(), Overrides: r.overrides.Snapshot()}
+	return GossipState{Membership: r.viewLocked()}
 }
 
+// viewLocked is the committed view: a member whose join is in flight is
+// not in it yet, and one whose removal is in flight still is.
 func (r *Router) viewLocked() Membership {
 	m := Membership{Version: r.version}
 	for _, h := range r.nodes {
-		if !h.leaving {
+		if !h.joining {
 			m.Members = append(m.Members, h.member)
 		}
 	}
@@ -41,22 +51,16 @@ func (r *Router) viewLocked() Membership {
 
 // MergeGossip reconciles a peer's state into this router and returns
 // this router's (post-merge) state, so one exchange converges both ends.
-// Overrides merge by version with a deterministic tie-break — the merge
-// is commutative, associative and idempotent, so replicas converge
-// regardless of exchange order. A membership view with a strictly higher
-// version is adopted wholesale: missing members are dialed, departed
-// members dropped, and — deliberately — nothing is drained: rebalancing
-// is the job of the router that ran the membership change; a replica
-// merely catching up must not move state. A dial failure rejects the
-// adoption (the old view stands) and surfaces in the error.
+// A membership view with a strictly higher version is adopted wholesale:
+// missing members are dialed, departed members dropped, and —
+// deliberately — nothing is moved: rebalancing is the job of the router
+// that ran the membership change; a replica merely catching up must not
+// move state. A dial failure rejects the adoption (the old view stands)
+// and surfaces in the error.
 func (r *Router) MergeGossip(g GossipState) (GossipState, error) {
 	statGossipRounds.Add(1)
 	err := r.adoptMembership(g.Membership)
-	r.mu.Lock()
-	r.overrides.Merge(g.Overrides)
-	reply := GossipState{Membership: r.viewLocked(), Overrides: r.overrides.Snapshot()}
-	r.mu.Unlock()
-	return reply, err
+	return r.Gossip(), err
 }
 
 // adoptMembership installs a strictly newer membership view without
@@ -208,9 +212,9 @@ func (s *GossipServer) serveConn(conn net.Conn) {
 			reply.Type = FrameOK
 			reply.Gossip = &state
 			if err != nil {
-				// The merge result is still valid (overrides merged, old
-				// view kept); the error travels in-band so the peer knows
-				// its view was not adopted.
+				// The reply still carries this router's view (the old one
+				// kept); the error travels in-band so the peer knows its
+				// view was not adopted.
 				reply.Type = FrameError
 				reply.Error = err.Error()
 				reply.Gossip = &state
@@ -228,7 +232,7 @@ func (s *GossipServer) serveConn(conn net.Conn) {
 
 // GossipWith runs one exchange against a peer router's gossip listener:
 // sends this router's state, merges the peer's reply. One successful
-// call converges both replicas' override tables and membership views.
+// call converges both replicas' membership views.
 func (r *Router) GossipWith(addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {

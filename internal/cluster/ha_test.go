@@ -400,10 +400,11 @@ func TestChaosParkReplyLost(t *testing.T) {
 	}
 }
 
-// TestChaosDestinationLostAfterPark partitions the destination away
-// between the park and the drain's check of it: the devices settle back
-// on the source and rehydrate there from the tier, the destination never
-// holds one, and the alerts match a single monitor.
+// TestChaosDestinationLostAfterPark partitions the joining node away
+// between the park and the join's confirm of it: the join is called off,
+// the view is unchanged, the devices settle back on the source and
+// rehydrate there from the tier, the destination never holds one, and
+// the alerts match a single monitor.
 func TestChaosDestinationLostAfterPark(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, devices := clustertest.Workload(t, ds, 9, 4000)
@@ -419,6 +420,7 @@ func TestChaosDestinationLostAfterPark(t *testing.T) {
 	feedChunks(t, h.Router, txs[:cut], 50)
 	syncRouter(t, h.Router)
 	prev := cluster.ReadClusterStats()
+	v0 := h.Router.View()
 
 	n2 := h.StartNode(t, "n2")
 	var mu sync.Mutex
@@ -448,6 +450,8 @@ func TestChaosDestinationLostAfterPark(t *testing.T) {
 			t.Errorf("device %s routed to %s, want n1", d, owner)
 		}
 	}
+	assertViewKept(t, h.Router, v0, devices)
+	// n2 never became a member, so removing it is a no-op.
 	if err := h.Router.RemoveNode("n2"); err != nil {
 		t.Errorf("RemoveNode(n2): %v", err)
 	}
@@ -542,20 +546,11 @@ func TestRouterRouteSweep(t *testing.T) {
 
 // TestGossipWireExchange runs one gossip exchange over the wire and
 // requires full convergence: the fresh replica adopts the serving
-// router's membership and override table, byte for byte, and a repeat
-// exchange changes nothing.
+// router's membership, byte for byte, and a repeat exchange changes
+// nothing.
 func TestGossipWireExchange(t *testing.T) {
 	set, _ := clustertest.TrainedSet(t)
 	h := clustertest.NewHarness(t, set, equivK, "n1", "n2")
-
-	// Seed a nonempty override table — one live pin, one tombstone — the
-	// way a peer's gossip would.
-	var tbl cluster.OverrideTable
-	tbl.Set(cluster.Override{Device: "10.9.0.1", Node: "n1", Ver: 7})
-	tbl.Set(cluster.Override{Device: "10.9.0.2", Ver: 3})
-	if _, err := h.Router.MergeGossip(cluster.GossipState{Overrides: tbl.Snapshot()}); err != nil {
-		t.Fatal(err)
-	}
 
 	srv, err := cluster.ServeGossip(h.Router, "127.0.0.1:0")
 	if err != nil {

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,9 +39,10 @@ type RouterConfig struct {
 	DrainBatch int
 	// RouteIdleTTL bounds the routing table: a device idle for longer (in
 	// stream time, mirroring the monitor's IdleTTL) has its route swept.
-	// Sweeping is safe because a route never disagrees with the device's
-	// effective owner once settled — overrides, which do carry placement
-	// memory, are kept separately and survive the sweep. 0 disables.
+	// Sweeping is safe because a settled route always names the device's
+	// rendezvous owner under the current view — membership changes are
+	// all or nothing — so the device's next transaction re-derives the
+	// same placement. 0 disables.
 	RouteIdleTTL time.Duration
 	// Client configures the per-node connections (reconnect schedule,
 	// replay depth, client identity prefix).
@@ -70,10 +74,11 @@ func (c RouterConfig) withDefaults() RouterConfig {
 //     top score shifts to the new node (an expected 1/n of them), and
 //     RemoveNode moves only the removed node's devices. No other device
 //     is touched by a membership change.
-//   - The routing table is authoritative over the hash: if a drain fails
-//     (the source refused the park, or the destination did not answer),
-//     the affected devices stay routed to their old owner — placement
-//     degrades, state does not.
+//   - Placement is a pure function of membership: every settled route
+//     names the device's rendezvous owner. A membership change is all or
+//     nothing — if a source refuses or cannot answer its park, or a
+//     destination fails its confirm, the change is called off, every
+//     mover settles back where it was, and the view is unchanged.
 //
 // Drain guarantees:
 //
@@ -110,7 +115,6 @@ type Router struct {
 	version   int
 	nodes     map[string]*nodeHandle
 	routes    map[string]*route
-	overrides OverrideTable
 	clock     int64 // router-wide stream clock: max tx timestamp routed, unix nanos
 	lastSweep int64 // stream-clock stamp of the last idle-route sweep
 	closed    bool
@@ -120,10 +124,15 @@ type Router struct {
 // every RPC to the node, which is what makes a drain safe: once the
 // drainer holds it, no previously-routed transaction is still in flight
 // to that node.
+//
+// joining and leaving mark the member a membership change in flight adds
+// or removes: until the change commits, the view holds the leaving member
+// and not the joining one.
 type nodeHandle struct {
 	member  Member
 	mu      sync.Mutex
 	client  *NodeClient
+	joining bool
 	leaving bool
 }
 
@@ -293,66 +302,59 @@ func hrwScore(node, device string) uint64 {
 	return x
 }
 
-// ownerLocked picks the highest-scoring non-leaving member for a device
-// ("" when there are none). Ties break to the lexicographically smaller
-// name so placement is total and deterministic.
-func (r *Router) ownerLocked(device string) string {
-	best, bestScore := "", uint64(0)
+// ownerLocked places a device by rendezvous hashing. owner is the
+// highest-scoring member of the current view (a joining member does not
+// count yet); next is the highest-scoring member of the view the
+// membership change in flight would commit (a leaving member no longer
+// counts). Outside a membership change the two agree. Both are "" when
+// there are no members. Ties break to the lexicographically smaller name
+// so placement is total and deterministic.
+func (r *Router) ownerLocked(device string) (owner, next string) {
+	var ownerScore, nextScore uint64
 	for name, h := range r.nodes {
-		if h.leaving {
-			continue
-		}
 		s := hrwScore(name, device)
-		if best == "" || s > bestScore || (s == bestScore && name < best) {
-			best, bestScore = name, s
+		if !h.joining && outranks(name, s, owner, ownerScore) {
+			owner, ownerScore = name, s
+		}
+		if !h.leaving && outranks(name, s, next, nextScore) {
+			next, nextScore = name, s
 		}
 	}
-	return best
+	return owner, next
 }
 
-// effectiveOwnerLocked is ownerLocked with the override table applied:
-// an override pinning the device to a live, non-leaving member wins over
-// the hash. Overrides are the only placement state router replicas
-// share, so this — not ownerLocked — is what placement decisions use;
-// pure hash owners matter only as drain *targets*.
-func (r *Router) effectiveOwnerLocked(device string) string {
-	if pin, ok := r.overrides.Get(device); ok {
-		if h := r.nodes[pin]; h != nil && !h.leaving {
-			return pin
-		}
-	}
-	return r.ownerLocked(device)
+// outranks reports whether name, at rendezvous score s, beats best.
+func outranks(name string, s uint64, best string, bestScore uint64) bool {
+	return best == "" || s > bestScore || (s == bestScore && name < best)
 }
 
-// routeLocked returns the device's route, placing it by effective owner
-// (override-aware rendezvous hash) on first sight — or re-placing it
-// after an idle sweep, which lands on the same node: settle() pins every
-// route that disagrees with the pure hash as an override before the
-// route can be swept. Returns nil when the cluster has no usable
-// members.
+// routeLocked returns the device's route, placing it by rendezvous hash
+// on first sight — or re-placing it after an idle sweep, which lands on
+// the same node, since a settled route always names the device's owner.
+// A device first seen while a membership change would move it is not fed
+// yet: it waits with the change's movers and settles with them. Returns
+// nil when the cluster has no members.
 func (r *Router) routeLocked(device string) *route {
 	if rt, ok := r.routes[device]; ok {
 		if rt.draining || r.nodes[rt.node] != nil {
 			return rt
 		}
-		// The recorded owner is gone (a failed drain settled onto a node
-		// that then disappeared): re-place the device fresh.
+		// The recorded owner is gone (a replica's adopted view dropped
+		// it): re-place the device fresh.
 		delete(r.routes, device)
 	}
-	owner := r.effectiveOwnerLocked(device)
+	owner, next := r.ownerLocked(device)
 	if owner == "" {
 		return nil
 	}
-	rt := &route{node: owner, lastTs: r.clock}
+	rt := &route{node: owner, draining: owner != next, lastTs: r.clock}
 	r.routes[device] = rt
 	return rt
 }
 
 // maybeSweepRoutesLocked drops routes idle past RouteIdleTTL, amortized
 // to one pass per TTL of stream time. Only settled, empty routes go;
-// draining routes and buffered backlogs are live rebalance state. The
-// override table is untouched: it is the placement memory that makes
-// re-placing a swept route deterministic.
+// draining routes and buffered backlogs are live rebalance state.
 func (r *Router) maybeSweepRoutesLocked() {
 	ttl := int64(r.cfg.RouteIdleTTL)
 	if ttl <= 0 || r.clock == 0 {
@@ -473,15 +475,21 @@ func (r *Router) FeedBatch(txs []weblog.Transaction) error {
 }
 
 // AddNode joins a member and rebalances: exactly the devices whose
-// rendezvous placement moves to the new node are drained from their
-// current owners (parked in the state tier, transactions buffered and
-// replayed there). Adding an already-present member with the same address
-// is an idempotent no-op; the same name at a different address is an
-// error (drop the old member first). A node that cannot park — one with
-// no state tier, or from a build that predates parking — is refused
-// before it joins. If a drain fails, those devices stay on their old
-// owner with nothing lost, and AddNode reports the failure while the
-// membership (already extended) stands.
+// rendezvous placement moves to the new node leave their current owners
+// (parked in the state tier, transactions buffered and replayed there).
+// Adding an already-present member with the same address is an
+// idempotent no-op; the same name at a different address is an error
+// (drop the old member first). A node that cannot park — one with no
+// state tier, or from a build that predates parking — is refused before
+// anything moves.
+//
+// The join is all or nothing. The movers are parked at every source, one
+// park per source, and the new node is then confirmed with an empty park;
+// only then does the view gain the node and any route settle. If a source
+// refuses or cannot be reached, or the confirm fails, the join is called
+// off: every mover settles back on its source (parked ones rehydrate
+// there from the tier), the view is unchanged, and AddNode returns the
+// error.
 func (r *Router) AddNode(m Member) error {
 	if m.Name == "" || m.Addr == "" {
 		return fmt.Errorf("cluster: member needs name and addr, got %+v", m)
@@ -514,27 +522,29 @@ func (r *Router) AddNode(m Member) error {
 		client.Close()
 		return fmt.Errorf("cluster: member %s cannot park devices (every node must run on the state tier, from this build): %w", m.Name, err)
 	}
-	h := &nodeHandle{member: m, client: client}
+	h := &nodeHandle{member: m, client: client, joining: true}
 
-	// Discover where every device lives before the view changes: the
-	// routing table plus what each node reports holding (List). The union
-	// is what makes a fresh router replica — whose routing table is empty
-	// — drain correctly: placement lives on the nodes, not in this
-	// process.
-	placement := r.discoverPlacement()
+	// Discover where every device lives: what each node reports holding,
+	// with the routing table on top. The union is what makes a fresh
+	// router replica — whose routing table is empty — move devices
+	// correctly: placement lives on the nodes, not in this process.
+	placement := r.listPlacement()
 
 	r.mu.Lock()
 	r.nodes[m.Name] = h
-	r.version++
-	// Devices whose effective placement moved to the new node drain from
-	// their current owners. Overridden devices are pinned and stay put;
-	// balMu guarantees none is mid-drain.
+	for device, rt := range r.routes {
+		placement[device] = rt.node // authoritative over List
+	}
 	moves := make(map[string][]string)
 	for device, cur := range placement {
-		if rt, ok := r.routes[device]; ok {
-			cur = rt.node // the routing table is authoritative over List
+		if hc := r.nodes[cur]; hc == nil || hc == h {
+			// A route to a node that is no longer a member (an earlier one
+			// of the joining name included) is stale: the device is
+			// re-placed on its next transaction.
+			delete(r.routes, device)
+			continue
 		}
-		if cur == m.Name || r.effectiveOwnerLocked(device) != m.Name {
+		if _, next := r.ownerLocked(device); next != m.Name {
 			continue
 		}
 		rt, ok := r.routes[device]
@@ -547,13 +557,38 @@ func (r *Router) AddNode(m Member) error {
 	}
 	r.mu.Unlock()
 
-	var errs []error
-	for _, src := range sortedKeys(moves) {
-		if _, err := r.drain(src, map[string][]string{m.Name: moves[src]}, false); err != nil {
-			errs = append(errs, err)
+	parked := 0
+	for _, src := range slices.Sorted(maps.Keys(moves)) {
+		sort.Strings(moves[src])
+		n, perr := r.park(src, moves[src])
+		if perr != nil {
+			err = fmt.Errorf("parking %d devices on %s: %w", len(moves[src]), src, perr)
+			break
+		}
+		parked += n
+	}
+	if err == nil {
+		if _, cerr := r.park(m.Name, nil); cerr != nil {
+			err = fmt.Errorf("%s did not answer after the park: %w", m.Name, cerr)
 		}
 	}
-	return errors.Join(errs...)
+
+	r.mu.Lock()
+	if err != nil {
+		delete(r.nodes, m.Name)
+	} else {
+		h.joining = false
+		r.version++
+	}
+	r.mu.Unlock()
+	if err != nil {
+		statHandoffAborts.Add(1)
+		client.Close()
+		return errors.Join(fmt.Errorf("cluster: join of %s called off, devices kept on %s: %w",
+			m.Name, strings.Join(slices.Sorted(maps.Keys(moves)), ", "), err), r.settleMovers(false))
+	}
+	statWarmRestores.Add(uint64(parked))
+	return r.settleMovers(true)
 }
 
 // dialMember opens the router's connection to one member, with the
@@ -567,19 +602,15 @@ func (r *Router) dialMember(m Member) (*NodeClient, error) {
 	return DialNodeConfig(m.Addr, r.tagged(m.Name), cfg)
 }
 
-// discoverPlacement maps every known device to the node currently
-// holding it: each live member's List report, first-seen wins in sorted
-// node order, then the routing table on top (routes are authoritative —
-// a mid-settle device may be listed by two nodes for an instant). A
-// member that cannot answer contributes nothing: its devices stay where
-// they are anyway.
-func (r *Router) discoverPlacement() map[string]string {
+// listPlacement maps every device a member reports holding (List) to
+// that member, first-seen wins in sorted node order. A member that
+// cannot answer contributes nothing: its devices stay where they are
+// anyway.
+func (r *Router) listPlacement() map[string]string {
 	r.mu.Lock()
 	handles := make([]*nodeHandle, 0, len(r.nodes))
 	for _, h := range r.nodes {
-		if !h.leaving {
-			handles = append(handles, h)
-		}
+		handles = append(handles, h)
 	}
 	r.mu.Unlock()
 	sort.Slice(handles, func(i, j int) bool { return handles[i].member.Name < handles[j].member.Name })
@@ -598,23 +629,23 @@ func (r *Router) discoverPlacement() map[string]string {
 			}
 		}
 	}
-	r.mu.Lock()
-	for device, rt := range r.routes {
-		placement[device] = rt.node
-	}
-	r.mu.Unlock()
 	return placement
 }
 
-// RemoveNode drains every device off a member (each to its rendezvous
-// owner among the remaining members) and drops it from the view. Removing
-// an unknown member is an idempotent no-op; removing the last member is
-// an error. All of the node's devices are parked in one call, then each
-// destination is confirmed and settled (see drain). If the leaving node
-// refuses the park, or a destination does not answer, the affected
-// devices settle back on the leaving node and the removal is aborted —
-// the node stays a member — so state is never stranded on a closed
-// connection.
+// RemoveNode moves every device off a member, each to its rendezvous
+// owner among the remaining members, and drops it from the view.
+// Removing an unknown member is an idempotent no-op; removing the last
+// member is an error.
+//
+// The removal is all or nothing. All of the node's devices are parked in
+// one call, and every destination is confirmed with an empty park before
+// any route settles. If the leaving node refuses the park, or a
+// destination fails its confirm, the removal is called off: every device
+// settles back on the leaving node — safe, because all of them were in
+// that one park — which stays a member, and the view is unchanged. A
+// leaving node that cannot be reached is going away: its devices move on
+// to their destinations and resume from the tier there, as FailNode's
+// would.
 func (r *Router) RemoveNode(name string) error {
 	r.balMu.Lock()
 	defer r.balMu.Unlock()
@@ -629,22 +660,16 @@ func (r *Router) RemoveNode(name string) error {
 		r.mu.Unlock()
 		return nil // duplicate membership event: idempotent
 	}
-	live := 0
-	for _, other := range r.nodes {
-		if !other.leaving {
-			live++
-		}
-	}
-	if live <= 1 {
+	if len(r.nodes) <= 1 {
 		r.mu.Unlock()
 		return fmt.Errorf("cluster: cannot remove %s: it is the last member", name)
 	}
-	h.leaving = true // new devices stop placing here
+	h.leaving = true // devices first seen from now on wait with the movers
 	r.mu.Unlock()
 
 	// The leaving node's full holdings, not just what this router has
 	// routed: swept routes and devices fed through a replica still live
-	// there and must drain. Unreachable node → empty report → the routes
+	// there and must move. Unreachable node → empty report → the routes
 	// are all we know (and its state is unreachable regardless).
 	h.mu.Lock()
 	listed, listErr := h.client.List()
@@ -654,39 +679,66 @@ func (r *Router) RemoveNode(name string) error {
 	}
 
 	r.mu.Lock()
-	moves := make(map[string][]string)
 	for _, device := range listed {
 		if _, ok := r.routes[device]; !ok {
 			r.routes[device] = &route{node: name, lastTs: r.clock}
 		}
 	}
+	var all []string
+	dsts := make(map[string]bool)
 	for device, rt := range r.routes {
 		if rt.node != name {
 			continue
 		}
-		dst := r.effectiveOwnerLocked(device) // leaving members never win
 		rt.draining = true
-		moves[dst] = append(moves[dst], device)
+		all = append(all, device)
+		_, next := r.ownerLocked(device)
+		dsts[next] = true
 	}
 	r.mu.Unlock()
+	sort.Strings(all)
 
-	aborted, err := r.drain(name, moves, true)
-	if aborted {
-		// Some devices are back on the leaving node: keep it a member.
-		r.mu.Lock()
-		h.leaving = false
-		r.mu.Unlock()
-		return errors.Join(err, fmt.Errorf("cluster: removal of %s aborted, node remains a member", name))
+	var err error
+	parked, commit := 0, true
+	if len(all) > 0 {
+		parked, err = r.park(name, all)
 	}
+	switch {
+	case errors.Is(err, ErrNodeRefused):
+		// A node that answered with a refusal is alive and keeps its
+		// devices.
+		commit = false
+	case err != nil:
+		// One that cannot be reached is going away: its devices move on
+		// and resume from the tier wherever it parked them.
+		err = fmt.Errorf("cluster: parking %d devices on leaving %s (moved without it): %w", len(all), name, err)
+	default:
+		for _, dst := range slices.Sorted(maps.Keys(dsts)) {
+			if _, err = r.park(dst, nil); err != nil {
+				err, commit = fmt.Errorf("%s did not answer after the park: %w", dst, err), false
+				break
+			}
+		}
+	}
+
 	r.mu.Lock()
-	delete(r.nodes, name)
-	r.version++
+	if commit {
+		delete(r.nodes, name)
+		r.version++
+	} else {
+		h.leaving = false
+	}
 	r.mu.Unlock()
-	return errors.Join(err, h.client.Close())
+	if !commit {
+		statHandoffAborts.Add(1)
+		return errors.Join(fmt.Errorf("cluster: removal of %s called off, devices kept on it: %w", name, err), r.settleMovers(false))
+	}
+	statWarmRestores.Add(uint64(parked))
+	return errors.Join(err, r.settleMovers(true), h.client.Close())
 }
 
-// FailNode drops a dead member without draining it: RemoveNode for a
-// node that cannot answer. Its devices reroute immediately to their
+// FailNode drops a dead member without parking it: RemoveNode for a node
+// that cannot answer. Its devices reroute immediately to their
 // rendezvous owners among the remaining members, and buffered
 // transactions replay there. Whatever the dead node checkpointed or
 // spilled is not lost: each rerouted device rehydrates from the state
@@ -714,111 +766,68 @@ func (r *Router) FailNode(name string) error {
 	}
 	delete(r.nodes, name)
 	r.version++
-	// Mark every route on the dead node draining (feeds buffer during
-	// the reroute), grouped by the new owner under the shrunk view.
-	moves := make(map[string][]string)
+	// Mark every route on the dead node draining: feeds buffer during the
+	// reroute.
 	failed := 0
-	for device, rt := range r.routes {
-		if rt.node != name {
-			continue
+	for _, rt := range r.routes {
+		if rt.node == name {
+			rt.draining = true
+			failed++
 		}
-		rt.draining = true
-		dst := r.effectiveOwnerLocked(device)
-		moves[dst] = append(moves[dst], device)
-		failed++
 	}
 	r.mu.Unlock()
 
 	// The dead node's connection may still be retrying; cut it loose.
-	errs := []error{h.client.Close()}
-	for _, dst := range sortedKeys(moves) {
-		devices := moves[dst]
-		sort.Strings(devices)
-		if err := r.settle(devices, dst); err != nil {
-			errs = append(errs, err)
-		}
-	}
+	err := errors.Join(h.client.Close(), r.settleMovers(true))
 	if failed > 0 {
 		statFailoverReroutes.Add(uint64(failed))
 	}
-	return errors.Join(errs...)
+	return err
 }
 
-// drain moves devices (already marked draining by the caller, grouped by
-// destination in moves) off src through the state tier:
-//
-//  1. Park them all on src in one call: it spills the devices, flushes
-//     its tier client, and delivers their alerts before it replies. The
-//     park is idempotent — a retry after a lost reply finds nothing left
-//     to spill — so the client retries it across reconnects.
-//  2. Per destination, in name order, confirm it: an empty park proves it
-//     answers and can take devices through the tier.
-//  3. Settle that destination's routes on it, which rehydrates each
-//     device from the tier on its next transaction.
-//
-// If src refuses the park, every device settles back on src; if a
-// destination does not answer, its devices settle back on src. Either
-// way fellBack is true: parked devices rehydrate there, and the rest
-// never left. A leaving src that cannot be reached settles each
-// destination's devices there instead, as FailNode would. One park for
-// every destination is what makes that safe: src cannot partition between
-// two parks, leaving devices it still holds live to settle fresh
-// elsewhere. The tier's per-device version fence is what rules out two
-// live copies.
-func (r *Router) drain(src string, moves map[string][]string, leavingSrc bool) (fellBack bool, err error) {
-	var all []string
-	for _, devices := range moves {
-		sort.Strings(devices)
-		all = append(all, devices...)
-	}
-	if len(all) == 0 {
-		return false, nil
-	}
-	sort.Strings(all)
+// park parks devices on member node (an empty list confirms that it
+// answers and can take devices through the tier). The park spills the
+// devices, flushes the node's tier client, and delivers their alerts
+// before it replies; holding the handle's mu orders it after every feed
+// already sent there. It is idempotent — a retry after a lost reply
+// finds nothing left to spill — so the client retries it across
+// reconnects.
+func (r *Router) park(node string, devices []string) (int, error) {
 	r.mu.Lock()
-	hs := r.nodes[src]
+	h := r.nodes[node]
 	r.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.client.Park(devices)
+}
 
-	hs.mu.Lock()
-	parked, parkErr := hs.client.Park(all)
-	hs.mu.Unlock()
-	if parkErr != nil {
-		if leavingSrc && !errors.Is(parkErr, ErrNodeRefused) {
-			// A node that answered with a refusal is alive and keeps the
-			// devices, aborting the removal; one that cannot be reached
-			// is going away, so its devices move on and resume from the
-			// tier wherever it holds them.
-			errs := []error{fmt.Errorf("cluster: parking %d devices on leaving %s (moved without it): %w", len(all), src, parkErr)}
-			for _, dst := range sortedKeys(moves) {
-				errs = append(errs, r.settle(moves[dst], dst))
-			}
-			return false, errors.Join(errs...)
-		}
-		statHandoffAborts.Add(1)
-		return true, errors.Join(fmt.Errorf("cluster: parking %d devices, kept on %s: %w", len(all), src, parkErr), r.settle(all, src))
-	}
-
-	var errs []error
-	moved := 0
-	for _, dst := range sortedKeys(moves) {
-		devices := moves[dst]
-		r.mu.Lock()
-		hd := r.nodes[dst]
-		r.mu.Unlock()
-		hd.mu.Lock()
-		_, dstErr := hd.client.Park(nil)
-		hd.mu.Unlock()
-		if dstErr != nil {
-			statHandoffAborts.Add(1)
-			fellBack = true
-			errs = append(errs, fmt.Errorf("cluster: %s did not answer, %d devices kept on %s: %w", dst, len(devices), src, dstErr), r.settle(devices, src))
+// settleMovers ends a membership change: every draining route settles on
+// its owner under the current view when the change committed, and back on
+// the node it is routed to when the change was called off. Each device
+// then rehydrates from the tier on its next transaction, wherever it
+// settled; the tier's per-device version fence rules out two live copies.
+// balMu guarantees that every draining route belongs to this change.
+func (r *Router) settleMovers(commit bool) error {
+	r.mu.Lock()
+	groups := make(map[string][]string)
+	for device, rt := range r.routes {
+		if !rt.draining {
 			continue
 		}
-		moved += len(devices)
-		errs = append(errs, r.settle(devices, dst))
+		owner := rt.node
+		if commit {
+			owner, _ = r.ownerLocked(device)
+		}
+		groups[owner] = append(groups[owner], device)
 	}
-	statWarmRestores.Add(uint64(min(parked, moved)))
-	return fellBack, errors.Join(errs...)
+	r.mu.Unlock()
+	var errs []error
+	for _, owner := range slices.Sorted(maps.Keys(groups)) {
+		devices := groups[owner]
+		sort.Strings(devices)
+		errs = append(errs, r.settle(devices, owner))
+	}
+	return errors.Join(errs...)
 }
 
 // settle replays the drained devices' buffered transactions to owner
@@ -846,19 +855,6 @@ func (r *Router) settle(devices []string, owner string) error {
 					rt.node = owner
 					rt.draining = false
 					rt.parked = !fed[d]
-				}
-				// Record the settled placement in the override table when
-				// it disagrees with the pure hash, clear it when it
-				// agrees. This keeps route == effective owner (what makes
-				// the idle-route sweep safe) and is the only placement
-				// state router replicas gossip to each other.
-				pure := r.ownerLocked(d)
-				pin, pinned := r.overrides.Get(d)
-				switch {
-				case owner != pure && (!pinned || pin != owner):
-					r.overrides.Set(Override{Device: d, Node: owner, Ver: r.overrides.MaxVer() + 1})
-				case owner == pure && pinned:
-					r.overrides.Set(Override{Device: d, Ver: r.overrides.MaxVer() + 1})
 				}
 			}
 			r.mu.Unlock()
@@ -894,13 +890,4 @@ func (r *Router) tagged(node string) func(NodeAlert) {
 		}
 		r.alerts(a)
 	}
-}
-
-func sortedKeys(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -32,6 +32,12 @@ func fakeView(names ...string) *Router {
 	return r
 }
 
+// ownerOf is the device's rendezvous owner under r's current view.
+func ownerOf(r *Router, device string) string {
+	owner, _ := r.ownerLocked(device)
+	return owner
+}
+
 func devices(n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -50,7 +56,7 @@ func TestRendezvousPlacementStability(t *testing.T) {
 
 	moved := 0
 	for _, d := range devs {
-		a, b := small.ownerLocked(d), big.ownerLocked(d)
+		a, b := ownerOf(small, d), ownerOf(big, d)
 		if a == "" || b == "" {
 			t.Fatalf("no owner for %s", d)
 		}
@@ -72,7 +78,7 @@ func TestRendezvousPlacementStability(t *testing.T) {
 	// Shrink: removing n2 moves exactly n2's devices.
 	noN2 := fakeView("n1", "n3", "n4")
 	for _, d := range devs {
-		a, b := big.ownerLocked(d), noN2.ownerLocked(d)
+		a, b := ownerOf(big, d), ownerOf(noN2, d)
 		if a == "n2" {
 			if b == "n2" {
 				t.Fatalf("device %s still owned by removed n2", d)
@@ -91,20 +97,34 @@ func TestRendezvousPlacementDeterministic(t *testing.T) {
 	a := fakeView("alpha", "beta", "gamma")
 	b := fakeView("gamma", "alpha", "beta")
 	for _, d := range devices(512) {
-		if oa, ob := a.ownerLocked(d), b.ownerLocked(d); oa != ob {
+		if oa, ob := ownerOf(a, d), ownerOf(b, d); oa != ob {
 			t.Fatalf("placement of %s depends on construction order: %s vs %s", d, oa, ob)
 		}
 	}
 }
 
 // TestRendezvousSkipsLeaving: a leaving member takes no new placements.
+// A device it owns in the current view waits, unfed, until the removal
+// commits or is called off; every other device places as before.
 func TestRendezvousSkipsLeaving(t *testing.T) {
 	r := fakeView("n1", "n2", "n3")
 	r.nodes["n2"].leaving = true
+	waiting := 0
 	for _, d := range devices(512) {
-		if r.ownerLocked(d) == "n2" {
+		owner, next := r.ownerLocked(d)
+		if next == "n2" {
 			t.Fatalf("device %s placed on leaving node", d)
 		}
+		rt := r.routeLocked(d)
+		if rt.node != owner || rt.draining != (owner == "n2") {
+			t.Fatalf("device %s routed %+v, want node %s and waiting only if n2 owns it", d, rt, owner)
+		}
+		if rt.draining {
+			waiting++
+		}
+	}
+	if waiting == 0 {
+		t.Fatal("no device is owned by the leaving node — the test proves nothing")
 	}
 }
 
@@ -117,7 +137,7 @@ func TestRouteSelfHealsVanishedOwner(t *testing.T) {
 	if rt == nil || rt.node == "ghost" {
 		t.Fatalf("route not re-placed, got %+v", rt)
 	}
-	if got := r.ownerLocked("10.0.0.1"); rt.node != got {
+	if got := ownerOf(r, "10.0.0.1"); rt.node != got {
 		t.Errorf("re-placed on %s, rendezvous says %s", rt.node, got)
 	}
 }

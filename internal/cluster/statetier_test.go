@@ -239,10 +239,10 @@ func (g gatedStore) Put(device string, blob []byte) error {
 }
 
 // TestStateTierParkFailureKeepsSource: when a park cannot spill some
-// movers, the drain settles back on the source. The refused devices stay
-// live there, the parked ones rehydrate there from the tier, a removal is
-// called off — and no state is lost: the alerts still match the
-// reference.
+// movers, the membership change is called off and every mover settles
+// back on its source. The refused devices stay live there, the parked
+// ones rehydrate there from the tier, the view is unchanged — and no
+// state is lost: the alerts still match the reference.
 func TestStateTierParkFailureKeepsSource(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, devices := clustertest.Workload(t, ds, 12, 3000)
@@ -278,6 +278,7 @@ func TestStateTierParkFailureKeepsSource(t *testing.T) {
 			feedChunks(t, h.Router, txs[:half], 200)
 			syncRouter(t, h.Router)
 			prev := cluster.ReadClusterStats()
+			v0 := h.Router.View()
 			refuse.Store(true)
 			if err := tc.move(t, h); err == nil {
 				t.Fatal("the membership change succeeded though parks were refused")
@@ -293,6 +294,7 @@ func TestStateTierParkFailureKeepsSource(t *testing.T) {
 			if !member {
 				t.Fatalf("%s is no longer a member after the failed move", tc.keeps)
 			}
+			assertViewKept(t, h.Router, v0, devices)
 
 			feedChunks(t, h.Router, txs[half:], 200)
 			if err := h.Router.Flush(); err != nil {

@@ -6,17 +6,15 @@ import "sync/atomic"
 // svm.ReadKernelStats idiom: cheap atomic increments on the hot paths,
 // snapshot on demand, Sub for windowed rates. profilerd logs a snapshot
 // at front-end shutdown; operators and tests read them to see the
-// machinery PR 9 left dark — how often gossip runs and converges, how
-// much override traffic placement repair generates, and how often
-// drains settle back on their source and devices fail over.
+// replication and rebalancing machinery — how often gossip runs and
+// converges, how often membership changes are called off, and how many
+// devices move through the tier or fail over.
 var (
-	statGossipRounds       atomic.Uint64
-	statViewAdoptions      atomic.Uint64
-	statOverrideEntries    atomic.Uint64
-	statOverrideTombstones atomic.Uint64
-	statHandoffAborts      atomic.Uint64
-	statWarmRestores       atomic.Uint64
-	statFailoverReroutes   atomic.Uint64
+	statGossipRounds     atomic.Uint64
+	statViewAdoptions    atomic.Uint64
+	statHandoffAborts    atomic.Uint64
+	statWarmRestores     atomic.Uint64
+	statFailoverReroutes atomic.Uint64
 )
 
 // ClusterStats is a point-in-time snapshot of the replication and
@@ -31,15 +29,10 @@ type ClusterStats struct {
 	// gossip (newer version, all members reachable): rounds that changed
 	// this router's placement, as opposed to no-op exchanges.
 	ViewAdoptions uint64
-	// OverrideEntries counts placement-override pins applied to an
-	// override table — locally after a settle off the hash owner, or
-	// adopted from a gossip peer. Superseded writes don't count.
-	OverrideEntries uint64
-	// OverrideTombstones counts override removals applied (a device
-	// back on its hash owner, propagated as an LWW tombstone).
-	OverrideTombstones uint64
-	// HandoffAborts counts drains that settled back on the source — the
-	// source refused the park, or the destination did not answer.
+	// HandoffAborts counts membership changes called off — a source
+	// refused or could not answer its park, or a destination failed its
+	// confirm — so every mover settled back where it was and the view
+	// stayed unchanged.
 	HandoffAborts uint64
 	// WarmRestores counts devices a membership change moved through the
 	// state tier — parked by their old owner, or already spilled there.
@@ -56,13 +49,11 @@ type ClusterStats struct {
 // read atomically; the set is not a transaction).
 func ReadClusterStats() ClusterStats {
 	return ClusterStats{
-		GossipRounds:       statGossipRounds.Load(),
-		ViewAdoptions:      statViewAdoptions.Load(),
-		OverrideEntries:    statOverrideEntries.Load(),
-		OverrideTombstones: statOverrideTombstones.Load(),
-		HandoffAborts:      statHandoffAborts.Load(),
-		WarmRestores:       statWarmRestores.Load(),
-		FailoverReroutes:   statFailoverReroutes.Load(),
+		GossipRounds:     statGossipRounds.Load(),
+		ViewAdoptions:    statViewAdoptions.Load(),
+		HandoffAborts:    statHandoffAborts.Load(),
+		WarmRestores:     statWarmRestores.Load(),
+		FailoverReroutes: statFailoverReroutes.Load(),
 	}
 }
 
@@ -70,8 +61,6 @@ func ReadClusterStats() ClusterStats {
 func ResetClusterStats() {
 	statGossipRounds.Store(0)
 	statViewAdoptions.Store(0)
-	statOverrideEntries.Store(0)
-	statOverrideTombstones.Store(0)
 	statHandoffAborts.Store(0)
 	statWarmRestores.Store(0)
 	statFailoverReroutes.Store(0)
@@ -81,12 +70,10 @@ func ResetClusterStats() {
 // periodic logging.
 func (s ClusterStats) Sub(prev ClusterStats) ClusterStats {
 	return ClusterStats{
-		GossipRounds:       s.GossipRounds - prev.GossipRounds,
-		ViewAdoptions:      s.ViewAdoptions - prev.ViewAdoptions,
-		OverrideEntries:    s.OverrideEntries - prev.OverrideEntries,
-		OverrideTombstones: s.OverrideTombstones - prev.OverrideTombstones,
-		HandoffAborts:      s.HandoffAborts - prev.HandoffAborts,
-		WarmRestores:       s.WarmRestores - prev.WarmRestores,
-		FailoverReroutes:   s.FailoverReroutes - prev.FailoverReroutes,
+		GossipRounds:     s.GossipRounds - prev.GossipRounds,
+		ViewAdoptions:    s.ViewAdoptions - prev.ViewAdoptions,
+		HandoffAborts:    s.HandoffAborts - prev.HandoffAborts,
+		WarmRestores:     s.WarmRestores - prev.WarmRestores,
+		FailoverReroutes: s.FailoverReroutes - prev.FailoverReroutes,
 	}
 }

@@ -31,7 +31,8 @@
 //	    parked here by its old owner (spill, then Flush) and rehydrates at
 //	    its new owner, whose Get learns its version, and a dead node's
 //	    devices rehydrate lazily at their new owner — failover without a
-//	    park (see internal/cluster: Router.drain and Router.FailNode).
+//	    park (see internal/cluster: Router.AddNode, Router.RemoveNode and
+//	    Router.FailNode).
 //
 // # Versioning: why a stale flush cannot clobber a newer spill
 //

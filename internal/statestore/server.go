@@ -264,13 +264,13 @@ func (s *Server) applyPut(req message) message {
 		e := s.entries[p.device]
 		if e == nil {
 			e = &entry{}
-			// Clone the key: p.device aliases the decoded copy of the
-			// whole frame, which a map key must not pin.
+			// Clone the key: p.device aliases the connection's read
+			// buffer, which the next frame overwrites.
 			s.entries[strings.Clone(p.device)] = e
 		}
 		if p.ver > e.ver {
 			e.ver = p.ver
-			e.blob = append(e.blob[:0:0], p.blob...)
+			e.blob = append(e.blob[:0:0], p.blob...) // p.blob aliases the read buffer too
 			s.persist(p.device, e)
 			s.puts.Add(1)
 		} else {
@@ -308,7 +308,7 @@ func (s *Server) applyDelete(req message) message {
 	e := s.entries[req.device]
 	if e == nil {
 		e = &entry{}
-		s.entries[strings.Clone(req.device)] = e // key must not pin the decoded frame
+		s.entries[strings.Clone(req.device)] = e // the key must not alias the read buffer
 	}
 	e.ver++
 	e.blob = nil
@@ -343,8 +343,8 @@ func (s *Server) persist(device string, e *entry) {
 		return
 	}
 	enveloped := appendEnvelope(make([]byte, 0, len(e.blob)+16), e.ver, e.blob)
-	// Clone the key: device aliases the decoded copy of the whole frame,
-	// which a store that keeps its keys (DiskStateStore does) must not pin.
+	// Clone the key: device aliases the connection's read buffer, which a
+	// store that keeps its keys (DiskStateStore does) must not hold.
 	if err := s.cfg.Backing.Put(strings.Clone(device), enveloped); err != nil {
 		s.cfg.ErrorLog.Printf("statestore: backing put of device %s: %v", device, err)
 	}

@@ -3,6 +3,7 @@ package statestore
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"webtxprofile/internal/weblog"
 )
@@ -108,19 +109,24 @@ func appendMessage(dst []byte, m message) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeMessage parses a frame payload. It reads a string copy of the
-// payload, which the decoded strings alias; blobs alias the payload
-// itself. The whole payload must be consumed (trailing bytes are an
-// error, like the cluster codec). Errors, never panics, on adversarial
-// input (FuzzStateMessage): every length and count is checked against
-// the remaining bytes, a count at its elements' smallest encoding.
+// decodeMessage parses a frame payload in place: the decoded strings and
+// blobs alias payload, which is not copied. A caller that reads the next
+// frame into the same buffer must copy whatever it keeps past that (the
+// server clones device names and copies blobs); the client reads each
+// reply into a fresh buffer. The whole payload must be consumed
+// (trailing bytes are an error, like the cluster codec). Errors, never
+// panics, on adversarial input (FuzzStateMessage): every length and
+// count is checked against the remaining bytes, a count at its
+// elements' smallest encoding.
 func decodeMessage(payload []byte) (message, error) {
 	if len(payload) < 3 || payload[0] != wireMagic || payload[1] != wireVersion {
 		return message{}, errMalformed
 	}
 	m := message{op: payload[2]}
 	body := payload[3:]
-	r := weblog.NewBinaryReader(string(body))
+	// The reader reads body itself, not a string copy of it; nothing
+	// writes to body while the reader or its strings are in use.
+	r := weblog.NewBinaryReader(unsafe.String(unsafe.SliceData(body), len(body)))
 	m.seq = r.Uvarint()
 	switch m.op {
 	case opPut:
@@ -159,7 +165,7 @@ func decodeMessage(payload []byte) (message, error) {
 }
 
 // readBlob reads one length-prefixed blob as a slice of body, the bytes
-// r reads a copy of, so a blob is not copied a second time.
+// r reads.
 func readBlob(r *weblog.BinaryReader, body []byte) []byte {
 	b := r.Field()
 	end := len(body) - r.Len()

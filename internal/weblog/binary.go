@@ -303,18 +303,23 @@ func FinishFrame(frame []byte) error {
 
 // ReadFrame reads one frame from r and returns its payload, read into buf
 // when it fits (so a caller done with one payload may pass it back in for
-// the next) and into a fresh slice otherwise. A clean EOF before any
-// header byte returns io.EOF unwrapped, so callers can tell an orderly
-// connection end.
+// the next) and into a fresh slice otherwise. The header is read into buf
+// too when it has room, so a frame read into a reused buffer allocates
+// nothing. A clean EOF before any header byte returns io.EOF unwrapped,
+// so callers can tell an orderly connection end.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := buf[:0]
+	if cap(hdr) < 4 {
+		hdr = make([]byte, 0, 4)
+	}
+	hdr = hdr[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("reading frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if err := checkFrameLen(uint64(n)); err != nil {
 		return nil, err
 	}

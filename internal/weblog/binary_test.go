@@ -1,6 +1,7 @@
 package weblog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"strings"
@@ -123,6 +124,27 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 		}
 	}); avg > 0 {
 		t.Errorf("BinaryReader.Transaction allocates %.1f times per record, want 0", avg)
+	}
+}
+
+// TestReadFrameAllocs gates the framer's reuse contract: a frame read
+// into a buffer with room for it allocates nothing, header included.
+func TestReadFrameAllocs(t *testing.T) {
+	payload := binarySampleTxs()[0].AppendBinary(nil)
+	frame := append(AppendFrameHeader(nil), payload...)
+	if err := FinishFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	var r bytes.Reader
+	buf := make([]byte, 0, len(payload))
+	if avg := testing.AllocsPerRun(200, func() {
+		r.Reset(frame)
+		got, err := ReadFrame(&r, buf)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("ReadFrame = %x, %v; want the payload back", got, err)
+		}
+	}); avg > 0 {
+		t.Errorf("ReadFrame allocates %.1f times per frame on a reused buffer, want 0", avg)
 	}
 }
 
